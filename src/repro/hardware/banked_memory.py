@@ -24,8 +24,9 @@ resident data. This module models exactly that:
   against per-bank row storage with GRF semantics, wrapping in int64
   exactly like the hardware accumulator.
 
-Arithmetic is digital and exact, so the fast path (one int64 matmul) and
-the instruction-stream oracle are bit-identical; only the cost model
+Arithmetic is digital and exact, so the fast path (the exact float64-BLAS
+wave of :class:`~repro.hardware.bitslice.ExactMatrix`) and the
+instruction-stream oracle are bit-identical; only the cost model
 differs from the crossbar substrate. The timing results reuse the
 crossbar model's :class:`~repro.hardware.timing.WaveTiming` containers
 (field mapping documented on each function), so every downstream

@@ -20,6 +20,10 @@ loop implementations are kept as ``*_reference`` oracles. Both compute
 in 64-bit wrap-around (mod 2**64) arithmetic, which is associative and
 commutative, so the two always agree bit for bit — the fusion property
 suite asserts exactly that.
+
+:class:`ExactMatrix` holds a programmed matrix for the arrays' default
+wave path: the same exact mod-2**64 dot products, run on float64 BLAS
+(the BLAS-wave property suite pins it to the int64 matmul).
 """
 
 from __future__ import annotations
@@ -29,20 +33,30 @@ import numpy as np
 from repro.errors import OperandError
 
 
-def check_non_negative_integers(values: np.ndarray, bits: int) -> None:
+#: float64 represents every integer in ``[0, 2**53]`` exactly
+FLOAT64_EXACT_MAX = 1 << 53
+
+
+def check_non_negative_integers(values: np.ndarray, bits: int) -> int:
     """Validate that ``values`` are PIM-compatible operands.
 
     ReRAM analog computation only supports non-negative integers of
-    limited width; anything else raises :class:`OperandError`.
+    limited width; anything else raises :class:`OperandError`. Returns
+    the largest value (0 for an empty array), which the exact wave
+    kernel uses to find the rows float64 cannot hold exactly.
     """
     if not np.issubdtype(np.asarray(values).dtype, np.integer):
         raise OperandError("PIM operands must have an integer dtype")
-    if values.size and int(values.min()) < 0:
+    if not values.size:
+        return 0
+    if int(values.min()) < 0:
         raise OperandError("PIM operands must be non-negative")
-    if values.size and int(values.max()) >= (1 << bits):
+    peak = int(values.max())
+    if peak >= (1 << bits):
         raise OperandError(
-            f"PIM operand exceeds {bits}-bit width: max={int(values.max())}"
+            f"PIM operand exceeds {bits}-bit width: max={peak}"
         )
+    return peak
 
 
 def num_slices(operand_bits: int, slice_bits: int) -> int:
@@ -186,3 +200,69 @@ def truncate_result(values: np.ndarray, accumulator_bits: int) -> np.ndarray:
         return np.asarray(values, dtype=np.int64)
     mask = np.uint64((1 << accumulator_bits) - 1)
     return (np.asarray(values).astype(np.uint64) & mask).astype(np.int64)
+
+
+class ExactMatrix:
+    """A programmed operand matrix held for exact float64-BLAS waves.
+
+    NumPy has no BLAS kernel for int64, so an integer matmul runs as a
+    scalar loop. This class holds the resident ``(n_vectors, dims)``
+    matrix as float64 instead, and every wave is exact:
+
+    * every operand is a non-negative integer, so every product and every
+      partial sum of a dot product is an integer no larger than the full
+      dot product, whatever order BLAS sums in;
+    * float64 represents every integer up to ``2**53``, so a row with
+      ``max(query) * row_sum <= 2**53`` is computed without a single
+      rounding, bit-identical to the int64 matmul and independent of
+      the batch shape;
+    * rows past that bound (a verified shard's checksum row, 32-bit
+      quantizers) are recomputed with the int64 matmul, which wraps
+      mod 2**64.
+
+    A matrix whose row sums can exceed ``2**53`` (only possible with
+    operands wider than about 40 bits) keeps int64 storage and the
+    integer matmul. Either way the matrix is held once:
+    :meth:`to_int64` converts back on demand.
+    """
+
+    __slots__ = ("values", "row_sums", "row_sum_max")
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        matrix = np.asarray(matrix)
+        peak = int(matrix.max()) if matrix.size else 0
+        #: exact per-row sums and their max; ``None`` on the int64 fallback
+        self.row_sums: np.ndarray | None = None
+        self.row_sum_max: int | None = None
+        if peak * matrix.shape[1] < 1 << 63:  # the int64 sums cannot wrap
+            sums = matrix.sum(axis=1, dtype=np.int64)
+            top = int(sums.max(initial=0))
+            if top <= FLOAT64_EXACT_MAX:
+                self.row_sums, self.row_sum_max = sums, top
+        self.values = matrix.astype(
+            np.int64 if self.row_sums is None else np.float64
+        )
+
+    def to_int64(self) -> np.ndarray:
+        """The ``(n_vectors, dims)`` matrix as a fresh int64 array."""
+        return self.values.astype(np.int64)
+
+    def dot(self, queries: np.ndarray, query_max: int) -> np.ndarray:
+        """``queries @ matrix.T`` mod 2**64 as int64, shape ``(B, n_vectors)``.
+
+        ``queries`` is a ``(B, dims)`` array of non-negative integers and
+        ``query_max`` its largest value, as
+        :func:`check_non_negative_integers` returns it.
+        """
+        if self.row_sums is None:
+            return queries.astype(np.int64) @ self.values.T
+        raw = queries.astype(np.float64) @ self.values.T
+        limit = FLOAT64_EXACT_MAX // max(query_max, 1)  # widest exact row
+        if self.row_sum_max <= limit:
+            return raw.astype(np.int64)
+        wide = np.flatnonzero(self.row_sums > limit)
+        raw[:, wide] = 0.0  # rounded there; recomputed exactly below
+        out = raw.astype(np.int64)
+        wide_rows = self.values[wide].astype(np.int64)
+        out[:, wide] = queries.astype(np.int64) @ wide_rows.T
+        return out

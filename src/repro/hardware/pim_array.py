@@ -8,9 +8,13 @@ of a matrix concurrently and deposits the results in the buffer array.
 
 Three execution paths produce identical values:
 
-* the default fast path computes the integer matrix-vector product with
-  NumPy (the bit-sliced analog pipeline is value-exact, so this is a pure
-  optimisation), while still charging the cycle-accurate wave latency;
+* the default fast path computes the integer matrix-vector product
+  exactly on float64 BLAS (:class:`~repro.hardware.bitslice.ExactMatrix`:
+  the matrix is held once, as float64, with its exact row sums; rows
+  whose dot products could pass ``2**53`` are recomputed with the
+  int64 matmul).
+  The bit-sliced analog pipeline is value-exact, so this is a pure
+  optimisation; the cycle-accurate wave latency is still charged;
 * ``simulate_cells=True`` runs the *fused* bit-sliced kernel: the
   operand bit-slice decomposition is precomputed at ``program()`` time
   (cached per matrix, dropped on reprogram/remap) and every wave is one
@@ -223,16 +227,18 @@ class PIMStats:
 class _ProgrammedMatrix:
     """Internal record of one programmed matrix.
 
-    ``sliced`` caches the operand bit-slice decomposition the fused
-    cell-level kernel contracts against — shape ``(n_vectors, dims,
-    n_operand_slices)``, int64. It is built at program time, rebuilt
-    lazily after :meth:`drop_sliced` (any reprogram/remap event), and
-    absent entirely on the fast and reference paths.
+    ``matrix`` is the single resident copy of the operands, held for the
+    fast path's exact BLAS waves. ``sliced`` caches the operand
+    bit-slice decomposition the fused cell-level kernel contracts
+    against — shape ``(n_vectors, dims, n_operand_slices)``, int64. It
+    is built at program time, rebuilt lazily after :meth:`drop_sliced`
+    (any reprogram/remap event), and absent entirely on the fast and
+    reference paths.
     """
 
     def __init__(
         self,
-        matrix: np.ndarray,
+        matrix: bitslice.ExactMatrix,
         layout: DatasetLayout,
         crossbars: list[list[Crossbar]] | None,
         crossbar_ids: list[int] | None = None,
@@ -368,7 +374,7 @@ class PIMArray:
                 self.endurance.record_write(unit)
                 crossbar_ids.append(unit)
         record = _ProgrammedMatrix(
-            matrix.astype(np.int64), layout, crossbars, crossbar_ids
+            bitslice.ExactMatrix(matrix), layout, crossbars, crossbar_ids
         )
         if self.simulate_cells and not self.reference:
             record.sliced = self._decompose(record.matrix)
@@ -452,15 +458,13 @@ class PIMArray:
         return {name: rec.layout for name, rec in self._matrices.items()}
 
     def matrix_of(self, name: str) -> np.ndarray:
-        """The integer matrix currently programmed under ``name``.
+        """The int64 matrix currently programmed under ``name``.
 
-        Read-only view for diagnostics and fault injectors; mutating the
-        returned array is undefined behaviour.
+        Converted from the resident float64 copy on each call, for
+        diagnostics and fault injectors; mutating the returned array is
+        undefined behaviour.
         """
-        record = self._matrices.get(name)
-        if record is None:
-            raise ProgrammingError(f"no matrix named {name!r}")
-        return record.matrix
+        return self._record(name).matrix.to_int64()
 
     # ------------------------------------------------------------------
     # spare pool + remap table (repair layer)
@@ -472,10 +476,7 @@ class PIMArray:
 
     def crossbar_ids_of(self, name: str) -> list[int]:
         """Physical crossbar ids currently backing matrix ``name``."""
-        record = self._matrices.get(name)
-        if record is None:
-            raise ProgrammingError(f"no matrix named {name!r}")
-        return list(record.crossbar_ids)
+        return list(self._record(name).crossbar_ids)
 
     def remap_crossbar(self, old_id: int) -> tuple[int, float]:
         """Remap one flagged crossbar onto the least-worn spare.
@@ -617,21 +618,14 @@ class PIMArray:
         the least-significant 64 bits; 32 for binary codes) and pushed to
         the buffer array; the caller is expected to drain the buffer.
         """
-        record = self._matrices.get(name)
-        if record is None:
-            raise ProgrammingError(f"no matrix named {name!r}")
+        record = self._record(name)
         vector = np.asarray(vector)
-        bits = input_bits if input_bits is not None else self.config.operand_bits
-        bitslice.check_non_negative_integers(vector, bits)
-        if vector.ndim != 1 or vector.shape[0] != record.layout.dims:
+        if vector.ndim != 1:
             raise OperandError(
                 f"query must be a vector of length {record.layout.dims}"
             )
-        if record.crossbars is not None:
-            values = self._cell_values(record, vector[np.newaxis, :], bits)[0]
-        else:
-            values = record.matrix @ vector.astype(np.int64)
-        values = bitslice.truncate_result(values, self.config.accumulator_bits)
+        bits = input_bits if input_bits is not None else self.config.operand_bits
+        values = self._values(record, vector[np.newaxis, :], bits)[0]
         timing = wave_timing(
             record.layout, self.config, self.hardware, input_bits=bits
         )
@@ -676,21 +670,10 @@ class PIMArray:
         firing one wave per center) fast to simulate. Returns values of
         shape ``(n_queries, n_programmed_vectors)``.
         """
-        record = self._matrices.get(name)
-        if record is None:
-            raise ProgrammingError(f"no matrix named {name!r}")
+        record = self._record(name)
         vectors = np.atleast_2d(np.asarray(vectors))
         bits = input_bits if input_bits is not None else self.config.operand_bits
-        bitslice.check_non_negative_integers(vectors, bits)
-        if vectors.shape[1] != record.layout.dims:
-            raise OperandError(
-                f"queries must have length {record.layout.dims}"
-            )
-        if record.crossbars is not None:
-            values = self._cell_values(record, vectors, bits)
-        else:
-            values = vectors.astype(np.int64) @ record.matrix.T
-        values = bitslice.truncate_result(values, self.config.accumulator_bits)
+        values = self._values(record, vectors, bits)
         timing = wave_timing(
             record.layout, self.config, self.hardware, input_bits=bits
         )
@@ -735,21 +718,10 @@ class PIMArray:
         full dispatches — see
         :func:`~repro.hardware.timing.batch_wave_timing`.
         """
-        record = self._matrices.get(name)
-        if record is None:
-            raise ProgrammingError(f"no matrix named {name!r}")
+        record = self._record(name)
         vectors = np.atleast_2d(np.asarray(vectors))
         bits = input_bits if input_bits is not None else self.config.operand_bits
-        bitslice.check_non_negative_integers(vectors, bits)
-        if vectors.shape[1] != record.layout.dims:
-            raise OperandError(
-                f"queries must have length {record.layout.dims}"
-            )
-        if record.crossbars is not None:
-            values = self._cell_values(record, vectors, bits)
-        else:
-            values = vectors.astype(np.int64) @ record.matrix.T
-        values = bitslice.truncate_result(values, self.config.accumulator_bits)
+        values = self._values(record, vectors, bits)
         n_queries = vectors.shape[0]
         timing = batch_wave_timing(
             record.layout, self.config, self.hardware, n_queries,
@@ -838,7 +810,35 @@ class PIMArray:
             m["adc_conversions"].add(results / waves * cycles)
         m["results_produced"].add(results)
 
-    def _decompose(self, matrix: np.ndarray) -> np.ndarray:
+    def _record(self, name: str) -> _ProgrammedMatrix:
+        record = self._matrices.get(name)
+        if record is None:
+            raise ProgrammingError(f"no matrix named {name!r}")
+        return record
+
+    def _values(
+        self, record: _ProgrammedMatrix, vectors: np.ndarray, bits: int
+    ) -> np.ndarray:
+        """Validated, truncated ``(B, n_vectors)`` accumulators of a wave.
+
+        The one place the kernel is chosen: the cell-level kernels in
+        ``simulate_cells`` mode, otherwise the exact float64-BLAS wave
+        of :class:`~repro.hardware.bitslice.ExactMatrix`. All are exact
+        mod 2**64 before the accumulator truncation, so they agree bit
+        for bit.
+        """
+        peak = bitslice.check_non_negative_integers(vectors, bits)
+        if vectors.shape[1] != record.layout.dims:
+            raise OperandError(
+                f"queries must have length {record.layout.dims}"
+            )
+        if record.crossbars is not None:
+            raw = self._cell_values(record, vectors, bits)
+        else:
+            raw = record.matrix.dot(vectors, peak)
+        return bitslice.truncate_result(raw, self.config.accumulator_bits)
+
+    def _decompose(self, matrix: bitslice.ExactMatrix) -> np.ndarray:
         """Operand bit-slice tensor of ``matrix`` for the fused kernel.
 
         Shape ``(n_vectors, dims, n_operand_slices)``; slice ``j`` holds
@@ -846,7 +846,9 @@ class PIMArray:
         contents :meth:`_program_cells` writes, reassembled whole-array.
         """
         return bitslice.slice_operands(
-            matrix, self.config.operand_bits, self.config.crossbar.cell_bits
+            matrix.to_int64(),
+            self.config.operand_bits,
+            self.config.crossbar.cell_bits,
         ).astype(np.int64)
 
     def _cell_values(

@@ -79,7 +79,7 @@ class _BankedMatrix:
 
     def __init__(
         self,
-        matrix: np.ndarray,
+        matrix: bitslice.ExactMatrix,
         layout: BankLayout,
         bank_ids: list[int],
         bytes_per_bank: int,
@@ -108,7 +108,7 @@ class HBMPIMArray:
     reference:
         Execute every wave through the MOV/FILL/MAC instruction-stream
         oracle (:meth:`BankedMatrixStore.dot_reference`) instead of the
-        fused int64 matmul. Bit-identical, much slower to simulate.
+        exact float64-BLAS wave. Bit-identical, much slower to simulate.
     simulate_cells:
         Accepted for factory symmetry with the crossbar backend; the
         instruction-level oracle *is* this substrate's cell-faithful
@@ -210,11 +210,11 @@ class HBMPIMArray:
             self._bank_bytes_used[b] += bytes_per_bank
             self.endurance.record_write(b)
         store = None
-        matrix64 = matrix.astype(np.int64)
         if self.reference:
-            store = BankedMatrixStore(matrix64, layout, self.config)
+            store = BankedMatrixStore(matrix, layout, self.config)
         self._matrices[name] = _BankedMatrix(
-            matrix64, layout, bank_ids, bytes_per_bank, store
+            bitslice.ExactMatrix(matrix),
+            layout, bank_ids, bytes_per_bank, store,
         )
         self.stats.crossbars_used += layout.n_data_banks
         self.stats.matrices[name] = layout
@@ -253,11 +253,11 @@ class HBMPIMArray:
         return {name: rec.layout for name, rec in self._matrices.items()}
 
     def matrix_of(self, name: str) -> np.ndarray:
-        """The integer matrix currently programmed under ``name``."""
-        record = self._matrices.get(name)
-        if record is None:
-            raise ProgrammingError(f"no matrix named {name!r}")
-        return record.matrix
+        """The int64 matrix currently programmed under ``name``.
+
+        Converted from the resident float64 copy on each call.
+        """
+        return self._record(name).matrix.to_int64()
 
     # ------------------------------------------------------------------
     # capacity / placement
@@ -415,33 +415,30 @@ class HBMPIMArray:
         return record
 
     def _values(
-        self, record: _BankedMatrix, vectors: np.ndarray
+        self, record: _BankedMatrix, vectors: np.ndarray, input_bits
     ) -> np.ndarray:
-        """Exact ``(B, n_vectors)`` accumulators, truncated.
+        """Validated, truncated ``(B, n_vectors)`` accumulators of a wave.
 
-        Fast path: one int64 matmul. Reference path: the per-bank
+        Fast path: the exact float64-BLAS wave of
+        :class:`~repro.hardware.bitslice.ExactMatrix` (the int64 matmul for
+        rows whose dot products could pass ``2**53``). Reference path: the per-bank
         burst-level instruction stream. Identical bit for bit — the
-        property suite holds this line for the banked substrate just as
+        property suites hold this line for the banked substrate just as
         the fusion suite does for the crossbars.
         """
-        if record.store is not None:
-            raw = record.store.dot_reference(vectors)
-        else:
-            raw = vectors.astype(np.int64) @ record.matrix.T
-        return bitslice.truncate_result(raw, self.config.accumulator_bits)
-
-    def _check_queries(
-        self, record: _BankedMatrix, vectors: np.ndarray, input_bits
-    ) -> int:
         bits = (
             input_bits if input_bits is not None else self.config.operand_bits
         )
-        bitslice.check_non_negative_integers(vectors, bits)
+        peak = bitslice.check_non_negative_integers(vectors, bits)
         if vectors.shape[-1] != record.layout.dims:
             raise OperandError(
                 f"queries must have length {record.layout.dims}"
             )
-        return bits
+        if record.store is not None:
+            raw = record.store.dot_reference(vectors)
+        else:
+            raw = record.matrix.dot(vectors, peak)
+        return bitslice.truncate_result(raw, self.config.accumulator_bits)
 
     def _charge_extra(self, layout: BankLayout, n_queries: int) -> None:
         counts = bank_instruction_counts(layout, n_queries)
@@ -463,8 +460,7 @@ class HBMPIMArray:
             raise OperandError(
                 f"query must be a vector of length {record.layout.dims}"
             )
-        self._check_queries(record, vector, input_bits)
-        values = self._values(record, vector[np.newaxis, :])[0]
+        values = self._values(record, vector[np.newaxis, :], input_bits)[0]
         timing = bank_wave_timing(record.layout, self.config, self.hardware)
         if values.nbytes <= self.buffer.free_bytes:
             self.buffer.push(values)
@@ -500,8 +496,7 @@ class HBMPIMArray:
         """One wave per row of ``vectors``, each charged separately."""
         record = self._record(name)
         vectors = np.atleast_2d(np.asarray(vectors))
-        self._check_queries(record, vectors, input_bits)
-        values = self._values(record, vectors)
+        values = self._values(record, vectors, input_bits)
         timing = bank_wave_timing(record.layout, self.config, self.hardware)
         n_queries = vectors.shape[0]
         self.stats.waves += n_queries
@@ -537,8 +532,7 @@ class HBMPIMArray:
         """
         record = self._record(name)
         vectors = np.atleast_2d(np.asarray(vectors))
-        self._check_queries(record, vectors, input_bits)
-        values = self._values(record, vectors)
+        values = self._values(record, vectors, input_bits)
         n_queries = vectors.shape[0]
         timing = bank_batch_timing(
             record.layout, self.config, self.hardware, n_queries

@@ -177,6 +177,8 @@ class TestFaultyPIMArray:
         assert faulty.inner is array
         assert faulty.config is array.config
         assert np.array_equal(faulty.matrix_of("data"), matrix)
+        # the stuck-cells injector rebuilds corrupted rows from this copy
+        assert faulty.matrix_of("data").dtype == np.int64
 
     def test_no_events_is_a_transparent_wrapper(self, array, rng):
         query = rng.integers(0, 256, size=8)

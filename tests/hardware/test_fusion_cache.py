@@ -122,6 +122,24 @@ class TestDecompositionCache:
         array.remap_crossbar(array.crossbar_ids_of("m")[0])
         assert np.array_equal(array.query("m", query).values, expected)
 
+    def test_fast_path_values_survive_remap_and_reset(
+        self, platform, matrix, query
+    ):
+        # the fast path's resident float64 copy is the only copy: a remap
+        # must not touch it, and reset + reprogram must rebuild it exactly
+        array = PIMArray(platform, spare_crossbars=2)
+        array.program_matrix("m", matrix)
+        queries = np.vstack([query, (query * 3) % 256])
+        expected = array.query_batch("m", queries).values
+        array.remap_crossbar(array.crossbar_ids_of("m")[0])
+        assert np.array_equal(array.query_batch("m", queries).values, expected)
+        assert np.array_equal(array.query("m", query).values, expected[0])
+        assert np.array_equal(array.matrix_of("m"), matrix)
+        array.reset_matrix("m")
+        array.program_matrix("m", matrix)
+        assert np.array_equal(array.query_batch("m", queries).values, expected)
+        assert array.matrix_of("m").dtype == np.int64
+
     def test_batch_after_reprogram_matches_fast_path(self, platform, matrix):
         queries = (np.arange(3 * 14, dtype=np.int64).reshape(3, 14) * 5) % 256
         array = PIMArray(platform, simulate_cells=True)

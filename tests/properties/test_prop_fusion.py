@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.integrity import append_checksum_row
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.hardware import bitslice
 from repro.hardware.config import (
@@ -131,7 +132,8 @@ def array_cases(draw):
     rows = draw(st.integers(min_value=2, max_value=10))
     cell_bits = draw(st.integers(min_value=1, max_value=3))
     dac_bits = draw(st.integers(min_value=1, max_value=3))
-    operand_bits = draw(st.integers(min_value=1, max_value=8))
+    # up to 32 bits: wide rows leave the fast path's single float64 dgemm
+    operand_bits = draw(st.integers(min_value=1, max_value=32))
     slices = -(-operand_bits // cell_bits)
     cols = draw(st.integers(min_value=slices, max_value=6 * slices))
     hardware = HardwareConfig(
@@ -150,6 +152,8 @@ def array_cases(draw):
     seed = draw(st.integers(min_value=0, max_value=2**31))
     rng = np.random.default_rng(seed)
     matrix = rng.integers(0, 2**operand_bits, size=(n_vectors, dims))
+    if draw(st.booleans()):
+        matrix = append_checksum_row(matrix, operand_bits)
     queries = rng.integers(0, 2**operand_bits, size=(batch, dims))
     return hardware, matrix, queries
 
