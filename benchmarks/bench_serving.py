@@ -42,6 +42,7 @@ from repro.serving import (
     TenantSpec,
     WorkloadDriver,
 )
+from repro.serving.sharding import _canonical_prefix
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -284,69 +285,61 @@ def measure_fused_trajectory(smoke: bool = False, repeats: int = 3) -> dict:
 
 
 def measure_bound_pipeline(smoke: bool = False, repeats: int = 5) -> dict:
-    """Batched bound pipeline vs the per-query loop it replaced.
+    """Canonical candidate prefix vs the full per-query sort it replaced.
 
-    The shared serving path now builds every query's pruning bound with
-    one broadcast and ranks all rows with one stable axis argsort over
-    gidx-permuted columns, instead of looping a two-key lexsort per
-    query (the gidx tiebreak is sorted once and amortized over the
-    batch). This microbench re-runs both shapes on the same inputs:
-    the outputs must match element-for-element, the wall clock is the
-    recorded delta.
+    The fused serving scan visits candidates in the canonical
+    ``lexsort((gidx, lb))`` order, but tight bounds let it stop after
+    about ``k`` of them. So it orders only a
+    :func:`~repro.serving.sharding._canonical_prefix` of about ``4k``
+    rows (a partition, then a lexsort of the rows at or below the
+    partition value) instead of sorting every row. This microbench
+    ranks the same per-query bounds both ways: each prefix must equal
+    the full sort's leading entries, the wall clock is the recorded
+    delta.
     """
     rng = np.random.default_rng(99)
     batch, n_local = (8, 20_000) if smoke else (16, 120_000)
     alpha2 = 2.0 * 16.0
-    phi = rng.random(n_local)
-    phi_q = rng.random(batch)
-    dots = rng.random((batch, n_local))
+    # spread so the bounds stay positive: clamped-to-zero bounds would
+    # all tie, and a tie-only input measures nothing about the prefix
+    phi = (4.0 + 8.0 * rng.random(n_local)) * DIMS
+    phi_q = (2.0 + rng.random(batch)) * DIMS
+    dots = 2.0 * DIMS * rng.random((batch, n_local))
     gidx = rng.permutation(n_local).astype(np.int64)
+    lb_all = (
+        phi[None, :] + phi_q[:, None] - 2.0 * dots - 2.0 * DIMS
+    ) / alpha2
+    np.maximum(lb_all, 0.0, out=lb_all)
+    m = 4 * K
 
-    def scalar():
-        lbs = np.empty((batch, n_local))
-        orders = np.empty((batch, n_local), dtype=np.int64)
-        for b in range(batch):
-            lb = (phi + phi_q[b] - 2.0 * dots[b] - 2.0 * DIMS) / alpha2
-            np.maximum(lb, 0.0, out=lb)
-            lbs[b] = lb
-            orders[b] = np.lexsort((gidx, lb))
-        return lbs, orders
+    def full_sort():
+        return [np.lexsort((gidx, lb)) for lb in lb_all]
 
-    def vector():
-        lb_all = (
-            phi[None, :] + phi_q[:, None] - 2.0 * dots - 2.0 * DIMS
-        ) / alpha2
-        np.maximum(lb_all, 0.0, out=lb_all)
-        perm = np.argsort(gidx, kind="stable")
-        orders = perm[
-            np.argsort(lb_all[:, perm], axis=1, kind="stable")
-        ]
-        return lb_all, orders
+    def prefix():
+        return [_canonical_prefix(lb, gidx, m) for lb in lb_all]
 
-    s_lb, s_orders = scalar()
-    v_lb, v_orders = vector()
-    identical = bool(
-        np.array_equal(s_lb, v_lb) and np.array_equal(s_orders, v_orders)
+    identical = all(
+        p.size >= m and np.array_equal(p, f[: p.size])
+        for p, f in zip(prefix(), full_sort())
     )
-    scalar_s = []
-    vector_s = []
+    full_s = []
+    prefix_s = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        scalar()
-        scalar_s.append(time.perf_counter() - t0)
+        full_sort()
+        full_s.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        vector()
-        vector_s.append(time.perf_counter() - t0)
-    loop = min(scalar_s)
-    fused = min(vector_s)
+        prefix()
+        prefix_s.append(time.perf_counter() - t0)
     return {
         "bench": "serving_bound_pipeline",
         "smoke": smoke,
         "batch": batch,
         "n_local": n_local,
-        "per_query_loop_s": loop,
-        "vectorized_s": fused,
-        "speedup": loop / fused,
+        "prefix_rows": m,
+        "full_sort_s": min(full_s),
+        "prefix_s": min(prefix_s),
+        "speedup": min(full_s) / min(prefix_s),
         "identical": identical,
     }
 
@@ -724,8 +717,9 @@ def main(argv=None) -> int:
     )
     bound = perf["bound_pipeline"]
     print(
-        f"bound pipeline : {bound['speedup']:.1f}x batched bound+lexsort "
-        f"vs per-query loop (identical={bound['identical']}, "
+        f"bound pipeline : {bound['speedup']:.1f}x canonical "
+        f"{bound['prefix_rows']}-row prefix vs full lexsort "
+        f"(identical={bound['identical']}, "
         f"batch {bound['batch']} x {bound['n_local']:,} rows)"
     )
     trace = obs["trace"]
@@ -760,7 +754,7 @@ def main(argv=None) -> int:
         return 1
     if not bound["identical"]:
         print(
-            "FAIL: batched bound pipeline reordered candidates",
+            "FAIL: canonical prefix differs from the full lexsort",
             file=sys.stderr,
         )
         return 1

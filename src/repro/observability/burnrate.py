@@ -127,9 +127,13 @@ class BurnRateMonitor:
         )
         self.min_events = min_events
         self._by_name = {o.name: o for o in self.objectives}
-        # (t_ns, bad) kept time-sorted — sheds at dispatch time can be
-        # recorded after completions stamped later on the event loop
-        self._events: dict[str, list[tuple[float, int]]] = {
+        # event times and bad-event times, each kept sorted — sheds at
+        # dispatch time can be recorded after completions stamped later
+        # on the event loop — so a window count is two bisections
+        self._events: dict[str, list[float]] = {
+            o.name: [] for o in self.objectives
+        }
+        self._bad: dict[str, list[float]] = {
             o.name: [] for o in self.objectives
         }
         self._active: dict[tuple[str, str], bool] = {}
@@ -163,30 +167,33 @@ class BurnRateMonitor:
         events = self._events.get(objective)
         if events is None:
             return
-        bisect.insort(events, (float(t_ns), 1 if bad else 0))
+        bisect.insort(events, float(t_ns))
+        if bad:
+            bisect.insort(self._bad[objective], float(t_ns))
         self._evaluate(objective, float(t_ns))
 
     # ------------------------------------------------------------------
-    @staticmethod
     def _window(
-        events: list[tuple[float, int]], t_ns: float, window_ns: float
+        self, objective: str, t_ns: float, window_ns: float
     ) -> tuple[int, int]:
         """(total, bad) over the half-open window ``(t - w, t]``."""
-        lo = bisect.bisect_right(events, (t_ns - window_ns, 1))
-        hi = bisect.bisect_right(events, (t_ns, 1))
-        total = hi - lo
-        bad = sum(flag for _, flag in events[lo:hi])
-        return total, bad
+        start = t_ns - window_ns
+        events = self._events[objective]
+        bad = self._bad[objective]
+        right = bisect.bisect_right
+        return (
+            right(events, t_ns) - right(events, start),
+            right(bad, t_ns) - right(bad, start),
+        )
 
     def _evaluate(self, objective: str, t_ns: float) -> None:
         obj = self._by_name[objective]
-        events = self._events[objective]
         for rule in self.rules:
             long_total, long_bad = self._window(
-                events, t_ns, rule.long_window_ns
+                objective, t_ns, rule.long_window_ns
             )
             short_total, short_bad = self._window(
-                events, t_ns, rule.short_window_ns
+                objective, t_ns, rule.short_window_ns
             )
             if long_total < self.min_events or short_total == 0:
                 continue
@@ -248,10 +255,10 @@ class BurnRateMonitor:
             events = self._events[obj.name]
             t = t_ns
             if t is None:
-                t = events[-1][0] if events else 0.0
+                t = events[-1] if events else 0.0
             windows: dict = {}
             for rule in self.rules:
-                total, bad = self._window(events, t, rule.long_window_ns)
+                total, bad = self._window(obj.name, t, rule.long_window_ns)
                 rate = bad / total if total else 0.0
                 windows[rule.name] = {
                     "events": total,

@@ -86,6 +86,9 @@ PLACEMENT_KINDS = ("range", "hash")
 #: Knuth's multiplicative constant; spreads consecutive indices evenly.
 _HASH_MULTIPLIER = 2654435761
 
+#: Entries the per-manager shard CPU-time memo holds before it is cleared.
+_SHARD_CPU_MEMO_SIZE = 4096
+
 
 def exact_sq_distances(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Canonical exact scoring kernel: squared Euclidean per row.
@@ -538,6 +541,21 @@ class _CanonicalHeap:
         return sorted((-s, -i) for s, i in self._heap)
 
 
+def _canonical_prefix(lb: np.ndarray, gidx: np.ndarray, m: int) -> np.ndarray:
+    """An exact prefix of ``np.lexsort((gidx, lb))`` at least ``m`` long.
+
+    Partitioning finds the ``m``-th smallest bound ``v``; every row with
+    ``lb <= v`` precedes every other row in the full canonical order, so
+    lexsorting just that set (boundary ties included) yields the full
+    order's first ``count(lb <= v)`` entries without sorting the rest.
+    """
+    if m >= lb.size:
+        return np.lexsort((gidx, lb))
+    v = np.partition(lb, m - 1)[m - 1]
+    head = np.flatnonzero(lb <= v)
+    return head[np.lexsort((gidx[head], lb[head]))]
+
+
 def _merge_heaps(heaps: list[_CanonicalHeap], k: int) -> _CanonicalHeap:
     """Global top-k from per-shard top-k lists (canonical order)."""
     merged = _CanonicalHeap(k)
@@ -785,6 +803,7 @@ class ShardManager:
         if not self.quantizer.is_fitted:
             self.quantizer.fit(data)
         self.cost_model = CostModel(self.hardware)
+        self._shard_cpu_memo: dict[tuple[int, int, int], float] = {}
         qv = self.quantizer.quantize(data)
         normalized = self.quantizer.normalize(data)
         phi = (qv.scaled**2).sum(axis=1) - 2.0 * qv.integers.sum(axis=1)
@@ -1040,6 +1059,24 @@ class ShardManager:
         return self.cost_model.total_time_ns(counters)
 
     def _shard_cpu_ns(self, n_local: int, queries: int, refined: int) -> float:
+        """:meth:`_shard_cpu_model_ns`, memoised per argument triple.
+
+        The model is a pure function of its arguments, ``dims`` and the
+        frozen hardware config, and serving repeats the same few triples
+        on every wave; the memo is cleared when it reaches a fixed size.
+        """
+        key = (n_local, queries, refined)
+        ns = self._shard_cpu_memo.get(key)
+        if ns is None:
+            if len(self._shard_cpu_memo) >= _SHARD_CPU_MEMO_SIZE:
+                self._shard_cpu_memo.clear()
+            ns = self._shard_cpu_model_ns(n_local, queries, refined)
+            self._shard_cpu_memo[key] = ns
+        return ns
+
+    def _shard_cpu_model_ns(
+        self, n_local: int, queries: int, refined: int
+    ) -> float:
         """Shard-local host work: bound combine, sort, refine, heap."""
         n_visited = n_local * queries  # worst case; refined <= visited
         return self._cpu_ns(
@@ -1554,23 +1591,17 @@ class ShardManager:
                             fail_chunks(chunks, end_rel, s, False, False)
                             continue
                         dots = dots[:, : shard.n_rows]
-                    sel = (
-                        np.concatenate(
-                            [
-                                np.arange(
-                                    shard.chunk_slices[c].start,
-                                    shard.chunk_slices[c].stop,
-                                    dtype=np.int64,
-                                )
-                                for c in chunks
-                            ]
-                        )
-                        if shard.n_rows
-                        else np.empty(0, dtype=np.int64)
-                    )
-                    if sel.size == shard.n_rows:
+                    slices = [shard.chunk_slices[c] for c in chunks]
+                    served = sum(sl.stop - sl.start for sl in slices)
+                    if served == shard.n_rows:
                         cpu_ns = process(shard, None, dots)
                     else:
+                        sel = np.concatenate(
+                            [
+                                np.arange(sl.start, sl.stop, dtype=np.int64)
+                                for sl in slices
+                            ]
+                        )
                         cpu_ns = process(shard, sel, dots[:, sel])
                     tele.advance(cpu_ns)
                 end_rel = start_rel + pim_ns + cpu_ns
@@ -1631,25 +1662,27 @@ class ShardManager:
         approximate: bool,
         sel: np.ndarray | None = None,
         lb: np.ndarray | None = None,
-        order: np.ndarray | None = None,
     ) -> tuple[_CanonicalHeap, int, int]:
         """Local top-k of one query on one shard (canonical order).
 
         ``sel`` restricts the work to a subset of the shard's local rows
         (the chunks this shard serves in the current dispatch, under
         replication); ``dots`` must already be restricted to match.
-        ``lb``/``order`` accept the precomputed clamped lower bounds and
-        their canonical ``lexsort((gidx, lb))`` permutation when the
-        caller batched that work across queries (:meth:`knn_batch`);
-        both are recomputed here when absent.
+        ``lb`` accepts the precomputed clamped lower bounds when the
+        caller built them for the whole batch (:meth:`knn_batch`); it
+        is recomputed here when absent.
+
+        Candidates are visited in the canonical ``lexsort((gidx, lb))``
+        order. The loop reference sorts every row; the fused scan only
+        materialises a :func:`_canonical_prefix` of about ``4k`` rows
+        and grows it when the scan reaches its end without pruning.
         """
         heap = _CanonicalHeap(k)
         if sel is None:
-            phi, gidx, floats = shard.phi, shard.global_indices, shard.floats
+            phi, gidx = shard.phi, shard.global_indices
         else:
             phi = shard.phi[sel]
             gidx = shard.global_indices[sel]
-            floats = shard.floats[sel]
         n_local = int(gidx.size)
         if n_local == 0:
             return heap, 0, 0
@@ -1659,17 +1692,14 @@ class ShardManager:
             np.maximum(lb, 0.0, out=lb)
         if approximate:
             # degrade-to-approximate: the lower bound IS the score
-            short = (
-                order[:k] if order is not None
-                else np.lexsort((gidx, lb))[:k]
-            )
+            short = _canonical_prefix(lb, gidx, k)[:k]
             for j in short:
                 heap.offer(float(lb[j]), int(gidx[j]))
             return heap, 0, n_local - int(short.size)
-        if order is None:
-            order = np.lexsort((gidx, lb))
         refined = 0
         if self.reference:
+            floats = shard.floats if sel is None else shard.floats[sel]
+            order = np.lexsort((gidx, lb))
             for j in order:
                 if lb[j] > heap.threshold:
                     break  # ascending lb: the rest prune too
@@ -1682,23 +1712,31 @@ class ShardManager:
         # to one-at-a-time scores, and the scan still checks the live
         # heap threshold per candidate, so the refined/pruned counts —
         # which feed the simulated CPU time — match the loop exactly.
+        # The scan walks an exact canonical prefix, so it visits the
+        # same candidates in the same order as the full sort would, and
+        # gathers only the float rows it scores.
+        order = _canonical_prefix(lb, gidx, 4 * k)
         pos = 0
-        block = max(k, 64)
-        while pos < order.size:
+        block = 2 * k
+        while pos < n_local:
+            if pos == order.size:
+                order = _canonical_prefix(lb, gidx, 4 * order.size)
             chunk = order[pos : pos + block]
-            if lb[chunk[0]] > heap.threshold:
+            lbs = lb[chunk].tolist()
+            if lbs[0] > heap.threshold:
                 break  # ascending lb: the rest prune too
-            scores = exact_sq_distances(floats[chunk], q_norm)
+            rows = chunk if sel is None else sel[chunk]
+            scores = exact_sq_distances(shard.floats[rows], q_norm).tolist()
             stopped = False
-            for t, j in enumerate(chunk):
-                if lb[j] > heap.threshold:
+            for bound, score, index in zip(lbs, scores, gidx[chunk].tolist()):
+                if bound > heap.threshold:
                     stopped = True
                     break
-                heap.offer(float(scores[t]), int(gidx[j]))
+                heap.offer(score, index)
                 refined += 1
             if stopped:
                 break
-            pos += block
+            pos += chunk.size
             block *= 2
         return heap, refined, n_local - refined
 
@@ -1787,32 +1825,20 @@ class ShardManager:
 
         def process(shard: _Shard, sel, dots) -> float:
             n_local = shard.n_rows if sel is None else int(sel.size)
-            lb_all = orders = None
+            lb_all = None
             if not self.reference and n_local:
-                # Batched bound pipeline: one broadcast lb construction
-                # and one stable axis argsort for the whole batch. With
-                # the columns pre-permuted into ascending-gidx order, a
-                # stable sort on lb breaks ties by position — i.e. by
-                # gidx — so each row of ``orders`` equals that query's
-                # own lexsort((gidx, lb)) permutation bit for bit (gidx
-                # values are unique within a shard). One gidx argsort
-                # amortizes over the batch instead of re-sorting the
-                # tiebreak key per query.
-                if sel is None:
-                    phi, gidx = shard.phi, shard.global_indices
-                else:
-                    phi = shard.phi[sel]
-                    gidx = shard.global_indices[sel]
+                # Batched bound construction: one broadcast builds every
+                # query's clamped lower bounds, bit-identical to the
+                # per-query expression. Ranking stays per query, where
+                # _shard_topk orders only the canonical prefix its
+                # threshold scan consumes.
+                phi = shard.phi if sel is None else shard.phi[sel]
                 alpha2 = self.quantizer.alpha**2
                 lb_all = (
                     phi[None, :] + phi_q[:, None]
                     - 2.0 * dots - 2.0 * self.dims
                 ) / alpha2
                 np.maximum(lb_all, 0.0, out=lb_all)
-                perm = np.argsort(gidx, kind="stable")
-                orders = perm[
-                    np.argsort(lb_all[:, perm], axis=1, kind="stable")
-                ]
             refined_here = 0
             for b in range(batch):
                 heap, refined, pruned = self._shard_topk(
@@ -1824,7 +1850,6 @@ class ShardManager:
                     approx_list[b],
                     sel=sel,
                     lb=None if lb_all is None else lb_all[b],
-                    order=None if orders is None else orders[b],
                 )
                 per_query_heaps[b].append(heap)
                 refined_total[b] += refined

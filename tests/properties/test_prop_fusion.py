@@ -12,7 +12,7 @@ simulator run orders of magnitude faster without moving a single bit.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.faults.integrity import append_checksum_row
@@ -27,6 +27,8 @@ from repro.hardware.crossbar import Crossbar
 from repro.hardware.noise import NoiseModel, NoisyPIMArray
 from repro.hardware.pim_array import PIMArray
 from repro.serving import ShardManager
+from repro.serving.sharding import _SHARD_CPU_MEMO_SIZE, _canonical_prefix
+from repro.similarity.quantization import Quantizer
 
 
 # ----------------------------------------------------------------------
@@ -316,37 +318,91 @@ class TestFusionUnderFaultsAndNoise:
 # ----------------------------------------------------------------------
 # serving scatter/gather: fused block kernels vs per-candidate loops
 # ----------------------------------------------------------------------
+_CPU_MANAGER = []
+
+
+def _cpu_manager() -> ShardManager:
+    """One small manager shared across examples (its memo persists)."""
+    if not _CPU_MANAGER:
+        data = np.random.default_rng(0).random((32, 6))
+        _CPU_MANAGER.append(ShardManager(data, n_shards=2))
+    return _CPU_MANAGER[0]
+
+
 @st.composite
 def serving_cases(draw):
-    n = draw(st.integers(min_value=8, max_value=120))
+    # up to ~400 rows so a shard holds more than the fused scan's first
+    # canonical prefix (about 4k rows); a coarse quantizer loosens the
+    # bounds so the scan outruns that prefix and grows it; grid data
+    # makes rows, bounds and scores tie at prefix boundaries
+    n = draw(st.integers(min_value=8, max_value=400))
     dims = draw(st.integers(min_value=2, max_value=16))
     n_shards = draw(st.integers(min_value=1, max_value=4))
-    k = draw(st.integers(min_value=1, max_value=10))
     batch = draw(st.integers(min_value=1, max_value=3))
+    ks = draw(
+        st.lists(
+            st.integers(min_value=1, max_value=12),
+            min_size=batch,
+            max_size=batch,
+        )
+    )
+    approximate = draw(
+        st.lists(st.booleans(), min_size=batch, max_size=batch)
+    )
     placement = draw(st.sampled_from(["range", "hash"]))
+    alpha = draw(st.sampled_from([None, 4.0, 8.0]))
     seed = draw(st.integers(min_value=0, max_value=2**31))
     rng = np.random.default_rng(seed)
-    data = rng.random((n, dims))
-    queries = rng.random((batch, dims))
-    return data, queries, n_shards, k, placement
+    if draw(st.booleans()):
+        data = rng.integers(0, 3, size=(n, dims)).astype(np.float64)
+        queries = rng.integers(0, 3, size=(batch, dims)).astype(np.float64)
+    else:
+        data = rng.random((n, dims))
+        queries = rng.random((batch, dims))
+    return data, queries, n_shards, ks, approximate, placement, alpha
+
+
+def _growth_case():
+    """Loose bounds (coarse quantizer): each query refines hundreds of
+    rows, so the fused scan must grow its canonical prefix repeatedly."""
+    rng = np.random.default_rng(1)
+    data = rng.random((400, 16))
+    queries = rng.random((3, 16))
+    approximate = [False, False, False]
+    return data, queries, 1, [1, 3, 10], approximate, "range", 8.0
+
+
+def _managers(case, **kwargs):
+    """The fused manager and its ``reference=True`` loop oracle."""
+    data, _, n_shards, _, _, placement, alpha = case
+    return tuple(
+        ShardManager(
+            data,
+            n_shards=n_shards,
+            placement=placement,
+            quantizer=None if alpha is None else Quantizer(alpha),
+            reference=reference,
+            **kwargs,
+        )
+        for reference in (False, True)
+    )
 
 
 class TestServingFusion:
     @given(serving_cases())
+    @example(_growth_case())
     @settings(max_examples=20, deadline=None)
     def test_knn_batch_matches_reference_loops(self, case):
-        data, queries, n_shards, k, placement = case
-        fused = ShardManager(data, n_shards=n_shards, placement=placement)
-        loop = ShardManager(
-            data, n_shards=n_shards, placement=placement, reference=True
-        )
-        af, tf = fused.knn_batch(queries, k)
-        ar, tr = loop.knn_batch(queries, k)
+        _, queries, _, ks, approximate, _, _ = case
+        fused, loop = _managers(case)
+        af, tf = fused.knn_batch(queries, ks, approximate)
+        ar, tr = loop.knn_batch(queries, ks, approximate)
         for x, y in zip(af, ar):
             assert np.array_equal(x.indices, y.indices)
             assert np.array_equal(x.scores, y.scores)
             assert x.refined == y.refined
             assert x.pruned == y.pruned
+            assert x.approximate == y.approximate
         assert tf.service_ns == tr.service_ns
         assert tf.per_shard_cpu_ns == tr.per_shard_cpu_ns
         assert tf.merge_cpu_ns == tr.merge_cpu_ns
@@ -354,11 +410,8 @@ class TestServingFusion:
     @given(serving_cases())
     @settings(max_examples=15, deadline=None)
     def test_assign_matches_reference_loops(self, case):
-        data, centers, n_shards, _, placement = case
-        fused = ShardManager(data, n_shards=n_shards, placement=placement)
-        loop = ShardManager(
-            data, n_shards=n_shards, placement=placement, reference=True
-        )
+        centers = case[1]
+        fused, loop = _managers(case)
         bf, tf = fused.assign(centers)
         br, tr = loop.assign(centers)
         assert np.array_equal(bf.assignments, br.assignments)
@@ -372,7 +425,7 @@ class TestServingFusion:
     def test_degraded_chunks_match_reference_loops(self, case):
         # crash every shard permanently: every chunk degrades to the
         # host-side recompute, exercising the fused degrade kernels
-        data, queries, n_shards, k, placement = case
+        _, queries, n_shards, ks, _, _, _ = case
         plan = FaultPlan(
             [
                 FaultEvent(
@@ -381,19 +434,9 @@ class TestServingFusion:
                 for s in range(n_shards)
             ]
         )
-        managers = []
-        for reference in (False, True):
-            managers.append(
-                ShardManager(
-                    data,
-                    n_shards=n_shards,
-                    placement=placement,
-                    fault_plan=plan,
-                    reference=reference,
-                )
-            )
-        af, tf = managers[0].knn_batch(queries, k)
-        ar, tr = managers[1].knn_batch(queries, k)
+        managers = _managers(case, fault_plan=plan)
+        af, tf = managers[0].knn_batch(queries, ks)
+        ar, tr = managers[1].knn_batch(queries, ks)
         for x, y in zip(af, ar):
             assert x.degraded and y.degraded
             assert np.array_equal(x.indices, y.indices)
@@ -404,3 +447,45 @@ class TestServingFusion:
         br, _ = managers[1].assign(queries)
         assert np.array_equal(bf.assignments, br.assignments)
         assert np.array_equal(bf.distances, br.distances)
+
+    @given(
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=1, max_value=400),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_prefix_is_exact_lexsort_prefix(
+        self, n, m, ties, seed
+    ):
+        rng = np.random.default_rng(seed)
+        lb = (
+            rng.integers(0, 4, size=n).astype(np.float64)
+            if ties else rng.random(n)
+        )
+        gidx = rng.permutation(3 * n)[:n].astype(np.int64)
+        out = _canonical_prefix(lb, gidx, m)
+        assert out.size >= min(m, n)
+        assert np.array_equal(out, np.lexsort((gidx, lb))[: out.size])
+
+    @given(
+        st.integers(min_value=0, max_value=5000),
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=0, max_value=5000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_memoised_shard_cpu_ns_equals_model(
+        self, n_local, queries, refined
+    ):
+        manager = _cpu_manager()
+        model = manager._shard_cpu_model_ns(n_local, queries, refined)
+        assert manager._shard_cpu_ns(n_local, queries, refined) == model
+        # a second call is served from the memo
+        assert manager._shard_cpu_ns(n_local, queries, refined) == model
+
+    def test_shard_cpu_memo_stays_bounded(self):
+        manager = ShardManager(np.random.default_rng(0).random((16, 4)))
+        for refined in range(_SHARD_CPU_MEMO_SIZE + 10):
+            ns = manager._shard_cpu_ns(100, 2, refined)
+            assert len(manager._shard_cpu_memo) <= _SHARD_CPU_MEMO_SIZE
+            assert ns == manager._shard_cpu_model_ns(100, 2, refined)
