@@ -24,6 +24,7 @@ from repro.errors import CrossbarDeadError
 from repro.faults.injectors import ShardVerdict
 from repro.faults.integrity import verify_wave_residues
 from repro.repair.policy import RepairPolicy
+from repro.serving.health import CRASH_DETECT_NS
 from repro.telemetry import get_recorder
 
 #: Salt mixed into the probe-vector RNG so scrub draws never collide
@@ -107,7 +108,6 @@ class BackgroundScrubber:
         """
         s = self.cursor
         shard = self.manager.shards[s]
-        recovery = self.manager.recovery
         self.probes += 1
         result = {"shard": s, "outcome": "skip", "cost_ns": 0.0, "bad_waves": 0}
         if (
@@ -123,10 +123,10 @@ class BackgroundScrubber:
             else ShardVerdict("ok")
         )
         if verdict.status == "crash":
-            result.update(outcome="crash", cost_ns=recovery.crash_detect_ns)
+            result.update(outcome="crash", cost_ns=CRASH_DETECT_NS)
             return self._finish(result)
         if verdict.status == "hang":
-            cost = recovery.dispatch_timeout_ns or recovery.crash_detect_ns
+            cost = self.manager.recovery.dispatch_timeout_ns or CRASH_DETECT_NS
             result.update(outcome="hang", cost_ns=cost)
             shard.busy_ns += cost
             return self._finish(result)
@@ -134,7 +134,7 @@ class BackgroundScrubber:
             dots, pim_ns = shard.dot_products(self._queries)
         except CrossbarDeadError:
             result.update(
-                outcome="dead_array", cost_ns=recovery.crash_detect_ns
+                outcome="dead_array", cost_ns=CRASH_DETECT_NS
             )
             return self._finish(result)
         pim_ns *= verdict.factor

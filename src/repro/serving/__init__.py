@@ -13,10 +13,10 @@ throughput, shed rate and per-shard utilization via
 ``examples/serving_tour.py``.
 
 The layer also survives hardware faults: k-replica placement
-(``replication=`` on :class:`ShardManager`), a
-:class:`~repro.serving.health.RecoveryPolicy` of timeouts, bounded
-retries with capped exponential backoff, replica failover and hedged
-re-dispatch, a per-shard circuit breaker
+(``replication=`` on :class:`ShardManager`), per-attempt timeouts
+(:class:`~repro.serving.health.RecoveryPolicy`), bounded retries with
+capped exponential backoff, replica failover and hedged re-dispatch, a
+per-shard circuit breaker
 (:class:`~repro.serving.health.ShardHealthTracker`), and — last resort
 — host-side exact recompute of an unavailable chunk. Combined with the
 fault injectors in :mod:`repro.faults`, a seeded chaos run stays

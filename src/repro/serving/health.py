@@ -1,10 +1,12 @@
 """Per-shard health tracking: circuit breaker, MTTR, recovery policy.
 
-:class:`RecoveryPolicy` is the knob set governing how the
-:class:`~repro.serving.sharding.ShardManager` reacts to shard faults —
-per-dispatch timeouts, capped exponential backoff, bounded retries,
-optional hedged re-dispatch, and whether a chunk with no live replica
-may fall back to host-side exact recomputation.
+:class:`RecoveryPolicy` holds the eight recovery settings a deployment
+tunes: the per-attempt watchdog, the circuit breaker, repair
+quarantine, degraded fallback, outlier ejection, adaptive hedging and
+the hedge budget. The fixed parts of recovery are module constants:
+bounded retries with capped exponential backoff (:func:`backoff_ns`),
+the crash-detection wait, the gray-failure detector's tuning and the
+adaptive hedge trigger's shape.
 
 :class:`ShardHealthTracker` is the circuit breaker: it watches per-shard
 successes and failures on the simulated clock, opens a shard's circuit
@@ -37,6 +39,50 @@ import numpy as np
 from repro.errors import ServingError
 from repro.telemetry import get_recorder
 
+#: Failed attempts tolerated per chunk per dispatch beyond the first
+#: try; an exhausted chunk falls back to degraded recompute.
+MAX_RETRIES = 3
+#: Capped exponential backoff between a chunk's attempts (see
+#: :func:`backoff_ns`): 50 us doubling up to 1 ms.
+BACKOFF_BASE_NS = 50_000.0
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP_NS = 1_000_000.0
+#: Simulated time to notice a fail-fast crash or a dropped dispatch
+#: (connection-refused analogue) before failing over.
+CRASH_DETECT_NS = 10_000.0
+
+#: Phi-accrual-style suspicion (roughly ``-log10`` of the probability
+#: that a shard's recent service times come from the peer distribution)
+#: at which a shard is ejected: 2.0 ~ "less than 1% likely healthy".
+SUSPICION_THRESHOLD = 2.0
+#: Detector EWMA smoothing factor, sliding quantile-sketch width, and
+#: the sample floor before it may eject (or feed the hedge trigger).
+DETECTOR_ALPHA = 0.2
+DETECTOR_WINDOW = 64
+DETECTOR_MIN_SAMPLES = 8
+#: Magnitude gate: a sample accrues suspicion only above this multiple
+#: of the peer baseline mean (see :class:`LatencyOutlierDetector`).
+DETECTOR_MIN_RATIO = 1.5
+#: Clean probes in a row an ejected shard must serve to re-admit, how
+#: often a probe dispatch is routed through it, and the cap on the
+#: escalated streak (every slow probe doubles the requirement).
+EJECTION_PROBES = 3
+EJECTION_PROBE_PERIOD_NS = 500_000.0
+EJECTION_MAX_PROBES = 24
+#: A probe counts clean at most this multiple of the peer baseline.
+READMIT_SLACK = 1.5
+#: Adaptive hedge trigger: this multiple of the observed p95, floored.
+HEDGE_P95_FACTOR = 2.0
+HEDGE_MIN_NS = 1_000.0
+
+
+def backoff_ns(failures: int) -> float:
+    """Backoff before retry number ``failures`` (1-based)."""
+    if failures < 1:
+        return 0.0
+    raw = BACKOFF_BASE_NS * BACKOFF_FACTOR ** (failures - 1)
+    return min(raw, BACKOFF_CAP_NS)
+
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
@@ -44,26 +90,12 @@ class RecoveryPolicy:
 
     Attributes
     ----------
-    max_retries:
-        Failed attempts tolerated per chunk per dispatch beyond the
-        first try; exhausted chunks fall back to degraded recompute.
-    backoff_base_ns / backoff_factor / backoff_cap_ns:
-        Capped exponential backoff between a chunk's attempts
-        (``base * factor**(failures-1)``, never above the cap).
     dispatch_timeout_ns:
         Per-attempt watchdog: a wave that would run longer (a hung or
         pathologically slow shard) is abandoned at this bound and the
         chunk fails over. ``None`` disables the watchdog — a hung shard
         then raises :class:`~repro.errors.ShardHungError` instead of
         silently looping.
-    hedge_after_ns:
-        When set, a wave still running past this bound triggers a hedged
-        duplicate on an idle replica holding the same chunks; whichever
-        finishes first defines the latency (values are identical either
-        way). ``None`` disables hedging.
-    crash_detect_ns:
-        Simulated time to notice a fail-fast crash (connection-refused
-        analogue) before failing over.
     breaker_threshold / breaker_reset_ns:
         Consecutive failures that open a shard's circuit, and how long
         the circuit stays open before a half-open probe.
@@ -80,125 +112,45 @@ class RecoveryPolicy:
     outlier_ejection:
         Attach a :class:`LatencyOutlierDetector` to the health tracker:
         shards whose successful-wave service times sustain a suspicion
-        score >= ``suspicion_threshold`` are ejected (demoted in
+        score >= ``SUSPICION_THRESHOLD`` are ejected (demoted in
         dispatch preference) and re-admitted through probes.
-    suspicion_threshold:
-        Phi-accrual-style suspicion level (roughly ``-log10`` of the
-        probability the shard's recent service times come from the peer
-        distribution) at which a shard is ejected. 2.0 ~ "less than 1%
-        likely to be healthy".
-    detector_alpha / detector_window / detector_min_samples:
-        EWMA smoothing factor, sliding quantile-sketch width, and the
-        sample floor before the detector may eject (or an adaptive
-        hedge trigger may be derived).
-    detector_min_ratio:
-        Magnitude gate: a sample accrues suspicion only when it exceeds
-        this multiple of the peer baseline mean (see
-        :class:`LatencyOutlierDetector`).
-    ejection_probes / ejection_probe_period_ns / ejection_max_probes:
-        Clean probes in a row an ejected shard must serve to re-admit,
-        how often a probe dispatch is routed through it, and the cap on
-        the escalated streak requirement (every slow probe doubles the
-        required streak up to this cap — the anti-flapping hysteresis).
-    readmit_slack:
-        A probe counts clean when its service time is at most this
-        multiple of the peer baseline.
     adaptive_hedge:
-        Derive the hedge trigger per shard from observed p95 service
-        times (``hedge_p95_factor`` x p95, floored at ``hedge_min_ns``)
-        instead of the fixed ``hedge_after_ns``. Falls back to
-        ``hedge_after_ns`` until the detector has enough samples.
+        Hedge a wave still running past ``HEDGE_P95_FACTOR`` x the
+        observed p95 service time (floored at ``HEDGE_MIN_NS``) on an
+        idle replica holding the same chunks; whichever finishes first
+        defines the latency (values are identical either way). No wave
+        is hedged while the detector has too few samples for a p95.
         Requires ``outlier_ejection`` (the detector provides the
         sketch).
-    hedge_p95_factor / hedge_min_ns:
-        The adaptive trigger's multiplier and floor.
     hedge_budget:
         Global cap on hedged waves as a fraction of wave attempts
         (token bucket: every attempt accrues ``hedge_budget`` tokens,
         each hedge spends one). ``None`` leaves hedging uncapped.
     """
 
-    max_retries: int = 3
-    backoff_base_ns: float = 50_000.0
-    backoff_factor: float = 2.0
-    backoff_cap_ns: float = 1_000_000.0
     dispatch_timeout_ns: float | None = 50_000_000.0
-    hedge_after_ns: float | None = None
-    crash_detect_ns: float = 10_000.0
     breaker_threshold: int = 3
     breaker_reset_ns: float = 500_000_000.0
     quarantine_probes: int = 3
     allow_degraded: bool = True
     outlier_ejection: bool = False
-    suspicion_threshold: float = 2.0
-    detector_alpha: float = 0.2
-    detector_window: int = 64
-    detector_min_samples: int = 8
-    detector_min_ratio: float = 1.5
-    ejection_probes: int = 3
-    ejection_probe_period_ns: float = 500_000.0
-    ejection_max_probes: int = 24
-    readmit_slack: float = 1.5
     adaptive_hedge: bool = False
-    hedge_p95_factor: float = 2.0
-    hedge_min_ns: float = 1_000.0
     hedge_budget: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ServingError("max_retries must be >= 0")
-        if self.backoff_base_ns < 0 or self.backoff_cap_ns < 0:
-            raise ServingError("backoff times must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ServingError("backoff_factor must be >= 1")
         if self.dispatch_timeout_ns is not None and self.dispatch_timeout_ns <= 0:
             raise ServingError("dispatch_timeout_ns must be positive or None")
-        if self.hedge_after_ns is not None and self.hedge_after_ns <= 0:
-            raise ServingError("hedge_after_ns must be positive or None")
-        if self.crash_detect_ns < 0:
-            raise ServingError("crash_detect_ns must be >= 0")
         if self.breaker_threshold < 1:
             raise ServingError("breaker_threshold must be >= 1")
         if self.quarantine_probes < 0:
             raise ServingError("quarantine_probes must be >= 0")
-        if self.suspicion_threshold <= 0:
-            raise ServingError("suspicion_threshold must be positive")
-        if not 0.0 < self.detector_alpha <= 1.0:
-            raise ServingError("detector_alpha must be in (0, 1]")
-        if self.detector_window < 4:
-            raise ServingError("detector_window must be >= 4")
-        if self.detector_min_samples < 1:
-            raise ServingError("detector_min_samples must be >= 1")
-        if self.detector_min_ratio < 1.0:
-            raise ServingError("detector_min_ratio must be >= 1")
-        if self.ejection_probes < 1:
-            raise ServingError("ejection_probes must be >= 1")
-        if self.ejection_probe_period_ns < 0:
-            raise ServingError("ejection_probe_period_ns must be >= 0")
-        if self.ejection_max_probes < self.ejection_probes:
-            raise ServingError(
-                "ejection_max_probes must be >= ejection_probes"
-            )
-        if self.readmit_slack < 1.0:
-            raise ServingError("readmit_slack must be >= 1")
         if self.adaptive_hedge and not self.outlier_ejection:
             raise ServingError(
                 "adaptive_hedge needs outlier_ejection (the detector "
                 "supplies the service-time sketch)"
             )
-        if self.hedge_p95_factor < 1.0:
-            raise ServingError("hedge_p95_factor must be >= 1")
-        if self.hedge_min_ns <= 0:
-            raise ServingError("hedge_min_ns must be positive")
         if self.hedge_budget is not None and not 0.0 <= self.hedge_budget <= 1.0:
             raise ServingError("hedge_budget must lie in [0, 1] or None")
-
-    def backoff_ns(self, failures: int) -> float:
-        """Backoff before retry number ``failures`` (1-based)."""
-        if failures < 1:
-            return 0.0
-        raw = self.backoff_base_ns * self.backoff_factor ** (failures - 1)
-        return min(raw, self.backoff_cap_ns)
 
 
 class _ShardLatency:
@@ -220,7 +172,7 @@ class LatencyOutlierDetector:
     Each successful wave's service time feeds three streaming
     statistics per shard: an EWMA (the shard's "current speed"), an
     EWMA of absolute deviation (its jitter), and a sliding window of
-    the last ``window`` samples (the quantile sketch behind
+    the last ``DETECTOR_WINDOW`` samples (the quantile sketch behind
     :meth:`observed_p95_ns` and the adaptive hedge trigger).
 
     The suspicion score is phi-accrual flavoured: each observation is
@@ -234,8 +186,9 @@ class LatencyOutlierDetector:
     own history still accrues suspicion. Scores are EWMA-smoothed, so
     one slow wave cannot eject anybody but a sustained drift does.
 
-    ``min_ratio`` gates phi on *magnitude*: a sample only accrues
-    suspicion when it exceeds ``min_ratio x`` the peer baseline mean.
+    ``DETECTOR_MIN_RATIO`` gates phi on *magnitude*: a sample only
+    accrues suspicion when it exceeds that multiple of the peer
+    baseline mean.
     Replicated serving makes per-shard service times structurally
     uneven (a shard hosting two chunks does strictly more host-side
     work per wave than a single-chunk peer), and without the gate such
@@ -246,24 +199,9 @@ class LatencyOutlierDetector:
     #: suspicion contribution cap per observation (P floored at 1e-15)
     MAX_PHI = 15.0
 
-    def __init__(
-        self,
-        n_shards: int,
-        substrates=None,
-        *,
-        alpha: float = 0.2,
-        window: int = 64,
-        min_samples: int = 8,
-        min_ratio: float = 1.5,
-    ) -> None:
+    def __init__(self, n_shards: int, substrates=None) -> None:
         if n_shards < 1:
             raise ServingError("need at least one shard")
-        if min_ratio < 1.0:
-            raise ServingError("min_ratio must be >= 1")
-        self.alpha = float(alpha)
-        self.window = int(window)
-        self.min_samples = int(min_samples)
-        self.min_ratio = float(min_ratio)
         if substrates is None:
             self.substrates = ["default"] * n_shards
         else:
@@ -289,14 +227,16 @@ class LatencyOutlierDetector:
             st.dev_ewma = 0.0
         else:
             st.dev_ewma = (
-                (1.0 - self.alpha) * st.dev_ewma
-                + self.alpha * abs(x - st.ewma)
+                (1.0 - DETECTOR_ALPHA) * st.dev_ewma
+                + DETECTOR_ALPHA * abs(x - st.ewma)
             )
-            st.ewma = (1.0 - self.alpha) * st.ewma + self.alpha * x
+            st.ewma = (1.0 - DETECTOR_ALPHA) * st.ewma + DETECTOR_ALPHA * x
         st.count += 1
         st.window.append(x)
-        del st.window[: -self.window]
-        st.suspicion = (1.0 - self.alpha) * st.suspicion + self.alpha * phi
+        del st.window[:-DETECTOR_WINDOW]
+        st.suspicion = (
+            (1.0 - DETECTOR_ALPHA) * st.suspicion + DETECTOR_ALPHA * phi
+        )
 
     def _baseline(self, shard: int) -> tuple[float, float] | None:
         """(mean, deviation) the shard's samples are judged against."""
@@ -310,7 +250,7 @@ class LatencyOutlierDetector:
             dev = float(np.median([p.dev_ewma for p in peers]))
         else:
             window = self._state[shard].window
-            if len(window) < self.min_samples:
+            if len(window) < DETECTOR_MIN_SAMPLES:
                 return None
             mu = float(np.median(window))
             dev = float(np.median(np.abs(np.asarray(window) - mu)))
@@ -323,7 +263,7 @@ class LatencyOutlierDetector:
         if baseline is None:
             return 0.0
         mu, dev = baseline
-        if x <= self.min_ratio * mu:
+        if x <= DETECTOR_MIN_RATIO * mu:
             return 0.0
         z = (x - mu) / dev
         if z <= 0.0:
@@ -348,7 +288,7 @@ class LatencyOutlierDetector:
     def observed_p95_ns(self, shard: int) -> float | None:
         """p95 of the shard's sliding window (None under the floor)."""
         st = self._state[shard]
-        if len(st.window) < self.min_samples:
+        if len(st.window) < DETECTOR_MIN_SAMPLES:
             return None
         return float(np.percentile(st.window, 95.0))
 
@@ -363,12 +303,12 @@ class LatencyOutlierDetector:
             return None
         return float(np.median(values))
 
-    def is_slow(self, shard: int, service_ns: float, slack: float) -> bool:
-        """Whether one sample exceeds ``slack`` x the peer baseline."""
+    def is_slow(self, shard: int, service_ns: float) -> bool:
+        """Whether one sample exceeds ``READMIT_SLACK`` x the peer baseline."""
         baseline = self._baseline(shard)
         if baseline is None:
             return False
-        return float(service_ns) > slack * baseline[0]
+        return float(service_ns) > READMIT_SLACK * baseline[0]
 
     def reset_suspicion(self, shard: int) -> None:
         """Clear the suspicion score (on re-admission); samples stay."""
@@ -484,14 +424,7 @@ class ShardHealthTracker:
         self.version = 0
         self.detector: LatencyOutlierDetector | None = None
         if self.policy.outlier_ejection:
-            self.detector = LatencyOutlierDetector(
-                n_shards,
-                substrates,
-                alpha=self.policy.detector_alpha,
-                window=self.policy.detector_window,
-                min_samples=self.policy.detector_min_samples,
-                min_ratio=self.policy.detector_min_ratio,
-            )
+            self.detector = LatencyOutlierDetector(n_shards, substrates)
         self._domains: list[dict | None] | None = None
         self._spread_report = None
 
@@ -539,9 +472,9 @@ class ShardHealthTracker:
         ``outlier_ejection``). A healthy shard whose smoothed suspicion
         crosses the policy threshold is ejected; an ejected shard's
         observation doubles as its probe outcome — a clean sample
-        (within ``readmit_slack`` of the peer baseline) advances the
+        (within ``READMIT_SLACK`` of the peer baseline) advances the
         re-admission streak, a slow one escalates the required streak
-        (doubling, capped at ``ejection_max_probes``) so an
+        (doubling, capped at ``EJECTION_MAX_PROBES``) so an
         intermittently slow shard cannot flap back into rotation.
         """
         det = self.detector
@@ -549,18 +482,14 @@ class ShardHealthTracker:
             return
         det.observe(shard_id, service_ns)
         h = self._shards[shard_id]
-        policy = self.policy
         if h.ejected:
-            clean = not det.is_slow(
-                shard_id, service_ns, policy.readmit_slack
-            )
-            if clean:
+            if not det.is_slow(shard_id, service_ns):
                 h.eject_probes_left -= 1
                 if h.eject_probes_left <= 0:
                     self._readmit(shard_id)
             else:
                 h.eject_probe_target = min(
-                    h.eject_probe_target * 2, policy.ejection_max_probes
+                    h.eject_probe_target * 2, EJECTION_MAX_PROBES
                 )
                 h.eject_probes_left = h.eject_probe_target
                 tele = get_recorder()
@@ -568,10 +497,10 @@ class ShardHealthTracker:
                     tele.metrics.counter(
                         "serving.health.eject_probe_slow"
                     ).add(1)
-            h.next_probe_ns = t_ns + policy.ejection_probe_period_ns
+            h.next_probe_ns = t_ns + EJECTION_PROBE_PERIOD_NS
         elif (
-            det.samples(shard_id) >= policy.detector_min_samples
-            and det.suspicion(shard_id) >= policy.suspicion_threshold
+            det.samples(shard_id) >= DETECTOR_MIN_SAMPLES
+            and det.suspicion(shard_id) >= SUSPICION_THRESHOLD
         ):
             self._eject(shard_id, t_ns)
 
@@ -581,12 +510,12 @@ class ShardHealthTracker:
         h.ejected_since_ns = t_ns
         h.ejections += 1
         if h.eject_probe_target == 0:
-            h.eject_probe_target = self.policy.ejection_probes
+            h.eject_probe_target = EJECTION_PROBES
         # ejections after a re-admission keep the escalated target: a
         # shard with a flapping history earns longer probation, never
         # shorter (the hysteresis is sticky by design)
         h.eject_probes_left = h.eject_probe_target
-        h.next_probe_ns = t_ns + self.policy.ejection_probe_period_ns
+        h.next_probe_ns = t_ns + EJECTION_PROBE_PERIOD_NS
         self.version += 1
         tele = get_recorder()
         if tele.enabled:
@@ -621,10 +550,10 @@ class ShardHealthTracker:
             # a hard failure on an ejected shard is conclusive for its
             # probation too: escalate and restart the clean streak
             h.eject_probe_target = min(
-                h.eject_probe_target * 2, self.policy.ejection_max_probes
+                h.eject_probe_target * 2, EJECTION_MAX_PROBES
             )
             h.eject_probes_left = h.eject_probe_target
-            h.next_probe_ns = t_ns + self.policy.ejection_probe_period_ns
+            h.next_probe_ns = t_ns + EJECTION_PROBE_PERIOD_NS
         if h.down_since_ns is None:
             h.down_since_ns = t_ns
         if permanent:

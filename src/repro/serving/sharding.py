@@ -74,9 +74,14 @@ from repro.hardware.mapper import total_crossbars
 from repro.hardware.pim_array import PIMStats
 from repro.hardware.reprogramming import ChunkedDotProductEngine
 from repro.serving.health import (
+    CRASH_DETECT_NS,
+    HEDGE_MIN_NS,
+    HEDGE_P95_FACTOR,
+    MAX_RETRIES,
     HedgeBudget,
     RecoveryPolicy,
     ShardHealthTracker,
+    backoff_ns,
 )
 from repro.similarity.quantization import Quantizer
 from repro.telemetry import get_recorder
@@ -204,11 +209,13 @@ class GatherTiming:
     """Simulated-time breakdown of one scatter/gather dispatch.
 
     Shards run in parallel (each is an independent memory module), so
-    the dispatch occupies the service for the latest per-shard wave
-    completion (``wave_end_ns``, which under faults includes failed
-    attempts, backoff idle time and failovers serialized per shard),
-    then any degraded host-side recompute, then the coordinator's merge.
-    The recovery counters record what it took to get every chunk served.
+    the dispatch occupies the service until its tail — the latest
+    successful wave completion (``wave_end_ns``, which under faults
+    includes failed attempts, backoff idle time and failovers
+    serialized per shard) or the moment the last degraded chunk was
+    given up (``given_up_ns``), whichever is later — then any degraded
+    host-side recompute, then the coordinator's merge. The recovery
+    counters record what it took to get every chunk served.
     """
 
     per_shard_pim_ns: list = field(default_factory=list)
@@ -220,6 +227,10 @@ class GatherTiming:
     #: backoff, queueing behind the shard — is retry/wait time), and its
     #: pim/cpu split, so the critical path decomposes exactly.
     wave_components: list = field(default_factory=list)
+    #: dispatch-relative time the last degraded chunk was given up: the
+    #: time its failed attempts and backoff took before the host-side
+    #: recompute could start (0.0 when no chunk degraded)
+    given_up_ns: float = 0.0
     degraded_cpu_ns: float = 0.0
     attempts: int = 0
     retries: int = 0
@@ -246,58 +257,39 @@ class GatherTiming:
     @property
     def service_ns(self) -> float:
         """End-to-end occupancy of the dispatch."""
-        if self.wave_end_ns:
-            tail = max(self.wave_end_ns)
-        else:
-            spans = [
-                p + c
-                for p, c in zip(self.per_shard_pim_ns, self.per_shard_cpu_ns)
-            ]
-            tail = max(spans) if spans else 0.0
-        return tail + self.degraded_cpu_ns + self.merge_cpu_ns
+        tail = max(self.wave_end_ns, default=0.0)
+        return (
+            max(tail, self.given_up_ns)
+            + self.degraded_cpu_ns
+            + self.merge_cpu_ns
+        )
 
     def critical_path(self) -> dict:
         """Attribute :attr:`service_ns` to its latency segments.
 
-        Follows the same tail-wave logic as :attr:`service_ns`, so
+        Follows the same tail logic as :attr:`service_ns`, so
         ``retry_ns + wave_ns + host_ns + degraded_ns + gather_ns`` sums
         back to the dispatch occupancy (to float rounding, well inside
-        1 simulated ns).
+        1 simulated ns). A tail set by a given-up chunk is all retry
+        time.
         """
         path = {
-            "retry_ns": 0.0,
+            "retry_ns": self.given_up_ns,
             "wave_ns": 0.0,
             "host_ns": 0.0,
             "degraded_ns": self.degraded_cpu_ns,
             "gather_ns": self.merge_cpu_ns,
             "shard": None,
         }
-        if self.wave_end_ns:
-            i = max(
-                range(len(self.wave_end_ns)),
-                key=lambda j: self.wave_end_ns[j],
-            )
-            tail = self.wave_end_ns[i]
-            if i < len(self.wave_components):
-                comp = self.wave_components[i]
+        if self.wave_components:
+            comp = max(self.wave_components, key=lambda c: c["end_ns"])
+            if comp["end_ns"] >= self.given_up_ns:
+                path["retry_ns"] = max(
+                    0.0, comp["end_ns"] - comp["pim_ns"] - comp["cpu_ns"]
+                )
                 path["wave_ns"] = comp["pim_ns"]
                 path["host_ns"] = comp["cpu_ns"]
-                path["retry_ns"] = max(
-                    0.0, tail - comp["pim_ns"] - comp["cpu_ns"]
-                )
                 path["shard"] = comp["shard"]
-            else:
-                path["retry_ns"] = tail
-        else:
-            spans = [
-                p + c
-                for p, c in zip(self.per_shard_pim_ns, self.per_shard_cpu_ns)
-            ]
-            if spans:
-                i = max(range(len(spans)), key=lambda j: spans[j])
-                path["wave_ns"] = self.per_shard_pim_ns[i]
-                path["host_ns"] = self.per_shard_cpu_ns[i]
-                path["shard"] = i
         return path
 
 
@@ -565,6 +557,195 @@ def _merge_heaps(heaps: list[_CanonicalHeap], k: int) -> _CanonicalHeap:
     return merged
 
 
+def _recovery_marker(tele, outcome: str, shard_id: int, n_chunks: int) -> None:
+    """Surface one recovery decision in telemetry (marker span + counter)."""
+    if not tele.enabled:
+        return
+    tele.metrics.counter(f"serving.recovery.{outcome}").add(1)
+    with tele.span(
+        "serving.recovery", "serving",
+        shard=shard_id, outcome=outcome, chunks=n_chunks,
+    ):
+        pass  # zero-duration marker on the trace timeline
+
+
+#: Failed wave attempts: outcome -> (cost, GatherTiming counter,
+#: permanent, failover). ``"detect"`` costs ``CRASH_DETECT_NS`` of host
+#: waiting that blocks the shard's timeline without charging it;
+#: ``"timeout"`` (the watchdog bound) and ``"wave"`` (the wave's own
+#: device time) are charged to the shard as device time. ``permanent``
+#: marks the shard dead; without ``failover`` a transient fault retries
+#: the same replica once before moving on.
+_OUTCOMES = {
+    "link_drop": ("detect", "link_drops", False, True),
+    "crash": ("detect", "crashes", True, True),
+    "crossbar_dead": ("detect", "crashes", True, True),
+    "hang_timeout": ("timeout", "timeouts", False, True),
+    "timeout": ("timeout", "timeouts", False, True),
+    "corrupt": ("wave", "corrupt_detected", False, False),
+}
+
+#: Fault-engine verdicts that fail an attempt before any wave runs.
+_VERDICT_OUTCOMES = {
+    "drop": "link_drop", "crash": "crash", "hang": "hang_timeout"
+}
+
+
+class _Ledger:
+    """Per-dispatch state of :meth:`ShardManager._dispatch`.
+
+    Every chunk starts *pending* with a replica pointer, a failure count
+    and a ``ready`` time (dispatch-relative, when it may next be tried);
+    each round puts it *in flight* in one shard's wave, after which it
+    is *served* (leaves ``pending``), failed (back to pending, later
+    ``ready``) or, with no replica left to try, *degraded* (given up to
+    the caller's host-side recompute). ``clock`` is each shard's
+    dispatch-relative timeline; :meth:`book` is its only writer, and the
+    only writer of the shards' busy and cancelled device time and of the
+    per-shard pim/cpu totals in ``timing``.
+    """
+
+    def __init__(self, manager, now_ns: float, timing) -> None:
+        self.manager = manager
+        self.now_ns = now_ns
+        self.timing = timing
+        self.tele = get_recorder()
+        self.pending = set(range(manager.n_chunks))
+        self.ptr = dict.fromkeys(self.pending, 0)
+        self.fails = dict.fromkeys(self.pending, 0)
+        self.ready = dict.fromkeys(self.pending, 0.0)
+        self.degraded: list[int] = []
+        #: shards whose single probe slot this dispatch claimed
+        self.claimed: set[int] = set()
+        self.clock = [0.0] * manager.n_shards
+        timing.per_shard_pim_ns = [0.0] * manager.n_shards
+        timing.per_shard_cpu_ns = [0.0] * manager.n_shards
+
+    def book(
+        self,
+        s: int,
+        start_rel: float,
+        pim_ns: float,
+        cpu_ns: float,
+        cancelled_pim_ns: float = 0.0,
+    ) -> float:
+        """Charge shard ``s`` for a slice of work; returns its end.
+
+        A wave books its whole run from ``start_rel``, moving the
+        shard's clock to its end. A cancellation books negative time at
+        the cancel instant ``start_rel``: the clock returns to that
+        instant and the discarded device time moves to
+        ``cancelled_pim_ns`` (subtracted from the merged PIMStats).
+        """
+        shard = self.manager.shards[s]
+        shard.busy_ns += pim_ns + cpu_ns
+        shard.cancelled_pim_ns += cancelled_pim_ns
+        self.timing.per_shard_pim_ns[s] += pim_ns
+        self.timing.per_shard_cpu_ns[s] += cpu_ns
+        self.clock[s] = max(start_rel, start_rel + pim_ns + cpu_ns)
+        return self.clock[s]
+
+    def cut(self, s: int, at_rel: float, tail_ns: float, cpu_ns: float):
+        """Cancel the last ``tail_ns`` of a race loser's wave at ``at_rel``.
+
+        The wave's cpu stage (``cpu_ns``) runs last, so the cancelled
+        tail eats cpu time first, then device time.
+        """
+        cpu_cut = min(tail_ns, cpu_ns)
+        self.book(s, at_rel, cpu_cut - tail_ns, -cpu_cut, tail_ns - cpu_cut)
+        self.timing.hedge_cancelled_ns += tail_ns
+
+    def fail(
+        self,
+        s: int,
+        chunks: list[int],
+        start_rel: float,
+        outcome: str,
+        wave_ns: float = 0.0,
+        count: int = 1,
+    ) -> None:
+        """Book a failed attempt of ``chunks`` on shard ``s``.
+
+        ``outcome`` keys ``_OUTCOMES``; ``wave_ns`` is the device time
+        of a wave that ran (``"wave"`` cost) and ``count`` the amount
+        its counter grows by.
+        """
+        cost, counter, permanent, failover = _OUTCOMES[outcome]
+        timing = self.timing
+        setattr(timing, counter, getattr(timing, counter) + count)
+        if cost == "detect":
+            end_rel = self.book(s, start_rel + CRASH_DETECT_NS, 0.0, 0.0)
+        elif cost == "timeout":
+            timeout_ns = self.manager.recovery.dispatch_timeout_ns
+            end_rel = self.book(s, start_rel, timeout_ns, 0.0)
+        else:
+            end_rel = self.book(s, start_rel, wave_ns, 0.0)
+        _recovery_marker(self.tele, outcome, s, len(chunks))
+        self.manager.health.record_failure(
+            s, self.now_ns + end_rel, permanent=permanent
+        )
+        for c in chunks:
+            self.fails[c] += 1
+            # transient faults retry the same replica once; anything
+            # persistent (or any repeat failure) moves on
+            if failover or permanent or self.fails[c] >= 2:
+                self.ptr[c] += 1
+                timing.failovers += 1
+            # an exhausted chunk gets no backoff: it is given up at the
+            # end of its last attempt
+            delay = 0.0
+            if self.fails[c] <= MAX_RETRIES:
+                delay = backoff_ns(self.fails[c])
+                timing.retries += 1
+                timing.backoff_ns += delay
+            self.ready[c] = max(self.ready[c], end_rel + delay)
+
+    def give_up(self, c: int) -> None:
+        """Chunk ``c`` has no replica left to try: degrade it (or raise)."""
+        manager = self.manager
+        self.pending.discard(c)
+        if not manager.recovery.allow_degraded:
+            raise ChunkUnavailableError(
+                f"chunk {c} has no live replica and degraded "
+                "recompute is disabled",
+                unit=f"chunk{c}",
+                timestamp_ns=self.now_ns,
+                replicas=list(manager.replicas[c]),
+                failures=self.fails[c],
+            )
+        self.degraded.append(c)
+        self.timing.degraded_chunks += 1
+        self.timing.given_up_ns = max(self.timing.given_up_ns, self.ready[c])
+        _recovery_marker(self.tele, "degraded", manager.replicas[c][0], 1)
+
+    def pick(self, c: int, batch: int, probing: set[int]) -> int | None:
+        """The replica chunk ``c`` tries this round, or None to give up.
+
+        Walks the chunk's preference order from its replica pointer. A
+        half-open or quarantined shard takes exactly one probe wave:
+        claiming its probe slot makes every other caller see it as
+        unavailable, and chunks joining the same round ride the probe.
+        """
+        if self.fails[c] > MAX_RETRIES:
+            return None
+        health = self.manager.health
+        t_sel = self.now_ns + self.ready[c]
+        reps = health.prefer_order(self.manager._route_order(c, batch), t_sel)
+        for step in range(len(reps)):
+            s = reps[(self.ptr[c] + step) % len(reps)]
+            if s not in probing:
+                if not health.available(s, t_sel):
+                    continue
+                if health.probationary(s, t_sel):
+                    if not health.begin_probe(s, t_sel):
+                        continue
+                    probing.add(s)
+                    self.claimed.add(s)
+            self.ptr[c] += step
+            return s
+        return None
+
+
 class ShardManager:
     """Partition a dataset over N PIM shards; serve exact queries.
 
@@ -596,7 +777,7 @@ class ShardManager:
         Optional :class:`~repro.faults.FaultPlan`; attaches injectors to
         every shard and turns on the recovery machinery.
     recovery:
-        Retry/backoff/timeout/hedging/degradation knobs; defaults to
+        Timeout/breaker/hedging/degradation settings; defaults to
         :class:`~repro.serving.health.RecoveryPolicy`.
     verify:
         Program a residue checksum row per shard and verify every wave
@@ -1136,17 +1317,6 @@ class ShardManager:
     # ------------------------------------------------------------------
     # fault-tolerant chunk dispatch
     # ------------------------------------------------------------------
-    def _recovery_marker(self, tele, outcome: str, shard_id: int, n_chunks: int) -> None:
-        """Surface one recovery decision in telemetry (marker span + counter)."""
-        if not tele.enabled:
-            return
-        tele.metrics.counter(f"serving.recovery.{outcome}").add(1)
-        with tele.span(
-            "serving.recovery", "serving",
-            shard=shard_id, outcome=outcome, chunks=n_chunks,
-        ):
-            pass  # zero-duration marker on the trace timeline
-
     #: routed decisions kept for :meth:`routing_report` (newest last)
     _MAX_ROUTE_DECISIONS = 256
 
@@ -1215,314 +1385,96 @@ class ShardManager:
     def _hedge_trigger_ns(self, s: int) -> float | None:
         """Straggler threshold for one wave on shard ``s`` (ns).
 
-        Adaptive hedging derives it from observed p95s — ``factor x
-        min(own p95, fleet median p95)``, floored at ``hedge_min_ns`` —
-        so the trigger tracks what *healthy* replicas actually deliver
-        (a straggler's own inflated p95 never raises its own bar past
-        the fleet's). Before the detector has enough samples, or with
-        adaptive hedging off, this falls back to the policy's fixed
-        ``hedge_after_ns`` (None disables hedging entirely).
+        With adaptive hedging it is ``HEDGE_P95_FACTOR x min(own p95,
+        fleet median p95)``, floored at ``HEDGE_MIN_NS``, so the trigger
+        tracks what *healthy* replicas actually deliver (a straggler's
+        own inflated p95 never raises its own bar past the fleet's).
+        None — no hedge — with adaptive hedging off or while the
+        detector has too few samples for any p95.
         """
-        policy = self.recovery
+        if not self.recovery.adaptive_hedge:
+            return None
         det = self.health.detector
-        if policy.adaptive_hedge and det is not None:
-            candidates = [
-                p95
-                for p95 in (det.observed_p95_ns(s), det.fleet_p95_ns())
-                if p95 is not None
-            ]
-            if candidates:
-                return max(
-                    policy.hedge_min_ns,
-                    policy.hedge_p95_factor * min(candidates),
-                )
-        return policy.hedge_after_ns
+        p95s = [
+            p95
+            for p95 in (det.observed_p95_ns(s), det.fleet_p95_ns())
+            if p95 is not None
+        ]
+        if not p95s:
+            return None
+        return max(HEDGE_MIN_NS, HEDGE_P95_FACTOR * min(p95s))
 
-    def _serve_chunks(
+    def _verdict(self, shard: _Shard, t_ns: float) -> ShardVerdict:
+        """The fault engine's verdict on a dispatch to ``shard``."""
+        if self.fault_plan is None or shard.fault_engine is None:
+            return ShardVerdict("ok")
+        return shard.fault_engine.outcome(t_ns)
+
+    def _dispatch(
         self,
         q_int: np.ndarray,
         now_ns: float,
         process,
         timing: GatherTiming,
         span_name: str,
-    ) -> list[int]:
-        """Serve every chunk from exactly one replica, surviving faults.
-
-        Thin wrapper around :meth:`_serve_chunks_impl` that releases any
-        probe token claimed but left unresolved when the dispatch aborts
-        (degradation disabled, or a hang with the watchdog off) — an
-        abandoned claim would otherwise wedge the probationary shard out
-        of rotation forever. Releasing a token whose outcome was already
-        recorded is a no-op.
-        """
-        claimed: set[int] = set()
-        try:
-            return self._serve_chunks_impl(
-                q_int, now_ns, process, timing, span_name, claimed
-            )
-        except BaseException:
-            for s in claimed:
-                self.health.release_probe(s)
-            raise
-
-    def _serve_chunks_impl(
-        self,
-        q_int: np.ndarray,
-        now_ns: float,
-        process,
-        timing: GatherTiming,
-        span_name: str,
-        claimed: set[int],
     ) -> list[int]:
         """Serve every chunk from exactly one replica, surviving faults.
 
         ``process(shard, sel, dots)`` does the host-side candidate work
         for the shard-local rows ``sel`` (``None`` = all rows) whose dot
         products are ``dots``, and returns the CPU time it cost; it runs
-        once per *successful* wave. The attempt machinery handles crash
-        detection and failover, hang timeouts, straggler stretching,
-        residue verification with bounded retries and capped exponential
-        backoff, circuit breaking, and optional hedged re-dispatch. All
-        timing is serialized per shard and recorded in ``timing``.
+        once per *successful* wave. Each round groups the pending chunks
+        by the replica they try (:meth:`_Ledger.pick`), fires one wave
+        per shard, and books the outcome on the :class:`_Ledger`: crash
+        detection and failover, hang and straggler timeouts, residue
+        verification, bounded retries with capped exponential backoff
+        and circuit breaking; straggling waves of the round are then
+        raced against a hedge (:meth:`_hedge`). All timing is serialized
+        per shard and recorded in ``timing``.
 
         Returns the chunks that could not be served by any replica (the
         caller recomputes them host-side), or raises
         :class:`~repro.errors.ChunkUnavailableError` when degradation is
         disabled, or :class:`~repro.errors.ShardHungError` for a hang
-        with the watchdog disabled.
+        with the watchdog disabled. An aborted dispatch releases every
+        probe slot it claimed — an abandoned claim would otherwise wedge
+        the probationary shard out of rotation forever (releasing a
+        slot whose outcome was recorded is a no-op).
         """
-        tele = get_recorder()
+        led = _Ledger(self, now_ns, timing)
+        tele = led.tele
         batch = q_int.shape[0]
-        policy = self.recovery
-        faulted = self.fault_plan is not None
+        timeout_ns = self.recovery.dispatch_timeout_ns
         bits = self.hardware.pim.operand_bits if self.hardware.pim else 8
-        pending = set(range(self.n_chunks))
-        ptr = {c: 0 for c in pending}
-        fails = {c: 0 for c in pending}
-        ready = {c: 0.0 for c in pending}
-        elapsed = [0.0] * self.n_shards
-        pim_total = [0.0] * self.n_shards
-        cpu_total = [0.0] * self.n_shards
-        degraded: list[int] = []
-
-        def fail_chunks(
-            chunks, end_rel: float, shard_id: int, permanent: bool, failover: bool
-        ) -> None:
-            self.health.record_failure(
-                shard_id, now_ns + end_rel, permanent=permanent
-            )
-            for c in chunks:
-                fails[c] += 1
-                # transient faults retry the same replica once; anything
-                # persistent (or any repeat failure) moves on
-                if failover or permanent or fails[c] >= 2:
-                    ptr[c] += 1
-                    timing.failovers += 1
-                if fails[c] <= policy.max_retries:
-                    timing.retries += 1
-                    delay = policy.backoff_ns(fails[c])
-                    ready[c] = max(ready[c], end_rel + delay)
-                    timing.backoff_ns += delay
-
-        def try_hedge(s, chunks, start_rel, end_rel, cpu_ns, trigger_ns):
-            """Duplicate a straggling wave on an idle replica (values
-            are identical either way; only the finish time improves).
-
-            Cancel-on-first-win: whichever wave finishes first is the
-            answer, and the loser is cancelled *at that instant* — the
-            loser's shard is only charged for the time it actually ran,
-            with the cancelled remainder booked to
-            ``timing.hedge_cancelled_ns`` and the discarded device time
-            to the shard's ``cancelled_pim_ns`` (subtracted from the
-            merged PIMStats). A global :class:`HedgeBudget`, when
-            configured, caps how often hedges fire.
-
-            Returns ``(end_rel, component)`` where ``component``
-            describes the hedge wave when it won the race, else None.
-            """
-            hedge_start = start_rel + trigger_ns
-            for s2 in range(self.n_shards):
-                if s2 == s:
-                    continue
-                if not self.health.available(s2, now_ns + hedge_start):
-                    continue
-                # a hedge is a latency optimisation, not a probe: never
-                # spend a probationary shard's single probe slot on one
-                if self.health.probationary(s2, now_ns + hedge_start):
-                    continue
-                # nor duplicate onto a suspected-slow (ejected) replica
-                if self.health.demoted(s2, now_ns + hedge_start):
-                    continue
-                alt = self.shards[s2]
-                if any(c not in alt.chunk_slices for c in chunks):
-                    continue
-                if (
-                    self._hedge_budget is not None
-                    and not self._hedge_budget.try_take()
-                ):
-                    timing.hedges_denied += 1
-                    return end_rel, None
-                alt_start = max(elapsed[s2], hedge_start)
-                alt.advance_clock(now_ns + alt_start)
-                verdict = (
-                    alt.fault_engine.outcome(now_ns + alt_start)
-                    if faulted and alt.fault_engine is not None
-                    else ShardVerdict("ok")
-                )
-                if verdict.status not in ("ok", "slow"):
-                    continue
-                try:
-                    dots2, pim2 = alt.dot_products(q_int)
-                except CrossbarDeadError:
-                    continue
-                pim2 = pim2 * verdict.factor + verdict.delay_ns
-                if alt.verify and alt.n_rows and not np.all(
-                    verify_wave_residues(dots2, bits)
-                ):
-                    timing.corrupt_detected += 1
-                    continue
-                timing.hedges += 1
-                self._recovery_marker(tele, "hedge", s2, len(chunks))
-                alt_end = alt_start + pim2 + cpu_ns
-                if alt_end < end_rel:
-                    # hedge won: the original wave is cancelled at
-                    # alt_end — roll back the tail it never ran
-                    cancelled = end_rel - alt_end
-                    orig = self.shards[s]
-                    elapsed[s] = alt_end
-                    orig.busy_ns -= cancelled
-                    # the cpu stage runs last, so the cancelled tail
-                    # eats cpu time first, then device time
-                    cpu_cut = min(cancelled, cpu_ns)
-                    cpu_total[s] -= cpu_cut
-                    pim_total[s] -= cancelled - cpu_cut
-                    orig.cancelled_pim_ns += cancelled - cpu_cut
-                    timing.hedges_won += 1
-                    timing.hedge_cancelled_ns += cancelled
-                    elapsed[s2] = max(elapsed[s2], alt_end)
-                    alt.busy_ns += pim2 + cpu_ns
-                    pim_total[s2] += pim2
-                    cpu_total[s2] += cpu_ns
-                    self.health.record_service_time(
-                        s2, now_ns + alt_end, pim2 + cpu_ns
+        try:
+            while led.pending:
+                groups: dict[int, list[int]] = {}
+                probing: set[int] = set()
+                for c in sorted(led.pending):
+                    s = led.pick(c, batch, probing)
+                    if s is None:
+                        led.give_up(c)
+                    else:
+                        groups.setdefault(s, []).append(c)
+                if not groups:
+                    break
+                # straggling waves of this round, hedged after the round
+                stragglers = []
+                for s in sorted(groups):
+                    chunks = groups[s]
+                    shard = self.shards[s]
+                    if self._hedge_budget is not None:
+                        # the budget earns a fraction of a hedge per wave
+                        # attempt, so granted hedges stay <= budget x waves
+                        self._hedge_budget.accrue()
+                    start_rel = max(
+                        led.clock[s], max(led.ready[c] for c in chunks)
                     )
-                    return alt_end, {
-                        "shard": s2,
-                        "chunks": len(chunks),
-                        "start_ns": alt_start,
-                        "pim_ns": pim2,
-                        "cpu_ns": cpu_ns,
-                        "end_ns": alt_end,
-                        "hedged": True,
-                    }
-                # hedge lost: cancel it where the original finished —
-                # charge only the slice it actually ran, not its full
-                # would-be completion (the loser-accounting fix)
-                cut_end = min(alt_end, max(end_rel, alt_start))
-                charged = max(0.0, cut_end - alt_start)
-                elapsed[s2] = max(elapsed[s2], cut_end)
-                alt.busy_ns += charged
-                charged_pim = min(charged, pim2)
-                pim_total[s2] += charged_pim
-                cpu_total[s2] += charged - charged_pim
-                alt.cancelled_pim_ns += pim2 - charged_pim
-                timing.hedges_lost += 1
-                timing.hedge_cancelled_ns += (pim2 + cpu_ns) - charged
-                return end_rel, None
-            return end_rel, None
-
-        while pending:
-            groups: dict[int, list[int]] = {}
-            doomed: list[int] = []
-            # straggling waves of this round, hedged after the round
-            hedge_candidates: list[tuple] = []
-            # shards whose single probe slot this round's dispatch holds:
-            # chunks joining the same wave ride the probe together
-            probing: set[int] = set()
-            for c in sorted(pending):
-                if fails[c] > policy.max_retries:
-                    doomed.append(c)
-                    continue
-                reps = self.health.prefer_order(
-                    self._route_order(c, batch), now_ns + ready[c]
-                )
-                chosen = None
-                for step in range(len(reps)):
-                    s = reps[(ptr[c] + step) % len(reps)]
-                    t_sel = now_ns + ready[c]
-                    routable = s in probing or self.health.available(s, t_sel)
-                    if (
-                        routable
-                        and s not in probing
-                        and self.health.probationary(s, t_sel)
-                    ):
-                        # half-open/quarantined: exactly one probe wave
-                        # goes through; claiming it makes every other
-                        # caller see the shard as unavailable
-                        routable = self.health.begin_probe(s, t_sel)
-                        if routable:
-                            probing.add(s)
-                            claimed.add(s)
-                    if routable:
-                        chosen = s
-                        ptr[c] += step
-                        break
-                if chosen is None:
-                    doomed.append(c)
-                else:
-                    groups.setdefault(chosen, []).append(c)
-            for c in doomed:
-                pending.discard(c)
-                if not policy.allow_degraded:
-                    raise ChunkUnavailableError(
-                        f"chunk {c} has no live replica and degraded "
-                        "recompute is disabled",
-                        unit=f"chunk{c}",
-                        timestamp_ns=now_ns,
-                        replicas=list(self.replicas[c]),
-                        failures=fails[c],
-                    )
-                degraded.append(c)
-                timing.degraded_chunks += 1
-                self._recovery_marker(tele, "degraded", self.replicas[c][0], 1)
-            if not groups:
-                break
-            for s in sorted(groups):
-                chunks = groups[s]
-                shard = self.shards[s]
-                if self._hedge_budget is not None:
-                    # the budget earns a fraction of a hedge per wave
-                    # attempt, so granted hedges stay <= budget x waves
-                    self._hedge_budget.accrue()
-                start_rel = max(elapsed[s], max(ready[c] for c in chunks))
-                t_start = now_ns + start_rel
-                verdict = (
-                    shard.fault_engine.outcome(t_start)
-                    if faulted and shard.fault_engine is not None
-                    else ShardVerdict("ok")
-                )
-                if verdict.status == "drop":
-                    # flaky host<->shard link ate the dispatch: the
-                    # shard itself is fine, but from the host's side it
-                    # looks like a crash it must time out on
+                    t_start = now_ns + start_rel
+                    verdict = self._verdict(shard, t_start)
                     timing.attempts += 1
-                    timing.link_drops += 1
-                    end_rel = start_rel + policy.crash_detect_ns
-                    elapsed[s] = end_rel
-                    self._recovery_marker(tele, "link_drop", s, len(chunks))
-                    fail_chunks(chunks, end_rel, s, False, True)
-                    continue
-                if verdict.status == "crash":
-                    timing.attempts += 1
-                    timing.crashes += 1
-                    end_rel = start_rel + policy.crash_detect_ns
-                    elapsed[s] = end_rel
-                    self._recovery_marker(tele, "crash", s, len(chunks))
-                    fail_chunks(chunks, end_rel, s, True, True)
-                    continue
-                if verdict.status == "hang":
-                    timing.attempts += 1
-                    if policy.dispatch_timeout_ns is None:
+                    outcome = _VERDICT_OUTCOMES.get(verdict.status)
+                    if outcome == "hang_timeout" and timeout_ns is None:
                         raise ShardHungError(
                             f"{shard.name} hung and the dispatch "
                             "watchdog is disabled",
@@ -1530,127 +1482,172 @@ class ShardManager:
                             timestamp_ns=t_start,
                             chunks=list(chunks),
                         )
-                    timing.timeouts += 1
-                    end_rel = start_rel + policy.dispatch_timeout_ns
-                    elapsed[s] = end_rel
-                    shard.busy_ns += policy.dispatch_timeout_ns
-                    self._recovery_marker(tele, "hang_timeout", s, len(chunks))
-                    fail_chunks(chunks, end_rel, s, False, True)
-                    continue
-                # ok / slow: fire the wave
-                shard.advance_clock(t_start)
-                timing.attempts += 1
-                with tele.span(
-                    span_name, "serving",
-                    shard=s, rows=shard.n_rows, queries=batch,
-                    substrate=shard.substrate,
-                ):
-                    try:
-                        dots, pim_ns = shard.dot_products(q_int)
-                    except CrossbarDeadError:
-                        timing.crashes += 1
-                        end_rel = start_rel + policy.crash_detect_ns
-                        elapsed[s] = end_rel
-                        self._recovery_marker(
-                            tele, "crossbar_dead", s, len(chunks)
-                        )
-                        fail_chunks(chunks, end_rel, s, True, True)
+                    if outcome is not None:
+                        led.fail(s, chunks, start_rel, outcome)
                         continue
-                    # slowdown scales the wave; a flaky link that chose
-                    # to delay (not drop) adds a flat in-flight stall
-                    pim_ns = pim_ns * verdict.factor + verdict.delay_ns
-                    if (
-                        faulted
-                        and policy.dispatch_timeout_ns is not None
-                        and pim_ns > policy.dispatch_timeout_ns
+                    # ok / slow: fire the wave
+                    shard.advance_clock(t_start)
+                    with tele.span(
+                        span_name, "serving",
+                        shard=s, rows=shard.n_rows, queries=batch,
+                        substrate=shard.substrate,
                     ):
-                        timing.timeouts += 1
-                        end_rel = start_rel + policy.dispatch_timeout_ns
-                        elapsed[s] = end_rel
-                        shard.busy_ns += policy.dispatch_timeout_ns
-                        pim_total[s] += policy.dispatch_timeout_ns
-                        self._recovery_marker(tele, "timeout", s, len(chunks))
-                        fail_chunks(chunks, end_rel, s, False, True)
-                        continue
-                    if shard.verify and shard.n_rows:
-                        clean = np.atleast_1d(
-                            verify_wave_residues(dots, bits)
-                        )
-                        if not np.all(clean):
-                            timing.corrupt_detected += int(
-                                clean.size - np.count_nonzero(clean)
-                            )
-                            end_rel = start_rel + pim_ns
-                            elapsed[s] = end_rel
-                            shard.busy_ns += pim_ns
-                            pim_total[s] += pim_ns
-                            self._recovery_marker(
-                                tele, "corrupt", s, len(chunks)
-                            )
-                            # transient: retry the same replica first
-                            fail_chunks(chunks, end_rel, s, False, False)
+                        try:
+                            dots, pim_ns = shard.dot_products(q_int)
+                        except CrossbarDeadError:
+                            led.fail(s, chunks, start_rel, "crossbar_dead")
                             continue
-                        dots = dots[:, : shard.n_rows]
-                    slices = [shard.chunk_slices[c] for c in chunks]
-                    served = sum(sl.stop - sl.start for sl in slices)
-                    if served == shard.n_rows:
-                        cpu_ns = process(shard, None, dots)
-                    else:
-                        sel = np.concatenate(
-                            [
-                                np.arange(sl.start, sl.stop, dtype=np.int64)
-                                for sl in slices
-                            ]
-                        )
-                        cpu_ns = process(shard, sel, dots[:, sel])
-                    tele.advance(cpu_ns)
-                end_rel = start_rel + pim_ns + cpu_ns
-                elapsed[s] = end_rel
-                shard.busy_ns += pim_ns + cpu_ns
-                pim_total[s] += pim_ns
-                cpu_total[s] += cpu_ns
-                self.health.record_success(s, now_ns + end_rel)
-                self.health.record_service_time(
-                    s, now_ns + end_rel, pim_ns + cpu_ns
-                )
-                for c in chunks:
-                    pending.discard(c)
-                comp = {
-                    "shard": s,
-                    "chunks": len(chunks),
-                    "start_ns": start_rel,
-                    "pim_ns": pim_ns,
-                    "cpu_ns": cpu_ns,
-                    "end_ns": end_rel,
-                    "hedged": False,
-                }
-                timing.wave_end_ns.append(end_rel)
-                timing.wave_components.append(comp)
-                trigger_ns = self._hedge_trigger_ns(s)
-                if trigger_ns is not None and pim_ns + cpu_ns > trigger_ns:
-                    hedge_candidates.append(
-                        (
-                            s, chunks, start_rel, end_rel, cpu_ns,
-                            trigger_ns, len(timing.wave_end_ns) - 1,
-                        )
+                        # slowdown scales the wave; a flaky link that
+                        # chose to delay (not drop) adds a flat stall
+                        pim_ns = pim_ns * verdict.factor + verdict.delay_ns
+                        if (
+                            self.fault_plan is not None
+                            and timeout_ns is not None
+                            and pim_ns > timeout_ns
+                        ):
+                            led.fail(s, chunks, start_rel, "timeout")
+                            continue
+                        if shard.verify and shard.n_rows:
+                            clean = np.atleast_1d(
+                                verify_wave_residues(dots, bits)
+                            )
+                            if not np.all(clean):
+                                led.fail(
+                                    s, chunks, start_rel, "corrupt", pim_ns,
+                                    int(clean.size - np.count_nonzero(clean)),
+                                )
+                                continue
+                            dots = dots[:, : shard.n_rows]
+                        slices = [shard.chunk_slices[c] for c in chunks]
+                        served = sum(sl.stop - sl.start for sl in slices)
+                        if served == shard.n_rows:
+                            cpu_ns = process(shard, None, dots)
+                        else:
+                            sel = np.concatenate(
+                                [
+                                    np.arange(sl.start, sl.stop, dtype=np.int64)
+                                    for sl in slices
+                                ]
+                            )
+                            cpu_ns = process(shard, sel, dots[:, sel])
+                        tele.advance(cpu_ns)
+                    end_rel = led.book(s, start_rel, pim_ns, cpu_ns)
+                    self.health.record_success(s, now_ns + end_rel)
+                    self.health.record_service_time(
+                        s, now_ns + end_rel, pim_ns + cpu_ns
                     )
-            # hedges resolve only after every primary wave of the round
-            # is simulated: a hedge fires later in wall time than the
-            # round's waves start, so its replica pick must see their
-            # true busy times — evaluating inline would serialize the
-            # hedge *ahead* of a replica's own (earlier) wave
-            for s, chunks, start_rel, end_rel, cpu_ns, trig, widx in (
-                hedge_candidates
+                    led.pending.difference_update(chunks)
+                    timing.wave_end_ns.append(end_rel)
+                    timing.wave_components.append(
+                        {
+                            "shard": s,
+                            "chunks": len(chunks),
+                            "start_ns": start_rel,
+                            "pim_ns": pim_ns,
+                            "cpu_ns": cpu_ns,
+                            "end_ns": end_rel,
+                            "hedged": False,
+                        }
+                    )
+                    trigger_ns = self._hedge_trigger_ns(s)
+                    if trigger_ns is not None and pim_ns + cpu_ns > trigger_ns:
+                        widx = len(timing.wave_end_ns) - 1
+                        stragglers.append((widx, trigger_ns, chunks))
+                # hedges resolve only after every primary wave of the
+                # round is simulated: a hedge fires later in wall time
+                # than the round's waves start, so its replica pick must
+                # see their true busy times — evaluating inline would
+                # serialize the hedge *ahead* of a replica's own wave
+                for widx, trigger_ns, chunks in stragglers:
+                    self._hedge(led, q_int, widx, trigger_ns, chunks, bits)
+        except BaseException:
+            for s in led.claimed:
+                self.health.release_probe(s)
+            raise
+        return led.degraded
+
+    def _hedge(
+        self,
+        led: _Ledger,
+        q_int: np.ndarray,
+        widx: int,
+        trigger_ns: float,
+        chunks: list[int],
+        bits: int,
+    ) -> None:
+        """Race straggling wave ``widx`` against a copy on an idle replica.
+
+        Values are identical either way; only the finish time improves.
+        Cancel-on-first-win: whichever wave finishes first is the
+        answer, and the loser is cut back to that instant
+        (:meth:`_Ledger.cut`), so its shard is only charged for the time
+        it actually ran. A global :class:`HedgeBudget`, when configured,
+        caps how often hedges fire.
+
+        Two known accounting gaps (DESIGN.md section 14.3): the budget
+        token is spent before the alternate's verdict is known, and a
+        hedge wave that fails its checksum is charged nowhere.
+        """
+        timing = led.timing
+        prim = timing.wave_components[widx]
+        s, start_rel = prim["shard"], prim["start_ns"]
+        end_rel, cpu_ns = prim["end_ns"], prim["cpu_ns"]
+        hedge_start = start_rel + trigger_ns
+        t_hedge = led.now_ns + hedge_start
+        health = self.health
+        for s2, alt in enumerate(self.shards):
+            if (
+                s2 == s
+                or not health.available(s2, t_hedge)
+                # a hedge is a latency optimisation, not a probe: never
+                # spend a probationary shard's single probe slot on one
+                or health.probationary(s2, t_hedge)
+                # nor duplicate onto a suspected-slow (ejected) replica
+                or health.demoted(s2, t_hedge)
+                or any(c not in alt.chunk_slices for c in chunks)
             ):
-                new_end, hedge_comp = try_hedge(
-                    s, chunks, start_rel, end_rel, cpu_ns, trig
+                continue
+            budget = self._hedge_budget
+            if budget is not None and not budget.try_take():
+                timing.hedges_denied += 1
+                return
+            alt_start = max(led.clock[s2], hedge_start)
+            alt.advance_clock(led.now_ns + alt_start)
+            verdict = self._verdict(alt, led.now_ns + alt_start)
+            if verdict.status not in ("ok", "slow"):
+                continue
+            try:
+                dots2, pim2 = alt.dot_products(q_int)
+            except CrossbarDeadError:
+                continue
+            pim2 = pim2 * verdict.factor + verdict.delay_ns
+            if alt.verify and alt.n_rows and not np.all(
+                verify_wave_residues(dots2, bits)
+            ):
+                timing.corrupt_detected += 1
+                continue
+            timing.hedges += 1
+            _recovery_marker(led.tele, "hedge", s2, len(chunks))
+            alt_end = led.book(s2, alt_start, pim2, cpu_ns)
+            if alt_end < end_rel:
+                # hedge won: the original is cancelled at alt_end
+                led.cut(s, alt_end, end_rel - alt_end, cpu_ns)
+                timing.hedges_won += 1
+                health.record_service_time(
+                    s2, led.now_ns + alt_end, pim2 + cpu_ns
                 )
-                if hedge_comp is not None:
-                    timing.wave_end_ns[widx] = new_end
-                    timing.wave_components[widx] = hedge_comp
-        timing.per_shard_pim_ns = pim_total
-        timing.per_shard_cpu_ns = cpu_total
-        return degraded
+                timing.wave_end_ns[widx] = alt_end
+                timing.wave_components[widx] = {
+                    **prim, "shard": s2, "start_ns": alt_start,
+                    "pim_ns": pim2, "end_ns": alt_end, "hedged": True,
+                }
+            else:
+                # hedge lost: cancelled where the original finished
+                cut_end = min(alt_end, max(end_rel, alt_start))
+                ran = max(0.0, cut_end - alt_start)
+                led.cut(s2, cut_end, (pim2 + cpu_ns) - ran, cpu_ns)
+                timing.hedges_lost += 1
+            return
 
     def _shard_topk(
         self,
@@ -1857,7 +1854,7 @@ class ShardManager:
                 refined_here += refined
             return self._shard_cpu_ns(n_local, batch, refined_here)
 
-        degraded_chunks = self._serve_chunks(
+        degraded_chunks = self._dispatch(
             q_int, t0, process, timing, "serving.scatter"
         )
         for c in degraded_chunks:
@@ -1993,7 +1990,7 @@ class ShardManager:
             stats["visited"] += n_here * n_centers
             return self._shard_cpu_ns(n_here, n_centers, refined)
 
-        degraded_chunks = self._serve_chunks(
+        degraded_chunks = self._dispatch(
             c_int, t0, process, timing, "serving.assist"
         )
         for c in degraded_chunks:

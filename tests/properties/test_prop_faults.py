@@ -6,7 +6,9 @@ crossbars, in any combination, against any replication degree — every
 answer a replicated :class:`~repro.serving.ShardManager` completes is
 bit-identical to a fault-free single-array run. Failover, retried
 waves, and even the host-side degraded recompute of a chunk whose
-replicas all died must be invisible in the values.
+replicas all died must be invisible in the values — and visible in
+the accounting: every attempt is charged to its shard's busy time
+exactly as the dispatch records it.
 
 Data comes from a small grid so duplicate rows (and tied distances) are
 common — the canonical tie-break has to do real work while the fault
@@ -20,7 +22,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ChunkUnavailableError
@@ -107,9 +109,39 @@ def clean_manager(data):
     return ShardManager(data, 1, quantizer=Quantizer(assume_normalized=True))
 
 
+def assert_booked_consistently(manager, timings):
+    """Dispatch accounting agrees with itself.
+
+    Every attempt is booked once, so each shard's busy time equals the
+    pim + cpu its dispatches recorded, and each dispatch's critical-path
+    segments add back up to its ``service_ns``.
+    """
+    for s, shard in enumerate(manager.shards):
+        booked = sum(
+            t.per_shard_pim_ns[s] + t.per_shard_cpu_ns[s] for t in timings
+        )
+        assert shard.busy_ns == pytest.approx(booked, rel=1e-9, abs=1e-6)
+    for t in timings:
+        path = t.critical_path()
+        segments = sum(v for key, v in path.items() if key != "shard")
+        assert segments == pytest.approx(t.service_ns, abs=1.0)
+
+
 class TestExactRecovery:
     @settings(max_examples=20, deadline=None)
     @given(fault_case())
+    @example(
+        (
+            np.array([[0.0, 0.25], [0.5, 0.75], [1.0, 0.0], [0.25, 0.5]]),
+            np.array([0.5, 0.5]),
+            2,
+            2,
+            2,
+            FaultPlan(
+                [FaultEvent(t_ns=0.0, kind="shard_hang", target="shard0")]
+            ),
+        )
+    )
     def test_any_fault_plan_yields_bit_identical_topk(self, case):
         data, query, k, n_shards, replication, plan = case
         expected = clean_manager(data).knn(query, k)
@@ -120,9 +152,10 @@ class TestExactRecovery:
             fault_plan=plan,
             quantizer=Quantizer(assume_normalized=True),
         )
-        answer = manager.knn(query, k)
-        assert np.array_equal(answer.indices, expected.indices)
-        assert np.array_equal(answer.scores, expected.scores)
+        answers, timing = manager.knn_batch(np.atleast_2d(query), k)
+        assert np.array_equal(answers[0].indices, expected.indices)
+        assert np.array_equal(answers[0].scores, expected.scores)
+        assert_booked_consistently(manager, [timing])
 
     @settings(max_examples=10, deadline=None)
     @given(gridded_data(max_rows=12), st.integers(0, 5))

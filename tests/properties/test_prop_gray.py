@@ -13,7 +13,7 @@ Two adversarial contracts from DESIGN.md section 14:
 2. **Probation hysteresis (flap-admit).** Driving the
    :class:`~repro.serving.ShardHealthTracker` directly with an
    arbitrary clean/slow probe sequence: the required clean streak
-   doubles on every slow probe (capped at ``ejection_max_probes``),
+   doubles on every slow probe (capped at ``EJECTION_MAX_PROBES``),
    never decreases, re-admission happens exactly when a full streak of
    clean probes lands, and a later re-ejection keeps the escalated
    target — a flapping shard earns longer probation, never shorter.
@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 
 from repro.faults import FaultEvent, FaultPlan
 from repro.serving import RecoveryPolicy, ShardHealthTracker, ShardManager
+from repro.serving import health
 from repro.similarity.quantization import Quantizer
 
 #: Coarse value grid -> many exact duplicate coordinates and rows.
@@ -131,13 +132,27 @@ class TestGrayExactness:
         # serve the same query across the horizon so ejections, probes
         # and hedges all get a chance to fire mid-trace
         t = 0.0
+        timings = []
         for _ in range(8):
             answers, timing = manager.knn_batch(
                 np.atleast_2d(query), k, now_ns=t
             )
             assert np.array_equal(answers[0].indices, expected.indices)
             assert np.array_equal(answers[0].scores, expected.scores)
+            timings.append(timing)
             t += timing.service_ns + HORIZON_NS / 9.0
+        # hedge wins and losses book through the same path as waves:
+        # busy time is exactly what the dispatches recorded per shard
+        for s, shard in enumerate(manager.shards):
+            booked = sum(
+                t.per_shard_pim_ns[s] + t.per_shard_cpu_ns[s]
+                for t in timings
+            )
+            assert shard.busy_ns == pytest.approx(booked, rel=1e-9, abs=1e-6)
+        for t in timings:
+            path = t.critical_path()
+            segments = sum(v for key, v in path.items() if key != "shard")
+            assert segments == pytest.approx(t.service_ns, abs=1.0)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=1, max_value=4), st.integers(0, 5))
@@ -155,15 +170,15 @@ BASE_NS = 1_000.0
 SLOW_NS = 20_000.0
 
 
-def convicted_tracker(policy):
+def convicted_tracker():
     """A 2-shard tracker with shard0 freshly ejected as a straggler.
 
     shard1 supplies a stable peer baseline of ``BASE_NS`` so probe
     verdicts on shard0 are deterministic: ``BASE_NS`` is clean,
-    ``SLOW_NS`` is slow (readmit_slack x baseline sits between them).
+    ``SLOW_NS`` is slow (``READMIT_SLACK`` x baseline sits between them).
     """
-    tracker = ShardHealthTracker(2, policy)
-    for i in range(policy.detector_min_samples + 2):
+    tracker = ShardHealthTracker(2, RecoveryPolicy(outlier_ejection=True))
+    for i in range(health.DETECTOR_MIN_SAMPLES + 2):
         tracker.record_service_time(1, float(i), BASE_NS)
     t = 100.0
     for _ in range(200):
@@ -179,13 +194,12 @@ class TestProbationHysteresis:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.booleans(), min_size=1, max_size=30))
     def test_streak_doubles_on_slow_and_never_shrinks(self, probes):
-        policy = RecoveryPolicy(outlier_ejection=True)
-        tracker, t = convicted_tracker(policy)
+        tracker, t = convicted_tracker()
         h = tracker._shards[0]
-        assert h.eject_probe_target == policy.ejection_probes
-        assert h.eject_probes_left == policy.ejection_probes
+        assert h.eject_probe_target == health.EJECTION_PROBES
+        assert h.eject_probes_left == health.EJECTION_PROBES
         # mirror the promised state machine step by step
-        exp_target = policy.ejection_probes
+        exp_target = health.EJECTION_PROBES
         exp_left = exp_target
         for clean in probes:
             if not h.ejected:
@@ -194,17 +208,17 @@ class TestProbationHysteresis:
             tracker.record_service_time(
                 0, t, BASE_NS if clean else SLOW_NS
             )
-            t += policy.ejection_probe_period_ns
+            t += health.EJECTION_PROBE_PERIOD_NS
             if clean:
                 exp_left -= 1
             else:
                 exp_target = min(
-                    exp_target * 2, policy.ejection_max_probes
+                    exp_target * 2, health.EJECTION_MAX_PROBES
                 )
                 exp_left = exp_target
             assert h.eject_probe_target == exp_target
             assert h.eject_probe_target >= prev_target
-            assert h.eject_probe_target <= policy.ejection_max_probes
+            assert h.eject_probe_target <= health.EJECTION_MAX_PROBES
             if exp_left <= 0:
                 # a full clean streak landed: re-admitted, and only now
                 assert not h.ejected
@@ -215,21 +229,20 @@ class TestProbationHysteresis:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=1, max_value=6))
     def test_reejection_keeps_the_escalated_probation(self, n_slow):
-        policy = RecoveryPolicy(outlier_ejection=True)
-        tracker, t = convicted_tracker(policy)
+        tracker, t = convicted_tracker()
         h = tracker._shards[0]
         for _ in range(n_slow):
             tracker.record_service_time(0, t, SLOW_NS)
-            t += policy.ejection_probe_period_ns
+            t += health.EJECTION_PROBE_PERIOD_NS
         escalated = h.eject_probe_target
         assert escalated == min(
-            policy.ejection_probes * 2**n_slow,
-            policy.ejection_max_probes,
+            health.EJECTION_PROBES * 2**n_slow,
+            health.EJECTION_MAX_PROBES,
         )
         # serve the full clean streak to earn re-admission
         for _ in range(h.eject_probes_left):
             tracker.record_service_time(0, t, BASE_NS)
-            t += policy.ejection_probe_period_ns
+            t += health.EJECTION_PROBE_PERIOD_NS
         assert not h.ejected
         # the sticky part: a later ejection restarts probation at the
         # escalated target, not the policy default
@@ -238,13 +251,12 @@ class TestProbationHysteresis:
         assert h.eject_probes_left == escalated
 
     def test_readmission_bumps_the_route_version(self):
-        policy = RecoveryPolicy(outlier_ejection=True)
-        tracker, t = convicted_tracker(policy)
+        tracker, t = convicted_tracker()
         h = tracker._shards[0]
         version = tracker.version
         for _ in range(h.eject_probes_left):
             tracker.record_service_time(0, t, BASE_NS)
-            t += policy.ejection_probe_period_ns
+            t += health.EJECTION_PROBE_PERIOD_NS
         assert not h.ejected
         assert tracker.version == version + 1
         assert tracker.suspicion(0) == pytest.approx(0.0)

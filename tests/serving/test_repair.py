@@ -32,6 +32,7 @@ from repro.serving import (
     ShardManager,
     SLOTracker,
 )
+from repro.serving.health import CRASH_DETECT_NS
 
 DIMS = 32
 
@@ -164,14 +165,14 @@ class TestBackgroundScrubber:
         scrubber = BackgroundScrubber(manager, RepairPolicy())
         probe = scrubber.probe(1.0)
         assert probe["outcome"] == "dead_array"
-        assert probe["cost_ns"] == manager.recovery.crash_detect_ns
+        assert probe["cost_ns"] == CRASH_DETECT_NS
 
     def test_crashed_shard_probe_reports_crash(self, data):
         manager = build(data, [crash(0)])
         scrubber = BackgroundScrubber(manager, RepairPolicy())
         probe = scrubber.probe(1.0)
         assert probe["outcome"] == "crash"
-        assert probe["cost_ns"] == manager.recovery.crash_detect_ns
+        assert probe["cost_ns"] == CRASH_DETECT_NS
 
     def test_hung_shard_probe_costs_the_watchdog(self, data):
         manager = build(

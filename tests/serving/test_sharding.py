@@ -181,11 +181,7 @@ class TestAssign:
 
 class TestTimingAndStats:
     def test_gather_timing_is_max_plus_merge(self):
-        timing = GatherTiming(
-            per_shard_pim_ns=[10.0, 30.0],
-            per_shard_cpu_ns=[5.0, 1.0],
-            merge_cpu_ns=2.0,
-        )
+        timing = GatherTiming(wave_end_ns=[15.0, 31.0], merge_cpu_ns=2.0)
         assert timing.service_ns == 33.0
         assert GatherTiming().service_ns == 0.0
 
