@@ -32,6 +32,7 @@ from repro.hardware.config import pim_platform
 from repro.hardware.controller import PIMController
 from repro.hardware.pim_array import PIMArray
 from repro.mining.knn import make_baseline, make_pim_variant
+from repro.oracle import LoopPIMArray
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -244,7 +245,7 @@ def measure_fused_trajectory(smoke: bool = False, repeats: int = 5) -> dict:
     matrix, queries = _trajectory_workload(smoke)
     platform = pim_platform()
     fused = PIMArray(platform, simulate_cells=True)
-    loop = PIMArray(platform, simulate_cells=True, reference=True)
+    loop = LoopPIMArray(platform)
     fused.program_matrix("bench", matrix)
     loop.program_matrix("bench", matrix)
 

@@ -17,9 +17,10 @@ telemetry flags reuse the shared :mod:`repro.cli` wiring.
 
 Perf trajectory: the bench also measures the fused scatter/gather
 kernels (block-scored refinement, center-major assist sweep) against
-the per-candidate ``reference=True`` loops — identical answers, counts
-and simulated timings, much less wall-clock — persisted as
-``BENCH_serving.json`` for the CI perf gate (``--smoke`` floor: 3x).
+the per-candidate loops of :class:`repro.oracle.LoopShardManager` —
+identical answers, counts and simulated timings, much less wall-clock
+— persisted as ``BENCH_serving.json`` for the CI perf gate
+(``--smoke`` floor: 3x).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.serving import (
     TenantSpec,
     WorkloadDriver,
 )
+from repro.oracle import LoopShardManager
 from repro.serving.sharding import _canonical_prefix
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -200,12 +202,13 @@ def save_curve(result: dict, path: Path) -> None:
 # perf trajectory: fused scatter/gather vs per-candidate loops
 # ----------------------------------------------------------------------
 def measure_fused_trajectory(smoke: bool = False, repeats: int = 3) -> dict:
-    """Fused vs reference serving: wall-clock + exactness in one record.
+    """Fused vs loop-oracle serving: wall-clock + exactness in one record.
 
-    Drives one kNN batch and one k-means assist through a fused and a
-    ``reference=True`` manager over the same dataset. Answers, refined
-    counts and simulated service times must be identical; the wall
-    clock is the only thing fusion is allowed to change.
+    Drives one kNN batch and one k-means assist through a fused manager
+    and a :class:`~repro.oracle.LoopShardManager` over the same dataset.
+    Answers, refined counts and simulated service times must be
+    identical; the wall clock is the only thing fusion is allowed to
+    change.
     """
     rng = np.random.default_rng(777)
     n, dims = (1500, 32) if smoke else (4096, 64)
@@ -214,7 +217,7 @@ def measure_fused_trajectory(smoke: bool = False, repeats: int = 3) -> dict:
     queries = rng.random((MAX_BATCH, dims))
     centers = rng.random((n_centers, dims))
     fused = ShardManager(data, n_shards=4)
-    loop = ShardManager(data, n_shards=4, reference=True)
+    loop = LoopShardManager(data, n_shards=4)
 
     af, tf = fused.knn_batch(queries, K)
     ar, tr = loop.knn_batch(queries, K)

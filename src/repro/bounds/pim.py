@@ -33,6 +33,21 @@ from repro.similarity.quantization import Quantizer
 from repro.similarity.segments import summarize
 
 
+def theorem1_lower_bound(
+    phi, phi_q, dots, dims: int, alpha: float
+) -> np.ndarray:
+    """Theorem 1's clamped bound from its three per-object scalars.
+
+    ``max(0, (Phi(p) + Phi(q) - 2 floor(p).floor(q) - 2d) / alpha^2)``;
+    ``phi``, ``phi_q`` and ``dots`` broadcast against each other. Every
+    caller (the bounds here, the serving scan, assist and their loop
+    oracles) goes through this one expression, so one fixed operation
+    order gives the same bits for one pair or a whole batch.
+    """
+    lb = (phi + phi_q - 2.0 * dots - 2.0 * dims) / alpha**2
+    return np.maximum(lb, 0.0, out=lb)
+
+
 class _PIMBoundBase(Bound):
     """Shared machinery: quantizer, controller, wave caching.
 
@@ -224,8 +239,7 @@ class PIMEuclideanBound(_PIMBoundBase):
         dots = self._wave(qq.integers)
         phi = self._phi if indices is None else self._phi[indices]
         d = dots if indices is None else dots[indices]
-        lb = (phi + phi_q - 2.0 * d - 2.0 * self._dims) / self.alpha**2
-        return np.maximum(lb, 0.0)
+        return theorem1_lower_bound(phi, phi_q, d, self._dims, self.alpha)
 
     def evaluate_matrix(self, queries: np.ndarray) -> np.ndarray:
         """Bounds for several queries at once, shape ``(N, n_queries)``.
@@ -244,11 +258,9 @@ class PIMEuclideanBound(_PIMBoundBase):
         )
         values = self._compensated(result.values)
         dots = values.T  # (N, n_queries)
-        lb = (
-            self._phi[:, None] + phi_q[None, :] - 2.0 * dots
-            - 2.0 * self._dims
-        ) / self.alpha**2
-        return np.maximum(lb, 0.0)
+        return theorem1_lower_bound(
+            self._phi[:, None], phi_q[None, :], dots, self._dims, self.alpha
+        )
 
 
 class PIMFNNBound(_PIMBoundBase):

@@ -120,7 +120,6 @@ def write_checkpoint(
         "spread": manager.spread,
         "substrates": list(manager.substrates),
         "route": manager.route,
-        "reference": manager.reference,
         "spare_crossbars": manager.spare_crossbars,
         "verify": manager.verify,
         "quantizer": {
@@ -321,7 +320,6 @@ def restore_manager(
         recovery=recovery,
         verify=bool(manifest["verify"]),
         spare_crossbars=int(manifest["spare_crossbars"]),
-        reference=bool(manifest["reference"]),
         substrates=list(manifest["substrates"]),
         route=manifest["route"],
         topology=topology,

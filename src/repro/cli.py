@@ -34,12 +34,29 @@ from repro.core.report import (
     format_table,
 )
 from repro.data.catalog import PROFILES, make_dataset, make_queries
+from repro.errors import (
+    CapacityError,
+    ConfigurationError,
+    DatasetError,
+    OperandError,
+    PlanError,
+    ReproError,
+)
 from repro.hardware.config import pim_platform
 from repro.mining.kmeans import initial_centers, make_kmeans
 from repro.mining.knn import make_baseline
 
 KNN_ALGORITHMS = ("Standard", "OST", "SM", "FNN")
 KMEANS_ALGORITHMS = ("Standard", "Elkan", "Drake", "Yinyang")
+
+#: Exit code of a command that stopped on a library error, by exception
+#: family (first match wins). 0 is success, 1 a PIM result that differs
+#: from its baseline, 2 a bad command line (argparse).
+ERROR_EXIT_CODES = (
+    ((DatasetError, OperandError), 3),  # the input data
+    ((ConfigurationError, CapacityError, PlanError), 4),  # the settings
+    ((ReproError,), 5),  # faults, serving, checkpoints
+)
 
 
 def _positive_int(text: str) -> int:
@@ -55,7 +72,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="Table 6 dataset stand-in",
     )
     parser.add_argument(
-        "--n", type=int, default=None,
+        "--n", type=_positive_int, default=None,
         help="override the scaled dataset cardinality",
     )
     parser.add_argument(
@@ -158,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     knn.add_argument(
         "--algorithm", default="Standard", choices=KNN_ALGORITHMS
     )
-    knn.add_argument("--k", type=int, default=10)
-    knn.add_argument("--queries", type=int, default=5)
+    knn.add_argument("--k", type=_positive_int, default=10)
+    knn.add_argument("--queries", type=_positive_int, default=5)
     knn.add_argument(
         "--measure", default="euclidean",
         choices=("euclidean", "cosine", "pearson"),
@@ -195,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     kmeans.add_argument(
         "--algorithm", default="Standard", choices=KMEANS_ALGORITHMS
     )
-    kmeans.add_argument("--k", type=int, default=16)
+    kmeans.add_argument("--k", type=_positive_int, default=16)
     kmeans.add_argument("--max-iters", type=int, default=10)
 
     profile = sub.add_parser(
@@ -1014,9 +1031,16 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     """CLI entry point; returns a process exit code."""
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
-    with telemetry_scope(args, out):
-        code = _dispatch(args, out)
-    return code
+    try:
+        with telemetry_scope(args, out):
+            return _dispatch(args, out)
+    except ReproError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return next(
+            code
+            for families, code in ERROR_EXIT_CODES
+            if isinstance(exc, families)
+        )
 
 
 if __name__ == "__main__":

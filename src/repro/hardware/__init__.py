@@ -12,11 +12,7 @@ benchmarks use; submodules hold the detail:
   Quartz-style CPU model and the NVSim-style wave latency model.
 """
 
-from repro.hardware.banked_memory import (
-    BankLayout,
-    BankedMatrixStore,
-    plan_bank_layout,
-)
+from repro.hardware.banked_memory import BankLayout, plan_bank_layout
 from repro.hardware.config import (
     CPUConfig,
     CrossbarConfig,
@@ -70,7 +66,6 @@ from repro.hardware.reprogramming import (
 
 __all__ = [
     "BankLayout",
-    "BankedMatrixStore",
     "BatchWaveTiming",
     "CPUConfig",
     "ChunkedDotProductEngine",

@@ -19,14 +19,12 @@ resident data. This module models exactly that:
 * :func:`bank_program_ns` — programming writes all banks in parallel at
   burst granularity (DRAM writes, no SET/RESET cost — far cheaper than
   crossbar programming);
-* :class:`BankedMatrixStore` — the ``reference=True`` oracle: executes
-  the generated MOV/FILL/MAC/result stream bank by bank, burst by burst,
-  against per-bank row storage with GRF semantics, wrapping in int64
-  exactly like the hardware accumulator.
 
 Arithmetic is digital and exact, so the fast path (the exact float64-BLAS
 wave of :class:`~repro.hardware.bitslice.ExactMatrix`) and the
-instruction-stream oracle are bit-identical; only the cost model
+instruction-stream oracle (:func:`repro.oracle.bank_dot_loop`, which
+executes the generated MOV/FILL/MAC/result stream bank by bank, burst by
+burst, with GRF semantics) are bit-identical; only the cost model
 differs from the crossbar substrate. The timing results reuse the
 crossbar model's :class:`~repro.hardware.timing.WaveTiming` containers
 (field mapping documented on each function), so every downstream
@@ -38,8 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.config import HardwareConfig, HBMPIMConfig
@@ -154,7 +150,7 @@ def bank_instruction_counts(layout: BankLayout, n_queries: int = 1) -> dict:
 
     The counts feed the backend-specific ``PIMStats.extra`` counters and
     the energy model; they are exactly the commands
-    :meth:`BankedMatrixStore.dot_reference` executes. Row activations are
+    :func:`repro.oracle.bank_dot_loop` executes. Row activations are
     charged once per dispatched batch (rows stay open between queries of
     one dispatch), matching :func:`bank_batch_timing`.
     """
@@ -251,67 +247,3 @@ def bank_program_ns(layout: BankLayout, config: HBMPIMConfig) -> float:
         + bursts * config.write_burst_cycles
     )
     return cycles * config.tck_ns
-
-
-class BankedMatrixStore:
-    """Per-bank padded row storage plus the instruction-stream oracle.
-
-    ``banks[j]`` holds bank ``j``'s resident vectors as an
-    ``(vectors_in_bank, bursts_per_vector * burst_elems)`` int64 block —
-    exactly the bursts the MAC unit would stream out of the open row,
-    zero-padded past ``dims``.
-    """
-
-    def __init__(
-        self, matrix: np.ndarray, layout: BankLayout, config: HBMPIMConfig
-    ) -> None:
-        self.layout = layout
-        self.config = config
-        be = config.burst_elems(layout.operand_bits)
-        padded_dims = layout.bursts_per_vector * be
-        n, dims = matrix.shape
-        padded = np.zeros((n, padded_dims), dtype=np.int64)
-        padded[:, :dims] = matrix
-        vpb = layout.vectors_per_bank
-        self.banks: list[np.ndarray] = [
-            padded[j * vpb : (j + 1) * vpb]
-            for j in range(layout.n_data_banks)
-        ]
-        self._burst_elems = be
-
-    def dot_reference(self, queries: np.ndarray) -> np.ndarray:
-        """Execute the MOV/FILL/MAC stream per bank, burst by burst.
-
-        The loop nests mirror the all-bank lockstep command order: per
-        GRF segment, the query bursts are MOVed into the GRF once and
-        reused by every resident vector's MACs; accumulators are int64
-        and wrap exactly like the hardware (truncation to the
-        accumulator width is the caller's job, as on the fast path).
-        Returns ``(B, n_vectors)`` raw accumulator values.
-        """
-        queries = np.atleast_2d(queries).astype(np.int64)
-        be = self._burst_elems
-        cfg = self.config
-        lay = self.layout
-        padded_dims = lay.bursts_per_vector * be
-        out = np.zeros((queries.shape[0], lay.n_vectors), dtype=np.int64)
-        for b, q in enumerate(queries):
-            q_pad = np.zeros(padded_dims, dtype=np.int64)
-            q_pad[: q.shape[0]] = q
-            col = 0
-            for bank_rows in self.banks:
-                n_here = bank_rows.shape[0]
-                acc = np.zeros(n_here, dtype=np.int64)  # FILL GRF_ACC
-                for seg in range(lay.grf_segments):
-                    lo = seg * cfg.grf_entries
-                    hi = min(lo + cfg.grf_entries, lay.bursts_per_vector)
-                    # MOV: query bursts [lo, hi) into the GRF
-                    for burst in range(lo, hi):
-                        sl = slice(burst * be, (burst + 1) * be)
-                        grf = q_pad[sl]
-                        # MAC: every resident vector's matching burst
-                        for v in range(n_here):
-                            acc[v] += np.dot(bank_rows[v, sl], grf)
-                out[b, col : col + n_here] = acc  # result MOVs
-                col += n_here
-        return out

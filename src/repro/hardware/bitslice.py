@@ -14,12 +14,11 @@ where ``P_j`` is the matrix of j-th operand slices and ``Q_k`` the k-th
 input slice. All helpers operate on NumPy integer arrays and are the
 single source of truth used by :class:`repro.hardware.crossbar.Crossbar`.
 
-The public helpers are fully vectorised (broadcast shifts and one
-weight contraction instead of per-slice Python loops); the original
-loop implementations are kept as ``*_reference`` oracles. Both compute
-in 64-bit wrap-around (mod 2**64) arithmetic, which is associative and
-commutative, so the two always agree bit for bit — the fusion property
-suite asserts exactly that.
+The helpers are fully vectorised (broadcast shifts and one weight
+contraction instead of per-slice Python loops); the original loops live
+in :mod:`repro.oracle`. Both compute in 64-bit wrap-around (mod 2**64)
+arithmetic, which is associative and commutative, so the two always
+agree bit for bit — the fusion property suite asserts exactly that.
 
 :class:`ExactMatrix` holds a programmed matrix for the arrays' default
 wave path: the same exact mod-2**64 dot products, run on float64 BLAS
@@ -93,21 +92,6 @@ def slice_operands(values: np.ndarray, operand_bits: int, slice_bits: int) -> np
     return (work[..., np.newaxis] >> shifts) & mask
 
 
-def slice_operands_reference(
-    values: np.ndarray, operand_bits: int, slice_bits: int
-) -> np.ndarray:
-    """Loop oracle for :func:`slice_operands` (one shift per slice)."""
-    values = np.asarray(values)
-    check_non_negative_integers(values, operand_bits)
-    n = num_slices(operand_bits, slice_bits)
-    mask = (1 << slice_bits) - 1
-    work = values.astype(np.uint64)
-    slices = np.empty(values.shape + (n,), dtype=np.uint64)
-    for j in range(n):
-        slices[..., j] = (work >> np.uint64(j * slice_bits)) & np.uint64(mask)
-    return slices
-
-
 def reconstruct(slices: np.ndarray, slice_bits: int) -> np.ndarray:
     """Inverse of :func:`slice_operands`: shift-and-add slices back.
 
@@ -119,16 +103,6 @@ def reconstruct(slices: np.ndarray, slice_bits: int) -> np.ndarray:
     n = slices.shape[-1]
     shifts = np.arange(n, dtype=np.uint64) * np.uint64(slice_bits)
     return np.asarray((slices << shifts).sum(axis=-1, dtype=np.uint64))
-
-
-def reconstruct_reference(slices: np.ndarray, slice_bits: int) -> np.ndarray:
-    """Loop oracle for :func:`reconstruct`."""
-    slices = np.asarray(slices, dtype=np.uint64)
-    n = slices.shape[-1]
-    total = np.zeros(slices.shape[:-1], dtype=np.uint64)
-    for j in range(n):
-        total += slices[..., j] << np.uint64(j * slice_bits)
-    return total
 
 
 def _shift_weights(
@@ -172,22 +146,6 @@ def shift_add_partials(
     # ascontiguousarray promotes 0-d to 1-d; reshape restores the rank
     out = np.ascontiguousarray(total).view(np.int64)
     return out.reshape(partials.shape[2:])
-
-
-def shift_add_partials_reference(
-    partials: np.ndarray, operand_slice_bits: int, input_slice_bits: int
-) -> np.ndarray:
-    """Loop oracle for :func:`shift_add_partials` (per-partial shifts)."""
-    partials = np.asarray(partials, dtype=np.int64)
-    if partials.ndim < 2:
-        raise OperandError("partials must have operand- and input-slice axes")
-    total = np.zeros(partials.shape[2:], dtype=np.int64)
-    n_op, n_in = partials.shape[0], partials.shape[1]
-    for j in range(n_op):
-        for k in range(n_in):
-            shift = j * operand_slice_bits + k * input_slice_bits
-            total += partials[j, k] << np.int64(shift)
-    return total
 
 
 def truncate_result(values: np.ndarray, accumulator_bits: int) -> np.ndarray:

@@ -55,7 +55,6 @@ class PIMController:
         simulate_cells: bool = False,
         noise=None,
         spare_crossbars: int = 0,
-        reference: bool = False,
         substrate: str = "crossbar",
     ) -> None:
         self.hardware = hardware if hardware is not None else pim_platform()
@@ -77,7 +76,6 @@ class PIMController:
                 self.hardware,
                 simulate_cells=simulate_cells,
                 spare_crossbars=spare_crossbars,
-                reference=reference,
             )
         else:
             from repro.substrate import (
@@ -89,7 +87,6 @@ class PIMController:
                 substrate,
                 hardware=self.hardware,
                 spare_units=spare_crossbars,
-                reference=reference,
                 simulate_cells=simulate_cells,
             )
             memory_device = substrate_capabilities(

@@ -158,17 +158,30 @@ class Crossbar:
     # ------------------------------------------------------------------
     # computation
     # ------------------------------------------------------------------
+    def grouped_cells(self) -> np.ndarray:
+        """The programmed cells as int64 ``(rows, vectors, operand-slices)``.
+
+        The layout every wave kernel (and :meth:`stored_matrix`) reads.
+        """
+        if not self._programmed or self._operand_bits is None:
+            raise ProgrammingError("crossbar has no programmed data")
+        n_op = bitslice.num_slices(self._operand_bits, self.config.cell_bits)
+        cells = self._cells[: self._rows_used, : self._num_vectors * n_op]
+        return cells.astype(np.int64).reshape(
+            self._rows_used, self._num_vectors, n_op
+        )
+
     def dot_product(
-        self,
-        query: np.ndarray,
-        input_bits: int | None = None,
-        reference: bool = False,
+        self, query: np.ndarray, input_bits: int | None = None
     ) -> WaveResult:
         """Compute the dot product of ``query`` with every stored vector.
 
         The query is DAC-sliced into ``ceil(b/g)`` input waves; per wave
         the analog array yields per-column partial sums which the S&H/ADC
         pipeline digitises and the S&A unit shifts into the accumulator.
+        All (operand-slice, input-slice) partials come from one
+        contraction; :func:`repro.oracle.crossbar_dot_loop` is the
+        one-input-slice-at-a-time loop it is checked against.
 
         Parameters
         ----------
@@ -177,65 +190,31 @@ class Crossbar:
         input_bits:
             Width of query elements; defaults to the programmed operand
             width.
-        reference:
-            Route through the original one-``einsum``-per-input-slice
-            loop plus the sequential shift-add oracle instead of the
-            fused kernel. Both are exact integer arithmetic mod 2**64,
-            so the results are bit-identical; the loop stays as the
-            independent oracle the fusion property suite checks against.
 
         Returns
         -------
         WaveResult
             Exact integer dot products plus consumed cycles.
         """
-        if not self._programmed or self._operand_bits is None:
-            raise ProgrammingError("crossbar has no programmed data")
+        grouped = self.grouped_cells()
         query = np.asarray(query)
         if query.ndim != 1 or query.shape[0] != self._rows_used:
             raise OperandError(
                 f"query must be a vector of length {self._rows_used}"
             )
         bits = input_bits if input_bits is not None else self._operand_bits
-        n_op = bitslice.num_slices(self._operand_bits, self.config.cell_bits)
-
-        cells = self._cells[: self._rows_used].astype(np.int64)
-        # Group columns back into (operand-slice, vector) layout.
-        used_cols = self._num_vectors * n_op
-        grouped = cells[:, :used_cols].reshape(
-            self._rows_used, self._num_vectors, n_op
+        q_slices = bitslice.slice_operands(query, bits, self.config.dac_bits)
+        n_in = q_slices.shape[-1]
+        partials = np.einsum(
+            "rk,rvj->jkv", q_slices.astype(np.int64), grouped
         )
-        if reference:
-            q_slices = bitslice.slice_operands_reference(
-                query, bits, self.config.dac_bits
-            )
-            n_in = q_slices.shape[-1]
-            partials = np.empty(
-                (n_op, n_in, self._num_vectors), dtype=np.int64
-            )
-            for k in range(n_in):
-                q_k = q_slices[:, k].astype(np.int64)
-                # analog MAC: every column sees the same input wave.
-                partials[:, k, :] = np.einsum("r,rvj->jv", q_k, grouped)
-            values = bitslice.shift_add_partials_reference(
-                partials, self.config.cell_bits, self.config.dac_bits
-            )
-        else:
-            q_slices = bitslice.slice_operands(
-                query, bits, self.config.dac_bits
-            )
-            n_in = q_slices.shape[-1]
-            # all (operand-slice, input-slice) partials in one contraction
-            partials = np.einsum(
-                "rk,rvj->jkv", q_slices.astype(np.int64), grouped
-            )
-            values = bitslice.shift_add_partials(
-                partials, self.config.cell_bits, self.config.dac_bits
-            )
+        values = bitslice.shift_add_partials(
+            partials, self.config.cell_bits, self.config.dac_bits
+        )
         return WaveResult(
             values=values,
             cycles=n_in,
-            adc_conversions=n_in * used_cols,
+            adc_conversions=n_in * grouped.shape[1] * grouped.shape[2],
         )
 
     def stored_matrix(self) -> np.ndarray:
@@ -243,15 +222,7 @@ class Crossbar:
 
         Used by tests to verify lossless programming.
         """
-        if not self._programmed or self._operand_bits is None:
-            raise ProgrammingError("crossbar has no programmed data")
-        n_op = bitslice.num_slices(self._operand_bits, self.config.cell_bits)
-        used_cols = self._num_vectors * n_op
-        grouped = (
-            self._cells[: self._rows_used, :used_cols]
-            .reshape(self._rows_used, self._num_vectors, n_op)
-            .transpose(1, 0, 2)
-        )
+        grouped = self.grouped_cells().transpose(1, 0, 2)
         return bitslice.reconstruct(grouped, self.config.cell_bits).astype(
             np.int64
         )

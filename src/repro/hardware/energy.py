@@ -117,10 +117,11 @@ class EnergyModel:
         ``layout`` is a :class:`~repro.hardware.banked_memory.BankLayout`;
         the command mix comes from
         :func:`~repro.hardware.banked_memory.bank_instruction_counts`, so
-        the energy is priced on exactly the instructions the reference
-        executor runs: row activates (shared across the batch), one burst
-        read + one MAC per streamed burst per bank, and the accumulator
-        drain through the buffer.
+        the energy is priced on exactly the instructions the
+        instruction-stream oracle (:func:`repro.oracle.bank_dot_loop`)
+        runs: row activates (shared across the batch), one burst read +
+        one MAC per streamed burst per bank, and the accumulator drain
+        through the buffer.
         """
         from repro.hardware.banked_memory import bank_instruction_counts
 

@@ -6,7 +6,7 @@ Hamming distance) are programmed once at the offline stage; at the online
 stage a *wave* evaluates one query vector against every programmed vector
 of a matrix concurrently and deposits the results in the buffer array.
 
-Three execution paths produce identical values:
+Two execution paths produce identical values:
 
 * the default fast path computes the integer matrix-vector product
   exactly on float64 BLAS (:class:`~repro.hardware.bitslice.ExactMatrix`:
@@ -19,15 +19,16 @@ Three execution paths produce identical values:
   operand bit-slice decomposition is precomputed at ``program()`` time
   (cached per matrix, dropped on reprogram/remap) and every wave is one
   whole-array tensor contraction over (operand-slice, input-slice)
-  partials — cell-faithful DAC/ADC bit-slicing without Python loops; and
-* ``simulate_cells=True, reference=True`` shards the matrix over real
-  :class:`~repro.hardware.crossbar.Crossbar` objects and merges their
-  partial results per crossbar and per slice — the slow loop oracle the
-  fused kernel is checked against, bit for bit, on small geometries.
+  partials — cell-faithful DAC/ADC bit-slicing without Python loops.
 
-All three share the analytical timing model (latency is computed from
-the layout, not from the execution style), so simulated times are
-identical by construction; the fusion golden tests pin them anyway.
+:class:`repro.oracle.LoopPIMArray` is the slow loop oracle the fused
+kernel is checked against, bit for bit, on small geometries: it merges
+the partial results of the real
+:class:`~repro.hardware.crossbar.Crossbar` objects per crossbar and per
+slice. Every path shares the analytical timing model (latency is
+computed from the layout, not from the execution style), so simulated
+times are identical by construction; the fusion golden tests pin them
+anyway.
 """
 
 from __future__ import annotations
@@ -232,8 +233,7 @@ class _ProgrammedMatrix:
     bit-slice decomposition the fused cell-level kernel contracts
     against — shape ``(n_vectors, dims, n_operand_slices)``, int64. It
     is built at program time, rebuilt lazily after :meth:`drop_sliced`
-    (any reprogram/remap event), and absent entirely on the fast and
-    reference paths.
+    (any reprogram/remap event), and absent entirely on the fast path.
     """
 
     def __init__(
@@ -263,13 +263,8 @@ class PIMArray:
         Platform description; must contain a PIM array. Defaults to the
         paper's Table 5 platform.
     simulate_cells:
-        Route every wave through cell-faithful bit-sliced computation
-        (the fused whole-array kernel by default).
-    reference:
-        With ``simulate_cells``, use the original per-crossbar/per-slice
-        loop oracle instead of the fused kernel. Bit-identical values,
-        orders of magnitude slower; intended for small-geometry
-        verification and as the perf-trajectory baseline.
+        Route every wave through the fused, cell-faithful bit-sliced
+        kernel.
     spare_crossbars:
         Crossbars withheld from data placement as a repair pool. A
         stuck/dead crossbar can be remapped onto the least-worn spare
@@ -282,19 +277,12 @@ class PIMArray:
         hardware: HardwareConfig | None = None,
         simulate_cells: bool = False,
         spare_crossbars: int = 0,
-        reference: bool = False,
     ) -> None:
         self.hardware = hardware if hardware is not None else pim_platform()
         if self.hardware.pim is None:
             raise ProgrammingError("hardware platform has no PIM array")
-        if reference and not simulate_cells:
-            raise ProgrammingError(
-                "reference=True is the loop oracle of the cell-level "
-                "path; it requires simulate_cells=True"
-            )
         self.config: PIMArrayConfig = self.hardware.pim
         self.simulate_cells = simulate_cells
-        self.reference = reference
         self.buffer = BufferArray(self.hardware.memory)
         self.endurance = EnduranceTracker(self.config.crossbar.endurance)
         self.stats = PIMStats()
@@ -376,8 +364,8 @@ class PIMArray:
         record = _ProgrammedMatrix(
             bitslice.ExactMatrix(matrix), layout, crossbars, crossbar_ids
         )
-        if self.simulate_cells and not self.reference:
-            record.sliced = self._decompose(record.matrix)
+        if self.simulate_cells:
+            self._prepare_cells(record)
         self._matrices[name] = record
         self.stats.crossbars_used = used
         self.stats.matrices[name] = layout
@@ -821,7 +809,7 @@ class PIMArray:
     ) -> np.ndarray:
         """Validated, truncated ``(B, n_vectors)`` accumulators of a wave.
 
-        The one place the kernel is chosen: the cell-level kernels in
+        The one place the kernel is chosen: :meth:`_cell_values` in
         ``simulate_cells`` mode, otherwise the exact float64-BLAS wave
         of :class:`~repro.hardware.bitslice.ExactMatrix`. All are exact
         mod 2**64 before the accumulator truncation, so they agree bit
@@ -837,6 +825,10 @@ class PIMArray:
         else:
             raw = record.matrix.dot(vectors, peak)
         return bitslice.truncate_result(raw, self.config.accumulator_bits)
+
+    def _prepare_cells(self, record: _ProgrammedMatrix) -> None:
+        """Program-time kernel state: the fused kernel's slice cache."""
+        record.sliced = self._decompose(record.matrix)
 
     def _decompose(self, matrix: bitslice.ExactMatrix) -> np.ndarray:
         """Operand bit-slice tensor of ``matrix`` for the fused kernel.
@@ -856,22 +848,9 @@ class PIMArray:
     ) -> np.ndarray:
         """Cell-level values of a ``(B, dims)`` query block.
 
-        Fused kernel by default; ``reference=True`` replays the
-        per-crossbar loop oracle row by row. Both are exact integer
-        arithmetic mod 2**64 over the same (operand-slice, input-slice)
-        partials, so the results are bit-identical — the fusion property
-        suite holds this line.
-        """
-        if self.reference:
-            return np.vstack(
-                [self._query_cells(record, v, bits) for v in vectors]
-            )
-        return self._query_fused(record, vectors, bits)
-
-    def _query_fused(
-        self, record: _ProgrammedMatrix, vectors: np.ndarray, bits: int
-    ) -> np.ndarray:
-        """Whole-array bit-sliced wave: one contraction, one shift-add.
+        The fused whole-array wave: one contraction, one shift-add.
+        :class:`repro.oracle.LoopPIMArray` overrides this hook with the
+        per-crossbar loop.
 
         The crossbar loop computes, per crossbar/input slice/operand
         slice, ``partials[j, k] = sum_r Q_k[r] * cell_j[r, v]`` and
@@ -882,7 +861,7 @@ class PIMArray:
         against each cached operand-slice plane and shift-adding over
         operand slices alone is bit-identical to the loop — at a
         fraction of the multiplies. The property suite pins the
-        equivalence against the crossbar oracle.
+        equivalence against :class:`repro.oracle.LoopPIMArray`.
         """
         sliced = record.sliced
         if sliced is None:  # dropped by a reprogram/remap — rebuild
@@ -898,28 +877,6 @@ class PIMArray:
             self.config.crossbar.cell_bits,
             self.config.crossbar.dac_bits,
         )
-
-    def _query_cells(
-        self, record: _ProgrammedMatrix, vector: np.ndarray, bits: int
-    ) -> np.ndarray:
-        """Per-crossbar bit-sliced evaluation (the loop oracle)."""
-        rows = self.config.crossbar.rows
-        outputs: list[np.ndarray] = []
-        for column in record.crossbars or []:
-            partial_sum: np.ndarray | None = None
-            for i, xbar in enumerate(column):
-                segment = vector[i * rows : i * rows + xbar._rows_used]
-                wave = xbar.dot_product(
-                    segment, input_bits=bits, reference=True
-                )
-                partial_sum = (
-                    wave.values
-                    if partial_sum is None
-                    else partial_sum + wave.values
-                )
-            assert partial_sum is not None
-            outputs.append(partial_sum)
-        return np.concatenate(outputs)
 
     # ------------------------------------------------------------------
     def total_pim_time_ns(self) -> float:

@@ -64,7 +64,7 @@ class ApproximatePIMKNN(KNNAlgorithm):
         )
 
     def query(self, q: np.ndarray, k: int) -> KNNResult:
-        q = validate_query(q, self.dims)
+        q = validate_query(q, self.dims, k)
         if self._phi is None:
             raise OperandError(f"{self.name} is not fitted")
         counters = PerfCounters()

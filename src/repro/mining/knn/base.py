@@ -160,7 +160,10 @@ class KNNAlgorithm(abc.ABC):
 
     @abc.abstractmethod
     def query(self, q: np.ndarray, k: int) -> KNNResult:
-        """Online stage: the k nearest/most-similar objects to ``q``."""
+        """Online stage: the k nearest/most-similar objects to ``q``.
+
+        ``k < 1`` raises :class:`~repro.errors.ConfigurationError`.
+        """
 
     def query_batch(self, queries: np.ndarray, k: int) -> list[KNNResult]:
         """kNN of every row of ``queries``, results in row order.
@@ -236,8 +239,10 @@ class KNNAlgorithm(abc.ABC):
         return heap
 
 
-def validate_query(q: np.ndarray, dims: int) -> np.ndarray:
-    """Check a query vector's shape."""
+def validate_query(q: np.ndarray, dims: int, k: int) -> np.ndarray:
+    """Check a query vector's shape and its neighbour count ``k >= 1``."""
+    if k < 1:
+        raise ConfigurationError(f"k must be >= 1 (got {k})")
     q = np.asarray(q)
     if q.ndim != 1 or q.shape[0] != dims:
         raise OperandError(f"query must be a vector of length {dims}")

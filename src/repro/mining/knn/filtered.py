@@ -86,7 +86,7 @@ class FilteredKNN(KNNAlgorithm):
         computation. Results are exact: only provably-losing candidates
         are skipped.
         """
-        q = validate_query(q, self.dims)
+        q = validate_query(q, self.dims, k)
         counters = PerfCounters()
         tele = get_recorder()
         query_span = (

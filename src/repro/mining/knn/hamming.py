@@ -47,7 +47,7 @@ class HammingKNN(KNNAlgorithm):
         self.offloadable_functions = ("hamming",)
 
     def query(self, q: np.ndarray, k: int) -> KNNResult:
-        q = validate_query(q, self.dims)
+        q = validate_query(q, self.dims, k)
         counters = PerfCounters()
         scores = measures.hamming_batch(self.data, q)
         self.charge_exact(counters, self.n_objects)
@@ -84,7 +84,7 @@ class PIMHammingKNN(KNNAlgorithm):
         self._distance.prepare(data)
 
     def query(self, q: np.ndarray, k: int) -> KNNResult:
-        q = validate_query(q, self.dims)
+        q = validate_query(q, self.dims, k)
         counters = PerfCounters()
         pim_before = self.controller.pim.stats.pim_time_ns
         values = self._distance.evaluate(q)

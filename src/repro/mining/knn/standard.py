@@ -23,7 +23,7 @@ class StandardKNN(KNNAlgorithm):
         self.offloadable_functions = (measure,)
 
     def query(self, q: np.ndarray, k: int) -> KNNResult:
-        q = validate_query(q, self.dims)
+        q = validate_query(q, self.dims, k)
         counters = PerfCounters()
         scores = measures.compute_batch(self.measure, self.data, q)
         self.charge_exact(counters, self.n_objects)

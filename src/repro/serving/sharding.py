@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.bounds.pim import theorem1_lower_bound
 from repro.cost.counters import PerfCounters
 from repro.cost.model import CostModel
 from repro.errors import (
@@ -99,14 +100,14 @@ def exact_sq_distances(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Canonical exact scoring kernel: squared Euclidean per row.
 
     Every exact-scoring path — shard refinement, degraded host-side
-    recompute, the k-means assist, the loop-reference oracles and the
-    test oracles — must route through this one expression. The einsum
-    reduces each row independently, so a row's score does not depend on
-    which other rows ride in the same call; scoring rows one at a time,
-    in blocks, or all at once yields bit-identical floats. That row
-    independence is what lets the fused batch paths match the
-    sequential reference paths bit for bit (a plain ``diff @ diff``
-    BLAS dot does *not* guarantee this across batch shapes).
+    recompute, the k-means assist and the loop oracles in
+    :mod:`repro.oracle` — must route through this one expression. The
+    einsum reduces each row independently, so a row's score does not
+    depend on which other rows ride in the same call; scoring rows one
+    at a time, in blocks, or all at once yields bit-identical floats.
+    That row independence is what lets the fused batch paths match the
+    sequential loop oracles bit for bit (a plain ``diff @ diff`` BLAS
+    dot does *not* guarantee this across batch shapes).
     """
     diff = np.atleast_2d(rows) - query
     return np.einsum("ij,ij->i", diff, diff)
@@ -785,14 +786,6 @@ class ShardManager:
         fault plan is attached and the shard path supports it (resident
         programming only — the chunked engine re-programs crossbars per
         chunk and does not carry the checksum row).
-    reference:
-        Route the host-side candidate scan, refinement and k-means
-        assist through the original one-candidate-at-a-time loops
-        instead of the fused block kernels. Both call
-        :func:`exact_sq_distances` per row, so answers, refined/pruned
-        counts and simulated timings are bit-identical — the loops stay
-        as the independent oracle the fusion property suite checks
-        against.
     substrates:
         Per-shard compute backend, by registry name: a single name for
         a homogeneous fleet, or one name per shard for heterogeneous
@@ -843,7 +836,6 @@ class ShardManager:
         recovery: RecoveryPolicy | None = None,
         verify: bool | None = None,
         spare_crossbars: int = 0,
-        reference: bool = False,
         substrates: "str | list[str] | tuple[str, ...] | None" = None,
         route: str = "auto",
         topology: FailureDomainTopology | None = None,
@@ -905,7 +897,6 @@ class ShardManager:
         self.fault_plan = fault_plan
         self.recovery = recovery if recovery is not None else RecoveryPolicy()
         self.chunked = bool(chunked)
-        self.reference = bool(reference)
         self.spare_crossbars = int(spare_crossbars)
         if substrates is None:
             substrate_list = ["crossbar"] * self.n_shards
@@ -1649,79 +1640,85 @@ class ShardManager:
                 timing.hedges_lost += 1
             return
 
+    def _knn_bounds(
+        self, phi: np.ndarray, phi_q: np.ndarray, dots: np.ndarray
+    ) -> np.ndarray:
+        """Clamped lower bounds of every query on one shard, ``(B, n)``.
+
+        One broadcast builds every query's row, bit-identical to the
+        per-query expression (:func:`theorem1_lower_bound` is
+        elementwise).
+        """
+        return theorem1_lower_bound(
+            phi[None, :], phi_q[:, None], dots, self.dims, self.quantizer.alpha
+        )
+
     def _shard_topk(
         self,
         shard: _Shard,
-        dots: np.ndarray,
-        phi_q: float,
+        lb: np.ndarray,
         q_norm: np.ndarray,
         k: int,
         approximate: bool,
         sel: np.ndarray | None = None,
-        lb: np.ndarray | None = None,
     ) -> tuple[_CanonicalHeap, int, int]:
         """Local top-k of one query on one shard (canonical order).
 
         ``sel`` restricts the work to a subset of the shard's local rows
         (the chunks this shard serves in the current dispatch, under
-        replication); ``dots`` must already be restricted to match.
-        ``lb`` accepts the precomputed clamped lower bounds when the
-        caller built them for the whole batch (:meth:`knn_batch`); it
-        is recomputed here when absent.
-
-        Candidates are visited in the canonical ``lexsort((gidx, lb))``
-        order. The loop reference sorts every row; the fused scan only
-        materialises a :func:`_canonical_prefix` of about ``4k`` rows
-        and grows it when the scan reaches its end without pruning.
+        replication); ``lb`` holds the clamped lower bounds of exactly
+        those rows.
         """
         heap = _CanonicalHeap(k)
-        if sel is None:
-            phi, gidx = shard.phi, shard.global_indices
-        else:
-            phi = shard.phi[sel]
-            gidx = shard.global_indices[sel]
+        gidx = (
+            shard.global_indices if sel is None else shard.global_indices[sel]
+        )
         n_local = int(gidx.size)
         if n_local == 0:
             return heap, 0, 0
-        if lb is None:
-            alpha2 = self.quantizer.alpha**2
-            lb = (phi + phi_q - 2.0 * dots - 2.0 * self.dims) / alpha2
-            np.maximum(lb, 0.0, out=lb)
         if approximate:
             # degrade-to-approximate: the lower bound IS the score
             short = _canonical_prefix(lb, gidx, k)[:k]
             for j in short:
                 heap.offer(float(lb[j]), int(gidx[j]))
             return heap, 0, n_local - int(short.size)
+        refined = self._refine_scan(shard, sel, gidx, lb, q_norm, heap)
+        return heap, refined, n_local - refined
+
+    def _refine_scan(
+        self,
+        shard: _Shard,
+        sel: np.ndarray | None,
+        gidx: np.ndarray,
+        lb: np.ndarray,
+        q_norm: np.ndarray,
+        heap: _CanonicalHeap,
+    ) -> int:
+        """Refine candidates in canonical ``lexsort((gidx, lb))`` order.
+
+        Stops at the first bound above the heap threshold (ascending
+        bounds: the rest prune too) and returns the number of rows
+        scored. Candidates are scored in doubling blocks ahead of the
+        scan; the kernel's row independence makes block scores
+        bit-identical to one-at-a-time scores, and the scan still checks
+        the live heap threshold per candidate, so the refined/pruned
+        counts — which feed the simulated CPU time — match the loop
+        oracle exactly. The scan walks an exact :func:`_canonical_prefix`
+        of about ``4k`` rows, grown when the scan reaches its end without
+        pruning, and gathers only the float rows it scores.
+        """
+        n_local = int(gidx.size)
         refined = 0
-        if self.reference:
-            floats = shard.floats if sel is None else shard.floats[sel]
-            order = np.lexsort((gidx, lb))
-            for j in order:
-                if lb[j] > heap.threshold:
-                    break  # ascending lb: the rest prune too
-                score = float(exact_sq_distances(floats[j], q_norm)[0])
-                heap.offer(score, int(gidx[j]))
-                refined += 1
-            return heap, refined, n_local - refined
-        # Fused: score candidates in doubling blocks ahead of the scan.
-        # The kernel's row independence makes block scores bit-identical
-        # to one-at-a-time scores, and the scan still checks the live
-        # heap threshold per candidate, so the refined/pruned counts —
-        # which feed the simulated CPU time — match the loop exactly.
-        # The scan walks an exact canonical prefix, so it visits the
-        # same candidates in the same order as the full sort would, and
-        # gathers only the float rows it scores.
-        order = _canonical_prefix(lb, gidx, 4 * k)
+        order = _canonical_prefix(lb, gidx, 4 * heap.k)
         pos = 0
-        block = 2 * k
+        block = 2 * heap.k
         while pos < n_local:
             if pos == order.size:
                 order = _canonical_prefix(lb, gidx, 4 * order.size)
             chunk = order[pos : pos + block]
             lbs = lb[chunk].tolist()
             if lbs[0] > heap.threshold:
-                break  # ascending lb: the rest prune too
+                break
             rows = chunk if sel is None else sel[chunk]
             scores = exact_sq_distances(shard.floats[rows], q_norm).tolist()
             stopped = False
@@ -1735,7 +1732,7 @@ class ShardManager:
                 break
             pos += chunk.size
             block *= 2
-        return heap, refined, n_local - refined
+        return refined
 
     def _degrade_chunk_knn(
         self,
@@ -1763,21 +1760,20 @@ class ShardManager:
         gidx = host.global_indices[sl]
         for b in range(batch):
             heap = _CanonicalHeap(min(k_list[b], max(self.n_rows, 1)))
-            if self.reference:
-                for j in range(gidx.size):
-                    score = float(
-                        exact_sq_distances(floats[j], q_norm[b])[0]
-                    )
-                    heap.offer(score, int(gidx[j]))
-            else:
-                scores = exact_sq_distances(floats, q_norm[b])
-                for j in range(gidx.size):
-                    heap.offer(float(scores[j]), int(gidx[j]))
+            scores = self._degraded_scores(floats, q_norm[b])
+            for j in range(gidx.size):
+                heap.offer(float(scores[j]), int(gidx[j]))
             per_query_heaps[b].append(heap)
             refined_total[b] += int(gidx.size)
         timing.degraded_cpu_ns += self._degraded_cpu_ns(
             int(rows.size), batch
         )
+
+    def _degraded_scores(
+        self, floats: np.ndarray, q_norm: np.ndarray
+    ) -> np.ndarray:
+        """Exact scores of every row of an unavailable chunk."""
+        return exact_sq_distances(floats, q_norm)
 
     def knn_batch(
         self,
@@ -1822,31 +1818,17 @@ class ShardManager:
 
         def process(shard: _Shard, sel, dots) -> float:
             n_local = shard.n_rows if sel is None else int(sel.size)
-            lb_all = None
-            if not self.reference and n_local:
-                # Batched bound construction: one broadcast builds every
-                # query's clamped lower bounds, bit-identical to the
-                # per-query expression. Ranking stays per query, where
-                # _shard_topk orders only the canonical prefix its
-                # threshold scan consumes.
-                phi = shard.phi if sel is None else shard.phi[sel]
-                alpha2 = self.quantizer.alpha**2
-                lb_all = (
-                    phi[None, :] + phi_q[:, None]
-                    - 2.0 * dots - 2.0 * self.dims
-                ) / alpha2
-                np.maximum(lb_all, 0.0, out=lb_all)
+            phi = shard.phi if sel is None else shard.phi[sel]
+            lb_all = self._knn_bounds(phi, phi_q, dots)
             refined_here = 0
             for b in range(batch):
                 heap, refined, pruned = self._shard_topk(
                     shard,
-                    dots[b],
-                    float(phi_q[b]),
+                    lb_all[b],
                     q_norm[b],
                     min(k_list[b], max(self.n_rows, 1)),
                     approx_list[b],
                     sel=sel,
-                    lb=None if lb_all is None else lb_all[b],
                 )
                 per_query_heaps[b].append(heap)
                 refined_total[b] += refined
@@ -1921,68 +1903,18 @@ class ShardManager:
         timing = GatherTiming()
         tele = get_recorder()
         t0 = self._clock_ns if now_ns is None else float(now_ns)
-        alpha2 = self.quantizer.alpha**2
         stats = {"refined": 0, "visited": 0}
 
         def process(shard: _Shard, sel, dots) -> float:
             idx = (
                 np.arange(shard.n_rows, dtype=np.int64) if sel is None else sel
             )
-            refined = 0
-            if self.reference:
-                for col, j in enumerate(idx):
-                    lb = (
-                        shard.phi[j] + phi_c - 2.0 * dots[:, col]
-                        - 2.0 * self.dims
-                    ) / alpha2
-                    np.maximum(lb, 0.0, out=lb)
-                    best_d = np.inf
-                    best_c = 0
-                    row = shard.floats[j]
-                    for c in range(n_centers):
-                        if lb[c] > best_d:
-                            continue
-                        d = float(exact_sq_distances(row, c_norm[c])[0])
-                        refined += 1
-                        if d < best_d:
-                            best_d = d
-                            best_c = c
-                    gi = shard.global_indices[j]
-                    assignments[gi] = best_c
-                    distances[gi] = best_d
-                stats["refined"] += refined
-                stats["visited"] += int(idx.size) * n_centers
-                return self._shard_cpu_ns(int(idx.size), n_centers, refined)
-            # Fused: sweep centers in index order across all rows at
-            # once. Each row's prune test (``lb > best_d``) and strict
-            # ``d < best_d`` update depend only on that row's own state,
-            # so the center-major sweep replays the per-row loop's
-            # decisions exactly — same refined count, same canonical
-            # lowest-center-index tie-break, same distance bits (row
-            # independence of the kernel). Only the surviving rows are
-            # gathered and scored per center: the lb pruning is heavy
-            # enough that scoring whole row blocks costs more than the
-            # per-center gathers save.
             n_here = int(idx.size)
+            refined = 0
             if n_here:
-                lb = (
-                    shard.phi[idx][:, np.newaxis] + phi_c[np.newaxis, :]
-                    - 2.0 * dots.T - 2.0 * self.dims
-                ) / alpha2
-                np.maximum(lb, 0.0, out=lb)
-                rows = shard.floats[idx]
-                best_d = np.full(n_here, np.inf)
-                best_c = np.zeros(n_here, dtype=np.int64)
-                for c in range(n_centers):
-                    hit = np.flatnonzero(lb[:, c] <= best_d)
-                    if hit.size == 0:
-                        continue
-                    d = exact_sq_distances(rows[hit], c_norm[c])
-                    refined += int(hit.size)
-                    closer = d < best_d[hit]
-                    upd = hit[closer]
-                    best_d[upd] = d[closer]
-                    best_c[upd] = c
+                best_c, best_d, refined = self._assign_rows(
+                    shard, idx, dots, c_norm, phi_c
+                )
                 gi = shard.global_indices[idx]
                 assignments[gi] = best_c
                 distances[gi] = best_d
@@ -1999,35 +1931,10 @@ class ShardManager:
                 continue
             host = self.shards[self.replicas[c][0]]
             sl = host.chunk_slices[c]
-            floats = host.floats[sl]
             gidx = host.global_indices[sl]
-            if self.reference:
-                for j in range(gidx.size):
-                    best_d = np.inf
-                    best_c = 0
-                    for cc in range(n_centers):
-                        d = float(
-                            exact_sq_distances(floats[j], c_norm[cc])[0]
-                        )
-                        if d < best_d:
-                            best_d = d
-                            best_c = cc
-                    gi = gidx[j]
-                    assignments[gi] = best_c
-                    distances[gi] = best_d
-            else:
-                # all rows x all centers; argmin keeps the first (i.e.
-                # lowest-index) minimum — the strict ``<`` tie-break.
-                dists = np.stack(
-                    [
-                        exact_sq_distances(floats, c_norm[cc])
-                        for cc in range(n_centers)
-                    ],
-                    axis=1,
-                )
-                best = dists.argmin(axis=1)
-                assignments[gidx] = best
-                distances[gidx] = dists[np.arange(gidx.size), best]
+            best_c, best_d = self._degraded_assign(host.floats[sl], c_norm)
+            assignments[gidx] = best_c
+            distances[gidx] = best_d
             stats["refined"] += int(gidx.size) * n_centers
             stats["visited"] += int(gidx.size) * n_centers
             timing.degraded_cpu_ns += self._degraded_cpu_ns(
@@ -2050,6 +1957,61 @@ class ShardManager:
             ),
             timing,
         )
+
+    def _assign_rows(
+        self,
+        shard: _Shard,
+        idx: np.ndarray,
+        dots: np.ndarray,
+        c_norm: np.ndarray,
+        phi_c: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Nearest center of the shard rows ``idx``: ``(centers, dists,
+        refined)``.
+
+        Sweeps centers in index order across all rows at once. Each
+        row's prune test (``lb > best_d``) and strict ``d < best_d``
+        update depend only on that row's own state, so the center-major
+        sweep replays the per-row loop's decisions exactly — same
+        refined count, same canonical lowest-center-index tie-break,
+        same distance bits (row independence of the kernel). Only the
+        surviving rows are gathered and scored per center: the lb
+        pruning is heavy enough that scoring whole row blocks costs more
+        than the per-center gathers save.
+        """
+        lb = theorem1_lower_bound(
+            shard.phi[idx][:, np.newaxis], phi_c[np.newaxis, :], dots.T,
+            self.dims, self.quantizer.alpha,
+        )
+        rows = shard.floats[idx]
+        best_d = np.full(idx.size, np.inf)
+        best_c = np.zeros(idx.size, dtype=np.int64)
+        refined = 0
+        for c in range(c_norm.shape[0]):
+            hit = np.flatnonzero(lb[:, c] <= best_d)
+            if hit.size == 0:
+                continue
+            d = exact_sq_distances(rows[hit], c_norm[c])
+            refined += int(hit.size)
+            closer = d < best_d[hit]
+            upd = hit[closer]
+            best_d[upd] = d[closer]
+            best_c[upd] = c
+        return best_c, best_d, refined
+
+    def _degraded_assign(
+        self, floats: np.ndarray, c_norm: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Host-side nearest center of every row of an unavailable chunk.
+
+        All rows x all centers; ``argmin`` keeps the first (i.e.
+        lowest-index) minimum — the strict ``<`` tie-break.
+        """
+        dists = np.stack(
+            [exact_sq_distances(floats, c) for c in c_norm], axis=1
+        )
+        best = dists.argmin(axis=1)
+        return best, dists[np.arange(best.size), best]
 
     # ------------------------------------------------------------------
     # live re-replication (repair layer)

@@ -94,18 +94,11 @@ class CrossbarCapabilities(SubstrateCapabilities):
 def build_crossbar(
     hardware: HardwareConfig | None = None,
     spare_units: int = 0,
-    reference: bool = False,
     simulate_cells: bool = False,
 ) -> PIMArray:
-    """Registry factory for the ``"crossbar"`` backend.
-
-    ``reference=True`` implies the cell-level path (the loop oracle is
-    defined on it), matching the convention the other backends follow:
-    the flag alone selects the substrate's slow exact oracle.
-    """
+    """Registry factory for the ``"crossbar"`` backend."""
     return PIMArray(
         hardware=hardware,
-        simulate_cells=simulate_cells or reference,
+        simulate_cells=simulate_cells,
         spare_crossbars=spare_units,
-        reference=reference,
     )

@@ -7,7 +7,8 @@ block-distributed across MAC-equipped DRAM banks, every wave is an
 all-bank lockstep MOV/FILL/MAC/drain command stream priced by
 per-command DRAM timing, and arithmetic is digital int64 truncated to
 the accumulator width — bit-identical to the crossbar substrate and to
-the host oracle by construction.
+the instruction-stream oracle (:class:`repro.oracle.LoopHBMPIMArray`) by
+construction.
 
 The class mirrors the :class:`~repro.hardware.pim_array.PIMArray`
 surface (including the crossbar-era ``crossbar_ids_of`` /
@@ -23,10 +24,14 @@ import dataclasses
 
 import numpy as np
 
-from repro.errors import CapacityError, OperandError, ProgrammingError
+from repro.errors import (
+    CapacityError,
+    ConfigurationError,
+    OperandError,
+    ProgrammingError,
+)
 from repro.hardware import bitslice
 from repro.hardware.banked_memory import (
-    BankedMatrixStore,
     BankLayout,
     bank_batch_timing,
     bank_instruction_counts,
@@ -83,13 +88,11 @@ class _BankedMatrix:
         layout: BankLayout,
         bank_ids: list[int],
         bytes_per_bank: int,
-        store: BankedMatrixStore | None,
     ) -> None:
         self.matrix = matrix
         self.layout = layout
         self.bank_ids = bank_ids  # block j of vectors lives on bank_ids[j]
         self.bytes_per_bank = bytes_per_bank
-        self.store = store
 
 
 class HBMPIMArray:
@@ -105,14 +108,6 @@ class HBMPIMArray:
         Banks withheld from data placement as a repair pool, mirroring
         the crossbar spare-pool semantics (least-worn spare chosen on
         remap, retired ids never reused).
-    reference:
-        Execute every wave through the MOV/FILL/MAC instruction-stream
-        oracle (:meth:`BankedMatrixStore.dot_reference`) instead of the
-        exact float64-BLAS wave. Bit-identical, much slower to simulate.
-    simulate_cells:
-        Accepted for factory symmetry with the crossbar backend; the
-        instruction-level oracle *is* this substrate's cell-faithful
-        mode, so the flag selects the same path as ``reference``.
     """
 
     unit_name = "bank"
@@ -121,14 +116,11 @@ class HBMPIMArray:
         self,
         hardware: HardwareConfig | None = None,
         spare_banks: int = 0,
-        reference: bool = False,
-        simulate_cells: bool = False,
     ) -> None:
         self.hardware = (
             hardware if hardware is not None else hbm_pim_platform()
         )
         self.config: HBMPIMConfig = hbm_config_for(self.hardware)
-        self.reference = bool(reference or simulate_cells)
         self.buffer = BufferArray(self.hardware.memory)
         self.endurance = EnduranceTracker(self.config.endurance)
         self.stats = PIMStats(backend="hbm_pim")
@@ -209,12 +201,8 @@ class HBMPIMArray:
         for b in bank_ids:
             self._bank_bytes_used[b] += bytes_per_bank
             self.endurance.record_write(b)
-        store = None
-        if self.reference:
-            store = BankedMatrixStore(matrix, layout, self.config)
         self._matrices[name] = _BankedMatrix(
-            bitslice.ExactMatrix(matrix),
-            layout, bank_ids, bytes_per_bank, store,
+            bitslice.ExactMatrix(matrix), layout, bank_ids, bytes_per_bank
         )
         self.stats.crossbars_used += layout.n_data_banks
         self.stats.matrices[name] = layout
@@ -419,12 +407,8 @@ class HBMPIMArray:
     ) -> np.ndarray:
         """Validated, truncated ``(B, n_vectors)`` accumulators of a wave.
 
-        Fast path: the exact float64-BLAS wave of
-        :class:`~repro.hardware.bitslice.ExactMatrix` (the int64 matmul for
-        rows whose dot products could pass ``2**53``). Reference path: the per-bank
-        burst-level instruction stream. Identical bit for bit — the
-        property suites hold this line for the banked substrate just as
-        the fusion suite does for the crossbars.
+        The kernel is :meth:`_raw_values`; truncation to the accumulator
+        width is shared by every kernel.
         """
         bits = (
             input_bits if input_bits is not None else self.config.operand_bits
@@ -434,11 +418,22 @@ class HBMPIMArray:
             raise OperandError(
                 f"queries must have length {record.layout.dims}"
             )
-        if record.store is not None:
-            raw = record.store.dot_reference(vectors)
-        else:
-            raw = record.matrix.dot(vectors, peak)
+        raw = self._raw_values(record, vectors, peak)
         return bitslice.truncate_result(raw, self.config.accumulator_bits)
+
+    def _raw_values(
+        self, record: _BankedMatrix, vectors: np.ndarray, peak: int
+    ) -> np.ndarray:
+        """Untruncated ``(B, n_vectors)`` accumulators of a wave.
+
+        The exact float64-BLAS wave of
+        :class:`~repro.hardware.bitslice.ExactMatrix` (the int64 matmul
+        for rows whose dot products could pass ``2**53``).
+        :class:`repro.oracle.LoopHBMPIMArray` overrides this hook with
+        the per-bank, burst-level instruction stream; the property
+        suites hold the two identical bit for bit.
+        """
+        return record.matrix.dot(vectors, peak)
 
     def _charge_extra(self, layout: BankLayout, n_queries: int) -> None:
         counts = bank_instruction_counts(layout, n_queries)
@@ -590,7 +585,6 @@ class HBMPIMCapabilities(SubstrateCapabilities):
     name = "hbm_pim"
     unit_name = "bank"
     memory_device = "dram"
-    supports_cell_simulation = True  # the instruction-stream oracle
 
     def __init__(
         self, hardware: HardwareConfig | None = None, energy=None
@@ -657,13 +651,16 @@ class HBMPIMCapabilities(SubstrateCapabilities):
 def build_hbm_pim(
     hardware: HardwareConfig | None = None,
     spare_units: int = 0,
-    reference: bool = False,
     simulate_cells: bool = False,
 ) -> HBMPIMArray:
-    """Registry factory for the ``"hbm_pim"`` backend."""
-    return HBMPIMArray(
-        hardware=hardware,
-        spare_banks=spare_units,
-        reference=reference,
-        simulate_cells=simulate_cells,
-    )
+    """Registry factory for the ``"hbm_pim"`` backend.
+
+    The stack computes digitally, so it has no cell-level mode:
+    ``simulate_cells=True`` raises :class:`ConfigurationError`.
+    """
+    if simulate_cells:
+        raise ConfigurationError(
+            "hbm_pim has no cell-level simulation; its instruction-stream "
+            "oracle is repro.oracle.LoopHBMPIMArray"
+        )
+    return HBMPIMArray(hardware=hardware, spare_banks=spare_units)

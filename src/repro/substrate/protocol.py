@@ -43,8 +43,9 @@ class Substrate(Protocol):
       crossbar-era ``crossbar_ids_of``/``remap_crossbar(s)`` names are
       kept as aliases so the repair layer runs unmodified on any
       backend;
-    * ``reference=True`` construction selects a slow instruction-level
-      oracle that is bit-identical to the fast path.
+    * every wave kernel is bit-identical to the backend's slow loop
+      oracle in :mod:`repro.oracle`, which subclasses the device and
+      overrides only the kernel hook.
     """
 
     unit_name: str
@@ -119,7 +120,8 @@ class SubstrateCapabilities:
     #: device class of the backing storage ("reram", "dram", ...) —
     #: selects the MemoryArray write-slowdown when staging side data
     memory_device: str = "dram"
-    #: whether the backend offers a cell/instruction-faithful slow mode
+    #: whether the factory's ``simulate_cells=True`` builds a
+    #: cell-faithful device
     supports_cell_simulation: bool = False
 
     def __init__(self, hardware) -> None:

@@ -21,7 +21,7 @@ from repro.substrate.protocol import Substrate, SubstrateCapabilities
 class SubstrateSpec:
     """One registered backend.
 
-    ``factory(hardware, spare_units, reference, simulate_cells)`` builds
+    ``factory(hardware, spare_units, simulate_cells)`` builds
     a live device; ``capabilities(hardware)`` builds the planner-facing
     descriptor without touching a device.
     """
@@ -66,14 +66,12 @@ def create_substrate(
     name: str,
     hardware=None,
     spare_units: int = 0,
-    reference: bool = False,
     simulate_cells: bool = False,
 ) -> Substrate:
     """Build a live device of the named backend."""
     return _spec(name).factory(
         hardware=hardware,
         spare_units=spare_units,
-        reference=reference,
         simulate_cells=simulate_cells,
     )
 

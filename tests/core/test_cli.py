@@ -27,6 +27,32 @@ class TestParser:
             build_parser().parse_args(["knn", "--algorithm", "Annoy"])
 
 
+class TestBadInput:
+    """Bad flags or data end in one error line and a family exit code."""
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["knn", "--n", "50", "--k", "0", "--queries", "1"], 2),
+            (["knn", "--data-file", "/missing.npy"], 3),
+            (["knn", "--n", "0"], 2),
+            (["knn", "--queries", "0"], 2),
+            (["kmeans", "--k", "0"], 2),
+        ],
+    )
+    def test_one_error_line_no_traceback(self, argv, code, capsys):
+        try:
+            got = main(argv, out=io.StringIO())
+        except SystemExit as exc:  # argparse rejects the flag
+            got = exc.code
+        err = capsys.readouterr().err
+        assert got == code
+        assert "Traceback" not in err
+        errors = [ln for ln in err.splitlines() if ": error: " in ln]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"repro {argv[0]}: error: ")
+
+
 class TestInfo:
     def test_prints_platform_and_catalog(self):
         code, text = run_cli("info")

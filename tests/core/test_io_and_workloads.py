@@ -1,70 +1,10 @@
-"""Unit tests for artifact persistence and workload generators."""
+"""Unit tests for the workload generators."""
 
 import numpy as np
 import pytest
 
 from repro.data.workloads import KINDS, make_workload, workload_suite
 from repro.errors import DatasetError
-from repro.io import load_quantized, save_quantized
-from repro.similarity.quantization import Quantizer
-
-
-class TestArtifactRoundTrip:
-    def test_round_trip(self, tmp_path, rng):
-        data = rng.random((40, 8))
-        quantizer = Quantizer(alpha=1000, assume_normalized=True)
-        qv = quantizer.fit_quantize(data)
-        phi = (qv.scaled**2).sum(axis=1)
-        path = save_quantized(
-            tmp_path / "msd", quantizer, qv.integers, {"phi": phi}
-        )
-        loaded_q, integers, side = load_quantized(path)
-        assert np.array_equal(integers, qv.integers)
-        assert np.allclose(side["phi"], phi)
-        assert loaded_q.alpha == quantizer.alpha
-        assert loaded_q.assume_normalized
-
-    def test_reloaded_quantizer_quantizes_identically(self, tmp_path, rng):
-        data = rng.random((20, 6)) * 7 - 2  # raw, needs normalisation
-        quantizer = Quantizer(alpha=500)
-        qv = quantizer.fit_quantize(data)
-        path = save_quantized(tmp_path / "raw", quantizer, qv.integers)
-        loaded_q, _, _ = load_quantized(path)
-        query = rng.random(6) * 7 - 2
-        assert np.array_equal(
-            loaded_q.quantize(query).integers,
-            quantizer.quantize(query).integers,
-        )
-
-    def test_appends_npz_suffix(self, tmp_path, rng):
-        quantizer = Quantizer(assume_normalized=True)
-        qv = quantizer.fit_quantize(rng.random((5, 3)))
-        path = save_quantized(tmp_path / "x", quantizer, qv.integers)
-        assert path.suffix == ".npz"
-        assert path.exists()
-
-    def test_rejects_unfitted_quantizer(self, tmp_path):
-        with pytest.raises(DatasetError):
-            save_quantized(tmp_path / "x", Quantizer(), np.zeros((1, 1)))
-
-    def test_rejects_reserved_name(self, tmp_path, rng):
-        quantizer = Quantizer(assume_normalized=True)
-        qv = quantizer.fit_quantize(rng.random((5, 3)))
-        with pytest.raises(DatasetError, match="reserved"):
-            save_quantized(
-                tmp_path / "x", quantizer, qv.integers,
-                {"integers": np.zeros(3)},
-            )
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(DatasetError, match="no artifact"):
-            load_quantized(tmp_path / "missing.npz")
-
-    def test_non_artifact_file(self, tmp_path):
-        path = tmp_path / "other.npz"
-        np.savez(path, stuff=np.zeros(3))
-        with pytest.raises(DatasetError, match="not a repro artifact"):
-            load_quantized(path)
 
 
 class TestWorkloads:

@@ -11,7 +11,6 @@ import pytest
 
 from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.banked_memory import (
-    BankedMatrixStore,
     bank_batch_timing,
     bank_instruction_counts,
     bank_program_ns,
@@ -19,6 +18,7 @@ from repro.hardware.banked_memory import (
     plan_bank_layout,
 )
 from repro.hardware.config import HBMPIMConfig, hbm_pim_platform
+from repro.oracle import bank_dot_loop
 
 
 CFG = HBMPIMConfig()
@@ -162,8 +162,7 @@ class TestBankedMatrixStore:
         matrix = rng.integers(0, 255, size=(n, dims)).astype(np.int64)
         queries = rng.integers(0, 255, size=(5, dims)).astype(np.int64)
         layout = plan_bank_layout(n, dims, CFG)
-        store = BankedMatrixStore(matrix, layout, CFG)
-        got = store.dot_reference(queries)
+        got = bank_dot_loop(matrix, layout, CFG, queries)
         want = queries @ matrix.T
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
@@ -172,7 +171,7 @@ class TestBankedMatrixStore:
         matrix = np.full((2, 3), 2**31 - 1, dtype=np.int64)
         queries = np.full((1, 3), 2**31 - 1, dtype=np.int64)
         layout = plan_bank_layout(2, 3, CFG)
-        store = BankedMatrixStore(matrix, layout, CFG)
         with np.errstate(over="ignore"):
             want = queries @ matrix.T  # wraps mod 2**64
-        assert np.array_equal(store.dot_reference(queries), want)
+        got = bank_dot_loop(matrix, layout, CFG, queries)
+        assert np.array_equal(got, want)

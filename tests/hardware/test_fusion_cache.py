@@ -18,6 +18,7 @@ from repro.hardware.config import (
     PIMArrayConfig,
 )
 from repro.hardware.pim_array import PIMArray
+from repro.oracle import LoopPIMArray
 
 
 @pytest.fixture()
@@ -56,7 +57,7 @@ class TestDecompositionCache:
     def test_fast_and_reference_modes_do_not_cache(self, platform, matrix):
         for array in (
             PIMArray(platform),
-            PIMArray(platform, simulate_cells=True, reference=True),
+            LoopPIMArray(platform),
         ):
             array.program_matrix("m", matrix)
             assert array._matrices["m"].sliced is None
@@ -114,9 +115,7 @@ class TestDecompositionCache:
     ):
         # the loop oracle reads live crossbar objects, so a remap (which
         # only renames ids) must not perturb its values either
-        array = PIMArray(
-            platform, simulate_cells=True, reference=True, spare_crossbars=2
-        )
+        array = LoopPIMArray(platform, spare_crossbars=2)
         array.program_matrix("m", matrix)
         expected = array.query("m", query).values
         array.remap_crossbar(array.crossbar_ids_of("m")[0])

@@ -71,6 +71,12 @@ class TestStandardKNN:
         with pytest.raises(OperandError):
             StandardKNN().fit(data).query(np.zeros(3), 3)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_k_below_one(self, data, query, k):
+        for algo in (StandardKNN(), FNNKNN(dims=data.shape[1])):
+            with pytest.raises(ConfigurationError, match="k must be >= 1"):
+                algo.fit(data).query(query, k)
+
 
 @pytest.mark.parametrize(
     "factory",

@@ -23,6 +23,7 @@ from repro.hardware.config import (
     HardwareConfig,
     PIMArrayConfig,
 )
+from repro.oracle import LoopHBMPIMArray
 from repro.substrate.hbm_pim import HBMPIMArray
 
 
@@ -171,7 +172,7 @@ class TestHBMFastPath:
         matrix, queries, bits, acc = case
         platform = _platform(bits, acc)
         fast = HBMPIMArray(platform)
-        oracle = HBMPIMArray(platform, reference=True)
+        oracle = LoopHBMPIMArray(platform)
         fast.program_matrix("m", matrix)
         oracle.program_matrix("m", matrix)
         got = fast.query_batch("m", queries)

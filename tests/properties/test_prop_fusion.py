@@ -4,7 +4,7 @@ The fused whole-array kernels (vectorised bit-slicing, one-contraction
 crossbar waves, cached-decomposition PIM waves, block-scored serving
 refinement) must be *bit-identical* — values, counts and simulated
 timings — to the sequential loop implementations they replaced, which
-stay available as ``reference`` oracles. Integer paths are exact by
+live on as the :mod:`repro.oracle` classes. Integer paths are exact by
 mod-2**64 ring algebra; float paths share one canonical scoring kernel
 (:func:`repro.serving.sharding.exact_sq_distances`) whose per-row values
 are batch-independent. These properties are the contract that lets the
@@ -26,6 +26,14 @@ from repro.hardware.config import (
 from repro.hardware.crossbar import Crossbar
 from repro.hardware.noise import NoiseModel, NoisyPIMArray
 from repro.hardware.pim_array import PIMArray
+from repro.oracle import (
+    LoopPIMArray,
+    LoopShardManager,
+    crossbar_dot_loop,
+    reconstruct_reference,
+    shift_add_partials_reference,
+    slice_operands_reference,
+)
 from repro.serving import ShardManager
 from repro.serving.sharding import _SHARD_CPU_MEMO_SIZE, _canonical_prefix
 from repro.similarity.quantization import Quantizer
@@ -45,7 +53,7 @@ class TestBitsliceFusion:
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 2**bits, size=(5, 7), dtype=np.int64)
         fused = bitslice.slice_operands(values, bits, h)
-        loop = bitslice.slice_operands_reference(values, bits, h)
+        loop = slice_operands_reference(values, bits, h)
         assert fused.dtype == loop.dtype
         assert np.array_equal(fused, loop)
 
@@ -60,7 +68,7 @@ class TestBitsliceFusion:
         values = rng.integers(0, 2**bits, size=11, dtype=np.int64)
         slices = bitslice.slice_operands(values, bits, h)
         fused = bitslice.reconstruct(slices, h)
-        loop = bitslice.reconstruct_reference(slices, h)
+        loop = reconstruct_reference(slices, h)
         assert np.array_equal(fused, loop)
         assert np.array_equal(fused.astype(np.int64), values)
 
@@ -82,7 +90,7 @@ class TestBitsliceFusion:
             -(2**62), 2**62, size=(n_op, n_in, 3, 4), dtype=np.int64
         )
         fused = bitslice.shift_add_partials(partials, h, g)
-        loop = bitslice.shift_add_partials_reference(partials, h, g)
+        loop = shift_add_partials_reference(partials, h, g)
         assert fused.dtype == loop.dtype == np.int64
         assert fused.shape == loop.shape
         assert np.array_equal(fused, loop)
@@ -119,7 +127,7 @@ class TestCrossbarFusion:
         xbar = Crossbar(config)
         xbar.program(matrix, operand_bits=bits)
         fused = xbar.dot_product(query, input_bits=bits)
-        loop = xbar.dot_product(query, input_bits=bits, reference=True)
+        loop = crossbar_dot_loop(xbar, query, input_bits=bits)
         assert np.array_equal(fused.values, loop.values)
         assert fused.cycles == loop.cycles
         assert fused.adc_conversions == loop.adc_conversions
@@ -162,7 +170,7 @@ def array_cases(draw):
 
 def _triple(hardware, matrix):
     fused = PIMArray(hardware, simulate_cells=True)
-    loop = PIMArray(hardware, simulate_cells=True, reference=True)
+    loop = LoopPIMArray(hardware)
     fast = PIMArray(hardware)
     for array in (fused, loop, fast):
         array.program_matrix("m", matrix)
@@ -286,10 +294,10 @@ class TestFusionUnderFaultsAndNoise:
             seed=plan_seed,
         )
         waves = []
-        for reference in (False, True):
-            inner = PIMArray(
-                hardware, simulate_cells=True, reference=reference
-            )
+        for inner in (
+            PIMArray(hardware, simulate_cells=True),
+            LoopPIMArray(hardware),
+        ):
             faulty = FaultyPIMArray(inner, plan, "array")
             faulty.program_matrix("m", matrix)
             waves.append(faulty.query("m", query))
@@ -373,18 +381,17 @@ def _growth_case():
 
 
 def _managers(case, **kwargs):
-    """The fused manager and its ``reference=True`` loop oracle."""
+    """The fused manager and its loop oracle."""
     data, _, n_shards, _, _, placement, alpha = case
     return tuple(
-        ShardManager(
+        cls(
             data,
             n_shards=n_shards,
             placement=placement,
             quantizer=None if alpha is None else Quantizer(alpha),
-            reference=reference,
             **kwargs,
         )
-        for reference in (False, True)
+        for cls in (ShardManager, LoopShardManager)
     )
 
 

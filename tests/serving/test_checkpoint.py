@@ -259,3 +259,40 @@ class TestWriteProtocol:
         for x, y in zip(before, after):
             assert np.array_equal(x.indices, y.indices)
             assert np.array_equal(x.scores, y.scores)
+
+
+class TestCompatibility:
+    """Checkpoints written before the manifest lost its ``reference`` key."""
+
+    #: written by the previous release: 80x8 dataset (``dataset(80, 8,
+    #: seed=11)``), 8 shards, replication 2, ``topo8()``, one
+    #: ``add_replica(2)``; its manifest carries ``"reference": false``
+    FIXTURE = os.path.join(
+        os.path.dirname(__file__), "data", "v1-parent.ckpt.npz"
+    )
+
+    def test_old_manifest_restores_to_the_same_answers(self):
+        old = read_manifest(self.FIXTURE)
+        assert old["version"] == CHECKPOINT_VERSION
+        assert old["reference"] is False
+        restored = restore_manager(self.FIXTURE)
+        fresh = ShardManager(
+            dataset(80, 8, seed=11), 8, replication=2, topology=topo8()
+        )
+        fresh.add_replica(2)
+        assert np.array_equal(restored.source_data, fresh.source_data)
+        queries = np.random.default_rng(12).random((6, 8))
+        for ks in (1, 9, 80):
+            got, _ = restored.knn_batch(queries, ks)
+            want, _ = fresh.knn_batch(queries, ks)
+            for x, y in zip(got, want):
+                assert np.array_equal(x.indices, y.indices)
+                assert np.array_equal(x.scores, y.scores)
+                assert (x.refined, x.pruned) == (y.refined, y.pruned)
+
+    def test_new_manifests_carry_no_reference_key(self, tmp_path):
+        path = str(tmp_path / "ck.npz")
+        manifest = write_checkpoint(manager8(), path)
+        assert "reference" not in manifest
+        assert "reference" not in read_manifest(path)
+        assert manifest["version"] == CHECKPOINT_VERSION == 1

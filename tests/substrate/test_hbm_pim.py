@@ -6,6 +6,7 @@ import pytest
 from repro.errors import CapacityError, OperandError, ProgrammingError
 from repro.hardware import bitslice
 from repro.hardware.pim_array import PIMArray, PIMStats
+from repro.oracle import LoopHBMPIMArray
 from repro.substrate.hbm_pim import HBMPIMArray
 
 
@@ -35,7 +36,7 @@ class TestExactness:
         matrix = _matrix(130, 23)
         queries = _matrix(4, 23, seed=2)
         fast = HBMPIMArray()
-        oracle = HBMPIMArray(reference=True)
+        oracle = LoopHBMPIMArray()
         fast.program_matrix("m", matrix)
         oracle.program_matrix("m", matrix)
         assert np.array_equal(
