@@ -1,6 +1,6 @@
 """Gray-failure chaos campaign: detector on vs off at equal hardware.
 
-The gray-failure claim behind :class:`repro.faults.ChaosCampaign`: a
+The gray-failure claim behind :class:`repro.faults.Campaign`: a
 fleet whose shards go *slow* (sustained stragglers, intermittent
 slowdowns, flaky links, correlated bank-group stragglers) — rather
 than dead — must keep serving bit-exact answers, and the latency
@@ -22,25 +22,21 @@ bench gates:
   ``MIN_AVAILABILITY`` of requests at full fidelity.
 
 Dual mode: a pytest bench (``pytest benchmarks/bench_chaos.py``) and a
-standalone CLI (``python benchmarks/bench_chaos.py --smoke``) used by
-the CI ``chaos-campaign`` job, which uploads the campaign timeline
-JSON artifact.
+standalone CLI (``python benchmarks/bench_chaos.py --smoke --out F``)
+run by CI's ``gated-benches`` job; see :mod:`gates`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from repro.cli import add_telemetry_args, telemetry_scope
+import gates
 from repro.core.report import format_table
-from repro.faults import ChaosCampaign
+from repro.faults import Campaign, defense_arms, standard_campaign
 
-RESULTS_DIR = Path(__file__).parent / "results"
+OUT = "chaos_campaign_timeline.json"
 
 N_ROWS = 1024
 DIMS = 48
@@ -52,7 +48,7 @@ SMOKE_REQUESTS = 100
 HORIZON_NS = 1.5e7
 HEDGE_BUDGET = 0.3
 CAMPAIGN_SEED = 7
-#: Acceptance floors (also enforced by the CI chaos-campaign job).
+#: Acceptance floor (CI's gated-benches job runs it).
 MIN_AVAILABILITY = 0.99
 
 
@@ -60,19 +56,22 @@ def _dataset() -> np.ndarray:
     return np.random.default_rng(42).random((N_ROWS, DIMS))
 
 
-def run_bench(smoke: bool = False) -> dict:
-    """Run the standard campaign; returns the timeline artifact dict."""
-    campaign = ChaosCampaign(
+def _campaign(n_requests: int) -> Campaign:
+    return Campaign(
         _dataset(),
-        n_shards=N_SHARDS,
-        replication=REPLICATION,
-        n_requests=SMOKE_REQUESTS if smoke else N_REQUESTS,
+        standard_campaign(),
+        defense_arms(HEDGE_BUDGET),
+        fleet={"n_shards": N_SHARDS, "replication": REPLICATION},
+        n_requests=n_requests,
         k=K,
         horizon_ns=HORIZON_NS,
-        hedge_budget=HEDGE_BUDGET,
         seed=CAMPAIGN_SEED,
     )
-    result = campaign.run()
+
+
+def run_bench(smoke: bool, out=None) -> dict:
+    """Run the standard campaign; returns the timeline artifact dict."""
+    result = _campaign(SMOKE_REQUESTS if smoke else N_REQUESTS).run()
     result["meta"] = {"smoke": smoke}
     result["thresholds"] = {
         "min_availability": MIN_AVAILABILITY,
@@ -132,13 +131,11 @@ def format_report(result: dict) -> str:
                 f"{better:+.1%}",
                 f"{on['hedge_rate']:.3f}",
                 off["exactness_violations"] + on["exactness_violations"],
-                sum(
-                    r["ejections"]
-                    for r in on["health"]
-                ),
+                sum(r["ejections"] for r in on["health"]),
             ]
         )
     campaign = result["campaign"]
+    fleet = campaign["fleet"]
     return format_table(
         [
             "scenario", "p99 off (us)", "p99 on (us)", "p99 gain",
@@ -146,74 +143,18 @@ def format_report(result: dict) -> str:
         ],
         rows,
         title=(
-            f"Gray-failure campaign: {campaign['n_shards']} shards "
-            f"x{campaign['replication']} replicas, "
+            f"Gray-failure campaign: {fleet['n_shards']} shards "
+            f"x{fleet['replication']} replicas, "
             f"{campaign['n_requests']} requests/arm, seed "
-            f"{campaign['seed']} — hedge budget "
-            f"{campaign['hedge_budget']:.0%}"
+            f"{campaign['seed']} — hedge budget {HEDGE_BUDGET:.0%}"
         ),
     )
 
 
-def save_timeline(result: dict, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-
-
-# ----------------------------------------------------------------------
-# pytest mode
-# ----------------------------------------------------------------------
 def test_chaos_campaign(benchmark, save_results):
-    result = run_bench(smoke=True)
-    save_results("chaos_campaign", format_report(result))
-    save_timeline(result, RESULTS_DIR / "chaos_campaign_timeline.json")
-    failures = check(result)
-    assert not failures, "; ".join(failures)
-
-    campaign = ChaosCampaign(
-        _dataset(),
-        scenarios=None,
-        n_shards=N_SHARDS,
-        replication=REPLICATION,
-        n_requests=16,
-        k=K,
-        horizon_ns=HORIZON_NS,
-        seed=CAMPAIGN_SEED,
-    )
-    benchmark.pedantic(campaign.run, rounds=1, iterations=1)
-
-
-# ----------------------------------------------------------------------
-# CLI mode (used by the CI chaos-campaign job)
-# ----------------------------------------------------------------------
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description=(
-            "gray-failure chaos campaign: detector on vs off at equal "
-            "hardware"
-        )
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="reduced trace (CI-sized); same assertions",
-    )
-    parser.add_argument(
-        "--out",
-        default=str(RESULTS_DIR / "chaos_campaign_timeline.json"),
-        metavar="FILE", help="campaign timeline JSON artifact path",
-    )
-    add_telemetry_args(parser)
-    args = parser.parse_args(argv)
-    with telemetry_scope(args):
-        result = run_bench(smoke=args.smoke)
-    print(format_report(result))
-    save_timeline(result, Path(args.out))
-    print(f"campaign timeline : {args.out}")
-    failures = check(result)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    gates.record(sys.modules[__name__], save_results, "chaos_campaign")
+    benchmark.pedantic(_campaign(16).run, rounds=1, iterations=1)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(gates.main(sys.modules[__name__]))

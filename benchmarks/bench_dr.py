@@ -1,6 +1,6 @@
 """Disaster-recovery campaign: domain kills + cold restarts, gated.
 
-The durability claim behind :class:`repro.faults.DisasterRecoveryCampaign`:
+The durability claim behind :class:`repro.faults.Campaign`:
 when a whole failure domain (every shard on one power rail) dies at
 once, *where the replicas sit* decides survival — and a checkpointed
 cold restart must be indistinguishable from a service that never
@@ -8,7 +8,8 @@ crashed. The campaign serves one seeded query trace through a clean
 single-array oracle, through two equal-hardware fleets (ring placement
 vs domain-spread placement) under the same seeded
 :meth:`~repro.faults.FaultPlan.domain_outage` plan, and through a
-serve→checkpoint→crash→restore→serve leg. This bench gates:
+serve→checkpoint→crash→restore→serve leg (:meth:`Campaign.restart`).
+This bench gates:
 
 * **exactness** — zero violations in every arm and in the checkpoint
   leg: a correlated outage may slow or degrade requests, never change
@@ -20,30 +21,29 @@ serve→checkpoint→crash→restore→serve leg. This bench gates:
 * **recovery point** — the restored service's recovery point equals
   the checkpoint's snapshot time exactly (no silent replay gap);
 * **restore fidelity** — the crashed-and-restored service's answers
-  are bit-identical to the uninterrupted twin's, every request;
-* **placement accounting** — the pristine spread fleet reports zero
-  at-risk chunks while the naive fleet reports at least one (the
-  at-risk metric actually discriminates).
+  are bit-identical to the spread arm's uninterrupted answers, every
+  request;
+* **placement accounting** — before the outage the spread fleet
+  reports zero at-risk chunks while the naive fleet reports at least
+  one (the at-risk metric actually discriminates).
 
 Dual mode: a pytest bench (``pytest benchmarks/bench_dr.py``) and a
-standalone CLI (``python benchmarks/bench_dr.py --smoke``) used by the
-CI ``dr`` job, which uploads the recovery-timeline JSON artifact.
+standalone CLI (``python benchmarks/bench_dr.py --smoke --out F``) run
+by CI's ``gated-benches`` job; see :mod:`gates`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from repro.cli import add_telemetry_args, telemetry_scope
+import gates
 from repro.core.report import format_table
-from repro.faults import DisasterRecoveryCampaign
+from repro.faults import Arm, Campaign, FaultPlan, Scenario
+from repro.hardware import FailureDomainTopology
 
-RESULTS_DIR = Path(__file__).parent / "results"
+OUT = "dr_campaign_timeline.json"
 
 N_ROWS = 1024
 DIMS = 48
@@ -54,6 +54,27 @@ N_REQUESTS = 160
 SMOKE_REQUESTS = 60
 HORIZON_NS = 1.5e7
 CAMPAIGN_SEED = 11
+OUTAGE_DOMAINS = 1
+LEVEL = "power"
+#: Boards of 2, channels of 2 boards, one channel per power domain:
+#: 8 shards = 2 power domains, the smallest shape where a power outage
+#: is survivable.
+TOPOLOGY = FailureDomainTopology(
+    n_shards=N_SHARDS,
+    shards_per_board=2,
+    boards_per_channel=2,
+    channels_per_power_domain=1,
+)
+OUTAGE = Scenario(
+    "power_outage",
+    lambda n_shards, horizon_ns, seed: FaultPlan.domain_outage(
+        TOPOLOGY, horizon_ns, seed=seed,
+        outage_domains=OUTAGE_DOMAINS, level=LEVEL,
+    ),
+    "every shard of one power domain crashes at once",
+)
+NAIVE = Arm("naive", {"spread": False})
+SPREAD = Arm("spread", {"spread": True})
 #: The spread arm must keep every request on the full-fidelity path.
 SPREAD_AVAILABILITY = 1.0
 
@@ -62,21 +83,28 @@ def _dataset() -> np.ndarray:
     return np.random.default_rng(42).random((N_ROWS, DIMS))
 
 
-def run_bench(smoke: bool = False) -> dict:
-    """Run the DR campaign; returns the recovery-timeline artifact."""
-    campaign = DisasterRecoveryCampaign(
+def _campaign(n_requests: int) -> Campaign:
+    return Campaign(
         _dataset(),
-        n_shards=N_SHARDS,
-        replication=REPLICATION,
-        n_requests=SMOKE_REQUESTS if smoke else N_REQUESTS,
+        [OUTAGE],
+        [NAIVE, SPREAD],
+        fleet={
+            "n_shards": N_SHARDS,
+            "replication": REPLICATION,
+            "topology": TOPOLOGY,
+        },
+        n_requests=n_requests,
         k=K,
         horizon_ns=HORIZON_NS,
-        outage_domains=1,
-        level="power",
-        checkpoint_dir=str(RESULTS_DIR / "dr_checkpoints"),
         seed=CAMPAIGN_SEED,
     )
+
+
+def run_bench(smoke: bool, out=None) -> dict:
+    """Run the DR campaign; returns the recovery-timeline artifact."""
+    campaign = _campaign(SMOKE_REQUESTS if smoke else N_REQUESTS)
     result = campaign.run()
+    result["checkpoint"] = campaign.restart(OUTAGE, SPREAD)
     result["meta"] = {"smoke": smoke}
     result["thresholds"] = {
         "spread_availability": SPREAD_AVAILABILITY,
@@ -87,18 +115,19 @@ def run_bench(smoke: bool = False) -> dict:
 def check(result: dict) -> list[str]:
     """The acceptance gate; returns failure messages (empty = pass)."""
     failures = []
-    naive = result["arms"]["naive"]
-    spread = result["arms"]["spread"]
-    for name, arm in result["arms"].items():
+    (outage,) = result["scenarios"]
+    naive = outage["arms"]["naive"]
+    spread = outage["arms"]["spread"]
+    for name, arm in outage["arms"].items():
         if arm["exactness_violations"]:
             failures.append(
                 f"{name}: {arm['exactness_violations']} answers differ "
                 "from the clean single-array oracle"
             )
-    if result["placement_answer_divergence"]:
+    if outage["answer_divergence"]:
         failures.append(
             f"placement arms disagree on "
-            f"{result['placement_answer_divergence']} answers "
+            f"{outage['answer_divergence']} answers "
             "(placement must never change values)"
         )
     if not spread["availability"] > naive["availability"]:
@@ -113,13 +142,12 @@ def check(result: dict) -> list[str]:
             f"{SPREAD_AVAILABILITY:.0%} — a chunk lost every replica "
             "to one domain"
         )
-    if spread["at_risk_chunks_before_outage"] != 0:
+    if spread["spread_report"]["n_at_risk"] != 0:
         failures.append(
-            f"spread placement left "
-            f"{spread['at_risk_chunks_before_outage']} chunks at risk "
-            "before the outage"
+            f"spread placement left {spread['spread_report']['n_at_risk']} "
+            "chunks at risk before the outage"
         )
-    if naive["at_risk_chunks_before_outage"] == 0:
+    if naive["spread_report"]["n_at_risk"] == 0:
         failures.append(
             "naive placement reports zero at-risk chunks — the at-risk "
             "metric does not discriminate on this fleet"
@@ -133,7 +161,7 @@ def check(result: dict) -> list[str]:
     if ck["restore_mismatches"]:
         failures.append(
             f"checkpoint leg: {ck['restore_mismatches']} answers differ "
-            "from the uninterrupted twin after restore"
+            "from the uninterrupted run after restore"
         )
     if ck["recovery_point_ns"] != ck["checkpoint_t_ns"]:
         failures.append(
@@ -145,16 +173,15 @@ def check(result: dict) -> list[str]:
 
 def format_report(result: dict) -> str:
     rows = []
-    for name in ("naive", "spread"):
-        arm = result["arms"][name]
+    for name, arm in result["scenarios"][0]["arms"].items():
         rows.append(
             [
                 name,
                 f"{arm['availability']:.2%}",
                 arm["exactness_violations"],
                 arm["degraded_responses"],
-                arm["at_risk_chunks_before_outage"],
-                arm["placement_violations"],
+                arm["spread_report"]["n_at_risk"],
+                len(arm["spread_report"]["violations"]),
                 f"{arm['latency_p99_ns'] / 1e3:.1f}",
             ]
         )
@@ -167,9 +194,8 @@ def format_report(result: dict) -> str:
         ],
         rows,
         title=(
-            f"Disaster recovery: {campaign['n_shards']} shards "
-            f"x{campaign['replication']} replicas, "
-            f"{campaign['outage_domains']} {campaign['level']} "
+            f"Disaster recovery: {N_SHARDS} shards "
+            f"x{REPLICATION} replicas, {OUTAGE_DOMAINS} {LEVEL} "
             f"domain(s) down, {campaign['n_requests']} requests/arm, "
             f"seed {campaign['seed']}"
         ),
@@ -185,65 +211,15 @@ def format_report(result: dict) -> str:
     )
 
 
-def save_timeline(result: dict, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-
-
-# ----------------------------------------------------------------------
-# pytest mode
-# ----------------------------------------------------------------------
 def test_dr_campaign(benchmark, save_results):
-    result = run_bench(smoke=True)
-    save_results("dr_campaign", format_report(result))
-    save_timeline(result, RESULTS_DIR / "dr_campaign_timeline.json")
-    failures = check(result)
-    assert not failures, "; ".join(failures)
-
-    campaign = DisasterRecoveryCampaign(
-        _dataset(),
-        n_shards=N_SHARDS,
-        replication=REPLICATION,
-        n_requests=16,
-        k=K,
-        horizon_ns=HORIZON_NS,
-        checkpoint_dir=str(RESULTS_DIR / "dr_checkpoints"),
-        seed=CAMPAIGN_SEED,
+    gates.record(sys.modules[__name__], save_results, "dr_campaign")
+    campaign = _campaign(16)
+    benchmark.pedantic(
+        lambda: (campaign.run(), campaign.restart(OUTAGE, SPREAD)),
+        rounds=1,
+        iterations=1,
     )
-    benchmark.pedantic(campaign.run, rounds=1, iterations=1)
-
-
-# ----------------------------------------------------------------------
-# CLI mode (used by the CI dr job)
-# ----------------------------------------------------------------------
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description=(
-            "disaster-recovery campaign: domain outages, spread vs "
-            "naive placement, checkpointed cold restart"
-        )
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="reduced trace (CI-sized); same assertions",
-    )
-    parser.add_argument(
-        "--out",
-        default=str(RESULTS_DIR / "dr_campaign_timeline.json"),
-        metavar="FILE", help="recovery timeline JSON artifact path",
-    )
-    add_telemetry_args(parser)
-    args = parser.parse_args(argv)
-    with telemetry_scope(args):
-        result = run_bench(smoke=args.smoke)
-    print(format_report(result))
-    save_timeline(result, Path(args.out))
-    print(f"recovery timeline : {args.out}")
-    failures = check(result)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(gates.main(sys.modules[__name__]))

@@ -22,34 +22,22 @@ deterministic request trace twice — once fault-free, once under a
   recovery counters and the final per-shard health.
 
 Dual mode: a pytest bench (``pytest benchmarks/bench_faults.py``) and a
-standalone CLI (``python benchmarks/bench_faults.py --smoke``) used by
-the CI chaos job.
+standalone CLI (``python benchmarks/bench_faults.py --smoke --out F``)
+run by CI's ``gated-benches`` job; see :mod:`gates`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from repro.cli import add_telemetry_args, telemetry_scope
+import gates
 from repro.core.report import format_table
 from repro.faults import FaultPlan
-from repro.serving import (
-    QueryService,
-    ShardManager,
-    SLOTracker,
-    TenantSpec,
-    WorkloadDriver,
-)
-from repro.telemetry import telemetry_session
-from repro.telemetry.export import write_chrome_trace, write_metrics_jsonl
-from repro.telemetry.validate import validate_metrics, validate_trace
+from repro.serving import ShardManager, TenantSpec
 
-RESULTS_DIR = Path(__file__).parent / "results"
+OUT = "fault_timeline.json"
 
 N_ROWS = 2048
 DIMS = 64
@@ -60,7 +48,7 @@ MAX_BATCH = 8
 N_REQUESTS = 96
 SMOKE_REQUESTS = 48
 FAULT_SEED = 7
-#: Acceptance floors/ceilings (also enforced by the CI chaos job).
+#: Acceptance floors/ceilings (CI's gated-benches job runs them).
 MIN_AVAILABILITY = 0.99
 MAX_VERIFY_OVERHEAD = 0.05
 #: Corrupted-row flags per wave attempt under the chaos plan must at
@@ -86,36 +74,14 @@ def _probe_rate(data: np.ndarray) -> float:
     return 0.8 * MAX_BATCH * 1e9 / timing.service_ns
 
 
-def _trace(data: np.ndarray, rate_qps: float, n_requests: int) -> list:
-    """The deterministic request trace (regenerated fresh per run —
-    the service mutates requests in place)."""
-    driver = WorkloadDriver(data, TENANTS, seed=1234)
-    return driver.open_loop(rate_qps, n_requests, arrival="poisson")
-
-
-def _serve_trace(
-    data: np.ndarray,
-    requests: list,
-    fault_plan: FaultPlan | None,
-) -> tuple[dict, dict, ShardManager]:
-    """One full serving run; returns responses by id, summary, manager."""
+def _serve(data: np.ndarray, requests: list, fault_plan):
     manager = ShardManager(
         data,
         n_shards=N_SHARDS,
         replication=REPLICATION,
         fault_plan=fault_plan,
     )
-    service = QueryService(
-        manager,
-        TENANTS,
-        max_batch=MAX_BATCH,
-        queue_capacity=64,
-        policy="reject",
-        tracker=SLOTracker(),
-    )
-    service.run(requests)
-    by_id = {r.request_id: r for r in service.responses}
-    return by_id, service.summary(), manager
+    return gates.serve_trace(manager, TENANTS, requests, MAX_BATCH)
 
 
 def _verify_overhead(data: np.ndarray) -> dict:
@@ -134,42 +100,23 @@ def _verify_overhead(data: np.ndarray) -> dict:
     }
 
 
-def run_bench(smoke: bool = False) -> dict:
+def run_bench(smoke: bool, out) -> dict:
     """Clean run vs chaos run + overhead probe + telemetry validation."""
     n_requests = SMOKE_REQUESTS if smoke else N_REQUESTS
     data = _dataset()
     rate = _probe_rate(data)
 
-    clean, clean_summary, _ = _serve_trace(
-        data, _trace(data, rate, n_requests), None
+    clean, clean_summary = _serve(
+        data, gates.request_trace(data, TENANTS, rate, n_requests), None
     )
 
-    requests = _trace(data, rate, n_requests)
+    requests = gates.request_trace(data, TENANTS, rate, n_requests)
     horizon_ns = 1.05 * max(r.arrival_ns for r in requests)
     plan = FaultPlan.chaos(N_SHARDS, horizon_ns, seed=FAULT_SEED)
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    trace_path = RESULTS_DIR / "faults_chaos.trace.json"
-    metrics_path = RESULTS_DIR / "faults_chaos.metrics.jsonl"
-    with telemetry_session() as tele:
-        chaos, chaos_summary, manager = _serve_trace(data, requests, plan)
-    write_chrome_trace(tele, str(trace_path))
-    write_metrics_jsonl(tele, str(metrics_path))
-    span_events = validate_trace(str(trace_path))
-    metric_lines = validate_metrics(str(metrics_path))
-
-    violations = []
-    for rid, response in sorted(chaos.items()):
-        if not response.ok:
-            continue
-        reference = clean.get(rid)
-        if reference is None or not reference.ok:
-            violations.append({"request": rid, "kind": "no_reference"})
-            continue
-        if not (
-            np.array_equal(response.indices, reference.indices)
-            and np.array_equal(response.scores, reference.scores)
-        ):
-            violations.append({"request": rid, "kind": "mismatch"})
+    (chaos, chaos_summary), telemetry = gates.traced(
+        out, lambda: _serve(data, requests, plan)
+    )
+    manager = chaos.manager
 
     recovery = chaos_summary["recovery"]
     corrupt_rate = recovery["corrupt_detected"] / max(
@@ -208,14 +155,9 @@ def run_bench(smoke: bool = False) -> dict:
                 float(manager._clock_ns)
             ),
         },
-        "exactness_violations": violations,
+        "exactness_violations": gates.exactness_violations(clean, chaos),
         "verify_overhead": overhead,
-        "telemetry": {
-            "trace_file": str(trace_path),
-            "metrics_file": str(metrics_path),
-            "span_events": span_events,
-            "metric_lines": metric_lines,
-        },
+        "telemetry": telemetry,
         "thresholds": {
             "min_availability": MIN_AVAILABILITY,
             "max_verify_overhead": MAX_VERIFY_OVERHEAD,
@@ -289,20 +231,8 @@ def format_report(result: dict) -> str:
     )
 
 
-def save_timeline(result: dict, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2) + "\n")
-
-
-# ----------------------------------------------------------------------
-# pytest mode
-# ----------------------------------------------------------------------
 def test_chaos_recovery(benchmark, save_results):
-    result = run_bench(smoke=True)
-    save_results("fault_recovery", format_report(result))
-    save_timeline(result, RESULTS_DIR / "fault_timeline.json")
-    failures = check(result)
-    assert not failures, "; ".join(failures)
+    gates.record(sys.modules[__name__], save_results, "fault_recovery")
 
     data = _dataset()
     plan = FaultPlan.chaos(N_SHARDS, 1e8, seed=FAULT_SEED)
@@ -315,37 +245,5 @@ def test_chaos_recovery(benchmark, save_results):
     )
 
 
-# ----------------------------------------------------------------------
-# CLI mode (used by the CI chaos job)
-# ----------------------------------------------------------------------
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="chaos bench: fault injection + exact recovery"
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="reduced trace (CI-sized); same assertions",
-    )
-    parser.add_argument(
-        "--out", default=str(RESULTS_DIR / "fault_timeline.json"),
-        metavar="FILE", help="fault-timeline JSON artifact path",
-    )
-    add_telemetry_args(parser)
-    args = parser.parse_args(argv)
-    with telemetry_scope(args):
-        result = run_bench(smoke=args.smoke)
-    print(format_report(result))
-    save_timeline(result, Path(args.out))
-    print(f"fault timeline : {args.out}")
-    print(
-        f"telemetry      : {result['telemetry']['span_events']} spans, "
-        f"{result['telemetry']['metric_lines']} metric lines validated"
-    )
-    failures = check(result)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(gates.main(sys.modules[__name__]))

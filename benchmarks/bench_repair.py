@@ -24,36 +24,23 @@ and checks:
   re-replicate/quarantine event plus final health and wear.
 
 Dual mode: a pytest bench (``pytest benchmarks/bench_repair.py``) and a
-standalone CLI (``python benchmarks/bench_repair.py --smoke``) used by
-the CI repair job.
+standalone CLI (``python benchmarks/bench_repair.py --smoke --out F``)
+run by CI's ``gated-benches`` job; see :mod:`gates`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from repro.cli import add_telemetry_args, telemetry_scope
+import gates
 from repro.core.report import format_table
 from repro.faults import FaultPlan
 from repro.repair import RepairController, RepairPolicy
-from repro.serving import (
-    QueryService,
-    RecoveryPolicy,
-    ShardManager,
-    SLOTracker,
-    TenantSpec,
-    WorkloadDriver,
-)
-from repro.telemetry import telemetry_session
-from repro.telemetry.export import write_chrome_trace, write_metrics_jsonl
-from repro.telemetry.validate import validate_metrics, validate_trace
+from repro.serving import RecoveryPolicy, ShardManager, TenantSpec
 
-RESULTS_DIR = Path(__file__).parent / "results"
+OUT = "repair_timeline.json"
 
 N_ROWS = 960
 DIMS = 32
@@ -87,19 +74,7 @@ def _dataset() -> np.ndarray:
     return np.random.default_rng(42).random((N_ROWS, DIMS))
 
 
-def _trace(data: np.ndarray, rate_qps: float, n_requests: int) -> list:
-    """The deterministic request trace (regenerated fresh per run —
-    the service mutates requests in place)."""
-    driver = WorkloadDriver(data, TENANTS, seed=1234)
-    return driver.open_loop(rate_qps, n_requests, arrival="poisson")
-
-
-def _serve_trace(
-    data: np.ndarray,
-    requests: list,
-    fault_plan: FaultPlan | None,
-    scrub_period_ns: float | None,
-) -> tuple[dict, dict, ShardManager, RepairController | None]:
+def _serve(data, requests, fault_plan, scrub_period_ns):
     """One serving run; ``scrub_period_ns=None`` means failover only."""
     manager = ShardManager(
         data,
@@ -114,18 +89,9 @@ def _serve_trace(
         repair = RepairController(
             manager, RepairPolicy(scrub_period_ns=scrub_period_ns)
         )
-    service = QueryService(
-        manager,
-        TENANTS,
-        max_batch=MAX_BATCH,
-        queue_capacity=64,
-        policy="reject",
-        tracker=SLOTracker(),
-        repair=repair,
+    return gates.serve_trace(
+        manager, TENANTS, requests, MAX_BATCH, repair=repair
     )
-    service.run(requests)
-    by_id = {r.request_id: r for r in service.responses}
-    return by_id, service.summary(), manager, service
 
 
 def _detection_latencies(
@@ -170,17 +136,18 @@ def _detection_latencies(
     return out
 
 
-def run_bench(smoke: bool = False) -> dict:
+def run_bench(smoke: bool, out) -> dict:
     """Clean vs failover-only vs self-healing over one sustained plan."""
     n_requests = SMOKE_REQUESTS if smoke else N_REQUESTS
     data = _dataset()
     rate = RATE_QPS
 
-    clean, clean_summary, _, _ = _serve_trace(
-        data, _trace(data, rate, n_requests), None, None
-    )
+    def trace():
+        return gates.request_trace(data, TENANTS, rate, n_requests)
 
-    requests = _trace(data, rate, n_requests)
+    clean, clean_summary = _serve(data, trace(), None, None)
+
+    requests = trace()
     horizon_ns = 1.05 * max(r.arrival_ns for r in requests)
     scrub_period_ns = horizon_ns / SWEEPS_PER_HORIZON
     plan = FaultPlan.sustained(
@@ -192,35 +159,12 @@ def run_bench(smoke: bool = False) -> dict:
     )
 
     # failover-only baseline: same plan, no repair loop
-    _, baseline_summary, baseline_manager, _ = _serve_trace(
-        data, _trace(data, rate, n_requests), plan, None
+    baseline, baseline_summary = _serve(data, trace(), plan, None)
+
+    (service, healed_summary), telemetry = gates.traced(
+        out, lambda: _serve(data, trace(), plan, scrub_period_ns)
     )
-
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    trace_path = RESULTS_DIR / "repair_loop.trace.json"
-    metrics_path = RESULTS_DIR / "repair_loop.metrics.jsonl"
-    with telemetry_session() as tele:
-        healed, healed_summary, manager, service = _serve_trace(
-            data, _trace(data, rate, n_requests), plan, scrub_period_ns
-        )
-    write_chrome_trace(tele, str(trace_path))
-    write_metrics_jsonl(tele, str(metrics_path))
-    span_events = validate_trace(str(trace_path))
-    metric_lines = validate_metrics(str(metrics_path))
-
-    violations = []
-    for rid, response in sorted(healed.items()):
-        if not response.ok:
-            continue
-        reference = clean.get(rid)
-        if reference is None or not reference.ok:
-            violations.append({"request": rid, "kind": "no_reference"})
-            continue
-        if not (
-            np.array_equal(response.indices, reference.indices)
-            and np.array_equal(response.scores, reference.scores)
-        ):
-            violations.append({"request": rid, "kind": "mismatch"})
+    manager = service.manager
 
     timeline = service.tracker.repair_events
     detections = _detection_latencies(plan, timeline, scrub_period_ns)
@@ -251,7 +195,7 @@ def run_bench(smoke: bool = False) -> dict:
             "degraded_chunks": baseline_summary["recovery"][
                 "degraded_chunks"
             ],
-            "replica_counts": baseline_manager.replica_counts(),
+            "replica_counts": baseline.manager.replica_counts(),
             "p99_ns": baseline_summary["p99_ns"],
         },
         "healed": {
@@ -268,14 +212,9 @@ def run_bench(smoke: bool = False) -> dict:
             "wear": manager.wear_reports(top=2),
         },
         "detections": detections,
-        "exactness_violations": violations,
+        "exactness_violations": gates.exactness_violations(clean, service),
         "timeline": timeline,
-        "telemetry": {
-            "trace_file": str(trace_path),
-            "metrics_file": str(metrics_path),
-            "span_events": span_events,
-            "metric_lines": metric_lines,
-        },
+        "telemetry": telemetry,
     }
     return result
 
@@ -357,20 +296,8 @@ def format_report(result: dict) -> str:
     )
 
 
-def save_timeline(result: dict, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2) + "\n")
-
-
-# ----------------------------------------------------------------------
-# pytest mode
-# ----------------------------------------------------------------------
 def test_repair_loop(benchmark, save_results):
-    result = run_bench(smoke=True)
-    save_results("repair_loop", format_report(result))
-    save_timeline(result, RESULTS_DIR / "repair_timeline.json")
-    failures = check(result)
-    assert not failures, "; ".join(failures)
+    gates.record(sys.modules[__name__], save_results, "repair_loop")
 
     data = _dataset()
     plan = FaultPlan.sustained(
@@ -391,37 +318,5 @@ def test_repair_loop(benchmark, save_results):
     )
 
 
-# ----------------------------------------------------------------------
-# CLI mode (used by the CI repair job)
-# ----------------------------------------------------------------------
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="self-healing bench: scrub + remap + re-replicate"
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="reduced trace (CI-sized); same assertions",
-    )
-    parser.add_argument(
-        "--out", default=str(RESULTS_DIR / "repair_timeline.json"),
-        metavar="FILE", help="repair-timeline JSON artifact path",
-    )
-    add_telemetry_args(parser)
-    args = parser.parse_args(argv)
-    with telemetry_scope(args):
-        result = run_bench(smoke=args.smoke)
-    print(format_report(result))
-    save_timeline(result, Path(args.out))
-    print(f"repair timeline: {args.out}")
-    print(
-        f"telemetry      : {result['telemetry']['span_events']} spans, "
-        f"{result['telemetry']['metric_lines']} metric lines validated"
-    )
-    failures = check(result)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(gates.main(sys.modules[__name__]))

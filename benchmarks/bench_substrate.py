@@ -19,21 +19,18 @@ against live devices rather than recorded snapshots:
   winners in its routing report.
 
 Dual mode: a pytest bench (``pytest benchmarks/bench_substrate.py``)
-and a standalone CLI (``python benchmarks/bench_substrate.py --smoke``)
-used by the CI ``substrate`` job, which uploads the routing-decision
-JSON written to ``--out``.
+and a standalone CLI (``python benchmarks/bench_substrate.py --smoke
+--out F``) run by CI's ``gated-benches`` job; see :mod:`gates`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-from pathlib import Path
+from collections import Counter
 
 import numpy as np
 
-from repro.cli import add_telemetry_args, telemetry_scope
+import gates
 from repro.core.report import format_table
 from repro.hardware.banked_memory import (
     bank_batch_timing,
@@ -48,7 +45,7 @@ from repro.substrate import (
     substrate_capabilities,
 )
 
-RESULTS_DIR = Path(__file__).parent / "results"
+OUT = "substrate_routing.json"
 
 K = 10
 N_SHARDS = 4
@@ -74,6 +71,8 @@ SMOKE_WORKLOADS = {
 #:   drain     = 2 vectors * (FILL 1 + MOV 2)            =  6
 GOLDEN_SETUP_CYCLES = 28
 GOLDEN_PER_QUERY_CYCLES = 4 + 8 + 6
+#: The mixed fleet: crossbar and HBM-PIM shards alternating.
+MIXED = ["crossbar", "hbm_pim"] * (N_SHARDS // 2)
 
 
 def _dataset(n_rows: int, dims: int, seed: int = 42) -> np.ndarray:
@@ -82,6 +81,14 @@ def _dataset(n_rows: int, dims: int, seed: int = 42) -> np.ndarray:
 
 def _queries(dims: int, batch: int, seed: int = 7) -> np.ndarray:
     return np.random.default_rng(seed).random((batch, dims))
+
+
+def _same_knn(expected: list, got: list) -> bool:
+    return all(
+        np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.scores, b.scores)
+        for a, b in zip(expected, got)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -106,10 +113,8 @@ def check_exactness(smoke: bool = False) -> dict:
             data, n_shards=N_SHARDS, substrates="hbm_pim"
         ),
         "mixed": ShardManager(
-            data,
-            n_shards=N_SHARDS,
-            replication=REPLICATION,
-            substrates=["crossbar", "hbm_pim"] * (N_SHARDS // 2),
+            data, n_shards=N_SHARDS, replication=REPLICATION,
+            substrates=MIXED,
         ),
     }
     comparisons = {}
@@ -117,11 +122,7 @@ def check_exactness(smoke: bool = False) -> dict:
         got_knn, _ = manager.knn_batch(queries, K)
         got_assign, _ = manager.assign(centers)
         comparisons[name] = bool(
-            all(
-                np.array_equal(a.indices, b.indices)
-                and np.array_equal(a.scores, b.scores)
-                for a, b in zip(base_knn, got_knn)
-            )
+            _same_knn(base_knn, got_knn)
             and np.array_equal(
                 base_assign.assignments, got_assign.assignments
             )
@@ -251,48 +252,49 @@ def run_mixed_serving(smoke: bool = False) -> dict:
             queries, K
         )
         mixed = ShardManager(
-            data,
-            n_shards=N_SHARDS,
-            replication=REPLICATION,
-            substrates=["crossbar", "hbm_pim"] * (N_SHARDS // 2),
+            data, n_shards=N_SHARDS, replication=REPLICATION,
+            substrates=MIXED,
         )
         routed, timing = mixed.knn_batch(queries, K)
-        identical = all(
-            np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.scores, b.scores)
-            for a, b in zip(baseline, routed)
-        )
         report = mixed.routing_report()
-        winner_counts: dict[str, int] = {}
-        for decision in report["decisions"]:
-            name = decision["winner_substrate"]
-            winner_counts[name] = winner_counts.get(name, 0) + 1
+        winner_counts = Counter(
+            decision["winner_substrate"] for decision in report["decisions"]
+        )
         runs[shape_name] = {
             "workload": cfg,
-            "identical": bool(identical),
+            "identical": _same_knn(baseline, routed),
             "service_ns": float(timing.service_ns),
-            "winner_counts": winner_counts,
+            "winner_counts": dict(winner_counts),
             "routing": report,
         }
     return runs
 
 
-def run_gates(smoke: bool = False) -> dict:
-    exactness = check_exactness(smoke=smoke)
-    timing = check_timing(smoke=smoke)
-    routing = check_routing(smoke=smoke)
-    serving = run_mixed_serving(smoke=smoke)
-    live_winners = {
-        shape: max(
-            run["winner_counts"], key=run["winner_counts"].get
-        )
-        for shape, run in serving.items()
+def run_bench(smoke: bool, out=None) -> dict:
+    result = {
+        "bench": "substrate",
+        "smoke": smoke,
+        "registered_substrates": available_substrates(),
+        "exactness": check_exactness(smoke=smoke),
+        "timing": check_timing(smoke=smoke),
+        "routing": check_routing(smoke=smoke),
+        "serving": run_mixed_serving(smoke=smoke),
     }
+    result["live_winners"] = {
+        shape: max(run["winner_counts"], key=run["winner_counts"].get)
+        for shape, run in result["serving"].items()
+    }
+    return result
+
+
+def check(result: dict) -> list[str]:
+    """The acceptance gate; returns failure messages (empty = pass)."""
+    exactness, routing = result["exactness"], result["routing"]
     violations = []
     if not exactness["identical"]:
         bad = [k for k, v in exactness["fleets"].items() if not v]
         violations.append(f"answers drifted on fleets: {bad}")
-    if not timing["ok"]:
+    if not result["timing"]["ok"]:
         violations.append("timing goldens or predictions diverged")
     if not routing["winner_flips"]:
         violations.append("router picked one backend for every shape")
@@ -300,26 +302,16 @@ def run_gates(smoke: bool = False) -> dict:
         violations.append(
             "routed cost does not beat the worst single backend"
         )
-    for shape, run in serving.items():
+    for shape, run in result["serving"].items():
         if not run["identical"]:
             violations.append(f"live mixed serving drifted on {shape}")
         predicted = routing["shapes"][shape]["winner"]
-        if live_winners[shape] != predicted:
+        live = result["live_winners"][shape]
+        if live != predicted:
             violations.append(
-                f"live winner {live_winners[shape]} != predicted "
-                f"{predicted} on {shape}"
+                f"live winner {live} != predicted {predicted} on {shape}"
             )
-    return {
-        "bench": "substrate",
-        "smoke": smoke,
-        "registered_substrates": available_substrates(),
-        "exactness": exactness,
-        "timing": timing,
-        "routing": routing,
-        "serving": serving,
-        "live_winners": live_winners,
-        "violations": violations,
-    }
+    return violations
 
 
 def format_report(result: dict) -> str:
@@ -340,7 +332,7 @@ def format_report(result: dict) -> str:
                 "yes" if live["identical"] else "NO",
             ]
         )
-    return format_table(
+    table = format_table(
         [
             "workload",
             "shard shape",
@@ -358,92 +350,38 @@ def format_report(result: dict) -> str:
             "worst single backend)"
         ),
     )
+    golden = result["timing"]["golden"]
+    max_error = max(
+        entry["relative_error"]
+        for entry in result["timing"]["prediction_vs_device"].values()
+    )
+    winners = ", ".join(
+        f"{shape}={entry['winner']}"
+        for shape, entry in routing["shapes"].items()
+    )
+    return (
+        f"{table}\n"
+        f"timing goldens : {golden['total_cycles']} cycles (expected "
+        f"{golden['expected_total_cycles']}); prediction vs device max "
+        f"rel err {max_error:.2g}\n"
+        f"router         : {routing['speedup_vs_worst_single']:.1f}x vs "
+        f"worst single backend, {routing['speedup_vs_best_single']:.2f}x "
+        f"vs best; winners {winners}"
+    )
 
 
-def save_routing_artifact(result: dict, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(result, indent=2) + "\n")
-
-
-# ----------------------------------------------------------------------
-# pytest mode
-# ----------------------------------------------------------------------
 def test_substrate_gates(benchmark, save_results):
     """Exactness + timing goldens + router efficacy in one record."""
-    result = run_gates(smoke=True)
-    save_routing_artifact(
-        result, RESULTS_DIR / "substrate_routing.json"
-    )
-    save_results("substrate_gates", format_report(result))
-    assert result["violations"] == []
-    assert result["routing"]["winner_flips"]
-    assert result["routing"]["speedup_vs_worst_single"] > 1.0
+    gates.record(sys.modules[__name__], save_results, "substrate_gates")
 
     cfg = SMOKE_WORKLOADS["interactive"]
     data = _dataset(cfg["n_rows"], cfg["dims"])
     queries = _queries(cfg["dims"], cfg["batch"])
-    manager = ShardManager(
-        data,
-        n_shards=N_SHARDS,
-        substrates=["crossbar", "hbm_pim"] * (N_SHARDS // 2),
-    )
+    manager = ShardManager(data, n_shards=N_SHARDS, substrates=MIXED)
     benchmark.pedantic(
         lambda: manager.knn_batch(queries, K), rounds=3, iterations=1
     )
 
 
-# ----------------------------------------------------------------------
-# CLI mode (used by the CI substrate job)
-# ----------------------------------------------------------------------
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="substrate exactness/timing/routing gates"
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="reduced shapes (CI-sized); same assertions",
-    )
-    parser.add_argument(
-        "--out", default=str(RESULTS_DIR / "substrate_routing.json"),
-        metavar="FILE", help="routing-decision JSON artifact path",
-    )
-    add_telemetry_args(parser)
-    args = parser.parse_args(argv)
-    with telemetry_scope(args):
-        result = run_gates(smoke=args.smoke)
-    print(format_report(result))
-    save_routing_artifact(result, Path(args.out))
-    print(f"routing record : {args.out}")
-    timing = result["timing"]
-    print(
-        "timing goldens : "
-        f"{timing['golden']['total_cycles']} cycles (expected "
-        f"{timing['golden']['expected_total_cycles']}); prediction vs "
-        "device max rel err "
-        + format(
-            max(
-                entry["relative_error"]
-                for entry in timing["prediction_vs_device"].values()
-            ),
-            ".2g",
-        )
-    )
-    routing = result["routing"]
-    print(
-        f"router         : {routing['speedup_vs_worst_single']:.1f}x vs "
-        f"worst single backend, {routing['speedup_vs_best_single']:.2f}x "
-        "vs best; winners "
-        + ", ".join(
-            f"{shape}={entry['winner']}"
-            for shape, entry in routing["shapes"].items()
-        )
-    )
-    if result["violations"]:
-        for violation in result["violations"]:
-            print(f"FAIL: {violation}", file=sys.stderr)
-        return 1
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(gates.main(sys.modules[__name__]))

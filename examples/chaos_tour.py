@@ -14,7 +14,7 @@ Walks the gray-failure defense ladder of ``repro.faults`` +
    defenses off and on: adaptive p95-triggered hedges race a duplicate
    wave on a healthy replica, cancel on first win, and stay within a
    global :class:`HedgeBudget`;
-4. **campaign** — run the full :class:`ChaosCampaign` A/B (five
+4. **campaign** — run the full :class:`Campaign` A/B (five stock
    scenarios x defenses on/off at equal hardware) and read the
    timeline: zero exactness violations anywhere, p99 bought back
    under the straggler, hedge rate <= budget.
@@ -31,8 +31,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.faults import ChaosCampaign, FaultEvent, FaultPlan
-from repro.serving import RecoveryPolicy, ShardManager
+from repro.faults import (
+    Campaign,
+    FaultEvent,
+    FaultPlan,
+    Scenario,
+    defense_arms,
+    standard_campaign,
+)
 
 HORIZON_NS = 1.5e7
 
@@ -40,11 +46,7 @@ HORIZON_NS = 1.5e7
 def main() -> None:
     # a low-dimensional workload keeps the waves device-dominated, so
     # the gray weather (which scales PIM time) is what moves the tail
-    rng = np.random.default_rng(0)
-    data = rng.random((1024, 48))
-    queries = rng.normal(size=(80, 48))
-    clean = ShardManager(data, n_shards=1)
-    reference = [clean.knn(q, k=10) for q in queries]
+    data = np.random.default_rng(0).random((1024, 48))
 
     # -- 1. gray weather: slow, flaky, never wrong --------------------
     plan = FaultPlan.gray_chaos(4, HORIZON_NS, seed=11)
@@ -56,43 +58,31 @@ def main() -> None:
         )
         print(f"  {event['kind']:<18} {event['target']:<7} {window}")
 
-    def serve(policy: RecoveryPolicy, fault_plan=None):
-        manager = ShardManager(
-            data, n_shards=4, replication=2,
-            fault_plan=fault_plan, recovery=policy, seed=0,
-        )
-        latencies = []
-        exact = True
-        t = 0.0
-        for q, ref in zip(queries, reference):
-            answers, timing = manager.knn_batch(
-                np.atleast_2d(q), 10, now_ns=t
-            )
-            latencies.append(timing.service_ns)
-            exact = exact and (
-                answers[0].indices.tolist() == ref.indices.tolist()
-                and answers[0].scores.tolist() == ref.scores.tolist()
-            )
-            t += timing.service_ns + HORIZON_NS / (len(queries) + 1)
-        return manager, np.asarray(latencies), exact
-
     # -- 2. detect: suspicion lands on the straggler ------------------
-    straggler = FaultPlan(
-        (
-            FaultEvent(
-                t_ns=0.2 * HORIZON_NS,
-                kind="slow_shard",
-                target="shard1",
-                duration_ns=0.6 * HORIZON_NS,
-                params={"factor": 12.0},
+    straggler = Scenario(
+        "straggler",
+        lambda n_shards, horizon_ns, seed: FaultPlan(
+            (
+                FaultEvent(
+                    t_ns=0.2 * horizon_ns,
+                    kind="slow_shard",
+                    target="shard1",
+                    duration_ns=0.6 * horizon_ns,
+                    params={"factor": 12.0},
+                ),
             ),
+            seed=seed,
         ),
-        seed=11,
     )
-    defended = RecoveryPolicy(
-        outlier_ejection=True, adaptive_hedge=True, hedge_budget=0.3
+    off_arm, on_arm = defense_arms(hedge_budget=0.3)
+    campaign = Campaign(
+        data, [straggler], [off_arm, on_arm],
+        n_requests=80, horizon_ns=HORIZON_NS, seed=11,
     )
-    manager, lat_on, exact_on = serve(defended, straggler)
+    # one arm by hand: build its fleet, serve the trace through the
+    # campaign's oracle-checked loop, then read the detector's verdicts
+    manager = campaign.manager(straggler, on_arm)
+    served = campaign.serve(manager)
     print("\ndetector verdicts under a 12x straggler on shard1:")
     for entry in manager.health.snapshot(HORIZON_NS):
         p95 = entry["observed_p95_ns"]
@@ -102,21 +92,26 @@ def main() -> None:
             f"suspicion={entry['suspicion']:.2f} "
             f"ejections={entry['ejections']} p95={p95_txt}"
         )
+    print(f"  bit-exact: {served['violations'] == 0}")
 
     # -- 3. hedge: the tail with defenses off vs on -------------------
-    _, lat_off, exact_off = serve(RecoveryPolicy(), straggler)
-    p99_off = float(np.percentile(lat_off, 99))
-    p99_on = float(np.percentile(lat_on, 99))
+    arms = campaign.run()["scenarios"][0]["arms"]
+    off, on = arms["detector_off"], arms["detector_on"]
+    p99_off, p99_on = off["latency_p99_ns"], on["latency_p99_ns"]
     print("\nstraggler tail latency (same traffic, same hardware):")
     print(f"  defenses off : p99 {p99_off / 1e3:.1f} us")
     print(f"  defenses on  : p99 {p99_on / 1e3:.1f} us "
-          f"({1 - p99_on / p99_off:+.0%})")
-    print(f"  bit-exact    : off={exact_off} on={exact_on}")
+          f"({1 - p99_on / p99_off:+.0%}, "
+          f"{on['counters']['hedges_won']} hedges won)")
+    print(
+        f"  bit-exact    : off={off['exactness_violations'] == 0} "
+        f"on={on['exactness_violations'] == 0}"
+    )
 
     # -- 4. the full campaign -----------------------------------------
-    campaign = ChaosCampaign(
-        data, n_shards=4, replication=2, n_requests=60,
-        horizon_ns=HORIZON_NS, hedge_budget=0.3, seed=0,
+    campaign = Campaign(
+        data, standard_campaign(), defense_arms(hedge_budget=0.3),
+        n_requests=60, horizon_ns=HORIZON_NS, seed=0,
     )
     result = campaign.run()
     print("\nchaos campaign (5 scenarios x defenses off/on):")

@@ -16,7 +16,10 @@ Walks the disaster-recovery ladder of ``repro.hardware`` +
    clean single-array oracle either way;
 4. **checkpoint** — serve, snapshot (atomic write-then-rename,
    SHA-256 everywhere), crash, restore, and finish the trace with
-   answers bit-identical to a twin that never crashed.
+   answers bit-identical to the ones served without a crash.
+
+Steps 2-4 are one :class:`~repro.faults.Campaign`: a power-outage
+scenario × ring/spread placement arms, plus its ``restart`` leg.
 
 The same experiment is available without code via the CLI::
 
@@ -29,29 +32,16 @@ The same experiment is available without code via the CLI::
 
 from __future__ import annotations
 
-import os
-import tempfile
-
 import numpy as np
 
-from repro.checkpoint import (
-    restore_manager,
-    verify_checkpoint,
-    write_checkpoint,
-)
-from repro.faults import FaultPlan
+from repro.faults import Arm, Campaign, FaultPlan, Scenario
 from repro.hardware import DOMAIN_LEVELS, FailureDomainTopology
-from repro.serving import ShardManager
 
 HORIZON_NS = 1.5e7
 
 
 def main() -> None:
-    rng = np.random.default_rng(0)
-    data = rng.random((1024, 48))
-    queries = rng.normal(size=(60, 48))
-    clean = ShardManager(data, n_shards=1)
-    reference = [clean.knn(q, k=10) for q in queries]
+    data = np.random.default_rng(0).random((1024, 48))
 
     # -- 1. the containment tree -------------------------------------
     topology = FailureDomainTopology(
@@ -70,15 +60,25 @@ def main() -> None:
         print(f"  {level:<8} {' '.join(radii)}")
 
     # -- 2. placement: ring vs spread ---------------------------------
-    ring = ShardManager(
-        data, 8, replication=2, topology=topology, spread=False
+    outage = Scenario(
+        "power_outage",
+        lambda n_shards, horizon_ns, seed: FaultPlan.domain_outage(
+            topology, horizon_ns, seed=seed, outage_domains=1,
+            level="power",
+        ),
     )
-    spread = ShardManager(data, 8, replication=2, topology=topology)
+    ring, spread = Arm("ring", {"spread": False}), Arm("spread")
+    campaign = Campaign(
+        data, [outage], [ring, spread],
+        fleet={"n_shards": 8, "replication": 2, "topology": topology},
+        n_requests=60, horizon_ns=HORIZON_NS, seed=11,
+    )
     print("\nreplica placement at equal hardware (x2 replication):")
-    for name, manager in (("ring", ring), ("spread", spread)):
+    for arm in (ring, spread):
+        manager = campaign.manager(outage, arm)
         report = manager.spread_report()
         print(
-            f"  {name:<7} replicas={manager.replicas}  "
+            f"  {arm.name:<7} replicas={manager.replicas}  "
             f"at-risk={report['n_at_risk']}/{manager.n_chunks} "
             f"min_spread={report['min_spread']}"
         )
@@ -89,71 +89,32 @@ def main() -> None:
     )
 
     # -- 3. one power rail dies, both placements serve ----------------
-    plan = FaultPlan.domain_outage(
-        topology, HORIZON_NS, seed=11, outage_domains=1, level="power"
-    )
+    plan = campaign.plans[outage.name]
     victims = sorted(
         e.target for e in plan.events if e.kind == "shard_crash"
     )
     print(f"\ndomain outage (seed 11): {', '.join(victims)} all die at "
           f"{plan.events[0].t_ns / 1e6:.1f}ms")
-
-    def serve(manager, start=0, stop=None, t=0.0):
-        served, full, exact = [], 0, True
-        for i, q in enumerate(queries[start:stop], start=start):
-            answers, timing = manager.knn_batch(
-                np.atleast_2d(q), 10, now_ns=t
-            )
-            a, ref = answers[0], reference[i]
-            served.append(a)
-            full += 0 if a.degraded else 1
-            exact = exact and (
-                a.indices.tolist() == ref.indices.tolist()
-                and a.scores.tolist() == ref.scores.tolist()
-            )
-            t += timing.service_ns + HORIZON_NS / (len(queries) + 1)
-        return served, full, exact, t
-
-    for name, spread_flag in (("ring", False), ("spread", True)):
-        manager = ShardManager(
-            data, 8, replication=2, topology=topology,
-            spread=spread_flag, fault_plan=plan,
-        )
-        served, full, exact, _ = serve(manager)
+    (result,) = campaign.run()["scenarios"]
+    for name, arm in result["arms"].items():
+        full = arm["requests"] - arm["degraded_responses"]
         print(
-            f"  {name:<7} full-fidelity {full}/{len(served)}  "
-            f"bit-exact={exact}"
+            f"  {name:<7} full-fidelity {full}/{arm['requests']}  "
+            f"bit-exact={arm['exactness_violations'] == 0}"
         )
 
     # -- 4. checkpoint, crash, restore --------------------------------
-    twin = ShardManager(data, 8, replication=2, topology=topology)
-    manager = ShardManager(data, 8, replication=2, topology=topology)
-    half = len(queries) // 2
-    _, _, _, t_crash = serve(manager, stop=half)
-    serve(twin, stop=half)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "service.ck.npz")
-        write_checkpoint(manager, path, t_ns=t_crash)
-        report = verify_checkpoint(path)
-        print(
-            f"\ncheckpoint after {half} requests: "
-            f"{report['hashes_verified']} arrays verified, "
-            f"recovery point {report['t_ns'] / 1e6:.3f}ms"
-        )
-        del manager  # the crash: the process is gone
-        restored = restore_manager(path)
-    after, _, _, _ = serve(restored, start=half, t=t_crash)
-    expected, _, _, _ = serve(twin, start=half, t=t_crash)
-    mismatches = sum(
-        1
-        for a, b in zip(after, expected)
-        if a.indices.tolist() != b.indices.tolist()
-        or a.scores.tolist() != b.scores.tolist()
+    leg = campaign.restart(outage, spread)
+    print(
+        f"\ncheckpoint after {leg['requests_before_crash']} requests: "
+        f"{leg['integrity']['hashes_verified']} arrays verified, "
+        f"recovery point {leg['checkpoint_t_ns'] / 1e6:.3f}ms"
     )
     print(
-        f"restored service finished the trace: {len(after)} answers, "
-        f"{mismatches} mismatches vs the uninterrupted twin "
-        f"(recovery point {restored.last_checkpoint_ns / 1e6:.3f}ms)"
+        f"restored service finished the trace: "
+        f"{leg['requests_after_restore']} answers, "
+        f"{leg['restore_mismatches']} mismatches vs the uninterrupted run "
+        f"(recovery point {leg['recovery_point_ns'] / 1e6:.3f}ms)"
     )
 
 

@@ -23,17 +23,17 @@ mid-run. It provides:
   that delay or drop dispatches — all *bit-exactness-preserving* (a
   slow answer is still the right answer), generated in one call by
   :meth:`FaultPlan.gray_chaos`;
-* :class:`ChaosCampaign` (:mod:`repro.faults.campaign`) — declarative
-  phased scenario suites that serve identical traffic under a fault
-  plan with the gray-failure defenses on and off, asserting
-  bit-exactness against a clean reference and reporting p99/availability
-  per arm;
 * correlated outages — :meth:`FaultPlan.domain_outage` crashes every
   shard of whole failure domains simultaneously (plus staggered-recovery
-  brownouts), and :class:`DisasterRecoveryCampaign`
-  (:mod:`repro.faults.dr`) proves domain-spread placement survives them
-  at equal hardware and that a checkpointed cold restart is
-  bit-identical to an uninterrupted service.
+  brownouts);
+* :class:`Campaign` (:mod:`repro.faults.campaign`) — one seeded query
+  trace served through a table of :class:`Scenario` s (fault plans)
+  × :class:`Arm` s (fleet settings such as recovery policy or spread
+  placement) at equal hardware, every answer checked bit-for-bit
+  against a clean single-array oracle, each arm reduced to p99,
+  availability, hedge and placement-risk stats; its ``restart`` leg
+  checkpoints, crashes and restores a fleet mid-trace and checks the
+  restored answers against the uninterrupted ones.
 
 Every injected fault is deterministic (seeded from the plan) and
 visible in telemetry (``fault.*`` spans and ``faults.*`` counters), so
@@ -54,11 +54,12 @@ from repro.faults.injectors import (
     ShardVerdict,
 )
 from repro.faults.campaign import (
-    ChaosCampaign,
-    ChaosScenario,
+    Arm,
+    Campaign,
+    Scenario,
+    defense_arms,
     standard_campaign,
 )
-from repro.faults.dr import DisasterRecoveryCampaign
 from repro.faults.plan import (
     ARRAY_FAULT_KINDS,
     FAULT_KINDS,
@@ -70,10 +71,9 @@ from repro.faults.plan import (
 
 __all__ = [
     "ARRAY_FAULT_KINDS",
-    "ChaosCampaign",
-    "ChaosScenario",
+    "Arm",
+    "Campaign",
     "DEFAULT_CORRUPT_MAGNITUDE",
-    "DisasterRecoveryCampaign",
     "FAULT_KINDS",
     "FaultEvent",
     "FaultPlan",
@@ -82,9 +82,11 @@ __all__ = [
     "FaultyShardEngine",
     "GRAY_FAULT_KINDS",
     "SHARD_FAULT_KINDS",
+    "Scenario",
     "ShardVerdict",
     "append_checksum_row",
     "checksum_row",
+    "defense_arms",
     "standard_campaign",
     "verify_wave_residues",
 ]

@@ -1,32 +1,33 @@
-"""Declarative chaos campaigns: phased gray/crash scenarios, measured.
+"""Fault campaigns: one seeded trace over a scenario × arm table.
 
-A :class:`ChaosScenario` names one fault weather — a
-:meth:`~repro.faults.plan.FaultPlan.gray_chaos` parameterization plus
-optional extra (binary) fault events composed on top. A
-:class:`ChaosCampaign` serves the *same* seeded query trace through
-three arms per scenario:
-
-* ``clean``        — single-array reference (the exactness oracle);
-* ``detector_off`` — sharded under the fault plan with the legacy
-  recovery policy (no outlier ejection, no adaptive hedging);
-* ``detector_on``  — same plan, same traffic, gray-failure defenses on.
-
-Each arm's answers are compared bit-for-bit against the clean
-reference (any mismatch is an exactness violation — gray faults must
-never change values), and the campaign reduces every arm to p99/p50
-latency, availability, hedge accounting and health state. The whole
-run serializes to a JSON *timeline artifact* (fault schedule + per-arm
-stats + detector verdict transitions) for CI upload.
+A :class:`Scenario` names one fault weather — a function from the
+fleet size, horizon and seed to a :class:`~repro.faults.plan.FaultPlan`
+(or ``None`` for clear skies). An :class:`Arm` names one way of
+serving it — the :class:`~repro.serving.sharding.ShardManager`
+settings it differs in (``recovery``, ``spread``, ...). A
+:class:`Campaign` serves the *same* seeded query trace through every
+(scenario, arm) pair on equal hardware and checks every answer
+bit-for-bit against a clean single-array oracle: faults may slow,
+degrade or reroute a request, never change its values. Each arm is
+reduced to one stats dict (latency percentiles, availability, hedge
+accounting, placement risk, final health), and :meth:`Campaign.restart`
+adds the crash leg: serve half the trace, checkpoint, discard every
+live object, restore, serve the rest, and compare with the arm's
+uninterrupted answers.
 
 Determinism: queries, plans and dispatch all derive from the campaign
-seed on the simulated clock, so two runs of the same campaign emit
-byte-identical artifacts (modulo float formatting).
+seed on the simulated clock, and the checkpoint lives in a temporary
+directory recorded by file name only, so two runs of the same campaign
+emit byte-identical artifacts.
 """
 
 from __future__ import annotations
 
-import json
+import dataclasses
+import os
+import tempfile
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -37,151 +38,154 @@ from repro.faults.plan import FaultEvent, FaultPlan
 # serving classes the campaign drives are imported lazily inside the
 # methods that need them to keep `import repro.faults` cycle-free.
 
+#: Per-dispatch recovery counters summed over an arm's trace.
+_COUNTERS = (
+    "attempts", "hedges", "hedges_won", "hedges_lost", "hedges_denied",
+    "link_drops", "retries", "failovers", "crashes", "timeouts",
+    "degraded_chunks",
+)
+
 
 @dataclass(frozen=True)
-class ChaosScenario:
-    """One named fault weather for a campaign.
-
-    ``gray`` holds keyword arguments for
-    :meth:`FaultPlan.gray_chaos` (victim counts, factors, link
-    probabilities — everything except ``n_shards``/``horizon_ns``/
-    ``seed``, which the campaign supplies). ``extra_events`` composes
-    additional :class:`FaultEvent` s — crashes, corruption — on top of
-    the gray plan; scenarios with extra non-gray events are still
-    exactness-checked (corrupted waves must be *detected*, never
-    served).
-    """
+class Scenario:
+    """One named fault weather: ``plan(n_shards, horizon_ns, seed)``."""
 
     name: str
+    plan: Callable[[int, float, int], "FaultPlan | None"]
     description: str = ""
-    gray: dict = field(default_factory=dict)
-    extra_events: tuple = ()
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("scenarios need a name")
-        for event in self.extra_events:
-            if not isinstance(event, FaultEvent):
-                raise ConfigurationError(
-                    "extra_events must be FaultEvent instances"
-                )
 
-    def plan(
-        self, n_shards: int, horizon_ns: float, seed: int
-    ) -> FaultPlan:
-        """Materialize the scenario's fault plan for one fleet."""
-        base = FaultPlan.gray_chaos(
-            n_shards, horizon_ns, seed=seed, **self.gray
-        )
-        if not self.extra_events:
+@dataclass(frozen=True)
+class Arm:
+    """One named way to serve: the ``ShardManager`` settings it sets."""
+
+    name: str
+    settings: dict = field(default_factory=dict)
+
+
+def _gray(crash_mid: bool = False, **gray) -> Callable:
+    """A :meth:`FaultPlan.gray_chaos` plan, optionally with a hard crash
+    of the middle shard at half the horizon."""
+
+    def plan(n_shards: int, horizon_ns: float, seed: int) -> FaultPlan:
+        base = FaultPlan.gray_chaos(n_shards, horizon_ns, seed=seed, **gray)
+        if not crash_mid:
             return base
-        return FaultPlan(
-            base.events + tuple(self.extra_events), seed=seed
+        crash = FaultEvent(
+            t_ns=horizon_ns / 2,
+            kind="shard_crash",
+            target=f"shard{n_shards // 2}",
         )
+        return FaultPlan(base.events + (crash,), seed=seed)
+
+    return plan
 
 
-def standard_campaign() -> tuple[ChaosScenario, ...]:
-    """The five stock scenarios the chaos bench and CI gate run.
+def standard_campaign() -> tuple[Scenario, ...]:
+    """The five stock gray-failure scenarios the chaos bench gates.
 
     ``straggler`` is the headline: one sustained slow shard, nothing
-    else — the scenario under which the detector+hedging arm must beat
-    the detector-off arm on p99. The others compose intermittent
-    slowdowns, flaky links, the full gray mix, and gray + a mid-run
-    crash (defenses must not confuse slow with dead).
+    else — the scenario under which the defended arm must beat the
+    undefended one on p99. The others compose intermittent slowdowns,
+    flaky links, the full gray mix, and gray + a mid-run crash
+    (defenses must not confuse slow with dead).
     """
-    no_gray = dict(
-        straggler_shards=0, intermittent_shards=0, flaky_shards=0
-    )
+    quiet = dict(straggler_shards=0, intermittent_shards=0, flaky_shards=0)
     return (
-        ChaosScenario(
-            name="straggler",
-            description="one sustained 12x straggler shard",
-            gray={
-                **no_gray,
-                "straggler_shards": 1,
-                "straggler_factor": 12.0,
-            },
+        Scenario(
+            "straggler",
+            _gray(**{**quiet, "straggler_shards": 1,
+                     "straggler_factor": 12.0}),
+            "one sustained 12x straggler shard",
         ),
-        ChaosScenario(
-            name="intermittent",
-            description="one shard alternating fast/slow (50% duty)",
-            gray={
-                **no_gray,
-                "intermittent_shards": 1,
-                "intermittent_factor": 10.0,
-            },
+        Scenario(
+            "intermittent",
+            _gray(**{**quiet, "intermittent_shards": 1,
+                     "intermittent_factor": 10.0}),
+            "one shard alternating fast/slow (50% duty)",
         ),
-        ChaosScenario(
-            name="flaky_link",
-            description="one host<->shard link dropping/delaying",
-            gray={
-                **no_gray,
-                "flaky_shards": 1,
-                "drop_probability": 0.1,
-                "delay_probability": 0.2,
-            },
+        Scenario(
+            "flaky_link",
+            _gray(**{**quiet, "flaky_shards": 1, "drop_probability": 0.1,
+                     "delay_probability": 0.2}),
+            "one host<->shard link dropping/delaying",
         ),
-        ChaosScenario(
-            name="gray_mix",
-            description="straggler + intermittent + flaky link at once",
-            gray={
-                "straggler_shards": 1,
-                "straggler_factor": 10.0,
-                "intermittent_shards": 1,
-                "flaky_shards": 1,
-            },
+        Scenario(
+            "gray_mix",
+            _gray(straggler_shards=1, straggler_factor=10.0,
+                  intermittent_shards=1, flaky_shards=1),
+            "straggler + intermittent + flaky link at once",
         ),
-        ChaosScenario(
-            name="gray_plus_crash",
-            description="gray mix with a mid-run hard shard crash",
-            gray={
-                **no_gray,
-                "straggler_shards": 1,
-                "straggler_factor": 10.0,
-            },
-            extra_events=(
-                FaultEvent(
-                    t_ns=0.5, kind="shard_crash", target="__mid__"
-                ),
-            ),
+        Scenario(
+            "gray_plus_crash",
+            _gray(True, **{**quiet, "straggler_shards": 1,
+                           "straggler_factor": 10.0}),
+            "gray mix with a mid-run hard shard crash",
         ),
     )
 
 
-class ChaosCampaign:
-    """Run scenarios through clean / detector-off / detector-on arms.
+def defense_arms(hedge_budget: float = 0.3) -> tuple[Arm, Arm]:
+    """Gray-failure defenses off (legacy recovery) vs on (outlier
+    ejection + adaptive hedging within ``hedge_budget``)."""
+    from repro.serving.health import RecoveryPolicy
+
+    return (
+        Arm("detector_off", {"recovery": RecoveryPolicy()}),
+        Arm(
+            "detector_on",
+            {
+                "recovery": RecoveryPolicy(
+                    outlier_ejection=True,
+                    adaptive_hedge=True,
+                    hedge_budget=hedge_budget,
+                )
+            },
+        ),
+    )
+
+
+def _jsonable(value):
+    if hasattr(value, "describe"):
+        return value.describe()
+    if dataclasses.is_dataclass(value):
+        return dataclasses.asdict(value)
+    return value
+
+
+class Campaign:
+    """Serve one seeded trace through every (scenario, arm) pair.
 
     Parameters
     ----------
     data:
         The dataset every arm serves (``(n, dims)`` float array).
-    scenarios:
-        The scenario suite; defaults to :func:`standard_campaign`.
-    n_shards / replication:
-        Fleet shape shared by both faulted arms (equal hardware — the
-        comparison is defenses on vs off, not more metal).
+    scenarios / arms:
+        The table's rows and columns; names must be unique.
+    fleet:
+        ``ShardManager`` settings every arm shares (equal hardware —
+        arms compare defenses or placement, not more metal); defaults
+        to 4 shards × 2 replicas.
     n_requests / k:
         Seeded query trace length and top-k per request.
     horizon_ns:
         Fault-plan horizon; request pacing spreads the trace across it
         so every fault window sees traffic.
-    hedge_budget:
-        The detector arm's hedge budget (fraction of wave attempts).
     seed:
-        Master seed for queries and every scenario plan.
+        Master seed for queries and plans (scenario ``i`` plans with
+        ``seed + i``).
     """
 
     def __init__(
         self,
         data: np.ndarray,
-        scenarios=None,
+        scenarios,
+        arms,
         *,
-        n_shards: int = 4,
-        replication: int = 2,
-        n_requests: int = 150,
+        fleet: dict | None = None,
+        n_requests: int = 120,
         k: int = 10,
         horizon_ns: float = 1.5e7,
-        hedge_budget: float = 0.3,
         seed: int = 0,
     ) -> None:
         self.data = np.asarray(data, dtype=np.float64)
@@ -189,140 +193,123 @@ class ChaosCampaign:
             raise ConfigurationError(
                 "campaign needs a non-empty (n, dims) dataset"
             )
-        self.scenarios = tuple(
-            scenarios if scenarios is not None else standard_campaign()
-        )
-        if not self.scenarios:
-            raise ConfigurationError("campaign needs at least one scenario")
+        self.scenarios = tuple(scenarios)
+        self.arms = tuple(arms)
+        for kind, table in (("scenario", self.scenarios), ("arm", self.arms)):
+            names = [entry.name for entry in table]
+            if not names or len(set(names)) != len(names) or not all(names):
+                raise ConfigurationError(
+                    f"campaign needs at least one {kind}, uniquely named"
+                )
         if n_requests < 1:
             raise ConfigurationError("n_requests must be >= 1")
-        self.n_shards = int(n_shards)
-        self.replication = int(replication)
+        self.fleet = dict(
+            fleet if fleet is not None else {"n_shards": 4, "replication": 2}
+        )
         self.n_requests = int(n_requests)
         self.k = int(k)
         self.horizon_ns = float(horizon_ns)
-        self.hedge_budget = float(hedge_budget)
         self.seed = int(seed)
         rng = np.random.default_rng(seed)
         self.queries = rng.normal(size=(self.n_requests, self.data.shape[1]))
         # spread the trace across the horizon so every fault window
         # (stragglers live in the middle 60%) actually sees traffic
         self.gap_ns = self.horizon_ns / (self.n_requests + 1)
+        n_shards = int(self.fleet.get("n_shards", 1))
+        self.plans = {
+            scenario.name: scenario.plan(
+                n_shards, self.horizon_ns, self.seed + index
+            )
+            for index, scenario in enumerate(self.scenarios)
+        }
+        self._oracle: list | None = None
+        self._answers: dict = {}
 
     # ------------------------------------------------------------------
-    def _policies(self) -> dict:
-        from repro.serving.health import RecoveryPolicy
-
-        return {
-            "detector_off": RecoveryPolicy(),
-            "detector_on": RecoveryPolicy(
-                outlier_ejection=True,
-                adaptive_hedge=True,
-                hedge_budget=self.hedge_budget,
-            ),
-        }
-
-    def _resolve_events(self, scenario: ChaosScenario) -> ChaosScenario:
-        """Resolve placeholder targets/times in extra events.
-
-        ``target="__mid__"`` becomes the middle shard of the fleet and
-        fractional ``t_ns`` in (0, 1] scales to the horizon, so stock
-        scenarios stay fleet-agnostic.
-        """
-        if not scenario.extra_events:
-            return scenario
-        resolved = []
-        for event in scenario.extra_events:
-            target = event.target
-            if target == "__mid__":
-                target = f"shard{self.n_shards // 2}"
-            t_ns = event.t_ns
-            if 0.0 < t_ns <= 1.0:
-                t_ns = t_ns * self.horizon_ns
-            resolved.append(
-                FaultEvent(
-                    t_ns=t_ns,
-                    kind=event.kind,
-                    target=target,
-                    duration_ns=event.duration_ns,
-                    params=dict(event.params),
-                )
-            )
-        return ChaosScenario(
-            name=scenario.name,
-            description=scenario.description,
-            gray=scenario.gray,
-            extra_events=tuple(resolved),
-        )
-
-    def _reference(self) -> list:
+    @property
+    def oracle(self) -> list:
         """Clean single-array answers — the bit-exactness oracle."""
+        if self._oracle is None:
+            from repro.serving.sharding import ShardManager
+
+            manager = ShardManager(self.data, 1)
+            self._oracle = []
+            for q in self.queries:
+                result = manager.knn(q, self.k)
+                self._oracle.append(
+                    (result.indices.tolist(), result.scores.tolist())
+                )
+        return self._oracle
+
+    def manager(self, scenario: Scenario, arm: Arm):
+        """A fresh fleet for ``arm`` under ``scenario``'s plan."""
         from repro.serving.sharding import ShardManager
 
-        manager = ShardManager(self.data, 1)
-        answers = []
-        for q in self.queries:
-            result = manager.knn(q, self.k)
-            answers.append(
-                (result.indices.tolist(), result.scores.tolist())
-            )
-        return answers
-
-    def _run_arm(
-        self, plan: FaultPlan, policy, reference: list
-    ) -> dict:
-        from repro.serving.sharding import ShardManager
-
-        manager = ShardManager(
+        return ShardManager(
             self.data,
-            self.n_shards,
-            replication=self.replication,
-            fault_plan=plan,
-            recovery=policy,
+            fault_plan=self.plans[scenario.name],
             seed=self.seed,
+            **{**self.fleet, **arm.settings},
         )
+
+    def serve(
+        self, manager, start: int = 0, stop: int | None = None,
+        t: float = 0.0,
+    ) -> dict:
+        """Serve trace rows ``[start, stop)`` from simulated time ``t``,
+        checking every answer against the oracle."""
+        oracle = self.oracle
+        stop = self.n_requests if stop is None else stop
+        answers: list = []
         latencies: list[float] = []
         violations = 0
         degraded = 0
-        t = 0.0
-        counters = {
-            "attempts": 0, "hedges": 0, "hedges_won": 0,
-            "hedges_lost": 0, "hedges_denied": 0, "link_drops": 0,
-            "retries": 0, "failovers": 0, "crashes": 0,
-            "timeouts": 0, "degraded_chunks": 0,
-        }
-        for i, q in enumerate(self.queries):
-            answers, timing = manager.knn_batch(
-                np.atleast_2d(q), self.k, now_ns=t
+        counters = dict.fromkeys(_COUNTERS, 0)
+        for i in range(start, stop):
+            batch, timing = manager.knn_batch(
+                np.atleast_2d(self.queries[i]), self.k, now_ns=t
             )
-            result = answers[0]
+            result = batch[0]
+            pair = (result.indices.tolist(), result.scores.tolist())
+            answers.append(pair)
             latencies.append(timing.service_ns)
+            # degraded = exact host-side recompute of a replica-less
+            # chunk: slower and flagged, but still bit-exact — so it
+            # dents availability yet still faces the oracle below
             if result.degraded:
-                # degraded = exact host-side recompute of a replica-less
-                # chunk: slower and flagged, but still bit-exact — so it
-                # dents availability yet still faces the oracle below
                 degraded += 1
-            if (
-                result.indices.tolist(),
-                result.scores.tolist(),
-            ) != reference[i]:
+            if pair != oracle[i]:
                 violations += 1
             for key in counters:
                 counters[key] += getattr(timing, key)
             t += timing.service_ns + self.gap_ns
+        return {
+            "answers": answers,
+            "latencies": latencies,
+            "violations": violations,
+            "degraded": degraded,
+            "counters": counters,
+            "t_end": t,
+        }
+
+    def _arm(self, scenario: Scenario, arm: Arm) -> dict:
+        manager = self.manager(scenario, arm)
+        spread_report = manager.spread_report()
+        served = self.serve(manager)
+        self._answers[scenario.name, arm.name] = served["answers"]
+        counters = served["counters"]
         stats = manager.merged_stats()
-        lat = np.asarray(latencies)
+        lat = np.asarray(served["latencies"])
         return {
             "latency_p50_ns": float(np.percentile(lat, 50.0)),
             "latency_p95_ns": float(np.percentile(lat, 95.0)),
             "latency_p99_ns": float(np.percentile(lat, 99.0)),
             "latency_mean_ns": float(lat.mean()),
             "requests": self.n_requests,
-            "exactness_violations": violations,
-            "degraded_responses": degraded,
-            # degraded answers are approximate by design; availability
-            # counts full-fidelity exact completions
-            "availability": 1.0 - degraded / self.n_requests,
+            "exactness_violations": served["violations"],
+            "degraded_responses": served["degraded"],
+            # availability counts full-fidelity (non-degraded) answers
+            "availability": 1.0 - served["degraded"] / self.n_requests,
             "hedge_rate": (
                 counters["hedges"] / counters["attempts"]
                 if counters["attempts"]
@@ -333,49 +320,97 @@ class ChaosCampaign:
                 "hedge_cancelled_ns", 0.0
             ),
             "counters": counters,
+            "spread_report": spread_report,
+            "at_risk_chunks_after": manager.spread_report()["n_at_risk"],
             "health": manager.health.snapshot(self.horizon_ns),
         }
 
     def run(self) -> dict:
-        """Execute every scenario; returns the timeline artifact dict."""
-        reference = self._reference()
+        """Serve every (scenario, arm); returns the timeline artifact."""
         scenarios_out = []
-        for index, raw in enumerate(self.scenarios):
-            scenario = self._resolve_events(raw)
-            plan = scenario.plan(
-                self.n_shards, self.horizon_ns, self.seed + index
-            )
-            arms = {
-                arm: self._run_arm(plan, policy, reference)
-                for arm, policy in self._policies().items()
-            }
+        for index, scenario in enumerate(self.scenarios):
+            plan = self.plans[scenario.name]
+            arms = {arm.name: self._arm(scenario, arm) for arm in self.arms}
+            served = [self._answers[scenario.name, a.name] for a in self.arms]
             scenarios_out.append(
                 {
                     "name": scenario.name,
                     "description": scenario.description,
                     "plan_seed": self.seed + index,
-                    "fault_timeline": plan.describe(),
+                    "fault_timeline": plan.describe() if plan else [],
                     "arms": arms,
+                    # requests on which the arms disagree (placement and
+                    # defenses must never change values)
+                    "answer_divergence": sum(
+                        1 for row in zip(*served)
+                        if any(pair != row[0] for pair in row)
+                    ),
                 }
             )
         return {
             "campaign": {
                 "seed": self.seed,
-                "n_shards": self.n_shards,
-                "replication": self.replication,
+                "fleet": {
+                    key: _jsonable(value)
+                    for key, value in self.fleet.items()
+                },
+                "arms": {
+                    arm.name: {
+                        key: _jsonable(value)
+                        for key, value in arm.settings.items()
+                    }
+                    for arm in self.arms
+                },
                 "n_requests": self.n_requests,
                 "k": self.k,
                 "horizon_ns": self.horizon_ns,
-                "hedge_budget": self.hedge_budget,
                 "dataset_rows": int(self.data.shape[0]),
                 "dims": int(self.data.shape[1]),
             },
             "scenarios": scenarios_out,
         }
 
-    @staticmethod
-    def write_artifact(result: dict, path: str) -> None:
-        """Serialize one :meth:`run` result as the JSON artifact."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    def restart(self, scenario: Scenario, arm: Arm) -> dict:
+        """Serve, checkpoint, crash, restore, serve — against the arm's
+        uninterrupted answers (served first if :meth:`run` has not)."""
+        from repro.checkpoint import (
+            restore_manager,
+            verify_checkpoint,
+            write_checkpoint,
+        )
+
+        if (scenario.name, arm.name) not in self._answers:
+            self._arm(scenario, arm)
+        uninterrupted = self._answers[scenario.name, arm.name]
+        half = self.n_requests // 2
+        manager = self.manager(scenario, arm)
+        first = self.serve(manager, 0, half)
+        name = f"campaign-seed{self.seed}.ckpt.npz"
+        with tempfile.TemporaryDirectory(prefix="repro-dr-") as directory:
+            path = os.path.join(directory, name)
+            manifest = write_checkpoint(manager, path, t_ns=first["t_end"])
+            integrity = {**verify_checkpoint(path), "path": name}
+            del manager  # the crash: every live object is gone
+            restored = restore_manager(
+                path,
+                fault_plan=self.plans[scenario.name],
+                recovery={**self.fleet, **arm.settings}.get("recovery"),
+            )
+        second = self.serve(restored, half, self.n_requests, first["t_end"])
+        answers = first["answers"] + second["answers"]
+        return {
+            "checkpoint_file": name,
+            "checkpoint_t_ns": float(manifest["t_ns"]),
+            "recovery_point_ns": float(restored.last_checkpoint_ns),
+            "requests_before_crash": half,
+            "requests_after_restore": self.n_requests - half,
+            "exactness_violations": (
+                first["violations"] + second["violations"]
+            ),
+            "restore_mismatches": sum(
+                1 for mine, theirs in zip(answers, uninterrupted)
+                if mine != theirs
+            ),
+            "degraded_responses": first["degraded"] + second["degraded"],
+            "integrity": integrity,
+        }
