@@ -102,7 +102,7 @@ def main() -> None:
     hbm.program_matrix("tour", matrix)
     before = hbm.query("tour", queries[0]).values
     victim = hbm.unit_ids_of("tour")[0]
-    spare, ns = hbm.remap_unit(victim)
+    spare, ns = hbm.remap_crossbar(victim)
     assert np.array_equal(hbm.query("tour", queries[0]).values, before)
     print(f"bank remap     : bank {victim} -> spare {spare} in "
           f"{ns:,.0f} ns, values preserved")

@@ -59,14 +59,6 @@ def _digest(arr: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _endurance_tracker(shard):
-    if shard.controller is not None:
-        return shard.controller.pim.endurance
-    if shard.engine is not None:
-        return shard.engine.pim.endurance
-    return None
-
-
 def write_checkpoint(
     manager, path: str, *, t_ns: float | None = None
 ) -> dict:
@@ -76,11 +68,6 @@ def write_checkpoint(
     manager's clock); it becomes the recovery point the DR bench checks
     against. Returns the manifest that was written.
     """
-    if manager.chunked:
-        raise CheckpointError(
-            "checkpointing needs resident programming; the chunked "
-            "engine re-programs crossbars per chunk"
-        )
     t = float(manager._clock_ns if t_ns is None else t_ns)
     qstate = manager.quantizer.export_state()
     qv = manager.quantizer.quantize(manager.source_data)
@@ -98,7 +85,7 @@ def write_checkpoint(
         arrays["qrange"] = qstate["range"]
     endurance = []
     for shard in manager.shards:
-        tracker = _endurance_tracker(shard)
+        tracker = shard.endurance
         endurance.append(
             {str(k): int(v) for k, v in tracker.writes.items()}
             if tracker is not None
@@ -274,7 +261,8 @@ def restore_manager(
     so every shard's row layout (and therefore every wave) matches the
     pre-crash service exactly.
     """
-    from repro.serving.sharding import ShardManager, ShardPlacement
+    from repro.serving.placement import ShardPlacement
+    from repro.serving.sharding import ShardManager
     from repro.similarity.quantization import Quantizer
 
     arrays = _load_container(path)
@@ -340,7 +328,7 @@ def restore_manager(
         dict(v) for v in manifest["placement_violations"]
     ]
     for shard, writes in zip(manager.shards, manifest["endurance"]):
-        tracker = _endurance_tracker(shard)
+        tracker = shard.endurance
         if tracker is not None:
             tracker.writes = {int(k): int(v) for k, v in writes.items()}
     if restore_health:

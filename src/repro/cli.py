@@ -66,6 +66,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < float("inf"):  # also rejects nan
+        raise argparse.ArgumentTypeError("must be a positive number")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--dataset", default="MSD", choices=sorted(PROFILES),
@@ -213,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", default="Standard", choices=KMEANS_ALGORITHMS
     )
     kmeans.add_argument("--k", type=_positive_int, default=16)
-    kmeans.add_argument("--max-iters", type=int, default=10)
+    kmeans.add_argument("--max-iters", type=_positive_int, default=10)
 
     profile = sub.add_parser(
         "profile", help="Section IV profiling of a baseline"
@@ -221,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(profile)
     profile.add_argument("--task", default="knn", choices=("knn", "kmeans"))
     profile.add_argument("--algorithm", default="Standard")
-    profile.add_argument("--k", type=int, default=10)
+    profile.add_argument("--k", type=_positive_int, default=10)
 
     serve = sub.add_parser(
         "serve", help="sharded multi-array query serving (repro.serving)"
@@ -234,13 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--placement", default="range", choices=("range", "hash")
     )
-    serve.add_argument("--k", type=int, default=10)
+    serve.add_argument("--k", type=_positive_int, default=10)
     serve.add_argument(
         "--requests", type=_positive_int, default=200,
         help="open-loop arrivals to serve",
     )
     serve.add_argument(
-        "--rate", type=float, default=None, metavar="QPS",
+        "--rate", type=_positive_float, default=None, metavar="QPS",
         help=(
             "offered load in simulated queries/second (default: sized "
             "to ~80%% of the measured single-node capacity)"
@@ -262,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="backpressure when the admission queue is full",
     )
     serve.add_argument(
-        "--deadline-us", type=float, default=None,
+        "--deadline-us", type=_positive_float, default=None,
         help="per-request deadline (simulated us); late requests shed",
     )
     serve.add_argument(
@@ -386,14 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--spares", type=int, default=0, metavar="N",
+        "--spares", type=_non_negative_int, default=0, metavar="N",
         help=(
             "spare crossbars reserved per shard as the remap pool "
             "(typically used with --repair)"
         ),
     )
     serve.add_argument(
-        "--scrub-period", type=float, default=50_000.0, metavar="US",
+        "--scrub-period", type=_positive_float, default=50_000.0,
+        metavar="US",
         help=(
             "background scrub sweep period in simulated microseconds "
             "(with --repair); every shard is re-verified once per period"
@@ -401,14 +416,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--live-report", nargs="?", const=500.0, default=None,
-        type=float, metavar="US",
+        type=_positive_float, metavar="US",
         help=(
             "print a periodic operational dashboard line every US "
             "simulated microseconds (default period: 500)"
         ),
     )
     serve.add_argument(
-        "--burn-window-us", type=float, default=500.0, metavar="US",
+        "--burn-window-us", type=_positive_float, default=500.0,
+        metavar="US",
         help=(
             "base window of the SLO burn-rate alert rules in simulated "
             "microseconds (fast rule: this window @ 14.4x; slow rule: "

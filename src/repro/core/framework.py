@@ -22,7 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.planner import optimize_fnn_plan
-from repro.core.profiler import AlgorithmProfile, profile_kmeans, profile_knn
+from repro.core.profiler import (
+    AlgorithmProfile,
+    _profile_from_counters,
+    profile_kmeans,
+    profile_knn,
+)
 from repro.errors import ConfigurationError
 from repro.hardware.config import HardwareConfig, pim_platform
 from repro.hardware.controller import PIMController
@@ -225,8 +230,6 @@ class PIMAccelerator:
         Same pipeline as :meth:`accelerate_knn` applied to the
         distance-based outlier task (Section II-C).
         """
-        from repro.cost.model import CostModel
-        from repro.core.profiler import AlgorithmProfile
         from repro.hardware.config import baseline_platform
         from repro.mining.outlier import (
             PIMOutlierDetector,
@@ -238,20 +241,9 @@ class PIMAccelerator:
         with tele.span("phase.profile_baseline", "phase", task="outlier"):
             baseline = StandardOutlierDetector(n_neighbors, n_outliers)
             base_result = baseline.fit(data).detect()
-        base_model = CostModel(baseline_platform())
-        base_profile = AlgorithmProfile(
-            name=baseline.name,
-            counters=base_result.counters,
-            components=base_model.component_breakdown(base_result.counters),
-            function_times_ns=base_model.function_times_ns(
-                base_result.counters
-            ),
-            cpu_time_ns=base_model.total_time_ns(base_result.counters),
-            pim_time_ns=0.0,
-            offloadable=baseline.offloadable_functions,
-            pim_oracle_ns=base_model.pim_oracle_time_ns(
-                base_result.counters, set(baseline.offloadable_functions)
-            ),
+        base_profile = _profile_from_counters(
+            baseline.name, base_result.counters,
+            baseline.offloadable_functions, baseline_platform(), 0.0,
         )
         promising = base_profile.oracle_speedup >= MIN_PROMISING_ORACLE_SPEEDUP
 
@@ -263,20 +255,9 @@ class PIMAccelerator:
                 quantizer=self._quantizer(),
             )
             pim_result = pim.fit(data).detect()
-        pim_model = CostModel(pim.controller.hardware)
-        pim_profile = AlgorithmProfile(
-            name=pim.name,
-            counters=pim_result.counters,
-            components=pim_model.component_breakdown(pim_result.counters),
-            function_times_ns=pim_model.function_times_ns(
-                pim_result.counters
-            ),
-            cpu_time_ns=pim_model.total_time_ns(pim_result.counters),
-            pim_time_ns=pim_result.pim_time_ns,
-            offloadable=pim.offloadable_functions,
-            pim_oracle_ns=pim_model.pim_oracle_time_ns(
-                pim_result.counters, set(pim.offloadable_functions)
-            ),
+        pim_profile = _profile_from_counters(
+            pim.name, pim_result.counters, pim.offloadable_functions,
+            pim.controller.hardware, pim_result.pim_time_ns,
         )
         results_match = bool(
             np.allclose(

@@ -576,14 +576,6 @@ class PIMArray:
         """Substrate-neutral alias of :meth:`crossbar_ids_of`."""
         return self.crossbar_ids_of(name)
 
-    def remap_unit(self, old_id: int) -> tuple[int, float]:
-        """Substrate-neutral alias of :meth:`remap_crossbar`."""
-        return self.remap_crossbar(old_id)
-
-    def remap_units(self, old_ids: list[int]) -> tuple[list[int], float]:
-        """Substrate-neutral alias of :meth:`remap_crossbars`."""
-        return self.remap_crossbars(old_ids)
-
     def wear_report(self, top: int | None = None) -> dict:
         """Endurance wear summary of this array's physical units."""
         return self.endurance.wear_report(top=top)

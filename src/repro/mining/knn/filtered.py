@@ -199,30 +199,3 @@ class FilteredKNN(KNNAlgorithm):
         for result in results:
             result.pim_time_ns += share
         return results
-
-    def pruning_ratios(self, queries: np.ndarray, k: int) -> dict[str, float]:
-        """Observed pruning ratio of each bound over sample queries.
-
-        Used by the execution-plan optimizer (Section V-D) to estimate
-        ``Pr(B_i)`` offline.
-        """
-        evaluated = {b.name: 0 for b in self.bounds}
-        pruned = {b.name: 0 for b in self.bounds}
-        for q in np.atleast_2d(np.asarray(queries)):
-            result = self.query(q, k)
-            threshold = (
-                result.scores.max() if self.minimize else result.scores.min()
-            )
-            current = np.arange(self.n_objects)
-            for bound in self.bounds:
-                if current.size == 0:
-                    break
-                values = bound.evaluate(q, current)
-                keep = ~bound.prunes(values, float(threshold))
-                evaluated[bound.name] += int(current.size)
-                pruned[bound.name] += int(current.size - keep.sum())
-                current = current[keep]
-        return {
-            name: (pruned[name] / evaluated[name] if evaluated[name] else 0.0)
-            for name in evaluated
-        }

@@ -25,7 +25,8 @@ from repro.hardware.bitslice import check_non_negative_integers, num_slices
 from repro.hardware.config import HardwareConfig, HBMPIMConfig
 from repro.hardware.crossbar import Crossbar, WaveResult
 from repro.hardware.pim_array import PIMArray
-from repro.serving.sharding import ShardManager, exact_sq_distances
+from repro.serving.kernels import exact_sq_distances
+from repro.serving.sharding import ShardManager
 from repro.substrate.hbm_pim import HBMPIMArray
 
 
@@ -195,7 +196,7 @@ class LoopShardManager(ShardManager):
 
     Bounds are built one query (or one row) at a time, candidates are
     visited in the full ``lexsort((gidx, lb))`` order, and every exact
-    score is one :func:`~repro.serving.sharding.exact_sq_distances` call
+    score is one :func:`~repro.serving.kernels.exact_sq_distances` call
     on one row.
     """
 
@@ -221,7 +222,9 @@ class LoopShardManager(ShardManager):
         return refined
 
     def _degraded_scores(self, floats, q_norm):
-        return [float(exact_sq_distances(row, q_norm)[0]) for row in floats]
+        return np.array(
+            [float(exact_sq_distances(row, q_norm)[0]) for row in floats]
+        )
 
     def _assign_rows(self, shard, idx, dots, c_norm, phi_c):
         best_c = np.zeros(idx.size, dtype=np.int64)

@@ -306,27 +306,23 @@ class RepairController:
     def _enqueue_missing(self, t_ns: float) -> int:
         """Queue a transfer for every chunk below its replica target.
 
-        Target selection defers to ``manager.replica_target_score``:
-        least-loaded shard first historically, and — with a failure-
-        domain topology attached — domain-disjoint shards before
-        co-domain ones, so repair restores *spread*, not just count.
-        A chunk already at its target count but whose surviving
-        replicas all share one failure domain (``manager.chunk_risk``)
-        gets one extra domain-disjoint copy when a shard outside that
-        domain can host it: count-only repair would declare victory
-        while the next correlated outage still takes every copy.
+        Targets come from ``manager.select_replica_target``: least-
+        loaded shard first historically, and — with a failure-domain
+        topology attached — domain-disjoint shards before co-domain
+        ones, so repair restores *spread*, not just count. A chunk
+        already at its target count but whose surviving replicas all
+        share one failure domain (``manager.chunk_risk``) gets one extra
+        domain-disjoint copy when a shard outside that domain can host
+        it: count-only repair would declare victory while the next
+        correlated outage still takes every copy.
         """
         manager = self.manager
-        if manager.chunked:
-            return 0  # chunked shards reprogram per chunk; no remap substrate
-        health = manager.health
-        alive = [s for s in range(manager.n_shards) if health.alive(s)]
-        target_k = min(self._target_replication(), len(alive))
-        inflight: dict[int, int] = {}
-        targeted: set[tuple[int, int]] = set()
+        n_alive = sum(manager.health.alive(s) for s in range(manager.n_shards))
+        target_k = min(self._target_replication(), n_alive)
+        # chunk -> shards its queued transfers already target
+        targets: dict[int, set[int]] = {}
         for tr in self._pending:
-            inflight[tr.chunk] = inflight.get(tr.chunk, 0) + 1
-            targeted.add((tr.chunk, tr.target))
+            targets.setdefault(tr.chunk, set()).add(tr.target)
         queued = 0
         for c in range(manager.n_chunks):
             live = manager.live_replicas(c)
@@ -337,91 +333,60 @@ class RepairController:
                     self._dead_handled.add(c)
                     self._event(t_ns, "unrecoverable", chunk=c)
                 continue
-            deficit = target_k - len(live) - inflight.get(c, 0)
-            rows = int(manager.chunk_rows[c].size)
-            while deficit > 0:
-                # a target must be able to fit the appended chunk — its
-                # array shrank by the spare reservation, so the smallest
-                # shard is not automatically a legal host (concurrent
-                # in-flight transfers are re-checked at program time by
-                # add_replica's own pre-check)
-                candidates = [
-                    s
-                    for s in alive
-                    if c not in manager.shards[s].chunk_slices
-                    and (c, s) not in targeted
-                    and manager.shards[s].can_host(rows, manager.verify)
-                ]
-                if not candidates:
-                    break
-                tgt = min(
-                    candidates,
-                    key=lambda s: manager.replica_target_score(c, s),
-                )
-                size = manager.chunk_bytes(c)
-                self._pending.append(
-                    _Transfer(
-                        chunk=c,
-                        target=tgt,
-                        started_ns=t_ns,
-                        bytes=size,
-                        remaining_ns=size * self.policy.copy_ns_per_byte,
-                    )
-                )
-                targeted.add((c, tgt))
-                inflight[c] = inflight.get(c, 0) + 1
-                deficit -= 1
-                queued += 1
-                self._event(
-                    t_ns, "rereplicate_start",
-                    chunk=c, target=tgt, bytes=size,
-                )
-            if (
-                deficit <= 0
-                and not inflight.get(c)
+            busy = targets.setdefault(c, set())
+            deficit = target_k - len(live) - len(busy)
+            if deficit > 0:
+                # a concurrent in-flight transfer is re-checked for
+                # capacity at program time by add_replica's own pre-check
+                for _ in range(deficit):
+                    if not self._enqueue(c, t_ns, busy, spread=False):
+                        break
+                    queued += 1
+            elif (
+                not busy
                 and manager.topology is not None
                 and manager.spread
                 and manager.chunk_risk(c) is not None
             ):
-                spread_candidates = [
-                    s
-                    for s in alive
-                    if c not in manager.shards[s].chunk_slices
-                    and (c, s) not in targeted
-                    and manager.shards[s].can_host(rows, manager.verify)
-                    and manager.replica_target_score(c, s)[0] == 0
-                ]
-                if not spread_candidates:
-                    if c not in self._spread_noted:
-                        self._spread_noted.add(c)
-                        self._event(
-                            t_ns, "spread_unrestorable",
-                            chunk=c, level=manager.chunk_risk(c),
-                        )
-                    continue
-                self._spread_noted.discard(c)
-                tgt = min(
-                    spread_candidates,
-                    key=lambda s: manager.replica_target_score(c, s),
-                )
-                size = manager.chunk_bytes(c)
-                self._pending.append(
-                    _Transfer(
-                        chunk=c,
-                        target=tgt,
-                        started_ns=t_ns,
-                        bytes=size,
-                        remaining_ns=size * self.policy.copy_ns_per_byte,
+                if self._enqueue(c, t_ns, busy, spread=True):
+                    self._spread_noted.discard(c)
+                    queued += 1
+                elif c not in self._spread_noted:
+                    self._spread_noted.add(c)
+                    self._event(
+                        t_ns, "spread_unrestorable",
+                        chunk=c, level=manager.chunk_risk(c),
                     )
-                )
-                targeted.add((c, tgt))
-                inflight[c] = inflight.get(c, 0) + 1
-                queued += 1
-                self._event(
-                    t_ns, "rereplicate_start",
-                    chunk=c, target=tgt, bytes=size, spread_repair=True,
-                )
         return queued
+
+    def _enqueue(
+        self, c: int, t_ns: float, busy: set[int], spread: bool
+    ) -> bool:
+        """Queue one copy of chunk ``c`` to its best target outside
+        ``busy``; with ``spread`` only a fully domain-disjoint target
+        will do. False when no shard qualifies."""
+        manager = self.manager
+        tgt = manager.select_replica_target(c, exclude=busy)
+        if tgt is None or (
+            spread and manager.replica_target_score(c, tgt)[0] != 0
+        ):
+            return False
+        size = manager.chunk_bytes(c)
+        self._pending.append(
+            _Transfer(
+                chunk=c,
+                target=tgt,
+                started_ns=t_ns,
+                bytes=size,
+                remaining_ns=size * self.policy.copy_ns_per_byte,
+            )
+        )
+        busy.add(tgt)
+        extra = {"spread_repair": True} if spread else {}
+        self._event(
+            t_ns, "rereplicate_start", chunk=c, target=tgt, bytes=size, **extra
+        )
+        return True
 
     def _transfer_step(self, t_ns: float, end_ns: float) -> float:
         """Progress the head transfer; returns the new simulated time."""

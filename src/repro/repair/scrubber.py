@@ -99,7 +99,7 @@ class BackgroundScrubber:
         Returns ``{"shard", "outcome", "cost_ns", "bad_waves"}`` where
         ``outcome`` is one of:
 
-        * ``"skip"``       — shard empty, chunked, or already dead;
+        * ``"skip"``       — shard empty or already dead;
         * ``"clean"``      — probe served and residues verified (or
           verification is off — nothing to check against);
         * ``"corrupt"``    — residues failed: a silent defect is live;
@@ -110,11 +110,7 @@ class BackgroundScrubber:
         shard = self.manager.shards[s]
         self.probes += 1
         result = {"shard": s, "outcome": "skip", "cost_ns": 0.0, "bad_waves": 0}
-        if (
-            shard.controller is None
-            or shard.n_rows == 0
-            or not self.manager.health.alive(s)
-        ):
+        if shard.n_rows == 0 or not self.manager.health.alive(s):
             return self._finish(result)
         shard.advance_clock(t_ns)
         verdict = (

@@ -45,13 +45,12 @@ from repro.serving.service import (
     Response,
     TenantSpec,
 )
+from repro.serving.placement import ShardPlacement, plan_placement
 from repro.serving.sharding import (
     AssignAnswer,
     GatherTiming,
     KNNAnswer,
     ShardManager,
-    ShardPlacement,
-    plan_placement,
 )
 from repro.serving.slo import SLOTracker
 

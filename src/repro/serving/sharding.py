@@ -1,11 +1,13 @@
-"""Dataset placement across PIM shards and exact scatter/gather.
+"""Exact scatter/gather over PIM shards, surviving faults.
 
-A *shard* is one PIM memory module (its own :class:`~repro.hardware.pim_array.PIMArray`)
-holding a subset of the dataset rows. :class:`ShardManager` owns the
-placement and answers queries by scattering the quantized query to every
-shard, letting each shard filter-and-refine its local rows, and merging
-the per-shard top-k lists — the SimplePIM-style thin software layer that
-turns N independent arrays into one logical store.
+A *shard* is one PIM memory module (its own substrate array) holding a
+subset of the dataset rows. :class:`ShardManager` answers queries by
+scattering the quantized query to every shard, letting each shard
+filter-and-refine its local rows, and merging the per-shard top-k lists
+— the SimplePIM-style thin software layer that turns N independent
+arrays into one logical store. Where rows and replicas live is decided
+in :mod:`repro.serving.placement`; every score, bound and top-k is a
+kernel of :mod:`repro.serving.kernels`. This module holds the dispatch.
 
 Exactness and placement invariance
 ----------------------------------
@@ -28,12 +30,12 @@ normalised space — the space Theorem 1's bound provably lower-bounds.
 Replication and recovery
 ------------------------
 With ``replication=r`` the placement's shard ids are reinterpreted as
-*chunk* ids and chunk ``c`` is programmed onto shards ``(c + j) % N``
-for ``j < r``; each dispatch serves every chunk from exactly one live
-replica, so no row is ever double-counted. Because the quantizer is
-global and ties resolve canonically, *any* choice of live replicas
-yields bit-identical results — failover is invisible in the values.
-When a :class:`~repro.faults.FaultPlan` is attached, dispatches survive
+*chunk* ids and each chunk is programmed onto ``r`` shards; each
+dispatch serves every chunk from exactly one live replica, so no row is
+ever double-counted. Because the quantizer is global and ties resolve
+canonically, *any* choice of live replicas yields bit-identical results
+— failover is invisible in the values. When a
+:class:`~repro.faults.FaultPlan` is attached, dispatches survive
 crashes, hangs, stragglers and corrupted waves via bounded retries with
 capped exponential backoff, per-attempt timeouts, replica failover and
 (last resort) host-side exact recomputation of an unavailable chunk —
@@ -45,12 +47,10 @@ never silently used.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bounds.pim import theorem1_lower_bound
 from repro.cost.counters import PerfCounters
 from repro.cost.model import CostModel
 from repro.errors import (
@@ -65,15 +65,12 @@ from repro.faults.injectors import FaultyPIMArray, FaultyShardEngine, ShardVerdi
 from repro.faults.integrity import append_checksum_row, verify_wave_residues
 from repro.faults.plan import FaultPlan
 from repro.hardware.config import (
-    DOMAIN_LEVELS,
     FailureDomainTopology,
     HardwareConfig,
     pim_platform,
 )
 from repro.hardware.controller import PIMController
-from repro.hardware.mapper import total_crossbars
 from repro.hardware.pim_array import PIMStats
-from repro.hardware.reprogramming import ChunkedDotProductEngine
 from repro.serving.health import (
     CRASH_DETECT_NS,
     HEDGE_MIN_NS,
@@ -84,102 +81,26 @@ from repro.serving.health import (
     ShardHealthTracker,
     backoff_ns,
 )
+from repro.serving.kernels import (
+    _CanonicalHeap,
+    _merge_heaps,
+    assign_sweep,
+    canonical_topk,
+    exact_sq_distances,
+    knn_bounds,
+    nearest_centers,
+    refine_scan,
+)
+from repro.serving.placement import (
+    ReplicaPlacement,
+    ShardPlacement,
+    plan_placement,
+)
 from repro.similarity.quantization import Quantizer
 from repro.telemetry import get_recorder
 
-PLACEMENT_KINDS = ("range", "hash")
-
-#: Knuth's multiplicative constant; spreads consecutive indices evenly.
-_HASH_MULTIPLIER = 2654435761
-
 #: Entries the per-manager shard CPU-time memo holds before it is cleared.
 _SHARD_CPU_MEMO_SIZE = 4096
-
-
-def exact_sq_distances(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Canonical exact scoring kernel: squared Euclidean per row.
-
-    Every exact-scoring path — shard refinement, degraded host-side
-    recompute, the k-means assist and the loop oracles in
-    :mod:`repro.oracle` — must route through this one expression. The
-    einsum reduces each row independently, so a row's score does not
-    depend on which other rows ride in the same call; scoring rows one
-    at a time, in blocks, or all at once yields bit-identical floats.
-    That row independence is what lets the fused batch paths match the
-    sequential loop oracles bit for bit (a plain ``diff @ diff`` BLAS
-    dot does *not* guarantee this across batch shapes).
-    """
-    diff = np.atleast_2d(rows) - query
-    return np.einsum("ij,ij->i", diff, diff)
-
-
-@dataclass(frozen=True)
-class ShardPlacement:
-    """Which shard each global dataset row lives on.
-
-    ``assignments[i]`` is the shard id of global row ``i``; shard ids
-    must lie in ``[0, n_shards)``. Empty shards are allowed (they simply
-    contribute no candidates), which keeps arbitrary explicit placements
-    — the property tests exercise them — legal.
-    """
-
-    n_shards: int
-    assignments: np.ndarray
-    kind: str = "explicit"
-
-    def __post_init__(self) -> None:
-        if self.n_shards < 1:
-            raise ServingError("a placement needs at least one shard")
-        assignments = np.asarray(self.assignments, dtype=np.int64)
-        if assignments.ndim != 1:
-            raise ServingError("assignments must be a 1-D shard-id vector")
-        if assignments.size and (
-            assignments.min() < 0 or assignments.max() >= self.n_shards
-        ):
-            raise ServingError(
-                f"shard ids must lie in [0, {self.n_shards})"
-            )
-        object.__setattr__(self, "assignments", assignments)
-
-    @property
-    def n_rows(self) -> int:
-        """Number of placed dataset rows."""
-        return int(self.assignments.size)
-
-    def rows_of(self, shard_id: int) -> np.ndarray:
-        """Global row indices living on one shard (ascending)."""
-        return np.flatnonzero(self.assignments == shard_id)
-
-
-def plan_placement(
-    n: int, n_shards: int, kind: str = "range", seed: int = 0
-) -> ShardPlacement:
-    """A deterministic placement of ``n`` rows over ``n_shards`` shards.
-
-    ``range`` slices the dataset into contiguous blocks of near-equal
-    size (the first ``n % n_shards`` shards get one extra row);
-    ``hash`` scatters rows by a seeded multiplicative hash of the global
-    index, decorrelating placement from dataset order.
-    """
-    if n < 1:
-        raise ServingError("cannot place an empty dataset")
-    if n_shards < 1:
-        raise ServingError("need at least one shard")
-    if kind not in PLACEMENT_KINDS:
-        raise ServingError(
-            f"unknown placement {kind!r}; expected one of {PLACEMENT_KINDS}"
-        )
-    if kind == "range":
-        base, extra = divmod(n, n_shards)
-        sizes = [base + (1 if s < extra else 0) for s in range(n_shards)]
-        assignments = np.repeat(np.arange(n_shards, dtype=np.int64), sizes)
-    else:
-        idx = np.arange(n, dtype=np.uint64) + np.uint64(seed)
-        hashed = (idx * np.uint64(_HASH_MULTIPLIER)) % np.uint64(2**32)
-        assignments = (hashed % np.uint64(n_shards)).astype(np.int64)
-    return ShardPlacement(
-        n_shards=n_shards, assignments=assignments, kind=kind
-    )
 
 
 @dataclass(frozen=True)
@@ -303,7 +224,8 @@ class _Shard:
     With a fault plan, the shard's array is wrapped in a
     :class:`~repro.faults.injectors.FaultyPIMArray` targeting this
     shard's name and a :class:`~repro.faults.injectors.FaultyShardEngine`
-    answers crash/hang/slow verdicts per dispatch.
+    answers crash/hang/slow verdicts per dispatch. An empty shard has
+    no array until a replica lands on it.
     """
 
     def __init__(
@@ -314,8 +236,6 @@ class _Shard:
         phi: np.ndarray,
         floats: np.ndarray,
         hardware: HardwareConfig,
-        chunked: bool,
-        reprogram_budget: int | None,
         verify: bool = False,
         fault_plan: FaultPlan | None = None,
         spare_crossbars: int = 0,
@@ -336,10 +256,8 @@ class _Shard:
         self.fault_plan = fault_plan
         self.spare_crossbars = spare_crossbars
         self.substrate = substrate
-        self.reprogram_budget = reprogram_budget
-        self.verify = verify and not chunked
+        self.verify = False
         self.chunk_slices: dict[int, slice] = {}
-        self.engine: ChunkedDotProductEngine | None = None
         self.controller: PIMController | None = None
         self.faulty: FaultyPIMArray | None = None
         self.fault_engine: FaultyShardEngine | None = (
@@ -347,40 +265,8 @@ class _Shard:
             if fault_plan is not None
             else None
         )
-        if self.n_rows == 0:
-            self.verify = False
-            return
-        if chunked:
-            self.engine = ChunkedDotProductEngine(hardware)
-            if fault_plan is not None:
-                self.faulty = FaultyPIMArray(
-                    self.engine.pim, fault_plan, self.name,
-                    auto_advance=False,
-                )
-                self.engine.pim = self.faulty
-            self.engine.load(integers)
-        else:
-            self.controller = PIMController(
-                hardware,
-                spare_crossbars=spare_crossbars,
-                substrate=substrate,
-            )
-            if fault_plan is not None:
-                self.faulty = FaultyPIMArray(
-                    self.controller.pim, fault_plan, self.name,
-                    auto_advance=False,
-                )
-                self.controller.pim = self.faulty
-            payload = (
-                append_checksum_row(
-                    integers, hardware.pim.operand_bits
-                )
-                if self.verify
-                else integers
-            )
-            self.controller.program(
-                self.name, payload, side_data_bytes=phi.nbytes
-            )
+        if self.n_rows:
+            self.reprogram(verify)
 
     def advance_clock(self, t_ns: float) -> None:
         """Move this shard's fault clock to simulated time ``t_ns``."""
@@ -388,19 +274,15 @@ class _Shard:
             self.faulty.advance_to(t_ns)
 
     def reprogram(self, verify: bool) -> float:
-        """(Re)program the full matrix after the shard's rows changed.
+        """(Re)program the full matrix from the shard's current rows.
 
-        Used by live re-replication: a chunk's rows were appended, so
-        the shard's matrix (and checksum row, when verifying) must be
-        rewritten. Creates the controller lazily for a previously-empty
-        shard. Returns the programming receipt time in ns — the caller
-        (the repair controller) charges it against the repair budget.
+        The first call builds the controller (and the fault wrapper) and
+        fixes the shard's ``verify`` flag; later calls — live
+        re-replication appended a chunk's rows — reset the matrix and
+        rewrite it, checksum row included. Returns the programming
+        receipt time in ns, which the repair controller charges against
+        the repair budget.
         """
-        if self.engine is not None:
-            raise ServingError(
-                "re-replication needs resident programming; the chunked "
-                "engine re-programs per chunk already"
-            )
         if self.controller is None:
             self.controller = PIMController(
                 self.hardware,
@@ -438,25 +320,24 @@ class _Shard:
         fit the device net of the spare-unit reservation and of any
         other matrix it hosts. ``verify`` is only consulted when the
         shard has never been programmed (its own flag is authoritative
-        otherwise). Substrate-agnostic: a live device answers through
-        its :meth:`fits_matrix` hook, an unbuilt shard through the
-        backend's capability descriptor.
+        otherwise). A live device answers through its
+        :meth:`fits_matrix` hook, an unbuilt shard through the backend's
+        capability descriptor; a spare reservation that leaves no data
+        units fits nothing.
         """
         v = self.verify if self.controller is not None else verify
         n = self.n_rows + int(extra_rows) + (1 if v else 0)
         dims = self.integers.shape[1]
-        if self.controller is None:
-            if self.substrate == "crossbar":
-                # the historical fast path, kept import-free
-                config = self.hardware.pim
-                needed = total_crossbars(n, dims, config)
-                return needed <= config.num_crossbars - self.spare_crossbars
-            from repro.substrate import substrate_capabilities
+        if self.controller is not None:
+            return self.controller.pim.fits_matrix(n, dims, exclude=self.name)
+        from repro.substrate import substrate_capabilities
 
+        try:
             return substrate_capabilities(
                 self.substrate, self.hardware
             ).fits_fresh(n, dims, self.spare_crossbars)
-        return self.controller.pim.fits_matrix(n, dims, exclude=self.name)
+        except CapacityError:
+            return False
 
     @property
     def n_rows(self) -> int:
@@ -467,95 +348,21 @@ class _Shard:
         """This shard's array-level stats (empty for an empty shard)."""
         if self.controller is not None:
             return self.controller.pim.stats
-        if self.engine is not None:
-            return self.engine.pim.stats
         return PIMStats()
+
+    @property
+    def endurance(self):
+        """This shard's endurance tracker (None for an unbuilt shard)."""
+        if self.controller is not None:
+            return self.controller.pim.endurance
+        return None
 
     def dot_products(self, queries_int: np.ndarray) -> tuple[np.ndarray, float]:
         """``(B, n_rows)`` integer dot products and their PIM time."""
         if self.n_rows == 0:
             return np.zeros((queries_int.shape[0], 0), dtype=np.int64), 0.0
-        if self.controller is not None:
-            result = self.controller.dot_products_batch(
-                self.name, queries_int
-            )
-            return result.values, result.timing.total_ns
-        assert self.engine is not None
-        before = self.engine.stats.total_time_ns
-        rows = [self.engine.dot_products_all(q) for q in queries_int]
-        if (
-            self.reprogram_budget is not None
-            and self.engine.stats.reprogrammings > self.reprogram_budget
-        ):
-            raise ServingError(
-                f"shard {self.shard_id} exceeded its re-programming "
-                f"budget ({self.engine.stats.reprogrammings} > "
-                f"{self.reprogram_budget} crossbar writes)"
-            )
-        return np.stack(rows), self.engine.stats.total_time_ns - before
-
-
-class _CanonicalHeap:
-    """The k smallest candidates by ``(score, global index)`` lex order.
-
-    Unlike the mining layer's heap (which keeps the first-seen among
-    equal scores, a visit-order artifact), ties always resolve to the
-    lowest global index — the property that makes merged shard results
-    placement-invariant.
-    """
-
-    def __init__(self, k: int) -> None:
-        self.k = k
-        self._heap: list[tuple[float, int]] = []  # (-score, -index)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def threshold(self) -> float:
-        """Current k-th best score (+inf while not yet full)."""
-        if len(self._heap) < self.k:
-            return float("inf")
-        return -self._heap[0][0]
-
-    def offer(self, score: float, index: int) -> bool:
-        """Insert if ``(score, index)`` beats the current worst member."""
-        entry = (-score, -index)
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, entry)
-            return True
-        if entry > self._heap[0]:
-            heapq.heapreplace(self._heap, entry)
-            return True
-        return False
-
-    def sorted_items(self) -> list[tuple[float, int]]:
-        """Members as ``(score, index)``, canonical order."""
-        return sorted((-s, -i) for s, i in self._heap)
-
-
-def _canonical_prefix(lb: np.ndarray, gidx: np.ndarray, m: int) -> np.ndarray:
-    """An exact prefix of ``np.lexsort((gidx, lb))`` at least ``m`` long.
-
-    Partitioning finds the ``m``-th smallest bound ``v``; every row with
-    ``lb <= v`` precedes every other row in the full canonical order, so
-    lexsorting just that set (boundary ties included) yields the full
-    order's first ``count(lb <= v)`` entries without sorting the rest.
-    """
-    if m >= lb.size:
-        return np.lexsort((gidx, lb))
-    v = np.partition(lb, m - 1)[m - 1]
-    head = np.flatnonzero(lb <= v)
-    return head[np.lexsort((gidx[head], lb[head]))]
-
-
-def _merge_heaps(heaps: list[_CanonicalHeap], k: int) -> _CanonicalHeap:
-    """Global top-k from per-shard top-k lists (canonical order)."""
-    merged = _CanonicalHeap(k)
-    for heap in heaps:
-        for score, index in heap.sorted_items():
-            merged.offer(score, index)
-    return merged
+        result = self.controller.dot_products_batch(self.name, queries_int)
+        return result.values, result.timing.total_ns
 
 
 def _recovery_marker(tele, outcome: str, shard_id: int, n_chunks: int) -> None:
@@ -747,7 +554,7 @@ class _Ledger:
         return None
 
 
-class ShardManager:
+class ShardManager(ReplicaPlacement):
     """Partition a dataset over N PIM shards; serve exact queries.
 
     Parameters
@@ -763,17 +570,11 @@ class ShardManager:
         Per-shard platform (each shard instantiates its own array).
     quantizer:
         Global quantizer; defaults to the paper's alpha, fitted here.
-    chunked:
-        Route shards through :class:`ChunkedDotProductEngine` (for
-        shards larger than one array) instead of resident programming.
-    reprogram_budget:
-        With ``chunked``, the per-shard cap on cumulative crossbar
-        re-programmings before :class:`~repro.errors.ServingError`.
     replication:
         Replicas per data chunk (the placement's shard ids become chunk
         ids; chunk ``c`` lives on shards ``(c + j) % n_shards`` for
-        ``j < replication``). 1 reproduces unreplicated behaviour
-        bit for bit.
+        ``j < replication``, or on a domain-spread set with a
+        ``topology``). 1 reproduces unreplicated behaviour bit for bit.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan`; attaches injectors to
         every shard and turns on the recovery machinery.
@@ -783,18 +584,14 @@ class ShardManager:
     verify:
         Program a residue checksum row per shard and verify every wave
         (detection of corrupted waves). Defaults to on exactly when a
-        fault plan is attached and the shard path supports it (resident
-        programming only — the chunked engine re-programs crossbars per
-        chunk and does not carry the checksum row).
+        fault plan is attached.
     substrates:
         Per-shard compute backend, by registry name: a single name for
         a homogeneous fleet, or one name per shard for heterogeneous
         placements (e.g. ``["crossbar", "hbm_pim", ...]``). Defaults to
         ``"crossbar"`` everywhere. Every substrate computes the same
         exact integer dot products, so answers are bit-identical for
-        any assignment — only the simulated cost differs. Requires
-        resident programming (``chunked=False``) for non-crossbar
-        backends.
+        any assignment — only the simulated cost differs.
     route:
         Replica-preference policy under replication: ``"auto"`` runs
         the planner cost-router (latency objective) exactly when the
@@ -828,8 +625,6 @@ class ShardManager:
         *,
         hardware: HardwareConfig | None = None,
         quantizer: Quantizer | None = None,
-        chunked: bool = False,
-        reprogram_budget: int | None = None,
         seed: int = 0,
         replication: int = 1,
         fault_plan: FaultPlan | None = None,
@@ -884,19 +679,9 @@ class ShardManager:
         #: application order — replayed verbatim by checkpoint restore
         #: so shard row layouts come back byte-identical.
         self.replica_log: list[tuple[int, int]] = []
-        if topology is not None and self.spread and self.replication > 1:
-            self.replicas = self._spread_replicas()
-        else:
-            self.replicas: list[tuple[int, ...]] = [
-                tuple(
-                    (c + j) % self.n_shards
-                    for j in range(self.replication)
-                )
-                for c in range(self.n_chunks)
-            ]
+        self.replicas: list[tuple[int, ...]] = self._initial_replicas()
         self.fault_plan = fault_plan
         self.recovery = recovery if recovery is not None else RecoveryPolicy()
-        self.chunked = bool(chunked)
         self.spare_crossbars = int(spare_crossbars)
         if substrates is None:
             substrate_list = ["crossbar"] * self.n_shards
@@ -921,11 +706,6 @@ class ShardManager:
         self._health_version_seen = 0
         heterogeneous = len(set(substrate_list)) > 1
         if any(s != "crossbar" for s in substrate_list):
-            if chunked:
-                raise ServingError(
-                    "non-crossbar substrates need resident programming; "
-                    "the chunked engine is crossbar-specific"
-                )
             from repro.substrate import available_substrates
 
             known = set(available_substrates())
@@ -962,12 +742,7 @@ class ShardManager:
         self._route_cache: dict[tuple[int, int], tuple[int, ...]] = {}
         self._route_decisions: list = []
         if verify is None:
-            verify = fault_plan is not None and not chunked
-        if verify and chunked:
-            raise ServingError(
-                "wave verification needs resident programming; the "
-                "chunked engine does not carry the checksum row"
-            )
+            verify = fault_plan is not None
         self.verify = bool(verify)
         self.quantizer = (
             quantizer if quantizer is not None else Quantizer()
@@ -1001,8 +776,6 @@ class ShardManager:
                 phi[rows],
                 normalized[rows],
                 self.hardware,
-                chunked,
-                reprogram_budget,
                 verify=self.verify,
                 fault_plan=fault_plan,
                 spare_crossbars=self.spare_crossbars,
@@ -1026,200 +799,6 @@ class ShardManager:
                 for s in range(self.n_shards)
             ],
             self.spread_report,
-        )
-
-    # ------------------------------------------------------------------
-    # failure-domain-aware placement
-    # ------------------------------------------------------------------
-    def _spread_replicas(self) -> list[tuple[int, ...]]:
-        """Greedy domain-spread replica placement.
-
-        Chunk ``c`` keeps shard ``c`` as its primary (bit-compatible
-        with the ring layout at replication 1); each further replica
-        goes to the candidate sharing the *fewest* domain levels with
-        the replicas already chosen, breaking ties toward the least-
-        loaded shard and then ring order, so the layout stays balanced
-        and deterministic. When even the best candidate shares a
-        domain (fleet shape makes full spread impossible), the pairing
-        is recorded in ``placement_violations``.
-        """
-        topology = self.topology
-        load = [0] * self.n_shards
-        replicas: list[tuple[int, ...]] = []
-        for c in range(self.n_chunks):
-            chosen = [c % self.n_shards]
-            load[chosen[0]] += 1
-            for _ in range(1, self.replication):
-                best = None
-                best_key = None
-                for offset in range(1, self.n_shards):
-                    s = (c + offset) % self.n_shards
-                    if s in chosen:
-                        continue
-                    depth = max(
-                        topology.shared_depth(s, t) for t in chosen
-                    )
-                    key = (depth, load[s], offset)
-                    if best_key is None or key < best_key:
-                        best, best_key = s, key
-                if best is None:
-                    break  # replication == n_shards and all chosen
-                if best_key[0] > 0:
-                    other = max(
-                        (t for t in chosen),
-                        key=lambda t: topology.shared_depth(best, t),
-                    )
-                    self._record_spread_violation(
-                        "placement", c, best, other
-                    )
-                chosen.append(best)
-                load[best] += 1
-            replicas.append(tuple(chosen))
-        return replicas
-
-    def _record_spread_violation(
-        self, context: str, chunk: int, shard: int, other: int
-    ) -> None:
-        """Note an unavoidable co-domain replica pairing."""
-        level = self.topology.shared_level(shard, other)
-        self.placement_violations.append(
-            {
-                "context": context,
-                "chunk": int(chunk),
-                "shard": int(shard),
-                "with": int(other),
-                "level": level,
-            }
-        )
-        tele = get_recorder()
-        if tele.enabled:
-            tele.metrics.counter(
-                "serving.placement.spread_violations"
-            ).add(1)
-
-    def chunk_risk(self, chunk: int) -> str | None:
-        """The widest domain level whose single outage would take every
-        live replica of ``chunk`` (None = no correlated single point of
-        failure, or no topology attached).
-
-        Checked coarsest-first: replicas all inside one power domain
-        are at risk from a power outage even if they sit on distinct
-        boards and channels. A level only counts when the fleet has
-        more than one domain at it — a one-power-domain fleet cannot
-        spread at the power level, and flagging every chunk would
-        drown the signal.
-        """
-        if self.topology is None:
-            return None
-        live = self.live_replicas(chunk)
-        if not live:
-            return None
-        for level in reversed(DOMAIN_LEVELS):  # power, channel, board
-            if self.topology.n_domains(level) < 2:
-                continue
-            domains = {self.topology.domain_of(s, level) for s in live}
-            if len(domains) == 1:
-                return level
-        return None
-
-    def spread_report(self) -> dict:
-        """Fleet durability accounting: per-chunk replica spread,
-        at-risk chunks, placement violations, checkpoint age.
-
-        Without a topology the report degrades gracefully: spread is
-        the live replica count and a chunk is at risk exactly when a
-        single further shard loss would leave no replica.
-        """
-        topology = self.topology
-        per_chunk = []
-        at_risk: list[int] = []
-        per_shard_at_risk = [0] * self.n_shards
-        min_spread: int | None = None
-        for c in range(self.n_chunks):
-            live = self.live_replicas(c)
-            entry: dict = {"chunk": c, "live_replicas": live}
-            if topology is not None:
-                entry["spread"] = {
-                    level: len(
-                        {topology.domain_of(s, level) for s in live}
-                    )
-                    for level in DOMAIN_LEVELS
-                }
-                risk = self.chunk_risk(c)
-                entry["at_risk"] = risk
-                spread = entry["spread"]["power"]
-            else:
-                risk = "shard" if len(live) == 1 else None
-                entry["at_risk"] = risk
-                spread = len(live)
-            if live:
-                min_spread = (
-                    spread
-                    if min_spread is None
-                    else min(min_spread, spread)
-                )
-            if risk is not None:
-                at_risk.append(c)
-                for s in live:
-                    per_shard_at_risk[s] += 1
-            per_chunk.append(entry)
-        return {
-            "per_chunk": per_chunk,
-            "at_risk_chunks": at_risk,
-            "n_at_risk": len(at_risk),
-            "per_shard_at_risk": per_shard_at_risk,
-            "min_spread": min_spread,
-            "violations": [dict(v) for v in self.placement_violations],
-            "topology": (
-                topology.describe() if topology is not None else None
-            ),
-            "spread_placement": (
-                topology is not None and self.spread
-            ),
-            "last_checkpoint_ns": self.last_checkpoint_ns,
-        }
-
-    def replica_target_score(self, chunk: int, shard: int) -> tuple:
-        """Ordering key for re-replication targets of ``chunk``.
-
-        Lower is better: first minimise the domain overlap with the
-        chunk's live replicas (0 = fully spread-restoring), then prefer
-        the emptiest shard, then the lowest id — without a topology the
-        overlap term is constant and the historical (rows, id) order is
-        preserved exactly.
-        """
-        if self.topology is None:
-            overlap = 0
-        else:
-            overlap = max(
-                (
-                    self.topology.shared_depth(shard, t)
-                    for t in self.live_replicas(chunk)
-                    if t != shard
-                ),
-                default=0,
-            )
-        return (overlap, self.shards[shard].n_rows, shard)
-
-    def select_replica_target(self, chunk: int) -> int | None:
-        """The best shard to host a new replica of ``chunk``.
-
-        Prefers spread-restoring shards (no shared failure domain with
-        any live replica) per :meth:`replica_target_score`; ``None``
-        when no alive shard can legally host the chunk.
-        """
-        rows = int(self.chunk_rows[chunk].size)
-        candidates = [
-            s
-            for s in range(self.n_shards)
-            if self.health.alive(s)
-            and chunk not in self.shards[s].chunk_slices
-            and self.shards[s].can_host(rows, self.verify)
-        ]
-        if not candidates:
-            return None
-        return min(
-            candidates, key=lambda s: self.replica_target_score(chunk, s)
         )
 
     # ------------------------------------------------------------------
@@ -1640,50 +1219,15 @@ class ShardManager:
                 timing.hedges_lost += 1
             return
 
+    # ------------------------------------------------------------------
+    # kernel hooks: each calls into repro.serving.kernels, and
+    # repro.oracle.LoopShardManager overrides each with a plain loop
+    # ------------------------------------------------------------------
     def _knn_bounds(
         self, phi: np.ndarray, phi_q: np.ndarray, dots: np.ndarray
     ) -> np.ndarray:
-        """Clamped lower bounds of every query on one shard, ``(B, n)``.
-
-        One broadcast builds every query's row, bit-identical to the
-        per-query expression (:func:`theorem1_lower_bound` is
-        elementwise).
-        """
-        return theorem1_lower_bound(
-            phi[None, :], phi_q[:, None], dots, self.dims, self.quantizer.alpha
-        )
-
-    def _shard_topk(
-        self,
-        shard: _Shard,
-        lb: np.ndarray,
-        q_norm: np.ndarray,
-        k: int,
-        approximate: bool,
-        sel: np.ndarray | None = None,
-    ) -> tuple[_CanonicalHeap, int, int]:
-        """Local top-k of one query on one shard (canonical order).
-
-        ``sel`` restricts the work to a subset of the shard's local rows
-        (the chunks this shard serves in the current dispatch, under
-        replication); ``lb`` holds the clamped lower bounds of exactly
-        those rows.
-        """
-        heap = _CanonicalHeap(k)
-        gidx = (
-            shard.global_indices if sel is None else shard.global_indices[sel]
-        )
-        n_local = int(gidx.size)
-        if n_local == 0:
-            return heap, 0, 0
-        if approximate:
-            # degrade-to-approximate: the lower bound IS the score
-            short = _canonical_prefix(lb, gidx, k)[:k]
-            for j in short:
-                heap.offer(float(lb[j]), int(gidx[j]))
-            return heap, 0, n_local - int(short.size)
-        refined = self._refine_scan(shard, sel, gidx, lb, q_norm, heap)
-        return heap, refined, n_local - refined
+        """Clamped lower bounds of every query on one shard, ``(B, n)``."""
+        return knn_bounds(phi, phi_q, dots, self.dims, self.quantizer.alpha)
 
     def _refine_scan(
         self,
@@ -1694,86 +1238,36 @@ class ShardManager:
         q_norm: np.ndarray,
         heap: _CanonicalHeap,
     ) -> int:
-        """Refine candidates in canonical ``lexsort((gidx, lb))`` order.
-
-        Stops at the first bound above the heap threshold (ascending
-        bounds: the rest prune too) and returns the number of rows
-        scored. Candidates are scored in doubling blocks ahead of the
-        scan; the kernel's row independence makes block scores
-        bit-identical to one-at-a-time scores, and the scan still checks
-        the live heap threshold per candidate, so the refined/pruned
-        counts — which feed the simulated CPU time — match the loop
-        oracle exactly. The scan walks an exact :func:`_canonical_prefix`
-        of about ``4k`` rows, grown when the scan reaches its end without
-        pruning, and gathers only the float rows it scores.
-        """
-        n_local = int(gidx.size)
-        refined = 0
-        order = _canonical_prefix(lb, gidx, 4 * heap.k)
-        pos = 0
-        block = 2 * heap.k
-        while pos < n_local:
-            if pos == order.size:
-                order = _canonical_prefix(lb, gidx, 4 * order.size)
-            chunk = order[pos : pos + block]
-            lbs = lb[chunk].tolist()
-            if lbs[0] > heap.threshold:
-                break
-            rows = chunk if sel is None else sel[chunk]
-            scores = exact_sq_distances(shard.floats[rows], q_norm).tolist()
-            stopped = False
-            for bound, score, index in zip(lbs, scores, gidx[chunk].tolist()):
-                if bound > heap.threshold:
-                    stopped = True
-                    break
-                heap.offer(score, index)
-                refined += 1
-            if stopped:
-                break
-            pos += chunk.size
-            block *= 2
-        return refined
-
-    def _degrade_chunk_knn(
-        self,
-        c: int,
-        q_norm: np.ndarray,
-        k_list: list[int],
-        per_query_heaps: list[list[_CanonicalHeap]],
-        refined_total: list[int],
-        timing: GatherTiming,
-    ) -> None:
-        """Host-side exact top-k of one unavailable chunk.
-
-        No PIM bounds exist, so every row of the chunk is refined
-        exactly — through :func:`exact_sq_distances`, the same kernel
-        as the normal refinement path, so merged results stay
-        bit-identical.
-        """
-        rows = self.chunk_rows[c]
-        batch = len(k_list)
-        if rows.size == 0:
-            return
-        host = self.shards[self.replicas[c][0]]
-        sl = host.chunk_slices[c]
-        floats = host.floats[sl]
-        gidx = host.global_indices[sl]
-        for b in range(batch):
-            heap = _CanonicalHeap(min(k_list[b], max(self.n_rows, 1)))
-            scores = self._degraded_scores(floats, q_norm[b])
-            for j in range(gidx.size):
-                heap.offer(float(scores[j]), int(gidx[j]))
-            per_query_heaps[b].append(heap)
-            refined_total[b] += int(gidx.size)
-        timing.degraded_cpu_ns += self._degraded_cpu_ns(
-            int(rows.size), batch
-        )
+        """Refine one query's candidates on ``shard`` into ``heap``;
+        returns the number of rows scored."""
+        return refine_scan(shard.floats, sel, gidx, lb, q_norm, heap)
 
     def _degraded_scores(
         self, floats: np.ndarray, q_norm: np.ndarray
     ) -> np.ndarray:
         """Exact scores of every row of an unavailable chunk."""
         return exact_sq_distances(floats, q_norm)
+
+    def _assign_rows(
+        self,
+        shard: _Shard,
+        idx: np.ndarray,
+        dots: np.ndarray,
+        c_norm: np.ndarray,
+        phi_c: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Nearest center of the shard rows ``idx``: ``(centers, dists,
+        refined)``."""
+        return assign_sweep(
+            shard.phi[idx], shard.floats[idx], dots, c_norm, phi_c,
+            self.dims, self.quantizer.alpha,
+        )
+
+    def _degraded_assign(
+        self, floats: np.ndarray, c_norm: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Host-side nearest center of every row of an unavailable chunk."""
+        return nearest_centers(floats, c_norm)
 
     def knn_batch(
         self,
@@ -1812,37 +1306,56 @@ class ShardManager:
         timing = GatherTiming()
         tele = get_recorder()
         t0 = self._clock_ns if now_ns is None else float(now_ns)
+        # a heap never holds more than the dataset
+        heap_k = [min(k, self.n_rows) for k in k_list]
         per_query_heaps: list[list[_CanonicalHeap]] = [[] for _ in range(batch)]
         refined_total = [0] * batch
         pruned_total = [0] * batch
 
         def process(shard: _Shard, sel, dots) -> float:
-            n_local = shard.n_rows if sel is None else int(sel.size)
-            phi = shard.phi if sel is None else shard.phi[sel]
+            """Local top-k of every query over the shard rows ``sel``."""
+            gidx = shard.global_indices
+            phi = shard.phi
+            if sel is not None:
+                gidx, phi = gidx[sel], phi[sel]
             lb_all = self._knn_bounds(phi, phi_q, dots)
             refined_here = 0
             for b in range(batch):
-                heap, refined, pruned = self._shard_topk(
-                    shard,
-                    lb_all[b],
-                    q_norm[b],
-                    min(k_list[b], max(self.n_rows, 1)),
-                    approx_list[b],
-                    sel=sel,
-                )
+                if approx_list[b]:
+                    # degrade-to-approximate: the lower bound IS the score
+                    heap = canonical_topk(lb_all[b], gidx, heap_k[b])
+                    refined = 0
+                    pruned = gidx.size - len(heap)
+                else:
+                    heap = _CanonicalHeap(heap_k[b])
+                    refined = self._refine_scan(
+                        shard, sel, gidx, lb_all[b], q_norm[b], heap
+                    )
+                    pruned = gidx.size - refined
                 per_query_heaps[b].append(heap)
                 refined_total[b] += refined
                 pruned_total[b] += pruned
                 refined_here += refined
-            return self._shard_cpu_ns(n_local, batch, refined_here)
+            return self._shard_cpu_ns(gidx.size, batch, refined_here)
 
         degraded_chunks = self._dispatch(
             q_int, t0, process, timing, "serving.scatter"
         )
         for c in degraded_chunks:
-            self._degrade_chunk_knn(
-                c, q_norm, k_list, per_query_heaps, refined_total, timing
-            )
+            # no PIM bounds: score every row of the chunk exactly, then
+            # keep the same canonical top-k as the refine path
+            host = self.shards[self.replicas[c][0]]
+            sl = host.chunk_slices[c]
+            gidx = host.global_indices[sl]
+            if gidx.size == 0:
+                continue
+            for b in range(batch):
+                scores = self._degraded_scores(host.floats[sl], q_norm[b])
+                per_query_heaps[b].append(
+                    canonical_topk(scores, gidx, heap_k[b])
+                )
+                refined_total[b] += gidx.size
+            timing.degraded_cpu_ns += self._degraded_cpu_ns(gidx.size, batch)
         answers: list[KNNAnswer] = []
         merge_candidates = 0
         degraded = bool(degraded_chunks)
@@ -1958,76 +1471,9 @@ class ShardManager:
             timing,
         )
 
-    def _assign_rows(
-        self,
-        shard: _Shard,
-        idx: np.ndarray,
-        dots: np.ndarray,
-        c_norm: np.ndarray,
-        phi_c: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Nearest center of the shard rows ``idx``: ``(centers, dists,
-        refined)``.
-
-        Sweeps centers in index order across all rows at once. Each
-        row's prune test (``lb > best_d``) and strict ``d < best_d``
-        update depend only on that row's own state, so the center-major
-        sweep replays the per-row loop's decisions exactly — same
-        refined count, same canonical lowest-center-index tie-break,
-        same distance bits (row independence of the kernel). Only the
-        surviving rows are gathered and scored per center: the lb
-        pruning is heavy enough that scoring whole row blocks costs more
-        than the per-center gathers save.
-        """
-        lb = theorem1_lower_bound(
-            shard.phi[idx][:, np.newaxis], phi_c[np.newaxis, :], dots.T,
-            self.dims, self.quantizer.alpha,
-        )
-        rows = shard.floats[idx]
-        best_d = np.full(idx.size, np.inf)
-        best_c = np.zeros(idx.size, dtype=np.int64)
-        refined = 0
-        for c in range(c_norm.shape[0]):
-            hit = np.flatnonzero(lb[:, c] <= best_d)
-            if hit.size == 0:
-                continue
-            d = exact_sq_distances(rows[hit], c_norm[c])
-            refined += int(hit.size)
-            closer = d < best_d[hit]
-            upd = hit[closer]
-            best_d[upd] = d[closer]
-            best_c[upd] = c
-        return best_c, best_d, refined
-
-    def _degraded_assign(
-        self, floats: np.ndarray, c_norm: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Host-side nearest center of every row of an unavailable chunk.
-
-        All rows x all centers; ``argmin`` keeps the first (i.e.
-        lowest-index) minimum — the strict ``<`` tie-break.
-        """
-        dists = np.stack(
-            [exact_sq_distances(floats, c) for c in c_norm], axis=1
-        )
-        best = dists.argmin(axis=1)
-        return best, dists[np.arange(best.size), best]
-
     # ------------------------------------------------------------------
     # live re-replication (repair layer)
     # ------------------------------------------------------------------
-    def live_replicas(self, chunk: int) -> list[int]:
-        """Shards currently able to serve ``chunk`` (alive and hosting)."""
-        return [
-            s
-            for s in self.replicas[chunk]
-            if self.health.alive(s) and chunk in self.shards[s].chunk_slices
-        ]
-
-    def replica_counts(self) -> list[int]:
-        """Live replica count per chunk — the quantity repair restores."""
-        return [len(self.live_replicas(c)) for c in range(self.n_chunks)]
-
     def chunk_bytes(self, chunk: int) -> int:
         """Payload bytes one replica of ``chunk`` carries (all side data)."""
         host = self.shards[self.replicas[chunk][0]]
@@ -2066,10 +1512,6 @@ class ShardManager:
         copied, and the reprogramming time the caller must charge
         against the repair-bandwidth budget.
         """
-        if self.chunked:
-            raise ServingError(
-                "re-replication needs resident programming"
-            )
         if not 0 <= chunk < self.n_chunks:
             raise ServingError(f"no chunk {chunk}")
         if target_shard is None:
@@ -2079,22 +1521,10 @@ class ShardManager:
                     f"no alive shard can host a replica of chunk {chunk}"
                 )
         if self.topology is not None:
-            conflicts = [
-                t
-                for t in self.live_replicas(chunk)
-                if t != target_shard
-                and self.topology.shared_depth(target_shard, t) > 0
-            ]
-            if conflicts:
-                other = max(
-                    conflicts,
-                    key=lambda t: self.topology.shared_depth(
-                        target_shard, t
-                    ),
-                )
-                self._record_spread_violation(
-                    "re-replication", chunk, target_shard, other
-                )
+            self._note_co_domain(
+                "re-replication", chunk, target_shard,
+                [t for t in self.live_replicas(chunk) if t != target_shard],
+            )
         target = self.shards[target_shard]
         if chunk in target.chunk_slices:
             raise ServingError(
@@ -2123,24 +1553,14 @@ class ShardManager:
                 f"{target.n_rows} + {new_rows} rows exceed its array "
                 "(spare reservation included)"
             )
-        gidx = source.global_indices[sl].copy()
-        ints = source.integers[sl].copy()
-        phi = source.phi[sl].copy()
-        floats = source.floats[sl].copy()
         old_n = target.n_rows
-        if old_n:
-            target.global_indices = np.concatenate(
-                [target.global_indices, gidx]
-            )
-            target.integers = np.concatenate([target.integers, ints])
-            target.phi = np.concatenate([target.phi, phi])
-            target.floats = np.concatenate([target.floats, floats])
-        else:
-            target.global_indices = gidx
-            target.integers = ints
-            target.phi = phi
-            target.floats = floats
-        target.chunk_slices[chunk] = slice(old_n, old_n + int(gidx.size))
+        target.global_indices = np.concatenate(
+            [target.global_indices, source.global_indices[sl]]
+        )
+        target.integers = np.concatenate([target.integers, source.integers[sl]])
+        target.phi = np.concatenate([target.phi, source.phi[sl]])
+        target.floats = np.concatenate([target.floats, source.floats[sl]])
+        target.chunk_slices[chunk] = slice(old_n, old_n + new_rows)
         try:
             program_ns = target.reprogram(self.verify)
         except ReproError:
@@ -2169,7 +1589,7 @@ class ShardManager:
             "chunk": chunk,
             "source": source.shard_id,
             "target": target_shard,
-            "rows": int(gidx.size),
+            "rows": new_rows,
             "bytes": self.chunk_bytes(chunk),
             "program_ns": float(program_ns),
         }
@@ -2178,11 +1598,8 @@ class ShardManager:
         """Per-shard endurance wear reports (empty shards report zeros)."""
         out = []
         for shard in self.shards:
-            if shard.controller is not None:
-                tracker = shard.controller.pim.endurance
-            elif shard.engine is not None:
-                tracker = shard.engine.pim.endurance
-            else:
+            tracker = shard.endurance
+            if tracker is None:
                 out.append({"shard": shard.shard_id, "units_tracked": 0})
                 continue
             report = tracker.wear_report(top=top)

@@ -12,8 +12,8 @@ construction.
 
 The class mirrors the :class:`~repro.hardware.pim_array.PIMArray`
 surface (including the crossbar-era ``crossbar_ids_of`` /
-``remap_crossbar(s)`` names) so the fault injectors, the repair
-controller, the chunked serving engine and the stats aggregation all
+``remap_crossbar(s)`` names, which a bank id answers as well) so the
+fault injectors, the repair controller and the stats aggregation all
 run unmodified on banks; backend-specific activity (MAC commands, row
 activations, ...) lands in ``stats.extra`` instead of new fields.
 """
@@ -380,14 +380,6 @@ class HBMPIMArray:
             spares.append(spare)
             total_ns += ns
         return spares, total_ns
-
-    def remap_unit(self, old_id: int) -> tuple[int, float]:
-        """Substrate-neutral alias of :meth:`remap_crossbar`."""
-        return self.remap_crossbar(old_id)
-
-    def remap_units(self, old_ids: list[int]) -> tuple[list[int], float]:
-        """Substrate-neutral alias of :meth:`remap_crossbars`."""
-        return self.remap_crossbars(old_ids)
 
     def wear_report(self, top: int | None = None) -> dict:
         """Endurance wear summary of this stack's banks."""

@@ -39,10 +39,10 @@ class Substrate(Protocol):
     * ``stats`` is a :class:`~repro.hardware.pim_array.PIMStats` whose
       ``backend`` field names the substrate and whose backend-specific
       counters live in ``stats.extra``;
-    * physical units (crossbars, banks, ...) are integers; the
-      crossbar-era ``crossbar_ids_of``/``remap_crossbar(s)`` names are
-      kept as aliases so the repair layer runs unmodified on any
-      backend;
+    * physical units (crossbars, banks, ...) are integers named by
+      ``unit_ids_of``; every backend answers the crossbar-era
+      ``crossbar_ids_of``/``remap_crossbar(s)`` names with its own
+      units, so the repair layer runs unmodified on any backend;
     * every wave kernel is bit-identical to the backend's slow loop
       oracle in :mod:`repro.oracle`, which subclasses the device and
       overrides only the kernel hook.

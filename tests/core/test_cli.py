@@ -52,6 +52,30 @@ class TestBadInput:
         assert len(errors) == 1
         assert errors[0].startswith(f"repro {argv[0]}: error: ")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--rate", "0"],
+            ["--rate", "nan"],
+            ["--live-report", "0"],
+            ["--deadline-us", "-1"],
+            ["--burn-window-us", "0"],
+            ["--repair", "--scrub-period", "0"],
+            ["--k", "0"],
+            ["--spares", "-1"],
+        ],
+    )
+    def test_bad_serve_flag_exits_2(self, flags, capsys):
+        argv = ["serve", "--n", "60", "--requests", "5", *flags]
+        self.test_one_error_line_no_traceback(argv, 2, capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["profile", "--k", "0"], ["kmeans", "--max-iters", "0"]],
+    )
+    def test_bad_count_flag_exits_2(self, argv, capsys):
+        self.test_one_error_line_no_traceback(argv, 2, capsys)
+
 
 class TestInfo:
     def test_prints_platform_and_catalog(self):

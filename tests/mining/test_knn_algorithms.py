@@ -137,12 +137,6 @@ class TestFilteredKNN:
         result = FNNKNN(dims=data.shape[1]).fit(data).query(query, 10)
         assert result.counters.events(OTHER).branches > 0
 
-    def test_pruning_ratios_in_range(self, data, rng):
-        algo = FNNKNN(dims=data.shape[1]).fit(data)
-        queries = data[rng.integers(0, len(data), size=2)]
-        ratios = algo.pruning_ratios(queries, 5)
-        assert all(0.0 <= r <= 1.0 for r in ratios.values())
-
 
 class TestUpperBoundFiltering:
     def test_cosine_with_ub_part(self, data, query):

@@ -6,7 +6,7 @@ refinement) must be *bit-identical* — values, counts and simulated
 timings — to the sequential loop implementations they replaced, which
 live on as the :mod:`repro.oracle` classes. Integer paths are exact by
 mod-2**64 ring algebra; float paths share one canonical scoring kernel
-(:func:`repro.serving.sharding.exact_sq_distances`) whose per-row values
+(:func:`repro.serving.kernels.exact_sq_distances`) whose per-row values
 are batch-independent. These properties are the contract that lets the
 simulator run orders of magnitude faster without moving a single bit.
 """
@@ -35,7 +35,12 @@ from repro.oracle import (
     slice_operands_reference,
 )
 from repro.serving import ShardManager
-from repro.serving.sharding import _SHARD_CPU_MEMO_SIZE, _canonical_prefix
+from repro.serving.kernels import (
+    _CanonicalHeap,
+    _canonical_prefix,
+    canonical_topk,
+)
+from repro.serving.sharding import _SHARD_CPU_MEMO_SIZE
 from repro.similarity.quantization import Quantizer
 
 
@@ -474,6 +479,26 @@ class TestServingFusion:
         out = _canonical_prefix(lb, gidx, m)
         assert out.size >= min(m, n)
         assert np.array_equal(out, np.lexsort((gidx, lb))[: out.size])
+
+    @given(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0]), max_size=60),
+        st.integers(min_value=1, max_value=70),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_canonical_topk_equals_lexsort_and_heap(self, values, k, seed):
+        # a three-value alphabet makes ties the common case
+        values = np.array(values, dtype=np.float64)
+        n = values.size
+        gidx = np.random.default_rng(seed).permutation(3 * n)[:n]
+        want = np.lexsort((gidx, values))[:k]
+        assert np.array_equal(_canonical_prefix(values, gidx, k)[:k], want)
+        expected = [(float(values[j]), int(gidx[j])) for j in want]
+        heap = _CanonicalHeap(k)
+        for v, g in zip(values.tolist(), gidx.tolist()):
+            heap.offer(v, g)
+        assert heap.sorted_items() == expected
+        assert canonical_topk(values, gidx, k).sorted_items() == expected
 
     @given(
         st.integers(min_value=0, max_value=5000),

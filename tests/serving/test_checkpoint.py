@@ -75,11 +75,7 @@ class TestRoundTrip:
 
     def test_endurance_counters_survive_the_crash(self, tmp_path):
         m = manager8()
-        trackers = [
-            t
-            for t in map(checkpoint_mod._endurance_tracker, m.shards)
-            if t is not None
-        ]
+        trackers = [s.endurance for s in m.shards if s.endurance is not None]
         assert trackers, "fleet exposes no endurance trackers"
         key = next(iter(trackers[0].writes))
         trackers[0].writes[key] += 17
@@ -87,7 +83,7 @@ class TestRoundTrip:
         path = str(tmp_path / "ck.npz")
         write_checkpoint(m, path)
         restored = restore_manager(path)
-        back = checkpoint_mod._endurance_tracker(restored.shards[0])
+        back = restored.shards[0].endurance
         assert back.writes == expected
 
     def test_health_state_survives_and_can_be_reset(self, tmp_path):
@@ -236,11 +232,6 @@ class TestWriteProtocol:
         assert not os.path.exists(path + ".tmp")
         assert verify_checkpoint(path) == golden  # old snapshot intact
         assert read_manifest(path)["t_ns"] == 1.0
-
-    def test_chunked_manager_cannot_checkpoint(self, tmp_path):
-        m = ShardManager(dataset(32, 4), 2, chunked=True)
-        with pytest.raises(CheckpointError, match="chunked"):
-            write_checkpoint(m, str(tmp_path / "ck.npz"))
 
     def test_unfitted_quantizer_round_trips(self, tmp_path):
         # assume_normalized quantizers carry no per-dimension stats;

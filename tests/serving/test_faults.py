@@ -253,10 +253,6 @@ class TestReplication:
         with pytest.raises(ServingError):
             ShardManager(data, 4, replication=5)
 
-    def test_verify_requires_resident_programming(self, data):
-        with pytest.raises(ServingError):
-            ShardManager(data, 2, chunked=True, verify=True)
-
     def test_merged_stats_namespace_replicated_shards(self, data, queries):
         manager = ShardManager(data, 2, replication=2)
         manager.knn_batch(queries, 3)
@@ -296,6 +292,24 @@ class TestRecoveryDispatch:
         assert all(a.degraded for a in answers)
         assert timing.degraded_chunks == 1
         assert timing.degraded_cpu_ns > 0.0
+
+    @pytest.mark.parametrize("lost", [0, 1])
+    def test_degraded_rows_tie_with_live_rows(self, rng, lost):
+        # chunk 1 repeats chunk 0 row for row, so every score of the
+        # recomputed chunk ties with one from the live chunk: the merge
+        # must still keep the lower global index first
+        half = rng.random((20, 8))
+        data = np.concatenate([half, half])
+        queries = np.concatenate([half[:2], rng.random((2, 8))])
+        ks = [1, 3, 8, 40]
+        manager = ShardManager(
+            data, 2, replication=1, fault_plan=FaultPlan([crash(lost)])
+        )
+        answers, timing = manager.knn_batch(queries, ks)
+        expected, _ = ShardManager(data, 1).knn_batch(queries, ks)
+        assert timing.degraded_chunks == 1
+        assert any(np.any(np.diff(a.scores) == 0.0) for a in answers)
+        assert_same_answers(answers, expected)
 
     def test_degraded_latency_counts_the_time_spent_failing(self):
         """A given-up chunk's failed attempts stay in ``service_ns``.

@@ -51,12 +51,6 @@ class TestConstruction:
         with pytest.raises(ServingError, match="registered"):
             ShardManager(data, n_shards=2, substrates="optical")
 
-    def test_chunked_engine_is_crossbar_only(self, data):
-        with pytest.raises(ServingError, match="chunked"):
-            ShardManager(
-                data, n_shards=2, substrates="hbm_pim", chunked=True
-            )
-
     def test_bad_route_policy_rejected(self, data):
         with pytest.raises(ServingError, match="route"):
             ShardManager(data, n_shards=2, route="fastest")

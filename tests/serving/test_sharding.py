@@ -11,19 +11,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ProgrammingError, ServingError
-from repro.hardware.config import (
-    CrossbarConfig,
-    HardwareConfig,
-    PIMArrayConfig,
-)
 from repro.serving import (
     KNNAnswer,
     ShardManager,
     ShardPlacement,
     plan_placement,
 )
-from repro.serving.sharding import GatherTiming, exact_sq_distances
-from repro.similarity.quantization import Quantizer
+from repro.serving.kernels import exact_sq_distances
+from repro.serving.sharding import GatherTiming
 
 
 def brute_knn(manager: ShardManager, data, query, k):
@@ -208,45 +203,3 @@ class TestTimingAndStats:
         )
         assert "shard0.shard0" in stats.matrices
         assert "shard1.shard1" in stats.matrices
-
-
-class TestChunkedShards:
-    @staticmethod
-    def _tiny_platform():
-        xbar = CrossbarConfig(rows=16, cols=16, cell_bits=2)
-        return HardwareConfig(
-            pim=PIMArrayConfig(
-                crossbar=xbar,
-                capacity_bytes=8 * (xbar.capacity_bits // 8),
-                operand_bits=8,
-            )
-        )
-
-    def _manager(self, data, **kwargs):
-        return ShardManager(
-            data,
-            n_shards=2,
-            hardware=self._tiny_platform(),
-            quantizer=Quantizer(alpha=200),
-            chunked=True,
-            **kwargs,
-        )
-
-    def test_chunked_matches_resident(self, rng):
-        data = rng.random((200, 8))
-        chunked = self._manager(data)
-        assert any(s.engine.n_chunks > 1 for s in chunked.shards)
-        resident = ShardManager(
-            data, n_shards=2, quantizer=Quantizer(alpha=200)
-        )
-        a = chunked.knn(data[3], k=6)
-        b = resident.knn(data[3], k=6)
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.scores, b.scores)
-
-    def test_reprogram_budget_enforced(self, rng):
-        data = rng.random((200, 8))
-        manager = self._manager(data, reprogram_budget=0)
-        with pytest.raises(ServingError, match="budget"):
-            for _ in range(4):  # chunk swaps accumulate re-programmings
-                manager.knn(data[0], k=3)
