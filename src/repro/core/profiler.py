@@ -25,7 +25,7 @@ from repro.cost.counters import PerfCounters
 from repro.cost.model import ComponentBreakdown, CostModel, combined_time_ns
 from repro.hardware.config import HardwareConfig, baseline_platform
 from repro.mining.kmeans.base import KMeansAlgorithm
-from repro.mining.knn.base import KNNAlgorithm
+from repro.mining.knn.base import KNNAlgorithm, KNNResult
 from repro.telemetry import get_recorder
 
 
@@ -42,6 +42,9 @@ class AlgorithmProfile:
     offloadable: tuple[str, ...]
     pim_oracle_ns: float
     extras: dict[str, float] = field(default_factory=dict)
+    #: Per-query answers of a kNN run (empty for k-means), so a caller
+    #: can check them without running the workload again.
+    results: list[KNNResult] = field(default_factory=list)
 
     @property
     def total_time_ns(self) -> float:
@@ -169,6 +172,7 @@ def profile_knn(
         hardware,
         pim_time,
     )
+    profile.results = results
     profile.extras["exact_computations"] = float(exact)
     profile.extras["n_queries"] = float(len(queries))
     if stats_before is not None:

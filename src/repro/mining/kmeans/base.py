@@ -189,6 +189,45 @@ class KMeansAlgorithm(abc.ABC):
         self._charge_ed(len(center_ids))
         return dists
 
+    def _pair_distances(
+        self, rows: np.ndarray, cols: np.ndarray, centers: np.ndarray
+    ) -> np.ndarray:
+        """Uncharged true distance of point ``rows[t]`` to ``cols[t]``.
+
+        One center at a time with :meth:`_exact_distances`' einsum: the
+        same bits per pair, and never a (pairs x dims) array.
+        """
+        out = np.empty(len(rows))
+        for c in np.unique(cols):
+            sel = cols == c
+            diff = centers[c] - self.data[rows[sel]]
+            out[sel] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        return out
+
+    def _masked_values(
+        self,
+        centers: np.ndarray,
+        rows: np.ndarray,
+        ids: np.ndarray,
+        want: np.ndarray,
+        ub: np.ndarray | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Whole-array :meth:`_distances_with_pim`: points ``rows`` to
+        their centers ``ids`` where ``want``, each row at threshold
+        ``ub``; only wanted entries of the result are meaningful."""
+        if self.pim is None:
+            values, exact = np.zeros(ids.shape), want.copy()
+        else:
+            values = self.pim.lower_bounds(rows[:, None], ids)
+            if want.any():
+                self.pim.charge(self._counters, int(want.sum()))
+            exact = want & (values < ub[:, None])
+        r, c = np.nonzero(exact)
+        values[exact] = self._pair_distances(rows[r], ids[r, c], centers)
+        if r.size:
+            self._charge_ed(r.size)
+        return values, exact
+
     def _distances_with_pim(
         self,
         i: int,

@@ -47,114 +47,122 @@ class DrakeKMeans(KMeansAlgorithm):
         self._rest_lb = np.zeros(n)
         self._first = True
 
-    def _rebuild_point(
-        self, i: int, values: np.ndarray, exact: np.ndarray | None = None
+    def _rebuild_rows(
+        self, rows: np.ndarray, values: np.ndarray, exact: np.ndarray
     ) -> None:
-        """Reset point state from a full vector of distance values.
+        """Reset the state of ``rows`` from (rows x k) distance values.
 
         ``values`` may mix exact distances and safe lower bounds; both
-        are valid entries for the bound lists, but the *assigned* center
-        must carry an exact value (``ub`` must upper-bound its true
-        distance), so the winner is chosen among exact entries when an
-        ``exact`` mask is provided.
+        are valid bound-list entries, but the *assigned* center must
+        carry an exact value (``ub`` must upper-bound its true distance),
+        so the winner is the first minimum among exact entries.
         """
+        m, k = values.shape
         b = self.n_tracked
-        if exact is None:
-            winner = int(np.argmin(values))
-        else:
-            exact_ids = np.nonzero(exact)[0]
-            winner = int(exact_ids[np.argmin(values[exact_ids])])
-        self._a[i] = winner
-        self._ub[i] = float(values[winner])
-        others = np.argsort(values)
-        others = others[others != winner]
-        if others.size == 0:
-            # k = 1: nothing to track; the assignment can never change
-            self._tracked[i] = winner
-            self._tracked_lb[i] = np.inf
-            self._rest_lb[i] = np.inf
+        at = np.arange(m)
+        winner = np.argmin(np.where(exact, values, np.inf), axis=1)
+        self._a[rows] = winner
+        self._ub[rows] = values[at, winner]
+        if k == 1:
+            # nothing to track; the assignment can never change
+            self._tracked[rows] = winner[:, None]
+            self._tracked_lb[rows] = np.inf
+            self._rest_lb[rows] = np.inf
             return
-        self._tracked[i] = others[:b]  # size-1 broadcasts when b > others
-        self._tracked_lb[i] = values[self._tracked[i]]
-        if others.size > b:
-            self._rest_lb[i] = float(values[others[b]])
-        else:
-            self._rest_lb[i] = np.inf
+        ranked = np.argsort(values, axis=1)
+        others = ranked[ranked != winner[:, None]].reshape(m, k - 1)
+        # with b > k - 1 the last of the others fills the spare slots
+        tracked = others[:, np.minimum(np.arange(b), k - 2)]
+        self._tracked[rows] = tracked
+        self._tracked_lb[rows] = np.take_along_axis(values, tracked, axis=1)
+        self._rest_lb[rows] = values[at, others[:, b]] if k - 1 > b else np.inf
 
     def _assign(self, centers: np.ndarray) -> np.ndarray:
-        n = self.data.shape[0]
-        k = self.n_clusters
-        ids = np.arange(k)
+        """One assign step over all points at once.
+
+        A point's branch (skip on the guard, refresh ``d_a``, rescan
+        every center, or refine the tracked ones and swap) depends on
+        that point's own state only, so masks replay a point-by-point
+        walk exactly; the step's cost buckets are opened in the order
+        that walk would first touch them.
+        """
         if self._first:
             self._first = False
-            for i in range(n):
-                values, exact = self._all_values(i, centers, ids)
-                self._rebuild_point(i, values, exact)
+            rows = np.arange(self.data.shape[0])
+            self._rebuild_rows(rows, *self._all_values(rows, centers))
             return self._a.copy()
 
-        for i in range(n):
-            guard = min(float(self._tracked_lb[i].min(initial=np.inf)),
-                        float(self._rest_lb[i]))
-            if self._ub[i] <= guard:
-                self._counters.record(OTHER, branches=1.0)
-                continue
-            a = int(self._a[i])
-            d_a = float(self._exact_distances(i, centers, np.array([a]))[0])
-            self._ub[i] = d_a
-            if d_a <= guard:
-                continue
-            if self._rest_lb[i] < d_a:
-                # the aggregate bound fails: rescan every center
-                values, exact = self._all_values(
-                    i, centers, ids, threshold=d_a
-                )
-                values[a] = d_a
-                exact[a] = True
-                self._rebuild_point(i, values, exact)
-                continue
-            mask = self._tracked_lb[i] < d_a
-            cand = self._tracked[i][mask]
-            if cand.size == 0:
-                continue
-            values, exact = self._distances_with_pim(i, centers, cand, d_a)
-            self._tracked_lb[i][mask] = values
-            j = int(np.argmin(values))
-            if exact[j] and values[j] < self._ub[i]:
-                # swap assignment with the tracked winner
-                old_a, old_d = a, d_a
-                self._a[i] = int(cand[j])
-                self._ub[i] = float(values[j])
-                pos = int(np.nonzero(self._tracked[i] == cand[j])[0][0])
-                self._tracked[i, pos] = old_a
-                self._tracked_lb[i, pos] = old_d
+        guard = np.minimum(
+            self._tracked_lb.min(axis=1, initial=np.inf), self._rest_lb
+        )
+        skip = self._ub <= guard
+        live = np.flatnonzero(~skip)
+        d_a = self._pair_distances(live, self._a[live], centers)
+        self._ub[live] = d_a
+        still = d_a > guard[live]
+        rows, d_a = live[still], d_a[still]
+        rescan = self._rest_lb[rows] < d_a
+        want = (self._tracked_lb[rows] < d_a[:, None]) & ~rescan[:, None]
+        # open the buckets in the order a point-by-point walk first
+        # touches them: the cost model sums them in insertion order
+        firsts = [(np.flatnonzero(skip), 0, OTHER), (live, 0, "ED")]
+        if self.pim is not None:
+            consults = rows[rescan | want.any(axis=1)]
+            firsts.append((consults, 1, self.pim.bound_name))
+        for *_, name in sorted(
+            (int(at[0]), rank, name) for at, rank, name in firsts if at.size
+        ):
+            self._counters.record(name)
+        if skip.any():
+            self._counters.record(OTHER, branches=float(skip.sum()))
+        if live.size:
+            self._charge_ed(live.size)
+
+        # the aggregate bound fails: rescan every center
+        r, d_r = rows[rescan], d_a[rescan]
+        values, exact = self._all_values(r, centers, threshold=d_r)
+        at, a_r = np.arange(r.size), self._a[r]
+        values[at, a_r], exact[at, a_r] = d_r, True
+        self._rebuild_rows(r, values, exact)
+
+        # refine the tracked centers whose bound fails; swap on a win
+        t, d_t, want = rows[~rescan], d_a[~rescan], want[~rescan]
+        ids, lbs = self._tracked[t], self._tracked_lb[t]
+        values, exact = self._masked_values(centers, t, ids, want, d_t)
+        lbs[want] = values[want]
+        values = np.where(want, values, np.inf)
+        j = np.argmin(values, axis=1)
+        at = np.arange(t.size)
+        win = exact[at, j] & (values[at, j] < d_t)
+        at, j, swapped = at[win], j[win], t[win]
+        old_a = self._a[swapped]
+        self._a[swapped], self._ub[swapped] = ids[at, j], values[at, j]
+        ids[at, j], lbs[at, j] = old_a, d_t[win]
+        self._tracked[t], self._tracked_lb[t] = ids, lbs
         return self._a.copy()
 
     def _all_values(
         self,
-        i: int,
+        rows: np.ndarray,
         centers: np.ndarray,
-        ids: np.ndarray,
-        threshold: float | None = None,
+        threshold: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Distances (or safe bounds) of point ``i`` to every center,
-        plus the mask of entries that are exact."""
-        if self.pim is None:
-            values = self._exact_distances(i, centers, ids)
-            return values, np.ones(len(ids), dtype=bool)
-        if threshold is None:
-            lbs = self.pim.lower_bounds(i, ids)
-            self.pim.charge(self._counters, len(ids))
-            seed = int(np.argmin(lbs))
-            threshold = float(
-                self._exact_distances(i, centers, np.array([seed]))[0]
-            )
-            values, exact = self._distances_with_pim(
-                i, centers, ids, threshold
-            )
-            values[seed] = threshold
-            exact[seed] = True
-            return values, exact
-        return self._distances_with_pim(i, centers, ids, threshold)
+        """Distances (or safe bounds) of ``rows`` to every center, plus
+        the mask of entries that are exact."""
+        k = self.n_clusters
+        ids = np.broadcast_to(np.arange(k), (rows.size, k))
+        want = np.ones((rows.size, k), dtype=bool)
+        if self.pim is None or threshold is not None:
+            return self._masked_values(centers, rows, ids, want, threshold)
+        lbs = self.pim.lower_bounds(rows[:, None], ids)
+        self.pim.charge(self._counters, lbs.size)
+        seed = np.argmin(lbs, axis=1)
+        threshold = self._pair_distances(rows, seed, centers)
+        self._charge_ed(rows.size)
+        values, exact = self._masked_values(centers, rows, ids, want, threshold)
+        at = np.arange(rows.size)
+        values[at, seed], exact[at, seed] = threshold, True
+        return values, exact
 
     def _after_update(
         self, old_centers: np.ndarray, new_centers: np.ndarray

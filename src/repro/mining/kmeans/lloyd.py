@@ -4,7 +4,8 @@ The assign step computes all N*k distances — the heaviest data-transfer
 pattern of the family, which is why Standard-PIM shows the largest
 speedup (Table 7: up to 33.4x). With PIM assistance each point first
 reads the LB_PIM-ED wave results, computes one exact distance to the
-bound-minimising center, and refines only centers whose bound beats it.
+bound-minimising center, and refines only centers whose bound beats it
+— all points at once, one array step per decision.
 """
 
 from __future__ import annotations
@@ -34,24 +35,18 @@ class LloydKMeans(KMeansAlgorithm):
         return np.argmin(d2, axis=1).astype(np.int64)
 
     def _assign_pim(self, centers: np.ndarray) -> np.ndarray:
-        data = self.data
-        k = centers.shape[0]
-        assignments = np.empty(data.shape[0], dtype=np.int64)
-        all_ids = np.arange(k)
-        for i in range(data.shape[0]):
-            lbs = self.pim.lower_bounds(i, all_ids)
-            self.pim.charge(self._counters, k)
-            seed = int(np.argmin(lbs))
-            ub = float(
-                self._exact_distances(i, centers, np.array([seed]))[0]
-            )
-            best, best_d = seed, ub
-            candidates = np.nonzero(lbs < ub)[0]
-            candidates = candidates[candidates != seed]
-            if candidates.size:
-                dists = self._exact_distances(i, centers, candidates)
-                j = int(np.argmin(dists))
-                if dists[j] < best_d:
-                    best, best_d = int(candidates[j]), float(dists[j])
-            assignments[i] = best
-        return assignments
+        n, k = self.data.shape[0], centers.shape[0]
+        rows = np.arange(n)
+        lbs = self.pim.lower_bounds(slice(None), np.arange(k))
+        self.pim.charge(self._counters, n * k)
+        seed = np.argmin(lbs, axis=1)
+        ub = self._pair_distances(rows, seed, centers)
+        candidates = lbs < ub[:, None]
+        candidates[rows, seed] = False
+        dists = np.full((n, k), np.inf)
+        r, c = np.nonzero(candidates)
+        dists[r, c] = self._pair_distances(r, c, centers)
+        self._charge_ed(n + r.size)
+        # first-min over the candidates, kept only if strictly better
+        best = np.argmin(dists, axis=1)
+        return np.where(dists[rows, best] < ub, best, seed).astype(np.int64)

@@ -73,8 +73,9 @@ class PIMAssist:
         stats = self.controller.pim.stats
         return stats.batches, stats.waves_per_batch
 
-    def lower_bounds(self, i: int, center_ids: np.ndarray) -> np.ndarray:
-        """Rooted LB_PIM-ED of point ``i`` to the selected centers."""
+    def lower_bounds(self, i, center_ids: np.ndarray) -> np.ndarray:
+        """Rooted LB_PIM-ED of point ``i`` to the selected centers; both
+        index the N x k matrix NumPy-style, so ``i`` may be a column."""
         if self._lb is None:
             raise OperandError("begin_iteration() must run each iteration")
         return self._lb[i, center_ids]

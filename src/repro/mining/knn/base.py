@@ -30,9 +30,8 @@ from repro.similarity import measures
 #: (the paper's baselines stream 32-bit values).
 OPERAND_BYTES = 4
 
-#: Chunk size for vectorised filter-and-refine passes. Thresholds are
-#: refreshed between chunks; within a chunk the threshold is frozen,
-#: which is safe (a frozen, looser threshold only prunes less).
+#: Largest block of the sorted filter-and-refine walk: each block's
+#: bounds and exact scores cost one array call per stage.
 CHUNK = 256
 
 
@@ -224,19 +223,6 @@ class KNNAlgorithm(abc.ABC):
             exact_computations=exact_computations,
             stage_evaluations=dict(stage_evaluations or {}),
         )
-
-    def _seed_heap(
-        self, q: np.ndarray, k: int, counters: PerfCounters
-    ) -> _Heap:
-        """Initialise the heap with the first k objects, computed exactly."""
-        heap = _Heap(k, self.minimize)
-        seed = np.arange(min(k, self.n_objects))
-        scores = self.exact_scores(q, seed)
-        self.charge_exact(counters, len(seed))
-        self.charge_heap(counters, len(seed))
-        for i, s in zip(seed, scores):
-            heap.push(float(s), int(i))
-        return heap
 
 
 def validate_query(q: np.ndarray, dims: int, k: int) -> np.ndarray:

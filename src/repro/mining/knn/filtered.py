@@ -10,6 +10,12 @@ crossbars), objects are visited in ascending bound order, finer bounds
 screen each candidate, survivors pay the exact measure, and the walk
 stops once the coarse bound itself exceeds the live k-th-best threshold
 — sortedness proves everything later loses too. Results are exact.
+
+The walk takes the sorted order in blocks (``2k`` rows, doubling up to
+``CHUNK``): one array call per finer bound and one for the exact measure
+per block, then a replay over plain floats takes each candidate's
+stop/skip/push decision at the live threshold, so every count and
+answer equals that of a one-candidate-at-a-time walk.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from repro.cost.counters import OTHER, PerfCounters
 from repro.errors import PlanError
 from repro.hardware.controller import PIMController
 from repro.mining.knn.base import (
+    CHUNK,
     KNNAlgorithm,
     KNNResult,
     _Heap,
@@ -103,36 +110,49 @@ class FilteredKNN(KNNAlgorithm):
         finer = self.bounds[1:]
         values = first.evaluate(q)
         first.charge(counters, self.n_objects)
+
+        # a lower bound prunes above the threshold, an upper one below
+        sign = 1.0 if self.minimize else -1.0
+        keys = sign * values
+        order = np.argsort(keys)
+        heap = _Heap(k, self.minimize)
+        finer_evals = [0] * len(finer)
+        exact = 0
+        stopped = False
+        start, size = 0, min(2 * k, CHUNK)
+        while start < self.n_objects and not stopped:
+            block = order[start : start + size]
+            start, size = start + size, min(2 * size, CHUNK)
+            firsts = keys[block].tolist()
+            stages = [
+                (sign * bound.evaluate(q, block)).tolist() for bound in finer
+            ]
+            scores = self.exact_scores(q, block).tolist()
+            for t, candidate in enumerate(block.tolist()):
+                limit = sign * heap.threshold
+                if heap.full and firsts[t] > limit:
+                    # sorted by this bound: everything later is pruned too
+                    stopped = True
+                    break
+                for s, stage in enumerate(stages):
+                    finer_evals[s] += 1
+                    if heap.full and stage[t] > limit:
+                        break
+                else:
+                    exact += 1
+                    heap.push(scores[t], candidate)
+
+        # one charge per bucket, in the order a per-candidate walk
+        # first touches them (the cost model sums in insertion order)
         stage_evals: dict[str, int] = {b.name: 0 for b in self.bounds}
         stage_evals[first.name] = self.n_objects
-
-        order = np.argsort(values if self.minimize else -values)
-        heap = _Heap(k, self.minimize)
-        exact = 0
-        for i in order:
-            if heap.full and first.prunes(
-                values[i : i + 1], heap.threshold
-            )[0]:
-                # sorted by this bound: everything later is pruned too
-                counters.record(OTHER, branches=1.0)
-                break
-            candidate = int(i)
-            pruned = False
-            for bound in finer:
-                v = bound.evaluate(q, np.array([candidate]))
-                bound.charge(counters, 1)
-                stage_evals[bound.name] += 1
-                if heap.full and bound.prunes(v, heap.threshold)[0]:
-                    pruned = True
-                    break
-            if pruned:
-                continue
-            score = float(self.exact_scores(q, np.array([candidate]))[0])
-            self.charge_exact(counters, 1)
-            self.charge_heap(counters, 1)
-            exact += 1
-            heap.push(score, candidate)
-
+        for bound, n_evals in zip(finer, finer_evals):
+            bound.charge(counters, n_evals)
+            stage_evals[bound.name] += n_evals
+        self.charge_exact(counters, exact)
+        self.charge_heap(counters, exact)
+        if stopped:
+            counters.record(OTHER, branches=1.0)
         pim_after = (
             self.controller.pim.stats.pim_time_ns if self.controller else 0.0
         )

@@ -56,6 +56,7 @@ from repro.cost.model import CostModel
 from repro.errors import (
     CapacityError,
     ChunkUnavailableError,
+    ConfigurationError,
     CrossbarDeadError,
     ReproError,
     ServingError,
@@ -683,6 +684,8 @@ class ShardManager(ReplicaPlacement):
         self.fault_plan = fault_plan
         self.recovery = recovery if recovery is not None else RecoveryPolicy()
         self.spare_crossbars = int(spare_crossbars)
+        if self.spare_crossbars < 0:
+            raise ConfigurationError("spare_crossbars must be non-negative")
         if substrates is None:
             substrate_list = ["crossbar"] * self.n_shards
         elif isinstance(substrates, str):

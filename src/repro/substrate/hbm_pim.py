@@ -126,6 +126,8 @@ class HBMPIMArray:
         self.stats = PIMStats(backend="hbm_pim")
         self._matrices: dict[str, _BankedMatrix] = {}
         self.spare_banks = int(spare_banks)
+        if self.spare_banks < 0:
+            raise ConfigurationError("spare_banks must be non-negative")
         if self.spare_banks >= self.config.total_banks:
             raise CapacityError(
                 f"{self.spare_banks} spare banks leave no data banks "

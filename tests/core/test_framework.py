@@ -6,6 +6,8 @@ import pytest
 from repro.core.framework import PIMAccelerator
 from repro.errors import ConfigurationError
 from repro.hardware.config import baseline_platform
+from repro.mining.knn import StandardKNN
+from repro.mining.outlier import PIMOutlierDetector
 
 
 @pytest.fixture
@@ -62,6 +64,26 @@ class TestAccelerateKNN:
         )
         assert report.results_match
 
+    def test_each_workload_runs_once(self, data, queries, monkeypatch):
+        """Verify reads the profiled answers instead of re-running."""
+        controllers, calls = [], []
+        make, query = PIMAccelerator._controller, StandardKNN.query
+        monkeypatch.setattr(
+            PIMAccelerator, "_controller",
+            lambda self: controllers.append(make(self)) or controllers[-1],
+        )
+        monkeypatch.setattr(
+            StandardKNN, "query",
+            lambda self, q, k: calls.append(k) or query(self, q, k),
+        )
+        report = PIMAccelerator().accelerate_knn(
+            "Standard", data, queries, k=5
+        )
+        assert report.results_match
+        assert len(calls) == len(queries)
+        assert controllers[0].pim.stats.batches == 1
+        assert len(report.optimized.results) == len(queries)
+
 
 class TestAccelerateOutliers:
     def test_exact_and_reported(self, data):
@@ -72,6 +94,24 @@ class TestAccelerateOutliers:
         assert report.plan == ("LB_PIM-ED",)
         assert report.baseline.total_time_ns > 0
         assert report.optimized.pim_time_ns > 0
+
+    def test_swapped_tie_is_a_mismatch(self, data, monkeypatch):
+        """Equal sorted scores are not enough: the indices must match."""
+        twins = np.ones((2, data.shape[1]))  # two equally far outliers
+        data = np.vstack([0.5 * data, twins])
+        detect = PIMOutlierDetector.detect
+
+        def swap_tie(self):
+            result = detect(self)
+            assert result.scores[0] == result.scores[1]
+            result.indices[[0, 1]] = result.indices[[1, 0]]
+            return result
+
+        monkeypatch.setattr(PIMOutlierDetector, "detect", swap_tie)
+        report = PIMAccelerator().accelerate_outliers(
+            data, n_neighbors=4, n_outliers=5
+        )
+        assert not report.results_match
 
 
 class TestAccelerateKMeans:

@@ -1,0 +1,307 @@
+"""The array-speed mining paths against the loops they replay.
+
+``FilteredKNN.query`` walks the sorted order in blocks and the Lloyd-PIM
+and Drake assign steps work on all points at once. The loops below are
+the one-candidate-at-a-time and one-point-at-a-time walks those paths
+replace; on tie-heavy data (a five-value alphabet and duplicate rows)
+every answer, count and cost bucket must come out equal, bucket order
+included, since the cost model sums buckets in insertion order.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.bounds.ed import FNNBound, PartitionUpperBound
+from repro.bounds.pim import PIMFNNBound
+from repro.cost.counters import OTHER, PerfCounters
+from repro.hardware.controller import PIMController
+from repro.mining.kmeans import DrakeKMeans, LloydKMeans, PIMAssist
+from repro.mining.kmeans.base import initial_centers
+from repro.mining.knn import (
+    FNNKNN,
+    FNNPIMKNN,
+    FNNPIMOptimizeKNN,
+    OSTKNN,
+    OSTPIMKNN,
+    SMKNN,
+    SMPIMKNN,
+    StandardPIMKNN,
+)
+from repro.mining.knn.base import _Heap
+from repro.mining.knn.filtered import FilteredKNN
+
+
+def tie_heavy(n: int, dims: int, seed: int) -> np.ndarray:
+    """Values from a five-letter alphabet, a quarter of rows repeated."""
+    rng = np.random.default_rng(seed)
+    data = rng.integers(0, 5, (n, dims)) / 4.0
+    dup = rng.choice(n, n // 4, replace=False)
+    data[dup] = data[rng.integers(0, n, dup.size)]
+    return data
+
+
+def buckets(counters: PerfCounters) -> list:
+    return list(counters.functions.items())
+
+
+# ----------------------------------------------------------------------
+# kNN: the per-candidate filter-and-refine walk
+# ----------------------------------------------------------------------
+def loop_query(algo: FilteredKNN, q: np.ndarray, k: int):
+    counters = PerfCounters()
+    for bound in algo.bounds:
+        bound.charge_query_setup(counters, algo.dims)
+    first, finer = algo.bounds[0], algo.bounds[1:]
+    values = first.evaluate(q)
+    first.charge(counters, algo.n_objects)
+    stage_evals = {b.name: 0 for b in algo.bounds}
+    stage_evals[first.name] = algo.n_objects
+    order = np.argsort(values if algo.minimize else -values)
+    heap = _Heap(k, algo.minimize)
+    exact = 0
+    for i in order:
+        if heap.full and first.prunes(values[i : i + 1], heap.threshold)[0]:
+            counters.record(OTHER, branches=1.0)
+            break
+        candidate = int(i)
+        pruned = False
+        for bound in finer:
+            v = bound.evaluate(q, np.array([candidate]))
+            bound.charge(counters, 1)
+            stage_evals[bound.name] += 1
+            if heap.full and bound.prunes(v, heap.threshold)[0]:
+                pruned = True
+                break
+        if pruned:
+            continue
+        score = float(algo.exact_scores(q, np.array([candidate]))[0])
+        algo.charge_exact(counters, 1)
+        algo.charge_heap(counters, 1)
+        exact += 1
+        heap.push(score, candidate)
+    stage_evals[algo.measure] = exact
+    return algo._finalize(
+        heap, counters, exact_computations=exact, stage_evaluations=stage_evals
+    )
+
+
+DIMS = 32
+
+
+def _fnn_optimize(ctl):
+    return FNNPIMOptimizeKNN(
+        [PIMFNNBound(4, ctl), FNNBound(2), FNNBound(8)], ctl
+    )
+
+
+KNN_FACTORIES = {
+    "OST": lambda n: OSTKNN(DIMS),
+    "SM": lambda n: SMKNN(DIMS),
+    "FNN": lambda n: FNNKNN(DIMS),
+    "UB_part-CS": lambda n: FilteredKNN(
+        [PartitionUpperBound(DIMS // 4)], measure="cosine"
+    ),
+    "Standard-PIM-ED": lambda n: StandardPIMKNN(controller=PIMController()),
+    "Standard-PIM-CS": lambda n: StandardPIMKNN(
+        measure="cosine", controller=PIMController()
+    ),
+    "Standard-PIM-PCC": lambda n: StandardPIMKNN(
+        measure="pearson", controller=PIMController()
+    ),
+    "OST-PIM": lambda n: OSTPIMKNN(DIMS, controller=PIMController()),
+    "SM-PIM": lambda n: SMPIMKNN(DIMS, controller=PIMController()),
+    "FNN-PIM": lambda n: FNNPIMKNN(DIMS, n, controller=PIMController()),
+    "FNN-PIM-optimize": lambda n: _fnn_optimize(PIMController()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KNN_FACTORIES))
+def test_filtered_knn_matches_per_candidate_loop(name):
+    n = 90
+    data = tie_heavy(n, DIMS, seed=len(name))
+    algo = KNN_FACTORIES[name](n).fit(data)
+    rng = np.random.default_rng(7)
+    # dataset rows (exact ties at distance 0) and nearby perturbations
+    queries = np.vstack(
+        [data[:3], np.clip(data[3:6] + 0.1 * rng.random((3, DIMS)), 0, 1)]
+    )
+    for q in queries:
+        for k in (1, 2, 5, 17, 60, n, n + 7):
+            want = loop_query(algo, q, k)
+            got = algo.query(q, k)
+            assert np.array_equal(got.indices, want.indices), (k, name)
+            assert np.array_equal(got.scores, want.scores), (k, name)
+            assert got.exact_computations == want.exact_computations
+            assert got.stage_evaluations == want.stage_evaluations
+            assert buckets(got.counters) == buckets(want.counters)
+
+
+# ----------------------------------------------------------------------
+# k-means: the per-point assign steps
+# ----------------------------------------------------------------------
+class LoopLloydKMeans(LloydKMeans):
+    def _assign_pim(self, centers):
+        data = self.data
+        k = centers.shape[0]
+        assignments = np.empty(data.shape[0], dtype=np.int64)
+        all_ids = np.arange(k)
+        for i in range(data.shape[0]):
+            lbs = self.pim.lower_bounds(i, all_ids)
+            self.pim.charge(self._counters, k)
+            seed = int(np.argmin(lbs))
+            ub = float(self._exact_distances(i, centers, np.array([seed]))[0])
+            best, best_d = seed, ub
+            candidates = np.nonzero(lbs < ub)[0]
+            candidates = candidates[candidates != seed]
+            if candidates.size:
+                dists = self._exact_distances(i, centers, candidates)
+                j = int(np.argmin(dists))
+                if dists[j] < best_d:
+                    best, best_d = int(candidates[j]), float(dists[j])
+            assignments[i] = best
+        return assignments
+
+
+class LoopDrakeKMeans(DrakeKMeans):
+    def _rebuild_point(self, i, values, exact):
+        b = self.n_tracked
+        exact_ids = np.nonzero(exact)[0]
+        winner = int(exact_ids[np.argmin(values[exact_ids])])
+        self._a[i] = winner
+        self._ub[i] = float(values[winner])
+        others = np.argsort(values)
+        others = others[others != winner]
+        if others.size == 0:
+            self._tracked[i] = winner
+            self._tracked_lb[i] = np.inf
+            self._rest_lb[i] = np.inf
+            return
+        self._tracked[i] = others[:b]
+        self._tracked_lb[i] = values[self._tracked[i]]
+        self._rest_lb[i] = (
+            float(values[others[b]]) if others.size > b else np.inf
+        )
+
+    def _point_values(self, i, centers, ids, threshold=None):
+        if self.pim is None:
+            values = self._exact_distances(i, centers, ids)
+            return values, np.ones(len(ids), dtype=bool)
+        if threshold is None:
+            lbs = self.pim.lower_bounds(i, ids)
+            self.pim.charge(self._counters, len(ids))
+            seed = int(np.argmin(lbs))
+            threshold = float(
+                self._exact_distances(i, centers, np.array([seed]))[0]
+            )
+            values, exact = self._distances_with_pim(
+                i, centers, ids, threshold
+            )
+            values[seed] = threshold
+            exact[seed] = True
+            return values, exact
+        return self._distances_with_pim(i, centers, ids, threshold)
+
+    def _assign(self, centers):
+        n = self.data.shape[0]
+        ids = np.arange(self.n_clusters)
+        if self._first:
+            self._first = False
+            for i in range(n):
+                self._rebuild_point(i, *self._point_values(i, centers, ids))
+            return self._a.copy()
+        for i in range(n):
+            guard = min(
+                float(self._tracked_lb[i].min(initial=np.inf)),
+                float(self._rest_lb[i]),
+            )
+            if self._ub[i] <= guard:
+                self._counters.record(OTHER, branches=1.0)
+                continue
+            a = int(self._a[i])
+            d_a = float(self._exact_distances(i, centers, np.array([a]))[0])
+            self._ub[i] = d_a
+            if d_a <= guard:
+                continue
+            if self._rest_lb[i] < d_a:
+                values, exact = self._point_values(
+                    i, centers, ids, threshold=d_a
+                )
+                values[a] = d_a
+                exact[a] = True
+                self._rebuild_point(i, values, exact)
+                continue
+            mask = self._tracked_lb[i] < d_a
+            cand = self._tracked[i][mask]
+            if cand.size == 0:
+                continue
+            values, exact = self._distances_with_pim(i, centers, cand, d_a)
+            self._tracked_lb[i][mask] = values
+            j = int(np.argmin(values))
+            if exact[j] and values[j] < self._ub[i]:
+                old_a, old_d = a, d_a
+                self._a[i] = int(cand[j])
+                self._ub[i] = float(values[j])
+                pos = int(np.nonzero(self._tracked[i] == cand[j])[0][0])
+                self._tracked[i, pos] = old_a
+                self._tracked_lb[i, pos] = old_d
+        return self._a.copy()
+
+
+def _assist():
+    return PIMAssist(PIMController())
+
+
+KMEANS_CASES = [
+    # (algorithm, k, n_tracked): k == 1, Drake's b above k - 1 (a
+    # broadcast), b == k - 1, and the default b
+    ("Standard", 1, None),
+    ("Standard", 9, None),
+    ("Standard", 16, None),
+    ("Drake", 1, None),
+    ("Drake", 2, 3),
+    ("Drake", 4, 3),
+    ("Drake", 9, None),
+    ("Drake", 16, None),
+]
+
+
+@pytest.mark.parametrize("pim", [False, True], ids=["cpu", "pim"])
+@pytest.mark.parametrize("algorithm,k,n_tracked", KMEANS_CASES)
+def test_kmeans_assign_matches_per_point_loop(algorithm, k, n_tracked, pim):
+    data = tie_heavy(120, 12, seed=k)
+    centers = initial_centers(data, k, seed=3)
+
+    def build(cls):
+        kwargs = {"pim_assist": _assist() if pim else None}
+        if algorithm == "Drake":
+            kwargs["n_tracked"] = n_tracked
+        return cls(k, max_iters=8, **kwargs)
+
+    if algorithm == "Standard":
+        fast, slow = build(LloydKMeans), build(LoopLloydKMeans)
+    else:
+        fast, slow = build(DrakeKMeans), build(LoopDrakeKMeans)
+    got = fast.fit(data, centers=centers.copy())
+    want = slow.fit(data, centers=centers.copy())
+    assert np.array_equal(got.assignments, want.assignments)
+    assert np.array_equal(got.centers, want.centers)
+    assert got.inertia == want.inertia
+    assert got.n_iterations == want.n_iterations
+    assert got.iteration_exact_distances == want.iteration_exact_distances
+    assert [buckets(c) for c in got.iteration_counters] == [
+        buckets(c) for c in want.iteration_counters
+    ]
+    assert buckets(got.counters) == buckets(want.counters)
+
+
+def test_drake_tracks_more_centers_than_exist():
+    """``n_tracked`` above ``k - 1`` pads the list and stays exact."""
+    data = tie_heavy(120, 12, seed=5)
+    centers = initial_centers(data, 3, seed=1)
+    lloyd = LloydKMeans(3, max_iters=8).fit(data, centers=centers.copy())
+    drake = DrakeKMeans(3, max_iters=8, n_tracked=5).fit(
+        data, centers=centers.copy()
+    )
+    assert np.array_equal(drake.assignments, lloyd.assignments)

@@ -10,7 +10,7 @@ normalised vectors) so equality checks are bit-exact, not approximate.
 import numpy as np
 import pytest
 
-from repro.errors import ProgrammingError, ServingError
+from repro.errors import ConfigurationError, ProgrammingError, ServingError
 from repro.serving import (
     KNNAnswer,
     ShardManager,
@@ -87,6 +87,14 @@ class TestPlacement:
         assert manager.shard_sizes() == [60, 0, 0]
         answer = manager.knn(data[4], k=5)
         assert answer.indices[0] == 4
+
+    def test_negative_spares_rejected_up_front(self, data):
+        # an HBM-only fleet builds no crossbar shard, the one place a
+        # negative reservation used to be caught
+        with pytest.raises(ConfigurationError):
+            ShardManager(
+                data, n_shards=2, spare_crossbars=-1, substrates="hbm_pim"
+            )
 
 
 class TestKNNExactness:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import OperandError
 from repro.similarity import measures
@@ -117,3 +119,33 @@ class TestDispatch:
         assert not measures.is_similarity("hamming")
         with pytest.raises(OperandError):
             measures.is_similarity("manhattan")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    measure=st.sampled_from(measures.MEASURES),
+    n=st.integers(min_value=1, max_value=300),
+    dims=st.integers(min_value=1, max_value=96),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_batch_scores_do_not_depend_on_the_rows_beside_them(
+    measure, n, dims, seed
+):
+    """A row scores the same bits alone, in a block or in the whole
+    array — what block scoring in the filter-and-refine walk needs."""
+    rng = np.random.default_rng(seed)
+    if measure == "hamming":
+        data = rng.integers(0, 2, (n, dims))
+        q = rng.integers(0, 2, dims)
+    else:
+        data = rng.random((n, dims))
+        data[rng.random(n) < 0.1] = 0.0  # zero rows score 0
+        q = rng.random(dims)
+    block = rng.permutation(n)[: rng.integers(1, n + 1)]
+    whole = measures.compute_batch(measure, data, q)[block]
+    blocked = measures.compute_batch(measure, data[block], q)
+    single = [
+        measures.compute_batch(measure, data[i : i + 1], q)[0] for i in block
+    ]
+    assert np.array_equal(whole, blocked)
+    assert np.array_equal(blocked, np.array(single))

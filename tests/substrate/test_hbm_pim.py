@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.errors import CapacityError, OperandError, ProgrammingError
+from repro.errors import (
+    CapacityError,
+    ConfigurationError,
+    OperandError,
+    ProgrammingError,
+)
 from repro.hardware import bitslice
 from repro.hardware.pim_array import PIMArray, PIMStats
 from repro.oracle import LoopHBMPIMArray
@@ -105,6 +110,11 @@ class TestCapacityAndPlacement:
     def test_all_spares_is_rejected(self):
         with pytest.raises(CapacityError):
             HBMPIMArray(spare_banks=64)
+
+    def test_negative_spares_rejected(self):
+        # bank id -1 must never enter the data pool
+        with pytest.raises(ConfigurationError):
+            HBMPIMArray(spare_banks=-1)
 
 
 class TestRemapAndWear:
