@@ -62,7 +62,7 @@ def main() -> None:
     array.program_matrix("demo", rng.integers(0, 256, size=(40, 32)))
     probe = rng.integers(0, 256, size=32)
     before = array.query("demo", probe).values
-    victim = array.crossbar_ids_of("demo")[0]
+    victim = array.unit_ids_of("demo")[0]
     spare, remap_ns = array.remap_crossbar(victim)
     after = array.query("demo", probe).values
     print("=== spare-crossbar remap ===")

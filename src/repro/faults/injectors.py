@@ -364,12 +364,7 @@ class FaultyPIMArray:
         total_banks = int(getattr(config, "total_banks", 0) or 0)
         unit_ids = None
         if banks_per_group > 0 and total_banks > 0:
-            unit_ids_of = getattr(self._inner, "unit_ids_of", None)
-            if unit_ids_of is not None:
-                try:
-                    unit_ids = unit_ids_of(name)
-                except Exception:
-                    unit_ids = None
+            unit_ids = self._inner.unit_ids_of(name)
         factor = 1.0
         for event in events:
             hit = True

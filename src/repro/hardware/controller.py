@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.hardware.config import HardwareConfig, pim_platform
 from repro.hardware.memory import MemoryArray
-from repro.hardware.pim_array import PIMArray, PIMBatchResult, PIMQueryResult
+from repro.hardware.pim_array import PIMBatchResult, PIMQueryResult, Substrate
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,12 @@ class PIMController:
     """Facade coordinating memory array, compute substrate and buffer.
 
     ``substrate`` selects the memory-side compute backend by registry
-    name (``"crossbar"``, ``"hbm_pim"``, ...). The default is the
-    paper's crossbar array, constructed exactly as before; any other
-    name is built through :func:`repro.substrate.create_substrate`, and
-    side data is staged in the device class the backend's capability
-    descriptor declares (ReRAM for crossbars, DRAM for HBM-PIM).
+    name (``"crossbar"``, the paper's array and the default;
+    ``"hbm_pim"``, ...), built through
+    :func:`repro.substrate.create_substrate`. Side data is staged in the
+    device class the backend's capability descriptor declares (ReRAM
+    for crossbars, DRAM for HBM-PIM). A ``noise`` model swaps in a
+    :class:`~repro.hardware.noise.NoisyPIMArray`, crossbar only.
     """
 
     def __init__(
@@ -57,9 +58,10 @@ class PIMController:
         spare_crossbars: int = 0,
         substrate: str = "crossbar",
     ) -> None:
+        from repro.substrate import create_substrate, substrate_capabilities
+
         self.hardware = hardware if hardware is not None else pim_platform()
         self.substrate = substrate
-        memory_device = "reram"
         if noise is not None:
             if substrate != "crossbar":
                 from repro.errors import ConfigurationError
@@ -70,28 +72,17 @@ class PIMController:
                 )
             from repro.hardware.noise import NoisyPIMArray
 
-            self.pim: PIMArray = NoisyPIMArray(self.hardware, noise)
-        elif substrate == "crossbar":
-            self.pim = PIMArray(
-                self.hardware,
-                simulate_cells=simulate_cells,
-                spare_crossbars=spare_crossbars,
-            )
+            self.pim: Substrate = NoisyPIMArray(self.hardware, noise)
         else:
-            from repro.substrate import (
-                create_substrate,
-                substrate_capabilities,
-            )
-
             self.pim = create_substrate(
                 substrate,
                 hardware=self.hardware,
                 spare_units=spare_crossbars,
                 simulate_cells=simulate_cells,
             )
-            memory_device = substrate_capabilities(
-                substrate, self.hardware
-            ).memory_device
+        memory_device = substrate_capabilities(
+            substrate, self.hardware
+        ).memory_device
         self.noise = noise
         self.memory = MemoryArray(self.hardware.memory, device=memory_device)
         self._receipts: dict[str, ProgramReceipt] = {}

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hardware.config import HardwareConfig
-from repro.hardware.pim_array import PIMArray, PIMBatchResult, PIMQueryResult
+from repro.hardware.pim_array import PIMArray
 
 #: Noise samples are truncated at this many standard deviations so the
 #: worst-case compensation bound is finite and provable.
@@ -123,6 +123,8 @@ class NoisyPIMArray(PIMArray):
     Values are perturbed multiplicatively with truncated Gaussian noise
     and then quantized to the ADC step; integer exactness is lost, which
     is precisely the regime the paper's bound-based design tolerates.
+    The perturbation sits in the one ``_values`` hook every dispatch
+    style shares, so stats, timing and telemetry are the exact array's.
     """
 
     def __init__(
@@ -133,6 +135,9 @@ class NoisyPIMArray(PIMArray):
         super().__init__(hardware, simulate_cells=False)
         self.noise = noise if noise is not None else NoiseModel()
         self._rng = np.random.default_rng(self.noise.seed)
+
+    def _values(self, record, vectors, bits) -> np.ndarray:
+        return self._perturb(super()._values(record, vectors, bits))
 
     def _perturb(self, values: np.ndarray) -> np.ndarray:
         if self.noise.is_ideal:
@@ -148,21 +153,3 @@ class NoisyPIMArray(PIMArray):
         if self.noise.adc_step > 0.0:
             floats = np.round(floats / self.noise.adc_step) * self.noise.adc_step
         return floats
-
-    def query(self, name, vector, input_bits=None) -> PIMQueryResult:
-        result = super().query(name, vector, input_bits=input_bits)
-        return PIMQueryResult(
-            values=self._perturb(result.values), timing=result.timing
-        )
-
-    def query_many(self, name, vectors, input_bits=None) -> PIMQueryResult:
-        result = super().query_many(name, vectors, input_bits=input_bits)
-        return PIMQueryResult(
-            values=self._perturb(result.values), timing=result.timing
-        )
-
-    def query_batch(self, name, vectors, input_bits=None) -> PIMBatchResult:
-        result = super().query_batch(name, vectors, input_bits=input_bits)
-        return PIMBatchResult(
-            values=self._perturb(result.values), timing=result.timing
-        )

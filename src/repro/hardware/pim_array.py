@@ -1,12 +1,17 @@
-"""Array-level PIM interface: program matrices, fire dot-product waves.
+"""Wave devices: program matrices once, fire exact dot-product waves.
 
-:class:`PIMArray` is the substrate the mining layer talks to. Datasets
-(or several distinct matrices — e.g. a code matrix and its complement for
-Hamming distance) are programmed once at the offline stage; at the online
-stage a *wave* evaluates one query vector against every programmed vector
-of a matrix concurrently and deposits the results in the buffer array.
+The paper's PIM module has one shape on any memory technology (Section
+III): datasets (or several distinct matrices — e.g. a code matrix and
+its complement for Hamming distance) are programmed once at the offline
+stage; at the online stage a *wave* evaluates one query vector against
+every programmed vector of a matrix concurrently and deposits the
+results in the buffer array. :class:`Substrate` is that shape, shared
+by every backend: matrix bookkeeping, wave dispatch, buffer drain,
+stats, telemetry and the spare-pool remap. A backend supplies only
+placement, its timing model and its kernel.
 
-Two execution paths produce identical values:
+:class:`PIMArray` is the paper's ReRAM crossbar backend. Two execution
+paths produce identical values:
 
 * the default fast path computes the integer matrix-vector product
   exactly on float64 BLAS (:class:`~repro.hardware.bitslice.ExactMatrix`:
@@ -40,13 +45,14 @@ import numpy as np
 from repro.errors import CapacityError, OperandError, ProgrammingError
 from repro.hardware import bitslice
 from repro.hardware.buffer import BufferArray
-from repro.hardware.config import HardwareConfig, PIMArrayConfig, pim_platform
+from repro.hardware.config import HardwareConfig, pim_platform
 from repro.hardware.crossbar import Crossbar
 from repro.hardware.endurance import EnduranceTracker
 from repro.hardware.mapper import (
     DatasetLayout,
     plan_layout,
     reserve_spares,
+    total_crossbars,
     vectors_per_crossbar,
 )
 from repro.hardware.timing import (
@@ -93,7 +99,7 @@ class MatrixBatchState:
 
 @dataclass
 class PIMStats:
-    """Cumulative activity counters of a :class:`PIMArray`.
+    """Cumulative activity counters of a :class:`Substrate`.
 
     ``waves`` counts logical query waves regardless of dispatch style, so
     a batch of B queries and B sequential queries report the same count;
@@ -225,28 +231,29 @@ class PIMStats:
         return merged
 
 
-class _ProgrammedMatrix:
+class ProgrammedMatrix:
     """Internal record of one programmed matrix.
 
     ``matrix`` is the single resident copy of the operands, held for the
-    fast path's exact BLAS waves. ``sliced`` caches the operand
-    bit-slice decomposition the fused cell-level kernel contracts
-    against — shape ``(n_vectors, dims, n_operand_slices)``, int64. It
-    is built at program time, rebuilt lazily after :meth:`drop_sliced`
-    (any reprogram/remap event), and absent entirely on the fast path.
+    exact BLAS waves; ``unit_ids`` are the physical units backing it.
+    Crossbars in ``simulate_cells`` mode also keep their cell objects in
+    ``crossbars`` and cache the operand bit-slice decomposition the
+    fused kernel contracts against in ``sliced`` — shape ``(n_vectors,
+    dims, n_operand_slices)``, int64, built at program time and rebuilt
+    lazily after :meth:`drop_sliced` (any reprogram/remap event).
     """
 
     def __init__(
         self,
         matrix: bitslice.ExactMatrix,
-        layout: DatasetLayout,
-        crossbars: list[list[Crossbar]] | None,
-        crossbar_ids: list[int] | None = None,
+        layout,
+        unit_ids: list[int],
+        crossbars: list[list[Crossbar]] | None = None,
     ) -> None:
         self.matrix = matrix
         self.layout = layout
-        self.crossbars = crossbars  # only in simulate_cells mode
-        self.crossbar_ids = crossbar_ids or []
+        self.unit_ids = unit_ids
+        self.crossbars = crossbars
         self.sliced: np.ndarray | None = None
 
     def drop_sliced(self) -> None:
@@ -254,7 +261,504 @@ class _ProgrammedMatrix:
         self.sliced = None
 
 
-class PIMArray:
+class Substrate:
+    """Base of every memory-side compute device.
+
+    Owns the decisions every backend shares: the ``program_matrix``
+    checks and booking, the three wave dispatch styles (validation,
+    buffer drain, :class:`PIMStats` and per-matrix booking, telemetry
+    spans and wave metrics) and the spare-pool remap. Conventions the
+    exactness and repair invariants lean on:
+
+    * arithmetic is exact integer dot products truncated to
+      ``config.accumulator_bits``, so answers are independent of the
+      backend;
+    * physical units (crossbars, banks, ...) are integers named by
+      :meth:`unit_ids_of`; spares take the first ids, and
+      :meth:`remap_crossbar` answers with the backend's own units;
+    * backend-specific counters live in ``stats.extra``.
+
+    A backend sets ``unit_name``, ``backend`` (the ``stats.backend``
+    tag) and ``_span_attrs`` (extra attributes of every span), and
+    implements the hooks below: placement (:meth:`_place`,
+    :meth:`_release`, :meth:`_move_to_spare`), timing
+    (:meth:`_program_ns`, :meth:`_wave_timing`, :meth:`_batch_timing`)
+    and capacity (:meth:`units_needed`, :meth:`fits_matrix`). The
+    kernel hook :meth:`_raw_values` is what the loop oracles in
+    :mod:`repro.oracle` override.
+    """
+
+    unit_name = "unit"
+    backend = "abstract"
+    _span_attrs: dict = {}
+    #: ``pim.*`` counters every wave updates, in creation order
+    _wave_counters: tuple[str, ...] = ("waves", "results_produced")
+
+    def __init__(
+        self, hardware: HardwareConfig, config, endurance: float,
+        spare_units: int,
+    ) -> None:
+        self.hardware = hardware
+        self.config = config
+        self.buffer = BufferArray(hardware.memory)
+        self.endurance = EnduranceTracker(endurance)
+        self.stats = PIMStats(backend=self.backend)
+        self._matrices: dict[str, ProgrammedMatrix] = {}
+        self.spare_units = int(spare_units)
+        # spares take the first physical ids so data/spare sets are
+        # disjoint and deterministic across runs
+        self._spare_ids: list[int] = list(range(self.spare_units))
+        self.remap_table: dict[int, int] = {}
+        self._retired_ids: set[int] = set()
+
+    # ------------------------------------------------------------------
+    # programming (offline stage)
+    # ------------------------------------------------------------------
+    def program_matrix(self, name: str, matrix: np.ndarray):
+        """Program a named ``(n_vectors, dims)`` integer matrix.
+
+        ``matrix`` holds non-negative integers below
+        ``2**operand_bits``. Returns the backend's placement layout,
+        also recorded in :attr:`stats`.
+        """
+        if name in self._matrices:
+            raise ProgrammingError(
+                f"matrix {name!r} already programmed; reset it first"
+            )
+        matrix = np.ascontiguousarray(matrix)
+        if matrix.ndim != 2:
+            raise OperandError("expected a 2-D (vectors x dims) matrix")
+        bitslice.check_non_negative_integers(matrix, self.config.operand_bits)
+        record = self._place(name, matrix)
+        layout = record.layout
+        self._matrices[name] = record
+        self.stats.crossbars_used += layout.n_crossbars
+        self.stats.matrices[name] = layout
+        program_ns = self._program_ns(layout)
+        self.stats.programming_time_ns += program_ns
+        tele = get_recorder()
+        if tele.enabled:
+            n_vectors, dims = matrix.shape
+            with tele.span(
+                "pim.program", "pim_program",
+                matrix=name, vectors=n_vectors, dims=dims,
+                crossbars=layout.n_crossbars, **self._span_attrs,
+            ):
+                tele.advance(program_ns)
+            tele.metrics.counter("pim.programmed_crossbars").add(
+                layout.n_crossbars
+            )
+            tele.metrics.gauge("pim.crossbars_used").set(
+                self.stats.crossbars_used
+            )
+        return layout
+
+    def reset_matrix(self, name: str) -> None:
+        """Erase a programmed matrix, freeing its units.
+
+        Re-programming afterwards wears the device: the endurance tracker
+        keeps counting against the same units. The matrix's per-matrix
+        batch state is dropped too, so a successor matrix reusing the
+        name starts its accounting from zero (aggregating shard stats
+        would otherwise double count stale generations).
+        """
+        record = self._matrices.pop(name, None)
+        if record is None:
+            raise ProgrammingError(f"no matrix named {name!r}")
+        self.stats.crossbars_used -= record.layout.n_crossbars
+        del self.stats.matrices[name]
+        self.stats.per_matrix.pop(name, None)
+        tele = get_recorder()
+        if tele.enabled:
+            tele.metrics.counter("pim.matrix_resets").add(1)
+            tele.metrics.gauge("pim.crossbars_used").set(
+                self.stats.crossbars_used
+            )
+        self._release(record)
+
+    def layouts(self) -> dict:
+        """Layouts of all programmed matrices."""
+        return {name: rec.layout for name, rec in self._matrices.items()}
+
+    def matrix_of(self, name: str) -> np.ndarray:
+        """The int64 matrix currently programmed under ``name``.
+
+        Converted from the resident float64 copy on each call, for
+        diagnostics and fault injectors; mutating the returned array is
+        undefined behaviour.
+        """
+        return self._record(name).matrix.to_int64()
+
+    def unit_ids_of(self, name: str) -> list[int]:
+        """Physical unit ids currently backing matrix ``name``."""
+        return list(self._record(name).unit_ids)
+
+    def _record(self, name: str) -> ProgrammedMatrix:
+        record = self._matrices.get(name)
+        if record is None:
+            raise ProgrammingError(f"no matrix named {name!r}")
+        return record
+
+    # ------------------------------------------------------------------
+    # spare pool + remap table (repair layer)
+    # ------------------------------------------------------------------
+    @property
+    def spares_remaining(self) -> int:
+        """Spare units still available for remapping."""
+        return len(self._spare_ids)
+
+    def remap_crossbar(self, old_id: int) -> tuple[int, float]:
+        """Remap one flagged unit onto the least-worn spare.
+
+        Every matrix resident on ``old_id`` moves onto the spare (values
+        are unchanged — the logical matrix is simply reprogrammed there),
+        the spare is charged one endurance write plus the backend's
+        reprogramming latency, and ``old_id`` is retired permanently: it
+        never backs data again. Wear ties go to the lowest spare id.
+
+        Returns
+        -------
+        tuple
+            ``(spare_id, reprogram_ns)``.
+
+        Raises
+        ------
+        CapacityError
+            When the spare pool is exhausted.
+        ProgrammingError
+            When ``old_id`` backs no programmed matrix.
+        """
+        owners = [
+            (name, rec)
+            for name, rec in self._matrices.items()
+            if old_id in rec.unit_ids
+        ]
+        if not owners:
+            raise ProgrammingError(
+                f"{self.unit_name} {old_id} backs no programmed matrix"
+            )
+        if not self._spare_ids:
+            raise CapacityError(
+                f"spare pool exhausted remapping {self.unit_name} {old_id}"
+            )
+        spare = min(
+            self._spare_ids,
+            key=lambda u: (self.endurance.write_count(u), u),
+        )
+        self._spare_ids.remove(spare)
+        self.endurance.record_write(spare)
+        for _, rec in owners:
+            rec.unit_ids[rec.unit_ids.index(old_id)] = spare
+        reprogram_ns = self._move_to_spare(owners, old_id, spare)
+        self.remap_table[old_id] = spare
+        self._retired_ids.add(old_id)
+        self.stats.programming_time_ns += reprogram_ns
+        self.stats.remaps += 1
+        tele = get_recorder()
+        if tele.enabled:
+            with tele.span(
+                "pim.remap", "pim_program",
+                matrix=owners[0][0], old_crossbar=old_id, spare=spare,
+                **self._span_attrs,
+            ):
+                tele.advance(reprogram_ns)
+            tele.metrics.counter("pim.remaps").add(1)
+            tele.metrics.gauge("pim.spares_remaining").set(
+                len(self._spare_ids)
+            )
+        return spare, reprogram_ns
+
+    def remap_crossbars(self, old_ids: list[int]) -> tuple[list[int], float]:
+        """Remap several units; returns the spares and total latency."""
+        spares: list[int] = []
+        total_ns = 0.0
+        for old_id in old_ids:
+            spare, ns = self.remap_crossbar(old_id)
+            spares.append(spare)
+            total_ns += ns
+        return spares, total_ns
+
+    def wear_report(self, top: int | None = None) -> dict:
+        """Endurance wear summary of this device's physical units."""
+        return self.endurance.wear_report(top=top)
+
+    # ------------------------------------------------------------------
+    # querying (online stage)
+    # ------------------------------------------------------------------
+    def query(
+        self, name: str, vector: np.ndarray, input_bits: int | None = None
+    ) -> PIMQueryResult:
+        """Fire one wave: dot products of ``vector`` with every row of ``name``.
+
+        Results are truncated to the accumulator width (the paper keeps
+        the least-significant 64 bits; 32 for binary codes) and pass
+        through the buffer array, which the host drains synchronously.
+        """
+        record = self._record(name)
+        vector = np.asarray(vector)
+        if vector.ndim != 1:
+            raise OperandError(
+                f"query must be a vector of length {record.layout.dims}"
+            )
+        bits = self._bits(input_bits)
+        values = self._values(record, vector[np.newaxis, :], bits)[0]
+        timing = self._wave_timing(record.layout, bits)
+        if values.nbytes <= self.buffer.free_bytes:
+            self.buffer.push(values)
+            self.buffer.pop()
+        results = int(values.shape[0])
+        self._book(name, record.layout, 1, results, timing.total_ns)
+        tele = get_recorder()
+        if tele.enabled:
+            with tele.span(
+                "pim.wave", "pim_dispatch",
+                matrix=name, queries=1, results=results,
+                input_cycles=timing.input_cycles,
+                gather_cycles=timing.gather_cycles,
+                pipeline_cycles=timing.pipeline_cycles,
+                crossbar_ns=timing.crossbar_ns,
+                buffer_ns=timing.buffer_ns,
+                **self._span_attrs,
+            ):
+                tele.advance(timing.total_ns)
+            self._record_wave_metrics(
+                tele, waves=1, cycles=timing.input_cycles, results=results
+            )
+        return PIMQueryResult(values=values, timing=timing)
+
+    def query_many(
+        self,
+        name: str,
+        vectors: np.ndarray,
+        input_bits: int | None = None,
+    ) -> PIMQueryResult:
+        """Fire one wave per row of ``vectors`` (a batched :meth:`query`).
+
+        Semantically identical to looping :meth:`query` — each row is
+        its own wave, charged separately — but evaluated as a single
+        matrix product, which keeps large sweeps (k-means iterations
+        firing one wave per center) fast to simulate. Returns values of
+        shape ``(n_queries, n_programmed_vectors)``.
+        """
+        record = self._record(name)
+        vectors = np.atleast_2d(np.asarray(vectors))
+        bits = self._bits(input_bits)
+        values = self._values(record, vectors, bits)
+        timing = self._wave_timing(record.layout, bits)
+        n = vectors.shape[0]
+        results = int(values.size)
+        self._book(name, record.layout, n, results, timing.total_ns * n)
+        tele = get_recorder()
+        if tele.enabled:
+            with tele.span(
+                "pim.wave_train", "pim_dispatch",
+                matrix=name, queries=n, results=results,
+                input_cycles=timing.input_cycles * n,
+                gather_cycles=timing.gather_cycles * n,
+                pipeline_cycles=timing.pipeline_cycles * n,
+                crossbar_ns=timing.crossbar_ns * n,
+                buffer_ns=timing.buffer_ns * n,
+                **self._span_attrs,
+            ):
+                tele.advance(timing.total_ns * n)
+            self._record_wave_metrics(
+                tele, waves=n, cycles=timing.input_cycles * n,
+                results=results,
+            )
+        return PIMQueryResult(values=values, timing=timing)
+
+    def query_batch(
+        self,
+        name: str,
+        vectors: np.ndarray,
+        input_bits: int | None = None,
+    ) -> PIMBatchResult:
+        """Fire one *batched* wave: all rows of ``vectors`` in one dispatch.
+
+        Values are bit-identical to looping :meth:`query`, and each row
+        still counts as one logical wave in :attr:`stats`, but the
+        backend's batch timing amortizes the per-wave setup (pipeline
+        fill on crossbars, row activation on banks) across the batch;
+        ``batch_saved_ns`` records the difference.
+        """
+        record = self._record(name)
+        vectors = np.atleast_2d(np.asarray(vectors))
+        bits = self._bits(input_bits)
+        values = self._values(record, vectors, bits)
+        n = vectors.shape[0]
+        timing = self._batch_timing(record.layout, n, bits)
+        single = self._wave_timing(record.layout, bits)
+        self.buffer.pulse_rows(values)  # the host drains synchronously
+        saved_ns = n * single.total_ns - timing.total_ns
+        results = int(values.size)
+        self._book(name, record.layout, n, results, timing.total_ns, saved_ns)
+        tele = get_recorder()
+        if tele.enabled:
+            # begin/end pair instead of the contextmanager: this is the
+            # serving hot path and the generator frame is measurable
+            tele.begin_span(
+                "pim.batch_wave", "pim_dispatch",
+                matrix=name, queries=n, results=results,
+                saved_ns=saved_ns,
+                setup_cycles=timing.setup_cycles,
+                per_query_cycles=timing.per_query_cycles,
+                crossbar_ns=timing.crossbar_ns,
+                buffer_ns=timing.buffer_ns,
+                **self._span_attrs,
+            )
+            tele.advance(timing.total_ns)
+            tele.end_span()
+            self._record_wave_metrics(
+                tele, waves=n, cycles=timing.per_query_cycles * n,
+                results=results,
+            )
+            m = self._wave_instruments(tele, batch=True)
+            m["batch_flushes"].add(1)
+            m["batch_saved_ns"].add(max(saved_ns, 0.0))
+            m["batch_size"].observe(n)
+        return PIMBatchResult(values=values, timing=timing)
+
+    def total_pim_time_ns(self) -> float:
+        """Cumulative simulated PIM time (waves only)."""
+        return self.stats.pim_time_ns
+
+    def _bits(self, input_bits: int | None) -> int:
+        return input_bits if input_bits is not None else self.config.operand_bits
+
+    def _book(
+        self, name: str, layout, n_queries: int, results: int,
+        pim_ns: float, saved_ns: float | None = None,
+    ) -> None:
+        """Charge one dispatch to :attr:`stats` and the matrix's state.
+
+        ``saved_ns`` is given for batched dispatches only.
+        """
+        stats = self.stats
+        state = stats.matrix_state(name)
+        stats.waves += n_queries
+        state.waves += n_queries
+        stats.pim_time_ns += pim_ns
+        state.pim_time_ns += pim_ns
+        stats.results_produced += results
+        if saved_ns is not None:
+            stats.batches += 1
+            state.batches += 1
+            stats.batched_queries += n_queries
+            state.batched_queries += n_queries
+            stats.batch_saved_ns += saved_ns
+        self._charge_extra(layout, n_queries)
+
+    def _wave_instruments(self, tele, batch: bool = False) -> dict:
+        """Per-device cache of the hot wave instruments.
+
+        Invalidated when the active registry changes (a new telemetry
+        session), so dispatch paths skip the registry lookup per wave.
+        The batch instruments are only created when a batch path asks,
+        preserving the instrument set of scalar-only runs.
+        """
+        m = tele.metrics
+        if m is not getattr(self, "_metrics_src", None):
+            self._metrics_src = m
+            self._metrics_cache = {
+                key: m.counter("pim." + key) for key in self._wave_counters
+            }
+        cache = self._metrics_cache
+        if batch and "batch_flushes" not in cache:
+            cache["batch_flushes"] = m.counter("pim.batch_flushes")
+            cache["batch_saved_ns"] = m.counter("pim.batch_saved_ns")
+            cache["batch_size"] = m.histogram("pim.batch_size")
+        return cache
+
+    def _record_wave_metrics(
+        self, tele, waves: int, cycles: int, results: int
+    ) -> None:
+        """Wave counters shared by the three dispatch styles."""
+        m = self._wave_instruments(tele)
+        m["waves"].add(waves)
+        m["results_produced"].add(results)
+
+    def _values(
+        self, record: ProgrammedMatrix, vectors: np.ndarray, bits: int
+    ) -> np.ndarray:
+        """Validated, truncated ``(B, n_vectors)`` accumulators of a wave.
+
+        Every kernel (:meth:`_raw_values`) is exact mod 2**64 before the
+        accumulator truncation, so all agree bit for bit.
+        """
+        peak = bitslice.check_non_negative_integers(vectors, bits)
+        if vectors.shape[1] != record.layout.dims:
+            raise OperandError(
+                f"queries must have length {record.layout.dims}"
+            )
+        raw = self._raw_values(record, vectors, bits, peak)
+        return bitslice.truncate_result(raw, self.config.accumulator_bits)
+
+    def _raw_values(
+        self, record: ProgrammedMatrix, vectors: np.ndarray, bits: int,
+        peak: int,
+    ) -> np.ndarray:
+        """Untruncated ``(B, n_vectors)`` accumulators of a wave.
+
+        The exact float64-BLAS wave of
+        :class:`~repro.hardware.bitslice.ExactMatrix` (the int64 matmul
+        for rows whose dot products could pass ``2**53``).
+        """
+        return record.matrix.dot(vectors, peak)
+
+    # ------------------------------------------------------------------
+    # backend hooks
+    # ------------------------------------------------------------------
+    def _place(self, name: str, matrix: np.ndarray) -> ProgrammedMatrix:
+        """Lay out a validated matrix on physical units and write it.
+
+        Raises :class:`CapacityError` when it does not fit.
+        """
+        raise NotImplementedError
+
+    def _release(self, record: ProgrammedMatrix) -> None:
+        """Free the units of a matrix that was just reset."""
+        raise NotImplementedError
+
+    def _move_to_spare(self, owners: list, old_id: int, spare: int) -> float:
+        """Move the residents of ``old_id`` onto ``spare``; returns ns.
+
+        ``owners`` are the ``(name, record)`` pairs, whose ``unit_ids``
+        already name the spare.
+        """
+        raise NotImplementedError
+
+    def _program_ns(self, layout) -> float:
+        raise NotImplementedError
+
+    def _wave_timing(self, layout, bits: int):
+        raise NotImplementedError
+
+    def _batch_timing(self, layout, n_queries: int, bits: int):
+        raise NotImplementedError
+
+    def _charge_extra(self, layout, n_queries: int) -> None:
+        """Backend-specific ``stats.extra`` counters of a dispatch."""
+
+    def units_needed(self, n_vectors: int, dims: int) -> int:
+        """Physical units a fresh ``(n_vectors, dims)`` matrix occupies."""
+        raise NotImplementedError
+
+    def fits_matrix(
+        self, n_vectors: int, dims: int, exclude: str | None = None
+    ) -> bool:
+        """Would a ``(n_vectors, dims)`` matrix fit alongside current data?
+
+        ``exclude`` names a programmed matrix whose units are treated as
+        free — the grow-in-place check used by chunk re-replication.
+        """
+        raise NotImplementedError
+
+    def capabilities(self):
+        """The backend's planner-facing capability descriptor."""
+        raise NotImplementedError
+
+
+class PIMArray(Substrate):
     """The PIM array of one ReRAM memory module.
 
     Parameters
@@ -272,78 +776,47 @@ class PIMArray:
         :meth:`program_matrix` shrinks by the reservation.
     """
 
+    unit_name = "crossbar"
+    backend = "crossbar"
+    _wave_counters = (
+        "waves", "bit_slice_passes", "adc_conversions", "results_produced",
+    )
+
     def __init__(
         self,
         hardware: HardwareConfig | None = None,
         simulate_cells: bool = False,
         spare_crossbars: int = 0,
     ) -> None:
-        self.hardware = hardware if hardware is not None else pim_platform()
-        if self.hardware.pim is None:
+        hardware = hardware if hardware is not None else pim_platform()
+        if hardware.pim is None:
             raise ProgrammingError("hardware platform has no PIM array")
-        self.config: PIMArrayConfig = self.hardware.pim
+        super().__init__(
+            hardware, hardware.pim, hardware.pim.crossbar.endurance,
+            spare_crossbars,
+        )
         self.simulate_cells = simulate_cells
-        self.buffer = BufferArray(self.hardware.memory)
-        self.endurance = EnduranceTracker(self.config.crossbar.endurance)
-        self.stats = PIMStats()
-        self._matrices: dict[str, _ProgrammedMatrix] = {}
-        self._next_crossbar_id = 0
+        self.data_capacity = reserve_spares(self.config, self.spare_units)
+        self._next_crossbar_id = self.spare_units
         self._free_crossbar_ids: list[int] = []
-        self.spare_crossbars = int(spare_crossbars)
-        self.data_capacity = reserve_spares(self.config, self.spare_crossbars)
-        # spares take the first physical ids so data/spare sets are
-        # disjoint and deterministic across runs
-        self._spare_ids: list[int] = list(range(self.spare_crossbars))
-        self._next_crossbar_id = self.spare_crossbars
-        self.remap_table: dict[int, int] = {}
-        self._retired_ids: set[int] = set()
 
     # ------------------------------------------------------------------
-    # programming (offline stage)
+    # placement
     # ------------------------------------------------------------------
-    def program_matrix(
-        self, name: str, matrix: np.ndarray, input_bits: int | None = None
-    ) -> DatasetLayout:
-        """Program a named ``(n_vectors, dims)`` integer matrix.
-
-        Parameters
-        ----------
-        name:
-            Handle used by :meth:`query`.
-        matrix:
-            Non-negative integers below ``2**operand_bits``.
-        input_bits:
-            Reserved for callers that later query with narrower inputs;
-            only validated here.
-
-        Returns
-        -------
-        DatasetLayout
-            The crossbar placement, also recorded in :attr:`stats`.
-        """
-        if name in self._matrices:
-            raise ProgrammingError(
-                f"matrix {name!r} already programmed; reset it first"
-            )
-        matrix = np.ascontiguousarray(matrix)
-        if matrix.ndim != 2:
-            raise OperandError("expected a 2-D (vectors x dims) matrix")
-        bitslice.check_non_negative_integers(matrix, self.config.operand_bits)
+    def _place(self, name: str, matrix: np.ndarray) -> ProgrammedMatrix:
         n_vectors, dims = matrix.shape
         layout = plan_layout(n_vectors, dims, self.config)
         used = self.stats.crossbars_used + layout.n_crossbars
         if used > self.data_capacity:
             detail = (
-                f" ({self.spare_crossbars} reserved as spares)"
-                if self.spare_crossbars
+                f" ({self.spare_units} reserved as spares)"
+                if self.spare_units
                 else ""
             )
             raise CapacityError(
                 f"programming {name!r} would use {used} crossbars, "
                 f"array has {self.data_capacity}{detail}"
             )
-        crossbars: list[list[Crossbar]] | None = None
-        crossbar_ids: list[int] = []
         if self.simulate_cells:
             crossbars = self._program_cells(matrix, layout)
             crossbar_ids = [
@@ -353,6 +826,8 @@ class PIMArray:
             # charge endurance at layout granularity (one write per
             # crossbar), reusing freed physical crossbars so repeated
             # re-programming accumulates wear on the same cells
+            crossbars = None
+            crossbar_ids = []
             for _ in range(layout.n_crossbars):
                 if self._free_crossbar_ids:
                     unit = self._free_crossbar_ids.pop()
@@ -361,29 +836,12 @@ class PIMArray:
                     self._next_crossbar_id += 1
                 self.endurance.record_write(unit)
                 crossbar_ids.append(unit)
-        record = _ProgrammedMatrix(
-            bitslice.ExactMatrix(matrix), layout, crossbars, crossbar_ids
+        record = ProgrammedMatrix(
+            bitslice.ExactMatrix(matrix), layout, crossbar_ids, crossbars
         )
-        if self.simulate_cells:
+        if crossbars is not None:
             self._prepare_cells(record)
-        self._matrices[name] = record
-        self.stats.crossbars_used = used
-        self.stats.matrices[name] = layout
-        program_ns = programming_time_ns(layout, self.config)
-        self.stats.programming_time_ns += program_ns
-        tele = get_recorder()
-        if tele.enabled:
-            with tele.span(
-                "pim.program", "pim_program",
-                matrix=name, vectors=n_vectors, dims=dims,
-                crossbars=layout.n_crossbars,
-            ):
-                tele.advance(program_ns)
-            tele.metrics.counter("pim.programmed_crossbars").add(
-                layout.n_crossbars
-            )
-            tele.metrics.gauge("pim.crossbars_used").set(used)
-        return layout
+        return record
 
     def _program_cells(
         self, matrix: np.ndarray, layout: DatasetLayout
@@ -410,415 +868,92 @@ class PIMArray:
             shards.append(column)
         return shards
 
-    def reset_matrix(self, name: str) -> None:
-        """Erase a programmed matrix, freeing its crossbars.
-
-        Re-programming afterwards wears the device: the endurance tracker
-        keeps counting against the same crossbar budget. The matrix's
-        per-matrix batch state is dropped too, so a successor matrix
-        reusing the name starts its accounting from zero (aggregating
-        shard stats would otherwise double count stale generations).
-        """
-        record = self._matrices.pop(name, None)
-        if record is None:
-            raise ProgrammingError(f"no matrix named {name!r}")
-        self.stats.crossbars_used -= record.layout.n_crossbars
-        del self.stats.matrices[name]
-        self.stats.per_matrix.pop(name, None)
+    def _release(self, record: ProgrammedMatrix) -> None:
         record.drop_sliced()
         if record.crossbars is None:
             # cell-mode crossbar objects are not recycled; only the
             # fast path returns physical ids to the free pool
-            self._free_crossbar_ids.extend(record.crossbar_ids)
-        tele = get_recorder()
-        if tele.enabled:
-            tele.metrics.counter("pim.matrix_resets").add(1)
-            tele.metrics.gauge("pim.crossbars_used").set(
-                self.stats.crossbars_used
-            )
-        if record.crossbars is not None:
+            self._free_crossbar_ids.extend(record.unit_ids)
+        else:
             for column in record.crossbars:
                 for xbar in column:
                     xbar.reset()
 
-    def layouts(self) -> dict[str, DatasetLayout]:
-        """Layouts of all programmed matrices."""
-        return {name: rec.layout for name, rec in self._matrices.items()}
+    def _move_to_spare(self, owners: list, old_id: int, spare: int) -> float:
+        """Reprogram the owning matrix's crossbar onto the spare."""
+        from repro.hardware.reprogramming import crossbar_reprogram_ns
 
-    def matrix_of(self, name: str) -> np.ndarray:
-        """The int64 matrix currently programmed under ``name``.
-
-        Converted from the resident float64 copy on each call, for
-        diagnostics and fault injectors; mutating the returned array is
-        undefined behaviour.
-        """
-        return self._record(name).matrix.to_int64()
-
-    # ------------------------------------------------------------------
-    # spare pool + remap table (repair layer)
-    # ------------------------------------------------------------------
-    @property
-    def spares_remaining(self) -> int:
-        """Spare crossbars still available for remapping."""
-        return len(self._spare_ids)
-
-    def crossbar_ids_of(self, name: str) -> list[int]:
-        """Physical crossbar ids currently backing matrix ``name``."""
-        return list(self._record(name).crossbar_ids)
-
-    def remap_crossbar(self, old_id: int) -> tuple[int, float]:
-        """Remap one flagged crossbar onto the least-worn spare.
-
-        The owning matrix's placement is rewritten in place (values are
-        unchanged — the logical matrix is simply reprogrammed onto the
-        spare), the spare is charged one endurance write plus the
-        per-crossbar reprogramming latency, and ``old_id`` is retired
-        permanently: it never re-enters the free list.
-
-        Returns
-        -------
-        tuple
-            ``(spare_id, reprogram_ns)``.
-
-        Raises
-        ------
-        CapacityError
-            When the spare pool is exhausted.
-        ProgrammingError
-            When ``old_id`` backs no programmed matrix.
-        """
-        owner = None
-        for name, record in self._matrices.items():
-            if old_id in record.crossbar_ids:
-                owner = (name, record)
-                break
-        if owner is None:
-            raise ProgrammingError(
-                f"crossbar {old_id} backs no programmed matrix"
-            )
-        if not self._spare_ids:
-            raise CapacityError(
-                f"spare pool exhausted remapping crossbar {old_id}"
-            )
-        name, record = owner
-        spare = min(
-            self._spare_ids,
-            key=lambda u: (self.endurance.write_count(u), u),
-        )
-        self._spare_ids.remove(spare)
-        self.endurance.record_write(spare)
-        record.crossbar_ids[record.crossbar_ids.index(old_id)] = spare
-        # the logical values are reprogrammed onto the spare: any cached
-        # bit-slice decomposition is rebuilt from scratch on next query
-        # (defensively — stale cell state must never outlive a remap)
-        record.drop_sliced()
-        if record.crossbars is not None:
-            for column in record.crossbars:
+        total_ns = 0.0
+        for _, record in owners:
+            # any cached bit-slice decomposition is rebuilt from scratch
+            # on next query (defensively — stale cell state must never
+            # outlive a remap)
+            record.drop_sliced()
+            for column in record.crossbars or ():
                 for xbar in column:
                     if xbar.crossbar_id == old_id:
                         xbar.crossbar_id = spare
-        self.remap_table[old_id] = spare
-        self._retired_ids.add(old_id)
-        from repro.hardware.reprogramming import crossbar_reprogram_ns
-
-        reprogram_ns = crossbar_reprogram_ns(record.layout, self.config)
-        self.stats.programming_time_ns += reprogram_ns
-        self.stats.remaps += 1
-        tele = get_recorder()
-        if tele.enabled:
-            with tele.span(
-                "pim.remap", "pim_program",
-                matrix=name, old_crossbar=old_id, spare=spare,
-            ):
-                tele.advance(reprogram_ns)
-            tele.metrics.counter("pim.remaps").add(1)
-            tele.metrics.gauge("pim.spares_remaining").set(
-                len(self._spare_ids)
-            )
-        return spare, reprogram_ns
-
-    def remap_crossbars(self, old_ids: list[int]) -> tuple[list[int], float]:
-        """Remap several crossbars; returns the spares and total latency."""
-        spares: list[int] = []
-        total_ns = 0.0
-        for old_id in old_ids:
-            spare, ns = self.remap_crossbar(old_id)
-            spares.append(spare)
-            total_ns += ns
-        return spares, total_ns
-
-    # ------------------------------------------------------------------
-    # substrate protocol surface (see repro.substrate.protocol)
-    # ------------------------------------------------------------------
-    #: what this backend calls one physical unit
-    unit_name = "crossbar"
+            total_ns += crossbar_reprogram_ns(record.layout, self.config)
+        return total_ns
 
     def units_needed(self, n_vectors: int, dims: int) -> int:
-        """Physical units a fresh ``(n_vectors, dims)`` matrix occupies."""
-        from repro.hardware.mapper import total_crossbars
-
         return total_crossbars(n_vectors, dims, self.config)
 
     def fits_matrix(
         self, n_vectors: int, dims: int, exclude: str | None = None
     ) -> bool:
-        """Would a ``(n_vectors, dims)`` matrix fit alongside current data?
-
-        ``exclude`` names a programmed matrix whose units are treated as
-        free — the grow-in-place check used by chunk re-replication.
-        """
         free = self.data_capacity - self.stats.crossbars_used
         if exclude is not None and exclude in self._matrices:
             free += self._matrices[exclude].layout.n_crossbars
         return self.units_needed(n_vectors, dims) <= free
 
-    def unit_ids_of(self, name: str) -> list[int]:
-        """Substrate-neutral alias of :meth:`crossbar_ids_of`."""
-        return self.crossbar_ids_of(name)
-
-    def wear_report(self, top: int | None = None) -> dict:
-        """Endurance wear summary of this array's physical units."""
-        return self.endurance.wear_report(top=top)
-
     def capabilities(self):
-        """The crossbar capability descriptor (cost-prediction hooks)."""
         from repro.substrate.crossbar import CrossbarCapabilities
 
         return CrossbarCapabilities(self.hardware)
 
     # ------------------------------------------------------------------
-    # querying (online stage)
+    # timing + kernel
     # ------------------------------------------------------------------
-    def query(
-        self, name: str, vector: np.ndarray, input_bits: int | None = None
-    ) -> PIMQueryResult:
-        """Fire one wave: dot products of ``vector`` with every row of ``name``.
+    def _program_ns(self, layout: DatasetLayout) -> float:
+        return programming_time_ns(layout, self.config)
 
-        Results are truncated to the accumulator width (the paper keeps
-        the least-significant 64 bits; 32 for binary codes) and pushed to
-        the buffer array; the caller is expected to drain the buffer.
-        """
-        record = self._record(name)
-        vector = np.asarray(vector)
-        if vector.ndim != 1:
-            raise OperandError(
-                f"query must be a vector of length {record.layout.dims}"
-            )
-        bits = input_bits if input_bits is not None else self.config.operand_bits
-        values = self._values(record, vector[np.newaxis, :], bits)[0]
-        timing = wave_timing(
-            record.layout, self.config, self.hardware, input_bits=bits
+    def _wave_timing(self, layout: DatasetLayout, bits: int) -> WaveTiming:
+        return wave_timing(layout, self.config, self.hardware, input_bits=bits)
+
+    def _batch_timing(
+        self, layout: DatasetLayout, n_queries: int, bits: int
+    ) -> BatchWaveTiming:
+        return batch_wave_timing(
+            layout, self.config, self.hardware, n_queries, input_bits=bits
         )
-        if values.nbytes <= self.buffer.free_bytes:
-            self.buffer.push(values)
-            self.buffer.pop()  # the host drains synchronously in this model
-        self.stats.waves += 1
-        self.stats.pim_time_ns += timing.total_ns
-        self.stats.results_produced += int(values.shape[0])
-        state = self.stats.matrix_state(name)
-        state.waves += 1
-        state.pim_time_ns += timing.total_ns
-        tele = get_recorder()
-        if tele.enabled:
-            with tele.span(
-                "pim.wave", "pim_dispatch",
-                matrix=name, queries=1, results=int(values.shape[0]),
-                input_cycles=timing.input_cycles,
-                gather_cycles=timing.gather_cycles,
-                pipeline_cycles=timing.pipeline_cycles,
-                crossbar_ns=timing.crossbar_ns,
-                buffer_ns=timing.buffer_ns,
-            ):
-                tele.advance(timing.total_ns)
-            self._record_wave_metrics(
-                tele, waves=1, cycles=timing.input_cycles,
-                results=int(values.shape[0]),
-            )
-        return PIMQueryResult(values=values, timing=timing)
-
-    def query_many(
-        self,
-        name: str,
-        vectors: np.ndarray,
-        input_bits: int | None = None,
-    ) -> PIMQueryResult:
-        """Fire one wave per row of ``vectors`` (a batched :meth:`query`).
-
-        Semantically identical to looping :meth:`query` — each row is
-        its own wave, charged separately — but evaluated as a single
-        matrix product, which keeps large sweeps (k-means iterations
-        firing one wave per center) fast to simulate. Returns values of
-        shape ``(n_queries, n_programmed_vectors)``.
-        """
-        record = self._record(name)
-        vectors = np.atleast_2d(np.asarray(vectors))
-        bits = input_bits if input_bits is not None else self.config.operand_bits
-        values = self._values(record, vectors, bits)
-        timing = wave_timing(
-            record.layout, self.config, self.hardware, input_bits=bits
-        )
-        n_queries = vectors.shape[0]
-        self.stats.waves += n_queries
-        self.stats.pim_time_ns += timing.total_ns * n_queries
-        self.stats.results_produced += int(values.size)
-        state = self.stats.matrix_state(name)
-        state.waves += n_queries
-        state.pim_time_ns += timing.total_ns * n_queries
-        tele = get_recorder()
-        if tele.enabled:
-            with tele.span(
-                "pim.wave_train", "pim_dispatch",
-                matrix=name, queries=n_queries, results=int(values.size),
-                input_cycles=timing.input_cycles * n_queries,
-                gather_cycles=timing.gather_cycles * n_queries,
-                pipeline_cycles=timing.pipeline_cycles * n_queries,
-                crossbar_ns=timing.crossbar_ns * n_queries,
-                buffer_ns=timing.buffer_ns * n_queries,
-            ):
-                tele.advance(timing.total_ns * n_queries)
-            self._record_wave_metrics(
-                tele, waves=n_queries,
-                cycles=timing.input_cycles * n_queries,
-                results=int(values.size),
-            )
-        return PIMQueryResult(values=values, timing=timing)
-
-    def query_batch(
-        self,
-        name: str,
-        vectors: np.ndarray,
-        input_bits: int | None = None,
-    ) -> PIMBatchResult:
-        """Fire one *batched* wave: all rows of ``vectors`` in one dispatch.
-
-        Values are bit-identical to looping :meth:`query` (the analog
-        pipeline is value-exact either way), and each row still counts as
-        one logical wave in :attr:`stats`, but the timing model charges
-        one pipeline setup plus per-query DAC/ADC increments instead of B
-        full dispatches — see
-        :func:`~repro.hardware.timing.batch_wave_timing`.
-        """
-        record = self._record(name)
-        vectors = np.atleast_2d(np.asarray(vectors))
-        bits = input_bits if input_bits is not None else self.config.operand_bits
-        values = self._values(record, vectors, bits)
-        n_queries = vectors.shape[0]
-        timing = batch_wave_timing(
-            record.layout, self.config, self.hardware, n_queries,
-            input_bits=bits,
-        )
-        single = wave_timing(
-            record.layout, self.config, self.hardware, input_bits=bits
-        )
-        self.buffer.pulse_rows(values)  # the host drains synchronously
-        self.stats.waves += n_queries
-        self.stats.batches += 1
-        self.stats.batched_queries += n_queries
-        saved_ns = n_queries * single.total_ns - timing.total_ns
-        self.stats.pim_time_ns += timing.total_ns
-        self.stats.batch_saved_ns += saved_ns
-        self.stats.results_produced += int(values.size)
-        state = self.stats.matrix_state(name)
-        state.waves += n_queries
-        state.batches += 1
-        state.batched_queries += n_queries
-        state.pim_time_ns += timing.total_ns
-        tele = get_recorder()
-        if tele.enabled:
-            # begin/end pair instead of the contextmanager: this is the
-            # serving hot path and the generator frame is measurable
-            tele.begin_span(
-                "pim.batch_wave", "pim_dispatch",
-                matrix=name, queries=n_queries, results=int(values.size),
-                saved_ns=saved_ns,
-                setup_cycles=timing.setup_cycles,
-                per_query_cycles=timing.per_query_cycles,
-                crossbar_ns=timing.crossbar_ns,
-                buffer_ns=timing.buffer_ns,
-            )
-            tele.advance(timing.total_ns)
-            tele.end_span()
-            self._record_wave_metrics(
-                tele, waves=n_queries,
-                cycles=timing.per_query_cycles * n_queries,
-                results=int(values.size),
-            )
-            m = self._wave_instruments(tele, batch=True)
-            m["batch_flushes"].add(1)
-            m["batch_saved_ns"].add(max(saved_ns, 0.0))
-            m["batch_size"].observe(n_queries)
-        return PIMBatchResult(values=values, timing=timing)
-
-    def _wave_instruments(self, tele, batch: bool = False) -> dict:
-        """Per-array cache of the hot wave instruments.
-
-        Invalidated when the active registry changes (a new telemetry
-        session), so dispatch paths skip the registry lookup per wave.
-        The batch instruments are only created when a batch path asks,
-        preserving the instrument set of scalar-only runs.
-        """
-        m = tele.metrics
-        if m is not getattr(self, "_metrics_src", None):
-            self._metrics_src = m
-            self._metrics_cache = {
-                "waves": m.counter("pim.waves"),
-                "bit_slice_passes": m.counter("pim.bit_slice_passes"),
-                "adc_conversions": m.counter("pim.adc_conversions"),
-                "results_produced": m.counter("pim.results_produced"),
-            }
-        cache = self._metrics_cache
-        if batch and "batch_flushes" not in cache:
-            cache["batch_flushes"] = m.counter("pim.batch_flushes")
-            cache["batch_saved_ns"] = m.counter("pim.batch_saved_ns")
-            cache["batch_size"] = m.histogram("pim.batch_size")
-        return cache
 
     def _record_wave_metrics(
         self, tele, waves: int, cycles: int, results: int
     ) -> None:
-        """Wave counters shared by the three dispatch styles.
+        """Adds the analog counters to the shared wave counters.
 
         ``cycles`` are the DAC input cycles charged, i.e. the bit-slice
         passes through the analog array; every pass converts each
         result column once, so ADC conversions are ``results_per_wave x
         cycles_per_wave`` summed over the dispatch.
         """
-        m = self._wave_instruments(tele)
-        m["waves"].add(waves)
+        super()._record_wave_metrics(tele, waves, cycles, results)
+        m = self._metrics_cache
         m["bit_slice_passes"].add(cycles)
         if waves:
             m["adc_conversions"].add(results / waves * cycles)
-        m["results_produced"].add(results)
 
-    def _record(self, name: str) -> _ProgrammedMatrix:
-        record = self._matrices.get(name)
-        if record is None:
-            raise ProgrammingError(f"no matrix named {name!r}")
-        return record
-
-    def _values(
-        self, record: _ProgrammedMatrix, vectors: np.ndarray, bits: int
+    def _raw_values(
+        self, record: ProgrammedMatrix, vectors: np.ndarray, bits: int,
+        peak: int,
     ) -> np.ndarray:
-        """Validated, truncated ``(B, n_vectors)`` accumulators of a wave.
-
-        The one place the kernel is chosen: :meth:`_cell_values` in
-        ``simulate_cells`` mode, otherwise the exact float64-BLAS wave
-        of :class:`~repro.hardware.bitslice.ExactMatrix`. All are exact
-        mod 2**64 before the accumulator truncation, so they agree bit
-        for bit.
-        """
-        peak = bitslice.check_non_negative_integers(vectors, bits)
-        if vectors.shape[1] != record.layout.dims:
-            raise OperandError(
-                f"queries must have length {record.layout.dims}"
-            )
+        """:meth:`_cell_values` in ``simulate_cells`` mode, else BLAS."""
         if record.crossbars is not None:
-            raw = self._cell_values(record, vectors, bits)
-        else:
-            raw = record.matrix.dot(vectors, peak)
-        return bitslice.truncate_result(raw, self.config.accumulator_bits)
+            return self._cell_values(record, vectors, bits)
+        return record.matrix.dot(vectors, peak)
 
-    def _prepare_cells(self, record: _ProgrammedMatrix) -> None:
+    def _prepare_cells(self, record: ProgrammedMatrix) -> None:
         """Program-time kernel state: the fused kernel's slice cache."""
         record.sliced = self._decompose(record.matrix)
 
@@ -869,8 +1004,3 @@ class PIMArray:
             self.config.crossbar.cell_bits,
             self.config.crossbar.dac_bits,
         )
-
-    # ------------------------------------------------------------------
-    def total_pim_time_ns(self) -> float:
-        """Cumulative simulated PIM time (waves only)."""
-        return self.stats.pim_time_ns

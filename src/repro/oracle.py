@@ -182,7 +182,7 @@ def bank_dot_loop(
 class LoopHBMPIMArray(HBMPIMArray):
     """HBM-PIM stack whose waves execute the MAC instruction stream."""
 
-    def _raw_values(self, record, vectors: np.ndarray, peak: int):
+    def _raw_values(self, record, vectors: np.ndarray, bits: int, peak: int):
         return bank_dot_loop(
             record.matrix.to_int64(), record.layout, self.config, vectors
         )

@@ -281,7 +281,7 @@ class RepairController:
         """
         pim = shard.controller.pim
         name = shard.name
-        ids = pim.crossbar_ids_of(name)
+        ids = pim.unit_ids_of(name)
         layout = pim.layouts()[name]
         if event.kind != "stuck_cells":
             return ids[:1]

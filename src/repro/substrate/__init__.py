@@ -1,9 +1,12 @@
 """Pluggable PIM substrates.
 
 The mining and serving layers talk to memory-side compute through the
-:class:`~repro.substrate.protocol.Substrate` protocol — program integer
-matrices, fire dot-product waves, account simulated time/energy/wear —
-rather than to one concrete device. Two backends ship registered:
+:class:`Substrate` base class — program integer matrices, fire
+dot-product waves, account simulated time/energy/wear — rather than to
+one concrete device. The base (defined beside
+:class:`~repro.hardware.pim_array.PIMStats`) owns dispatch, booking and
+the spare-pool remap; each backend adds placement, timing and its
+kernel. Two backends ship registered:
 
 * ``"crossbar"`` — the paper's analog ReRAM crossbar array
   (:class:`~repro.hardware.pim_array.PIMArray`), bit-sliced DAC/ADC
@@ -19,7 +22,8 @@ placement — only the cost model differs, which is what the
 :class:`~repro.substrate.router.CostRouter` exploits.
 """
 
-from repro.substrate.protocol import Substrate, SubstrateCapabilities
+from repro.hardware.pim_array import Substrate
+from repro.substrate.protocol import SubstrateCapabilities
 from repro.substrate.registry import (
     SubstrateSpec,
     available_substrates,

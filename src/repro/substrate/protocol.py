@@ -1,106 +1,19 @@
-"""The ``Substrate`` protocol and its capability descriptor.
+"""The planner-facing capability descriptor of a substrate.
 
 A *substrate* is anything that can hold named integer matrices and
 evaluate dot-product waves against them under a simulated cost model.
-The protocol below is extracted verbatim from the surface the mining,
-serving, fault and repair layers already used on
-:class:`~repro.hardware.pim_array.PIMArray`; any class implementing it
-(structurally — no inheritance required) can serve queries, be wrapped
-by the fault injectors, be scrubbed and repaired, and aggregate into
-fleet-wide :class:`~repro.hardware.pim_array.PIMStats`.
+The live device is a subclass of
+:class:`~repro.hardware.pim_array.Substrate` (exported as
+:class:`repro.substrate.Substrate`), which owns dispatch, booking and
+the spare-pool remap for every backend.
 
-The :class:`SubstrateCapabilities` descriptor is the *planner-facing*
-half: it predicts query/programming latency and energy for a workload
-shape without instantiating (or touching) a device, which is what the
-cost router uses to pick a backend per query batch.
+:class:`SubstrateCapabilities` is the *planner-facing* half: it
+predicts query/programming latency and energy for a workload shape
+without instantiating (or touching) a device, which is what the cost
+router uses to pick a backend per query batch.
 """
 
 from __future__ import annotations
-
-from typing import Protocol, runtime_checkable
-
-import numpy as np
-
-
-@runtime_checkable
-class Substrate(Protocol):
-    """Structural interface of one memory-side compute device.
-
-    Implementations: :class:`~repro.hardware.pim_array.PIMArray`
-    (``"crossbar"``) and
-    :class:`~repro.substrate.hbm_pim.HBMPIMArray` (``"hbm_pim"``).
-
-    Conventions every implementation must honour — the exactness and
-    repair invariants lean on them:
-
-    * arithmetic is exact integer dot products truncated to
-      ``config.accumulator_bits`` (``bitslice.truncate_result``), so
-      answers are independent of the backend;
-    * ``stats`` is a :class:`~repro.hardware.pim_array.PIMStats` whose
-      ``backend`` field names the substrate and whose backend-specific
-      counters live in ``stats.extra``;
-    * physical units (crossbars, banks, ...) are integers named by
-      ``unit_ids_of``; every backend answers the crossbar-era
-      ``crossbar_ids_of``/``remap_crossbar(s)`` names with its own
-      units, so the repair layer runs unmodified on any backend;
-    * every wave kernel is bit-identical to the backend's slow loop
-      oracle in :mod:`repro.oracle`, which subclasses the device and
-      overrides only the kernel hook.
-    """
-
-    unit_name: str
-    stats: object
-    endurance: object
-    spares_remaining: int
-
-    # -- programming (offline stage) --
-    def program_matrix(
-        self, name: str, matrix: np.ndarray, input_bits: int | None = None
-    ): ...
-
-    def reset_matrix(self, name: str) -> None: ...
-
-    def layouts(self) -> dict: ...
-
-    def matrix_of(self, name: str) -> np.ndarray: ...
-
-    # -- querying (online stage) --
-    def query(
-        self, name: str, vector: np.ndarray, input_bits: int | None = None
-    ): ...
-
-    def query_many(
-        self, name: str, vectors: np.ndarray, input_bits: int | None = None
-    ): ...
-
-    def query_batch(
-        self, name: str, vectors: np.ndarray, input_bits: int | None = None
-    ): ...
-
-    def total_pim_time_ns(self) -> float: ...
-
-    # -- capacity / placement --
-    def units_needed(self, n_vectors: int, dims: int) -> int: ...
-
-    def fits_matrix(
-        self, n_vectors: int, dims: int, exclude: str | None = None
-    ) -> bool: ...
-
-    # -- endurance + spare/remap hooks (repair layer) --
-    def unit_ids_of(self, name: str) -> list[int]: ...
-
-    def crossbar_ids_of(self, name: str) -> list[int]: ...
-
-    def remap_crossbar(self, old_id: int) -> tuple[int, float]: ...
-
-    def remap_crossbars(
-        self, old_ids: list[int]
-    ) -> tuple[list[int], float]: ...
-
-    def wear_report(self, top: int | None = None) -> dict: ...
-
-    # -- planner surface --
-    def capabilities(self) -> "SubstrateCapabilities": ...
 
 
 class SubstrateCapabilities:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ConfigurationError, ProgrammingError
-from repro.substrate.protocol import Substrate, SubstrateCapabilities
+from repro.hardware.pim_array import Substrate
+from repro.substrate.protocol import SubstrateCapabilities
 
 
 @dataclass(frozen=True)

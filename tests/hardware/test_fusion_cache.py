@@ -85,7 +85,7 @@ class TestDecompositionCache:
         expected = array.query("m", query).values
         record = array._matrices["m"]
         assert record.sliced is not None
-        victim = record.crossbar_ids[0]
+        victim = record.unit_ids[0]
         spare, reprogram_ns = array.remap_crossbar(victim)
         assert reprogram_ns > 0
         assert record.sliced is None  # cache invalidated by the remap
@@ -104,7 +104,7 @@ class TestDecompositionCache:
         array = PIMArray(platform, simulate_cells=True, spare_crossbars=4)
         array.program_matrix("m", matrix)
         expected = array.query("m", query).values
-        victims = array.crossbar_ids_of("m")[:2]
+        victims = array.unit_ids_of("m")[:2]
         spares, _ = array.remap_crossbars(victims)
         assert len(spares) == 2
         assert array.spares_remaining == 2
@@ -118,7 +118,7 @@ class TestDecompositionCache:
         array = LoopPIMArray(platform, spare_crossbars=2)
         array.program_matrix("m", matrix)
         expected = array.query("m", query).values
-        array.remap_crossbar(array.crossbar_ids_of("m")[0])
+        array.remap_crossbar(array.unit_ids_of("m")[0])
         assert np.array_equal(array.query("m", query).values, expected)
 
     def test_fast_path_values_survive_remap_and_reset(
@@ -130,7 +130,7 @@ class TestDecompositionCache:
         array.program_matrix("m", matrix)
         queries = np.vstack([query, (query * 3) % 256])
         expected = array.query_batch("m", queries).values
-        array.remap_crossbar(array.crossbar_ids_of("m")[0])
+        array.remap_crossbar(array.unit_ids_of("m")[0])
         assert np.array_equal(array.query_batch("m", queries).values, expected)
         assert np.array_equal(array.query("m", query).values, expected[0])
         assert np.array_equal(array.matrix_of("m"), matrix)

@@ -1,11 +1,12 @@
-"""Unit tests for the spare-crossbar pool and wear accounting.
+"""Unit tests for the spare-unit pool and wear accounting.
 
-The repair layer's hardware substrate: ``PIMArray`` withholds a spare
-pool from data placement, remaps a flagged crossbar onto the least-worn
-spare (charging real reprogramming latency and one endurance write),
-retires the old id forever, and reports wear through the shared
-``wear_report`` helper. Values must be unchanged by a remap — only the
-physical placement moves.
+The repair layer's hardware substrate: every device withholds a spare
+pool from data placement, remaps a flagged unit (crossbar or bank) onto
+the least-worn spare (charging real reprogramming latency and one
+endurance write), retires the old id forever, and reports wear through
+the shared ``wear_report`` helper. Values must be unchanged by a remap —
+only the physical placement moves. The pool lives in the shared
+``Substrate`` base, so one contract runs on both built-in backends.
 """
 
 import numpy as np
@@ -21,14 +22,7 @@ from repro.hardware.endurance import EnduranceTracker
 from repro.hardware.mapper import reserve_spares
 from repro.hardware.pim_array import PIMArray
 from repro.hardware.reprogramming import crossbar_reprogram_ns
-
-
-@pytest.fixture
-def array(rng):
-    """A default-platform array with a 4-crossbar spare pool."""
-    a = PIMArray(spare_crossbars=4)
-    a.program_matrix("data", rng.integers(0, 256, size=(40, 32)))
-    return a
+from repro.substrate import create_substrate
 
 
 class TestReserveSpares:
@@ -53,26 +47,37 @@ class TestReserveSpares:
         assert spared.spares_remaining == 4
 
 
-class TestSparePool:
+class _SparePoolContract:
+    """The spare-pool contract, run once per backend (``substrate``)."""
+
+    substrate = ""
+
+    @pytest.fixture
+    def array(self, rng):
+        """A default-platform device with a 4-unit spare pool."""
+        a = create_substrate(self.substrate, spare_units=4)
+        a.program_matrix("data", rng.integers(0, 256, size=(40, 32)))
+        return a
+
     def test_spares_take_the_first_physical_ids(self, array):
         # spare ids 0..3 are withheld; data placement starts above them
-        assert all(xid >= 4 for xid in array.crossbar_ids_of("data"))
+        assert all(xid >= 4 for xid in array.unit_ids_of("data"))
 
     def test_remap_moves_one_id_onto_a_spare(self, array):
-        old = array.crossbar_ids_of("data")[0]
+        old = array.unit_ids_of("data")[0]
         spare, ns = array.remap_crossbar(old)
         assert spare < 4  # came from the pool
         assert ns > 0
         assert array.spares_remaining == 3
         assert array.remap_table == {old: spare}
-        ids = array.crossbar_ids_of("data")
+        ids = array.unit_ids_of("data")
         assert old not in ids
         assert spare in ids
 
     def test_remap_preserves_query_values(self, array, rng):
         query = rng.integers(0, 256, size=32)
         before = array.query("data", query).values
-        old = array.crossbar_ids_of("data")[0]
+        old = array.unit_ids_of("data")[0]
         array.remap_crossbar(old)
         after = array.query("data", query).values
         assert np.array_equal(before, after)
@@ -81,31 +86,31 @@ class TestSparePool:
         # pre-wear spares 0 and 1: the tie-broken least-worn is spare 2
         array.endurance.record_write(0)
         array.endurance.record_write(1)
-        spare, _ = array.remap_crossbar(array.crossbar_ids_of("data")[0])
+        spare, _ = array.remap_crossbar(array.unit_ids_of("data")[0])
         assert spare == 2
 
     def test_wear_tie_breaks_on_the_lowest_id(self, array):
-        spare, _ = array.remap_crossbar(array.crossbar_ids_of("data")[0])
+        spare, _ = array.remap_crossbar(array.unit_ids_of("data")[0])
         assert spare == 0  # all spares untouched -> lowest id wins
 
     def test_remap_charges_the_spare_one_write(self, array):
-        spare, _ = array.remap_crossbar(array.crossbar_ids_of("data")[0])
+        spare, _ = array.remap_crossbar(array.unit_ids_of("data")[0])
         assert array.endurance.write_count(spare) == 1
 
     def test_retired_ids_never_come_back(self, array, rng):
-        old = array.crossbar_ids_of("data")[0]
+        old = array.unit_ids_of("data")[0]
         array.remap_crossbar(old)
         array.reset_matrix("data")
         layout = array.program_matrix(
             "data2", rng.integers(0, 256, size=(40, 32))
         )
         assert layout.n_crossbars >= 1
-        assert old not in array.crossbar_ids_of("data2")
+        assert old not in array.unit_ids_of("data2")
 
     def test_pool_exhaustion_raises_capacity_error(self, rng):
-        array = PIMArray(spare_crossbars=1)
+        array = create_substrate(self.substrate, spare_units=1)
         array.program_matrix("m", rng.integers(0, 256, size=(40, 32)))
-        ids = array.crossbar_ids_of("m")
+        ids = array.unit_ids_of("m")
         array.remap_crossbar(ids[0])
         with pytest.raises(CapacityError):
             array.remap_crossbar(ids[1])
@@ -114,24 +119,32 @@ class TestSparePool:
         with pytest.raises(ProgrammingError, match="backs no programmed"):
             array.remap_crossbar(999_999)
 
-    def test_remap_latency_matches_the_reprogramming_model(self, array):
-        layout = array.layouts()["data"]
-        _, ns = array.remap_crossbar(array.crossbar_ids_of("data")[0])
-        assert ns == pytest.approx(crossbar_reprogram_ns(layout, array.config))
-
     def test_remap_accumulates_stats(self, array):
         before = array.stats.programming_time_ns
-        _, ns = array.remap_crossbar(array.crossbar_ids_of("data")[0])
+        _, ns = array.remap_crossbar(array.unit_ids_of("data")[0])
         assert array.stats.remaps == 1
         assert array.stats.programming_time_ns == pytest.approx(before + ns)
 
     def test_remap_crossbars_batches_and_sums(self, array):
-        ids = array.crossbar_ids_of("data")[:2]
+        ids = array.unit_ids_of("data")[:2]
         spares, total = array.remap_crossbars(ids)
         assert len(spares) == 2
         assert len(set(spares)) == 2  # distinct spares
         assert total > 0
         assert array.spares_remaining == 2
+
+
+class TestSparePool(_SparePoolContract):
+    substrate = "crossbar"
+
+    def test_remap_latency_matches_the_reprogramming_model(self, array):
+        layout = array.layouts()["data"]
+        _, ns = array.remap_crossbar(array.unit_ids_of("data")[0])
+        assert ns == pytest.approx(crossbar_reprogram_ns(layout, array.config))
+
+
+class TestHBMSparePool(_SparePoolContract):
+    substrate = "hbm_pim"
 
 
 class TestEnduranceTerminalWrite:

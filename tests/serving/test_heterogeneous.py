@@ -123,6 +123,16 @@ class TestRoutedServing:
         }
         assert seen == {"crossbar", "hbm_pim"}
 
+    def test_wave_metrics_count_every_backend(self, data, queries):
+        from repro.telemetry import telemetry_session
+
+        m = ShardManager(data, n_shards=2, substrates=["crossbar", "hbm_pim"])
+        with telemetry_session() as tele:
+            m.knn_batch(queries, 5)
+        per_shard = [s.controller.pim.stats.waves for s in m.shards]
+        assert all(waves > 0 for waves in per_shard)
+        assert tele.metrics.get("pim.waves").value == sum(per_shard)
+
 
 class TestMixedRepair:
     def test_rereplication_across_unlike_backends(self, data, queries):

@@ -124,11 +124,11 @@ class TestRemapAndWear:
         hbm = HBMPIMArray(spare_banks=2)
         hbm.program_matrix("m", matrix)
         before = hbm.query("m", q).values
-        victim = hbm.crossbar_ids_of("m")[0]
+        victim = hbm.unit_ids_of("m")[0]
         spare, ns = hbm.remap_crossbar(victim)
         assert ns > 0
         assert spare in (0, 1)  # spares take the first physical ids
-        assert victim not in hbm.crossbar_ids_of("m")
+        assert victim not in hbm.unit_ids_of("m")
         assert hbm.remap_table[victim] == spare
         assert hbm.spares_remaining == 1
         assert np.array_equal(hbm.query("m", q).values, before)
@@ -137,12 +137,7 @@ class TestRemapAndWear:
         hbm = HBMPIMArray()
         hbm.program_matrix("m", _matrix(10, 8))
         with pytest.raises(CapacityError):
-            hbm.remap_crossbar(hbm.crossbar_ids_of("m")[0])
-
-    def test_substrate_neutral_aliases(self):
-        hbm = HBMPIMArray()
-        hbm.program_matrix("m", _matrix(10, 8))
-        assert hbm.unit_ids_of("m") == hbm.crossbar_ids_of("m")
+            hbm.remap_crossbar(hbm.unit_ids_of("m")[0])
 
     def test_programming_wears_banks(self):
         hbm = HBMPIMArray()

@@ -44,7 +44,7 @@ class TestRegistry:
 
 
 class TestProtocolConformance:
-    """Both backends satisfy the structural Substrate protocol."""
+    """Both backends derive from the Substrate base class."""
 
     @pytest.mark.parametrize("name", ["crossbar", "hbm_pim"])
     def test_runtime_checkable(self, name):
