@@ -42,6 +42,13 @@ class Bound(abc.ABC):
         self.name = name
         self.kind = kind
         self._n_objects: int | None = None
+        #: The array the last :meth:`prepare` summarised, for bounds that
+        #: record it (the segment-summary bounds). A cascade sharing a
+        #: prepared bound skips preparing it again on this very array
+        #: (identity, not content).
+        self.prepared_on: np.ndarray | None = None
+        self._query_key: bytes | None = None
+        self._query_value: object = None
 
     # ------------------------------------------------------------------
     # life cycle
@@ -64,6 +71,19 @@ class Bound(abc.ABC):
             Restrict evaluation to these object indices (a cascade's
             surviving candidates); ``None`` means all objects.
         """
+
+    def _per_query(self, query: np.ndarray, compute):
+        """``compute(query)``, kept until a different query arrives.
+
+        A cascade evaluates a bound once per visited block of one query,
+        so the query's summary is computed once, not once per block.
+        """
+        query = np.asarray(query, dtype=np.float64)
+        key = query.tobytes()
+        if key != self._query_key:
+            self._query_value = compute(query)
+            self._query_key = key
+        return self._query_value
 
     @property
     def n_objects(self) -> int:

@@ -110,13 +110,16 @@ class SMBound(Bound):
         self._means = summary.means
         self._segment_length = summary.segment_length
         self._n_objects = data.shape[0]
+        self.prepared_on = data
 
     def evaluate(
         self, query: np.ndarray, indices: np.ndarray | None = None
     ) -> np.ndarray:
         if self._means is None or self._segment_length is None:
             raise OperandError(f"{self.name} is not prepared")
-        q_means = summarize(np.asarray(query), self.n_segments).means
+        q_means = self._per_query(
+            query, lambda q: summarize(q, self.n_segments).means
+        )
         means = self._means if indices is None else self._means[indices]
         diff = means - q_means
         return self._segment_length * np.einsum("ij,ij->i", diff, diff)
@@ -153,6 +156,7 @@ class FNNBound(Bound):
         self._stds = summary.stds
         self._segment_length = summary.segment_length
         self._n_objects = data.shape[0]
+        self.prepared_on = data
 
     def evaluate(
         self, query: np.ndarray, indices: np.ndarray | None = None
@@ -163,7 +167,9 @@ class FNNBound(Bound):
             or self._segment_length is None
         ):
             raise OperandError(f"{self.name} is not prepared")
-        q_summary = summarize(np.asarray(query), self.n_segments)
+        q_summary = self._per_query(
+            query, lambda q: summarize(q, self.n_segments)
+        )
         means = self._means if indices is None else self._means[indices]
         stds = self._stds if indices is None else self._stds[indices]
         mu_diff = means - q_summary.means

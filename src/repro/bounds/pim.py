@@ -323,21 +323,25 @@ class PIMFNNBound(_PIMBoundBase):
         self._n_objects = data.shape[0]
 
     def _query_ints(self, query: np.ndarray) -> np.ndarray:
-        means, stds, _ = self._summaries(query)
-        return np.floor(np.concatenate([means[0], stds[0]])).astype(np.int64)
+        return self._query_terms(query)[0]
 
-    def evaluate(
-        self, query: np.ndarray, indices: np.ndarray | None = None
-    ) -> np.ndarray:
-        if self._phi is None or self._segment_length is None:
-            raise OperandError(f"{self.name} is not prepared")
-        means, stds, _ = self._summaries(np.asarray(query, dtype=np.float64))
+    def _query_terms(self, query: np.ndarray) -> tuple[np.ndarray, float]:
+        """The query's floored summary and ``Phi(q)``."""
+        means, stds, _ = self._summaries(query)
         q_floors = np.floor(np.concatenate([means[0], stds[0]])).astype(
             np.int64
         )
         phi_q = float(
             (means**2).sum() + (stds**2).sum() - 2.0 * q_floors.sum()
         )
+        return q_floors, phi_q
+
+    def evaluate(
+        self, query: np.ndarray, indices: np.ndarray | None = None
+    ) -> np.ndarray:
+        if self._phi is None or self._segment_length is None:
+            raise OperandError(f"{self.name} is not prepared")
+        q_floors, phi_q = self._per_query(query, self._query_terms)
         dots = self._wave(q_floors)
         phi = self._phi if indices is None else self._phi[indices]
         d = dots if indices is None else dots[indices]
@@ -393,18 +397,20 @@ class PIMSMBound(_PIMBoundBase):
         self._n_objects = data.shape[0]
 
     def _query_ints(self, query: np.ndarray) -> np.ndarray:
+        return self._query_terms(query)[0]
+
+    def _query_terms(self, query: np.ndarray) -> tuple[np.ndarray, float]:
+        """The query's floored segment means and ``Phi(q)``."""
         means = summarize(self.quantizer.scale(query), self.n_segments).means
-        return np.floor(means).astype(np.int64)
+        q_floors = np.floor(means).astype(np.int64)
+        return q_floors, float((means**2).sum() - 2.0 * q_floors.sum())
 
     def evaluate(
         self, query: np.ndarray, indices: np.ndarray | None = None
     ) -> np.ndarray:
         if self._phi is None or self._segment_length is None:
             raise OperandError(f"{self.name} is not prepared")
-        scaled = self.quantizer.scale(np.asarray(query, dtype=np.float64))
-        means = summarize(scaled, self.n_segments).means
-        q_floors = np.floor(means).astype(np.int64)
-        phi_q = float((means**2).sum() - 2.0 * q_floors.sum())
+        q_floors, phi_q = self._per_query(query, self._query_terms)
         dots = self._wave(q_floors)
         phi = self._phi if indices is None else self._phi[indices]
         d = dots if indices is None else dots[indices]

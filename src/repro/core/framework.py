@@ -34,7 +34,12 @@ from repro.errors import ConfigurationError
 from repro.hardware.config import HardwareConfig, pim_platform
 from repro.hardware.controller import PIMController
 from repro.mining.kmeans import PIMAssist, make_kmeans
-from repro.mining.knn import FNNPIMOptimizeKNN, make_baseline, make_pim_variant
+from repro.mining.knn import (
+    FilteredKNN,
+    FNNPIMOptimizeKNN,
+    make_baseline,
+    make_pim_variant,
+)
 from repro.similarity.quantization import Quantizer
 from repro.telemetry import get_recorder
 
@@ -155,6 +160,11 @@ class PIMAccelerator:
                 n,
                 measure=measure,
                 controller=controller,
+                shared_bounds=(
+                    baseline.bounds
+                    if isinstance(baseline, FilteredKNN)
+                    else ()
+                ),
             )
             pim_algo.fit(data)
         plan: tuple[str, ...] = tuple(b.name for b in pim_algo.bounds)
@@ -196,18 +206,15 @@ class PIMAccelerator:
         )
 
     def _optimized_fnn(self, pim_algo, baseline, data, queries, k, controller):
-        """Apply Section V-D to the FNN-PIM bound ladder."""
-        from repro.bounds.ed import FNNBound
+        """Apply Section V-D to the FNN-PIM bound ladder.
 
+        The original bounds are the baseline FNN's own, already prepared
+        on ``data``; the plan's cascade keeps them without re-preparing.
+        """
         pim_bound = pim_algo.bounds[0]
-        originals = [
-            FNNBound(s) for s in pim_algo.segment_ladder
-        ]
-        for b in originals:
-            b.prepare(data)
         sample = queries[: min(3, len(queries))]
         plan, ratios = optimize_fnn_plan(
-            pim_bound, originals, baseline, sample, k
+            pim_bound, list(baseline.bounds), baseline, sample, k
         )
         optimized = FNNPIMOptimizeKNN(list(plan.bounds), controller)
         optimized.fit(data)

@@ -12,10 +12,19 @@ stops once the coarse bound itself exceeds the live k-th-best threshold
 — sortedness proves everything later loses too. Results are exact.
 
 The walk takes the sorted order in blocks (``2k`` rows, doubling up to
-``CHUNK``): one array call per finer bound and one for the exact measure
-per block, then a replay over plain floats takes each candidate's
-stop/skip/push decision at the live threshold, so every count and
-answer equals that of a one-candidate-at-a-time walk.
+``CHUNK``) and evaluates each block as a lazy cascade. The k-th-best
+threshold only tightens, so whatever the threshold at the start of a
+block stops or rejects stays stopped or rejected: the block is cut at
+that threshold's stop point, stage ``s`` runs only on the rows that
+pass every stage before it, and only rows that pass every stage pay the
+exact measure. An array replay then takes the per-row stop/skip/push
+decisions at the live threshold: between two heap pushes the threshold
+is fixed, so only stage survivors are visited one by one,
+``searchsorted`` finds the stop point and one pass finds each visited
+row's first failing stage for the evaluation counts. Bounds and measure
+score each row on its own, so a row scored in a subset has the bits it
+has alone, and every count and answer equals that of a
+one-candidate-at-a-time walk.
 """
 
 from __future__ import annotations
@@ -78,8 +87,12 @@ class FilteredKNN(KNNAlgorithm):
         )
 
     def _prepare(self, data: np.ndarray) -> None:
+        data = np.asarray(data, dtype=np.float64)
         for bound in self.bounds:
-            bound.prepare(np.asarray(data, dtype=np.float64))
+            # a bound shared with another cascade (FNN-PIM keeps the
+            # baseline's LB_FNN ladder) has summarised this array already
+            if bound.prepared_on is not data:
+                bound.prepare(data)
 
     def query(self, q: np.ndarray, k: int) -> KNNResult:
         """Sorted filter-and-refine.
@@ -116,31 +129,18 @@ class FilteredKNN(KNNAlgorithm):
         keys = sign * values
         order = np.argsort(keys)
         heap = _Heap(k, self.minimize)
-        finer_evals = [0] * len(finer)
+        finer_evals = np.zeros(len(finer), dtype=np.int64)
         exact = 0
         stopped = False
         start, size = 0, min(2 * k, CHUNK)
         while start < self.n_objects and not stopped:
             block = order[start : start + size]
             start, size = start + size, min(2 * size, CHUNK)
-            firsts = keys[block].tolist()
-            stages = [
-                (sign * bound.evaluate(q, block)).tolist() for bound in finer
-            ]
-            scores = self.exact_scores(q, block).tolist()
-            for t, candidate in enumerate(block.tolist()):
-                limit = sign * heap.threshold
-                if heap.full and firsts[t] > limit:
-                    # sorted by this bound: everything later is pruned too
-                    stopped = True
-                    break
-                for s, stage in enumerate(stages):
-                    finer_evals[s] += 1
-                    if heap.full and stage[t] > limit:
-                        break
-                else:
-                    exact += 1
-                    heap.push(scores[t], candidate)
+            pushed, stopped = self._walk_block(
+                q, block, keys[block], heap, finer_evals
+            )
+            exact += pushed
+        finer_evals = finer_evals.tolist()
 
         # one charge per bucket, in the order a per-candidate walk
         # first touches them (the cost model sums in insertion order)
@@ -177,6 +177,82 @@ class FilteredKNN(KNNAlgorithm):
             exact_computations=exact,
             stage_evaluations=stage_evals,
         )
+
+    def _walk_block(
+        self, q, block, firsts, heap, finer_evals
+    ) -> tuple[int, bool]:
+        """One block of the sorted walk: lazy stages, then an array replay.
+
+        ``firsts`` are the block's sorted coarse keys. Pushes the rows
+        that pass every stage at the live threshold onto ``heap``, adds
+        each finer stage's evaluations to ``finer_evals`` in place, and
+        returns the number of pushes and whether the walk stopped here.
+        """
+        finer = self.bounds[1:]
+        sign = 1.0 if self.minimize else -1.0
+        # the threshold only tightens, so what the block-start limit
+        # stops or rejects stays stopped or rejected: the rows that pass
+        # it are a superset of the rows the walk can still use
+        limit = sign * heap.threshold  # +inf until the heap fills
+        cut = int(np.searchsorted(firsts, limit, side="right"))
+        rows = block[:cut]
+        stage_values = np.full((cut, len(finer)), np.inf)
+        alive = np.arange(cut)
+        for s, bound in enumerate(finer):
+            # every stage runs on every block, on no rows if need be, so
+            # a PIM stage fires its one wave per query where the
+            # block-wide walk did
+            values = sign * bound.evaluate(q, rows[alive])
+            stage_values[alive, s] = values
+            alive = alive[~(values > limit)]
+        scores = self.exact_scores(q, rows[alive]).tolist()
+        heads = firsts[alive].tolist()
+        tops = (
+            stage_values[alive].max(axis=1).tolist()
+            if finer
+            else [-np.inf] * alive.size
+        )
+
+        # replay the per-row walk: between two pushes the limit is
+        # fixed, so only survivors of every stage can move the heap
+        pushed: list[int] = []
+        limits = [limit]
+        visited = cut
+        stopped = False
+        next_row = 0
+        for t, head, top, score in zip(alive.tolist(), heads, tops, scores):
+            if heap.full:
+                if head > limit:
+                    visited = next_row + int(
+                        np.searchsorted(firsts[next_row:t], limit, "right")
+                    )
+                    stopped = True
+                    break
+                if top > limit:
+                    continue
+            heap.push(score, int(rows[t]))
+            pushed.append(t)
+            limit = sign * heap.threshold
+            limits.append(limit)
+            next_row = t + 1
+        else:
+            if heap.full:
+                visited = next_row + int(
+                    np.searchsorted(firsts[next_row:cut], limit, "right")
+                )
+                stopped = visited < firsts.size
+        if finer and visited:
+            # each visited row at the limit in force when it was reached
+            # (a pushed row at the limit before its push): stage s ran
+            # on the rows that passed every stage before s
+            spans = np.diff([0, *(t + 1 for t in pushed), visited])
+            at = np.repeat(limits, spans)
+            passed = np.logical_and.accumulate(
+                ~(stage_values[:visited] > at[:, None]), axis=1
+            )
+            finer_evals[0] += visited
+            finer_evals[1:] += passed[:, :-1].sum(axis=0)
+        return len(pushed), stopped
 
     def query_batch(self, queries: np.ndarray, k: int) -> list[KNNResult]:
         """Batched filter-and-refine: one amortized wave per PIM bound.

@@ -13,6 +13,8 @@ cosine *upper* bound.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.bounds.base import Bound
@@ -163,6 +165,10 @@ class FNNPIMKNN(FilteredKNN):
     still in the algorithms"), the remaining ladder bounds stay in the
     cascade; the Section V-D optimizer is what removes redundant ones
     (Fig. 16).
+
+    ``shared_bounds`` are prepared bounds to reuse: a ladder level whose
+    LB_FNN is among them keeps that object instead of a fresh one, so a
+    dataset the baseline FNN already summarised is not summarised again.
     """
 
     def __init__(
@@ -173,6 +179,7 @@ class FNNPIMKNN(FilteredKNN):
         controller: PIMController | None = None,
         quantizer: Quantizer | None = None,
         n_segments: int | None = None,
+        shared_bounds: Sequence[Bound] = (),
     ) -> None:
         from repro.similarity.segments import fnn_segment_ladder
 
@@ -187,8 +194,11 @@ class FNNPIMKNN(FilteredKNN):
             if n_segments is not None
             else choose_fnn_segments(n_vectors, dims, ctl.pim.config)
         )
+        shared = {
+            b.n_segments: b for b in shared_bounds if isinstance(b, FNNBound)
+        }
         bounds: list[Bound] = [PIMFNNBound(s, ctl, quantizer)]
-        bounds.extend(FNNBound(n) for n in ladder[1:])
+        bounds.extend(shared.get(n) or FNNBound(n) for n in ladder[1:])
         super().__init__(
             bounds=bounds,
             measure="euclidean",
@@ -242,8 +252,14 @@ def make_pim_variant(
     n_vectors: int,
     measure: str = "euclidean",
     controller: PIMController | None = None,
+    shared_bounds: Sequence[Bound] = (),
 ):
-    """PIM-optimized kNN factory by paper name."""
+    """PIM-optimized kNN factory by paper name.
+
+    ``shared_bounds`` are prepared CPU bounds the variant may keep
+    instead of building and preparing equal ones (FNN-PIM reuses the
+    baseline FNN's LB_FNN ladder).
+    """
     if name == "Standard-PIM":
         return StandardPIMKNN(measure=measure, controller=controller)
     if name == "OST-PIM":
@@ -251,5 +267,7 @@ def make_pim_variant(
     if name == "SM-PIM":
         return SMPIMKNN(dims, controller=controller)
     if name == "FNN-PIM":
-        return FNNPIMKNN(dims, n_vectors, controller=controller)
+        return FNNPIMKNN(
+            dims, n_vectors, controller=controller, shared_bounds=shared_bounds
+        )
     raise ConfigurationError(f"unknown PIM kNN variant {name!r}")

@@ -5,6 +5,14 @@ LB_FNN (Hwang et al., Table 3) partitions a ``d``-dimensional vector into
 deviation. These helpers compute the summaries in batch form and expose
 the segmentation bookkeeping (segment count candidates must divide ``d``
 so segments have equal length ``l = d / d'``).
+
+Bit contract: :func:`summarize` returns exactly the bits of
+``shaped.mean(axis=2)`` and ``shaped.std(axis=2)`` on the
+``(n, d', l)`` view, in one pass per statistic. The std is derived from
+the mean just computed, as NumPy's own ``_var`` does; segments shorter
+than :data:`PAIRWISE_MIN` are summed by sequential column adds starting
+from ``+0.0`` (NumPy's order for short reductions), longer ones by
+``np.add.reduce`` (pairwise). The returned arrays never alias the input.
 """
 
 from __future__ import annotations
@@ -14,6 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError, OperandError
+
+#: Shortest segment NumPy sums pairwise; shorter ones it adds in order.
+PAIRWISE_MIN = 8
 
 
 def equal_segment_counts(dims: int) -> list[int]:
@@ -85,9 +96,34 @@ def summarize(vectors: np.ndarray, n_segments: int) -> SegmentSummary:
             f"{n_segments} segments do not evenly divide {dims} dimensions"
         )
     length = dims // n_segments
-    shaped = vectors.reshape(n, n_segments, length)
-    means = shaped.mean(axis=2)
-    stds = shaped.std(axis=2)
+    if length == 1:
+        # + 0.0 copies the input and maps -0.0 to +0.0, as a sum does
+        means, stds = vectors + 0.0, np.zeros_like(vectors)
+    else:
+        shaped = vectors.reshape(n, n_segments, length)
+        means = _segment_sums(shaped)
+        means /= length
+        deviations = shaped - means[:, :, None]
+        np.multiply(deviations, deviations, out=deviations)
+        stds = _segment_sums(deviations)
+        stds /= length
+        np.sqrt(stds, out=stds)
     if single:
         means, stds = means[0], stds[0]
     return SegmentSummary(means=means, stds=stds, segment_length=length)
+
+
+def _segment_sums(shaped: np.ndarray) -> np.ndarray:
+    """Sums over the last axis of ``shaped`` in NumPy's own order.
+
+    ``np.add.reduce`` pays one inner-loop call per segment, which
+    dominates for short segments; adding whole columns in sequence gives
+    the same bits there at array speed.
+    """
+    length = shaped.shape[2]
+    if length >= PAIRWISE_MIN:
+        return np.add.reduce(shaped, axis=2)
+    total = shaped[:, :, 0] + 0.0
+    for j in range(1, length):
+        total += shaped[:, :, j]
+    return total

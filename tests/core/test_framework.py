@@ -84,6 +84,36 @@ class TestAccelerateKNN:
         assert controllers[0].pim.stats.batches == 1
         assert len(report.optimized.results) == len(queries)
 
+    @pytest.mark.parametrize("optimize_plan", [False, True])
+    def test_fnn_summarizes_each_level_once(self, optimize_plan, monkeypatch):
+        """The baseline's LB_FNN ladder is shared, not summarised again.
+
+        MSD's 420 dims give the ladder 6, 28, 105 and FNN-PIM's 420
+        segments: four full-dataset summaries, with or without the plan
+        optimizer.
+        """
+        from repro.bounds import ed, pim
+        from repro.data.catalog import make_dataset
+
+        data = make_dataset("MSD", n=600, seed=0)
+        rng = np.random.default_rng(1)
+        queries = np.clip(
+            data[:4] + 0.02 * rng.standard_normal((4, data.shape[1])), 0, 1
+        )
+        segment_counts = []
+        for module in (ed, pim):
+            def counting(vectors, n_segments, summarize=module.summarize):
+                if np.ndim(vectors) == 2 and len(vectors) == len(data):
+                    segment_counts.append(n_segments)
+                return summarize(vectors, n_segments)
+
+            monkeypatch.setattr(module, "summarize", counting)
+        report = PIMAccelerator().accelerate_knn(
+            "FNN", data, queries, k=5, optimize_plan=optimize_plan
+        )
+        assert report.results_match
+        assert sorted(segment_counts) == [6, 28, 105, 420]
+
 
 class TestAccelerateOutliers:
     def test_exact_and_reported(self, data):

@@ -92,3 +92,35 @@ class TestSortedRefineLoop:
         result = algo.query(query_vector, 1)
         ref = StandardKNN().fit(clustered_data).query(query_vector, 1)
         assert result.scores[0] == pytest.approx(ref.scores[0])
+
+    def test_exact_measure_scores_only_rows_that_can_win(self, monkeypatch):
+        """The lazy cascade exact-scores little beyond what it keeps.
+
+        Baseline FNN on MSD 3000x420 with eight perturbed queries: the
+        rows handed to the exact measure stay within twice the exact
+        computations the walk counts (a block-wide refine scores about
+        38 times as many).
+        """
+        from repro.data.catalog import make_dataset
+        from repro.mining.knn import FNNKNN
+
+        data = make_dataset("MSD", n=3000, seed=0)
+        rng = np.random.default_rng(0)
+        picks = rng.choice(len(data), 8, replace=False)
+        queries = np.clip(
+            data[picks] + 0.02 * rng.standard_normal((8, data.shape[1])),
+            0.0,
+            1.0,
+        )
+        scored = []
+        exact_scores = FNNKNN.exact_scores
+        monkeypatch.setattr(
+            FNNKNN,
+            "exact_scores",
+            lambda self, q, idx: scored.append(len(idx))
+            or exact_scores(self, q, idx),
+        )
+        algo = FNNKNN(data.shape[1]).fit(data)
+        counted = sum(algo.query(q, 10).exact_computations for q in queries)
+        assert counted > 0
+        assert sum(scored) <= 2 * counted

@@ -1,11 +1,13 @@
 """The array-speed mining paths against the loops they replay.
 
-``FilteredKNN.query`` walks the sorted order in blocks and the Lloyd-PIM
-and Drake assign steps work on all points at once. The loops below are
-the one-candidate-at-a-time and one-point-at-a-time walks those paths
+``FilteredKNN.query`` walks the sorted order in blocks as a lazy
+cascade with an array replay, and the Lloyd-PIM and Drake assign steps
+work on all points at once. The loops below are the
+one-candidate-at-a-time and one-point-at-a-time walks those paths
 replace; on tie-heavy data (a five-value alphabet and duplicate rows)
-every answer, count and cost bucket must come out equal, bucket order
-included, since the cost model sums buckets in insertion order.
+every answer, count, cost bucket, wave and simulated ns must come out
+equal, bucket order included, since the cost model sums buckets in
+insertion order.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bounds.base import LOWER, Bound
 from repro.bounds.ed import FNNBound, PartitionUpperBound
 from repro.bounds.pim import PIMFNNBound
 from repro.cost.counters import OTHER, PerfCounters
@@ -29,7 +32,7 @@ from repro.mining.knn import (
     SMPIMKNN,
     StandardPIMKNN,
 )
-from repro.mining.knn.base import _Heap
+from repro.mining.knn.base import CHUNK, _Heap
 from repro.mining.knn.filtered import FilteredKNN
 
 
@@ -50,6 +53,7 @@ def buckets(counters: PerfCounters) -> list:
 # kNN: the per-candidate filter-and-refine walk
 # ----------------------------------------------------------------------
 def loop_query(algo: FilteredKNN, q: np.ndarray, k: int):
+    pim_before = algo.controller.pim.stats.pim_time_ns if algo.controller else 0.0
     counters = PerfCounters()
     for bound in algo.bounds:
         bound.charge_query_setup(counters, algo.dims)
@@ -82,9 +86,32 @@ def loop_query(algo: FilteredKNN, q: np.ndarray, k: int):
         exact += 1
         heap.push(score, candidate)
     stage_evals[algo.measure] = exact
+    pim_after = algo.controller.pim.stats.pim_time_ns if algo.controller else 0.0
     return algo._finalize(
-        heap, counters, exact_computations=exact, stage_evaluations=stage_evals
+        heap,
+        counters,
+        pim_time_ns=pim_after - pim_before,
+        exact_computations=exact,
+        stage_evaluations=stage_evals,
     )
+
+
+def assert_same_walk(fast: FilteredKNN, slow: FilteredKNN, q, k, label):
+    """``fast.query`` equals the per-candidate loop run on ``slow``.
+
+    Two equal instances on their own controllers, so each side fires
+    (or reuses) its own waves and the simulated ns can be compared too.
+    """
+    want = loop_query(slow, q, k)
+    got = fast.query(q, k)
+    assert np.array_equal(got.indices, want.indices), (k, label)
+    assert np.array_equal(got.scores, want.scores), (k, label)
+    assert got.exact_computations == want.exact_computations
+    assert got.stage_evaluations == want.stage_evaluations
+    assert buckets(got.counters) == buckets(want.counters)
+    assert got.pim_time_ns == want.pim_time_ns, (k, label)
+    if fast.controller is not None:
+        assert fast.controller.pim.stats.waves == slow.controller.pim.stats.waves
 
 
 DIMS = 32
@@ -93,6 +120,13 @@ DIMS = 32
 def _fnn_optimize(ctl):
     return FNNPIMOptimizeKNN(
         [PIMFNNBound(4, ctl), FNNBound(2), FNNBound(8)], ctl
+    )
+
+
+def _fnn_pim_finer(ctl):
+    """A PIM bound as a finer stage: its one wave fires mid-cascade."""
+    return FNNPIMOptimizeKNN(
+        [FNNBound(2), PIMFNNBound(4, ctl), FNNBound(8)], ctl
     )
 
 
@@ -114,28 +148,103 @@ KNN_FACTORIES = {
     "SM-PIM": lambda n: SMPIMKNN(DIMS, controller=PIMController()),
     "FNN-PIM": lambda n: FNNPIMKNN(DIMS, n, controller=PIMController()),
     "FNN-PIM-optimize": lambda n: _fnn_optimize(PIMController()),
+    "FNN-PIM-finer": lambda n: _fnn_pim_finer(PIMController()),
+    "UB_part-CS-ladder": lambda n: FilteredKNN(
+        [PartitionUpperBound(DIMS // 4), PartitionUpperBound(DIMS // 2)],
+        measure="cosine",
+    ),
 }
+
+
+def fitted_pair(name: str, data: np.ndarray):
+    n = data.shape[0]
+    make = KNN_FACTORIES[name]
+    return make(n).fit(data), make(n).fit(data)
+
+
+def walk_queries(data: np.ndarray) -> np.ndarray:
+    """Dataset rows (exact ties at distance 0) and nearby perturbations."""
+    rng = np.random.default_rng(7)
+    dims = data.shape[1]
+    return np.vstack(
+        [data[:3], np.clip(data[3:6] + 0.1 * rng.random((3, dims)), 0, 1)]
+    )
 
 
 @pytest.mark.parametrize("name", sorted(KNN_FACTORIES))
 def test_filtered_knn_matches_per_candidate_loop(name):
     n = 90
     data = tie_heavy(n, DIMS, seed=len(name))
-    algo = KNN_FACTORIES[name](n).fit(data)
-    rng = np.random.default_rng(7)
-    # dataset rows (exact ties at distance 0) and nearby perturbations
-    queries = np.vstack(
-        [data[:3], np.clip(data[3:6] + 0.1 * rng.random((3, DIMS)), 0, 1)]
-    )
-    for q in queries:
+    fast, slow = fitted_pair(name, data)
+    for q in walk_queries(data):
         for k in (1, 2, 5, 17, 60, n, n + 7):
-            want = loop_query(algo, q, k)
-            got = algo.query(q, k)
-            assert np.array_equal(got.indices, want.indices), (k, name)
-            assert np.array_equal(got.scores, want.scores), (k, name)
-            assert got.exact_computations == want.exact_computations
-            assert got.stage_evaluations == want.stage_evaluations
-            assert buckets(got.counters) == buckets(want.counters)
+            assert_same_walk(fast, slow, q, k, name)
+
+
+@pytest.mark.parametrize(
+    "name", ["FNN", "FNN-PIM", "FNN-PIM-finer", "UB_part-CS-ladder"]
+)
+def test_k_beyond_the_first_block_matches_loop(name):
+    """``k`` above ``CHUNK``: the heap is still filling across blocks."""
+    n = 700
+    data = tie_heavy(n, DIMS, seed=11)
+    fast, slow = fitted_pair(name, data)
+    for q in walk_queries(data)[[0, 4]]:
+        for k in (CHUNK + 1, 2 * CHUNK + 50):
+            assert_same_walk(fast, slow, q, k, name)
+
+
+class TableBound(Bound):
+    """A lower bound read from a fixed table, to pin the visit order."""
+
+    def __init__(self, values: np.ndarray) -> None:
+        super().__init__(name="LB_table", kind=LOWER)
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def prepare(self, data: np.ndarray) -> None:
+        self._n_objects = data.shape[0]
+
+    def evaluate(self, query, indices=None):
+        return self.values if indices is None else self.values[indices]
+
+    @property
+    def per_object_transfer_bits(self) -> float:
+        return 32.0
+
+    @property
+    def per_object_flops(self) -> float:
+        return 1.0
+
+
+def test_block_rejected_whole_by_its_first_finer_stage():
+    """Every row of the second block fails the first finer stage.
+
+    Rows are visited in index order. The first block (``2k`` rows) sits
+    at distance 1/16, which fills the heap; the second block (``4k``
+    rows) is far, so LB_FNN at full resolution (the exact distance)
+    rejects all of it at block start and none of it is exact-scored.
+    """
+    k, dims = 3, DIMS
+    q = np.zeros(dims)
+    data = tie_heavy(90, dims, seed=3)
+    data[: 2 * k] = 0.0
+    data[: 2 * k, 0] = 0.25
+    data[2 * k : 6 * k] = 1.0
+    data[6 * k :: 5] = 0.0  # later exact matches still enter the heap
+    order = TableBound(np.arange(90) * 1e-6)
+
+    def build():
+        return FilteredKNN([order, FNNBound(dims)]).fit(data)
+
+    fast, slow = build(), build()
+    scored = []
+    exact_scores = fast.exact_scores
+    fast.exact_scores = lambda q, idx: scored.extend(idx.tolist()) or (
+        exact_scores(q, idx)
+    )
+    assert_same_walk(fast, slow, q, k, "table")
+    assert scored and not set(scored) & set(range(2 * k, 6 * k))
+    assert fast.query(q, k).scores.max() == 0.0
 
 
 # ----------------------------------------------------------------------
