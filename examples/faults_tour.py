@@ -2,8 +2,9 @@
 
 Walks the robustness ladder of ``repro.faults`` + ``repro.serving``:
 
-1. **inject** — wrap a PIM array in a :class:`FaultyPIMArray` and watch
-   a seeded fault plan corrupt its waves;
+1. **inject** — attach a :class:`FaultyPIMArray` hook to a PIM array
+   and watch a seeded fault plan corrupt its waves and stretch their
+   latency (the array itself books the stretched time);
 2. **detect** — program a residue checksum row
    (:mod:`repro.faults.integrity`) and catch every corrupted wave with
    one host-side modular sum;
@@ -59,16 +60,26 @@ def main() -> None:
     array = PIMArray(clean.hardware)
     array.program_matrix("demo", append_checksum_row(quantized, bits))
     plan = FaultPlan(
-        [FaultEvent(t_ns=0.0, kind="wave_corrupt", target="array")],
+        [
+            FaultEvent(t_ns=0.0, kind="wave_corrupt", target="array"),
+            FaultEvent(
+                t_ns=0.0, kind="latency_spike", target="array",
+                params={"factor": 4.0},
+            ),
+        ],
         seed=11,
     )
-    faulty = FaultyPIMArray(array, plan)
-    wave = faulty.query_many("demo", clean.quantizer.quantize(queries).integers)
+    faulty = FaultyPIMArray(array, plan)  # the array now consults it
+    wave = array.query_many("demo", clean.quantizer.quantize(queries).integers)
     flags = verify_wave_residues(wave.values, bits)
+    booked = array.stats.pim_time_ns
+    assert booked == wave.timing.total_ns * len(queries)
     print("=== inject + detect ===")
     print(f"corrupted waves   : {faulty.injected['wave_corrupt']} injected, "
           f"{int(flags.size - flags.sum())}/{flags.size} flagged by the "
           "residue check")
+    print(f"latency spike     : waves stretched {wave.timing.stretch:g}x, "
+          f"{booked:.0f} ns booked by the array itself")
 
     # -- 3. crash a shard; replicas keep answers bit-identical --------
     crash = FaultPlan(

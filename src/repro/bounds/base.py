@@ -43,9 +43,9 @@ class Bound(abc.ABC):
         self.kind = kind
         self._n_objects: int | None = None
         #: The array the last :meth:`prepare` summarised, for bounds that
-        #: record it (the segment-summary bounds). A cascade sharing a
-        #: prepared bound skips preparing it again on this very array
-        #: (identity, not content).
+        #: record it (the segment-summary and PIM bounds). A cascade
+        #: sharing a prepared bound skips preparing it again on this very
+        #: array (identity, not content).
         self.prepared_on: np.ndarray | None = None
         self._query_key: bytes | None = None
         self._query_value: object = None

@@ -77,21 +77,23 @@ class _PIMBoundBase(Bound):
         self._last_key: bytes | None = None
         self._last_values: np.ndarray | None = None
         self._batch_cache: dict[bytes, np.ndarray] = {}
-        self._prep_key: tuple | None = None
 
     def _already_prepared(self, data: np.ndarray) -> bool:
         """Idempotence guard: skip re-programming for the same dataset.
 
         The plan optimizer re-fits algorithms that share an existing
         programmed bound; re-programming would wear the crossbars (and
-        the array rejects duplicate matrix names). Preparing a bound on
-        *different* data is an error — build a new bound instead.
+        the array rejects duplicate matrix names). The same array, or an
+        equal one, is skipped; preparing a bound on *different* data is
+        an error — build a new bound instead.
         """
-        key = (data.shape, hash(data.tobytes()))
-        if self._prep_key is None:
-            self._prep_key = key
+        held = self.prepared_on
+        if held is None:
+            self.prepared_on = data
             return False
-        if key == self._prep_key:
+        if data is held or (
+            data.shape == held.shape and np.array_equal(data, held)
+        ):
             return True
         raise OperandError(
             f"{self.name} is already programmed with a different dataset; "

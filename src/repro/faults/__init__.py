@@ -8,10 +8,12 @@ mid-run. It provides:
   fault events on the simulated clock (stuck cell regions, transient
   wave corruption, latency spikes, crossbar death, shard crash/hang/
   slowdown);
-* injectors wrapping the existing simulators —
+* injectors for the existing simulators —
   :class:`FaultyCrossbar` (cell-level stuck-at for the
-  ``simulate_cells`` path), :class:`FaultyPIMArray` (array-level faults,
-  composable with :class:`~repro.hardware.noise.NoisyPIMArray` and the
+  ``simulate_cells`` path), :class:`FaultyPIMArray` (array-level
+  faults as a hook every wave of a device consults, so the device
+  books a stretched wave itself; composable with
+  :class:`~repro.hardware.noise.NoisyPIMArray` and the
   :class:`~repro.hardware.endurance.EnduranceTracker`), and
   :class:`FaultyShardEngine` (shard-level crash/hang/slow verdicts the
   serving layer consults per dispatch);

@@ -1,14 +1,16 @@
-"""Fault injectors wrapping the existing hardware simulators.
+"""Fault injectors for the hardware simulators.
 
 Three injection points, all driven by one :class:`~repro.faults.plan.FaultPlan`:
 
 * :class:`FaultyCrossbar` — a :class:`~repro.hardware.crossbar.Crossbar`
   with physically stuck cells (the ``simulate_cells`` bit-slice path);
-* :class:`FaultyPIMArray` — a composition wrapper around any array
-  (:class:`~repro.hardware.pim_array.PIMArray` or
+* :class:`FaultyPIMArray` — the fault hook of one device (any
+  :class:`~repro.hardware.pim_array.Substrate`, including a
   :class:`~repro.hardware.noise.NoisyPIMArray` — faults compose with
-  analog noise) that injects array-level faults per wave: stuck-cell
-  regions, transient wave corruption, latency spikes, crossbar death;
+  analog noise). The device consults it on every wave: a dead device
+  raises, stuck-cell regions and transient corruption act on the
+  values, and latency spikes and bank-group stragglers stretch the
+  wave the device books;
 * :class:`FaultyShardEngine` — a per-shard oracle the serving layer asks
   before each dispatch, returning a :class:`ShardVerdict`
   (ok / crash / hang / slow).
@@ -23,15 +25,15 @@ counters so every injected fault is visible in traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.errors import CrossbarDeadError
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.hardware import bitslice
+from repro.hardware.config import HBMPIMConfig
 from repro.hardware.crossbar import Crossbar
-from repro.hardware.pim_array import PIMBatchResult, PIMQueryResult
 from repro.telemetry import get_recorder
 
 #: Default additive corruption of a ``wave_corrupt`` fault. Chosen prime
@@ -39,32 +41,6 @@ from repro.telemetry import get_recorder
 #: never 0 mod 2**operand_bits — the checksum column detects it with
 #: certainty (see :mod:`repro.faults.integrity`).
 DEFAULT_CORRUPT_MAGNITUDE = 1_000_003
-
-
-class _InflatedTiming:
-    """Timing proxy that scales ``total_ns`` by a straggler factor.
-
-    The underlying :class:`~repro.hardware.timing.WaveTiming` dataclasses
-    are frozen, so latency spikes are modelled by delegation: every
-    attribute of the real timing is visible unchanged except ``total_ns``
-    (and the derived ``amortized_ns_per_query``), which stretch by
-    ``factor``.
-    """
-
-    def __init__(self, inner, factor: float) -> None:
-        self._inner = inner
-        self._factor = float(factor)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    @property
-    def total_ns(self) -> float:
-        return self._inner.total_ns * self._factor
-
-    @property
-    def amortized_ns_per_query(self) -> float:
-        return self.total_ns / self._inner.n_queries
 
 
 class FaultyCrossbar(Crossbar):
@@ -109,23 +85,30 @@ class FaultyCrossbar(Crossbar):
 
 
 class FaultyPIMArray:
-    """Array-level fault injection by composition.
+    """Array-level fault injection as a hook of the device it faults.
 
-    Wraps any PIM array (exact or noisy) and applies the plan's faults
-    for ``target`` to each wave. Everything not overridden — programming,
-    stats, endurance, layouts — delegates to the wrapped array, so the
-    injector is a drop-in anywhere a ``PIMArray`` is expected.
+    Attaches itself to ``device`` (any
+    :class:`~repro.hardware.pim_array.Substrate`: crossbar, HBM-PIM or
+    :class:`~repro.hardware.noise.NoisyPIMArray`), which then consults
+    it on every wave of every dispatch style:
+
+    * :meth:`before_wave` — a dead device raises
+      :class:`~repro.errors.CrossbarDeadError` before anything runs;
+    * :meth:`after_wave` — stuck cells and corruption act on the values
+      the kernel (noise included) produced, and latency spikes and
+      bank-group stragglers stretch the wave's timing before the device
+      books it, so stats, spans and the returned timing carry one
+      number.
 
     Parameters
     ----------
-    inner:
-        The wrapped array. Faults apply *after* the inner array computed
-        its (possibly noisy) values, mirroring physical layering: read
-        faults corrupt whatever the analog pipeline produced.
+    device:
+        The device to fault; its ``_faults`` hook is set to this
+        injector (one injector per device).
     plan:
         The fault schedule.
     target:
-        This array's victim label in the plan (serving uses
+        This device's victim label in the plan (serving uses
         ``"shard<i>"``; standalone arrays conventionally ``"array"``).
     auto_advance:
         Advance the fault clock by each wave's latency. Hosts that track
@@ -135,13 +118,13 @@ class FaultyPIMArray:
 
     def __init__(
         self,
-        inner,
+        device,
         plan: FaultPlan,
         target: str = "array",
         *,
         auto_advance: bool = True,
     ) -> None:
-        self._inner = inner
+        self._device = device
         self.plan = plan
         self.target = target
         self.auto_advance = auto_advance
@@ -151,15 +134,7 @@ class FaultyPIMArray:
         self._stuck_cache: dict[tuple[str, int], tuple] = {}
         self._bankgroup_cache: dict[int, frozenset] = {}
         self._repaired: set[int] = set()
-
-    # Everything not fault-related is the wrapped array's business.
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    @property
-    def inner(self):
-        """The wrapped array."""
-        return self._inner
+        device._faults = self
 
     def advance_to(self, t_ns: float) -> None:
         """Move the fault clock forward to simulated time ``t_ns``."""
@@ -173,11 +148,14 @@ class FaultyPIMArray:
     #: and have no physical substrate to swap out.
     REPAIRABLE_KINDS = ("stuck_cells", "crossbar_dead")
 
-    def _active(self, kind: str) -> list[FaultEvent]:
-        """Plan-active events of ``kind``, minus those already repaired."""
+    def _active(
+        self, kind: str, t_ns: float | None = None
+    ) -> list[FaultEvent]:
+        """Unrepaired events of ``kind`` active at ``t_ns`` (default: now)."""
+        t = self.now_ns if t_ns is None else t_ns
         return [
             e
-            for e in self.plan.active(self.target, kind, self.now_ns)
+            for e in self.plan.active(self.target, kind, t)
             if id(e) not in self._repaired
         ]
 
@@ -188,14 +166,9 @@ class FaultyPIMArray:
         remap; ``now_ns`` defaults to the injector's fault clock.
         """
         t = self.now_ns if now_ns is None else float(now_ns)
-        out: list[FaultEvent] = []
-        for kind in self.REPAIRABLE_KINDS:
-            out.extend(
-                e
-                for e in self.plan.active(self.target, kind, t)
-                if id(e) not in self._repaired
-            )
-        return out
+        return [
+            e for kind in self.REPAIRABLE_KINDS for e in self._active(kind, t)
+        ]
 
     def mark_repaired(self, event: FaultEvent) -> None:
         """Suppress ``event`` permanently: its physical substrate was
@@ -223,6 +196,37 @@ class FaultyPIMArray:
         return np.asarray(affected, dtype=np.int64)
 
     # ------------------------------------------------------------------
+    # the device's hook points
+    # ------------------------------------------------------------------
+    def before_wave(self) -> None:
+        """Refuse the wave if a ``crossbar_dead`` fault is active."""
+        dead = self._active("crossbar_dead")
+        if dead:
+            self._note("crossbar_dead")
+            raise CrossbarDeadError(
+                f"{self.target} is dead (crossbar failure at "
+                f"t={dead[0].t_ns:.0f}ns)",
+                unit=self.target,
+                timestamp_ns=self.now_ns,
+                fault_t_ns=dead[0].t_ns,
+            )
+
+    def after_wave(self, name: str, queries: np.ndarray, values, timing):
+        """Faulted ``(values, timing)`` of a wave of ``queries`` on ``name``.
+
+        ``values`` is ``(B, n_vectors)``; the timing keeps its clean
+        components and carries the straggler factor as ``stretch``.
+        """
+        values = self._apply_stuck(name, queries, values)
+        values = self._apply_corruption(values)
+        factor = self._latency_factor(name)
+        if factor != 1.0:
+            timing = replace(timing, stretch=factor)
+        if self.auto_advance:
+            self.now_ns += timing.total_ns
+        return values, timing
+
+    # ------------------------------------------------------------------
     def _rng_for_event(self, event: FaultEvent) -> np.random.Generator:
         """Persistent per-event RNG stream (draws stay aligned per wave)."""
         key = id(event)
@@ -246,19 +250,6 @@ class FaultyPIMArray:
             ):
                 pass  # zero-duration marker on the trace timeline
 
-    def _check_dead(self) -> None:
-        dead = self._active("crossbar_dead")
-        if dead:
-            self._note("crossbar_dead")
-            raise CrossbarDeadError(
-                f"{self.target} is dead (crossbar failure at "
-                f"t={dead[0].t_ns:.0f}ns)",
-                unit=self.target,
-                timestamp_ns=self.now_ns,
-                fault_t_ns=dead[0].t_ns,
-            )
-
-    # ------------------------------------------------------------------
     def _stuck_rows(self, name: str, event: FaultEvent):
         """Corrupted replacement rows for a stuck-cells event.
 
@@ -270,12 +261,12 @@ class FaultyPIMArray:
         cached = self._stuck_cache.get(key)
         if cached is not None:
             return cached
-        matrix = self._inner.matrix_of(name)
+        matrix = self._device.matrix_of(name)
         n_vectors, dims = matrix.shape
         fraction = float(event.params.get("fraction", 0.01))
         stuck_to = int(event.params.get("stuck_to", 0))
         stuck_value = (
-            0 if stuck_to == 0 else (1 << self._inner.config.operand_bits) - 1
+            0 if stuck_to == 0 else (1 << self._device.config.operand_bits) - 1
         )
         count = max(1, int(round(fraction * n_vectors * dims)))
         rng = self.plan.rng_for(
@@ -301,7 +292,7 @@ class FaultyPIMArray:
         if not events:
             return values
         values = values.copy()
-        bits = self._inner.config.accumulator_bits
+        bits = self._device.config.accumulator_bits
         for event in events:
             affected, rows = self._stuck_rows(name, event)
             dots = queries.astype(np.int64) @ rows.T
@@ -314,7 +305,7 @@ class FaultyPIMArray:
         events = self._active("wave_corrupt")
         if not events:
             return values
-        out = np.atleast_2d(values).copy()
+        out = values.copy()
         hit = False
         for event in events:
             rng = self._rng_for_event(event)
@@ -328,9 +319,7 @@ class FaultyPIMArray:
                     row[col] += magnitude
                     hit = True
                     self._note("wave_corrupt", column=col)
-        if not hit:
-            return values
-        return out.reshape(values.shape)
+        return out if hit else values
 
     def _straggling_groups(self, event: FaultEvent, n_groups: int) -> frozenset:
         """The seeded set of bank groups one straggler event slows."""
@@ -350,31 +339,26 @@ class FaultyPIMArray:
 
         Banked substrates run waves in all-bank lockstep, so the wave is
         bounded by its slowest bank: the factor applies whenever any of
-        the matrix's physical banks falls in a straggling group. Arrays
-        without a bank layout (crossbars) have no group structure to
+        the matrix's physical banks falls in a straggling group. Devices
+        without a bank hierarchy (crossbars) have no group structure to
         dodge into, so the whole array stretches.
         """
         events = self._active("bankgroup_straggler")
         if not events:
             return 1.0
-        config = getattr(self._inner, "config", None)
-        banks_per_group = int(
-            getattr(config, "banks_per_bankgroup", 0) or 0
-        )
-        total_banks = int(getattr(config, "total_banks", 0) or 0)
-        unit_ids = None
-        if banks_per_group > 0 and total_banks > 0:
-            unit_ids = self._inner.unit_ids_of(name)
+        config = self._device.config
+        groups = None
+        if isinstance(config, HBMPIMConfig):
+            per_group = config.banks_per_bankgroup
+            n_groups = config.total_banks // per_group
+            groups = {
+                int(b) // per_group for b in self._device.unit_ids_of(name)
+            }
         factor = 1.0
         for event in events:
-            hit = True
-            if unit_ids is not None:
-                n_groups = max(1, total_banks // banks_per_group)
-                slowed = self._straggling_groups(event, n_groups)
-                hit = any(
-                    (int(b) // banks_per_group) in slowed for b in unit_ids
-                )
-            if hit:
+            if groups is None or groups & self._straggling_groups(
+                event, n_groups
+            ):
                 event_factor = float(event.params.get("factor", 4.0))
                 factor *= event_factor
                 self._note(
@@ -382,44 +366,15 @@ class FaultyPIMArray:
                 )
         return factor
 
-    def _apply_latency(self, timing, name: str | None = None):
+    def _latency_factor(self, name: str) -> float:
+        """Product of the active latency spikes and bank-group stragglers."""
         factor = 1.0
         events = self._active("latency_spike")
         if events:
             for event in events:
                 factor *= float(event.params.get("factor", 10.0))
             self._note("latency_spike", factor=factor)
-        if name is not None:
-            factor *= self._bankgroup_factor(name)
-        if factor == 1.0:
-            return timing
-        return _InflatedTiming(timing, factor)
-
-    # ------------------------------------------------------------------
-    def _wave(self, method: str, name, vectors, input_bits):
-        self._check_dead()
-        result = getattr(self._inner, method)(
-            name, vectors, input_bits=input_bits
-        )
-        queries = np.atleast_2d(np.asarray(vectors))
-        values = self._apply_stuck(name, queries, result.values)
-        values = self._apply_corruption(values)
-        timing = self._apply_latency(result.timing, name)
-        if self.auto_advance:
-            self.now_ns += timing.total_ns
-        return values, timing
-
-    def query(self, name, vector, input_bits=None) -> PIMQueryResult:
-        values, timing = self._wave("query", name, vector, input_bits)
-        return PIMQueryResult(values=values, timing=timing)
-
-    def query_many(self, name, vectors, input_bits=None) -> PIMQueryResult:
-        values, timing = self._wave("query_many", name, vectors, input_bits)
-        return PIMQueryResult(values=values, timing=timing)
-
-    def query_batch(self, name, vectors, input_bits=None) -> PIMBatchResult:
-        values, timing = self._wave("query_batch", name, vectors, input_bits)
-        return PIMBatchResult(values=values, timing=timing)
+        return factor * self._bankgroup_factor(name)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ test and the chaos bench relies on.
 
 Fault kinds
 -----------
-Array-level (enforced by :class:`~repro.faults.injectors.FaultyPIMArray`):
+Array-level (enforced by the device's
+:class:`~repro.faults.injectors.FaultyPIMArray` hook, inside its own
+dispatch):
 
 * ``stuck_cells``    — a seeded region of a programmed matrix reads as a
   stuck value (``params``: ``fraction``, ``stuck_to`` 0/1, optional

@@ -21,10 +21,11 @@ distances — accuracy degrades — with (b) the paper's bound-and-refine
 under the same noise with compensation — results stay exact.
 
 Composability with fault injection: a
-:class:`~repro.faults.injectors.FaultyPIMArray` wraps *any* array with
-query/query_many/query_batch — including a :class:`NoisyPIMArray` — so
-analog noise and injected faults (stuck cells, corrupted waves,
-latency spikes, crossbar death) stack. Note that residue verification
+:class:`~repro.faults.injectors.FaultyPIMArray` hooks into *any*
+device's dispatch — including a :class:`NoisyPIMArray`, whose
+perturbed ``_values`` it sees before acting — so analog noise and
+injected faults (stuck cells, corrupted waves, latency spikes,
+crossbar death) stack, noise first. Note that residue verification
 (:mod:`repro.faults.integrity`) assumes the exact digital path; under
 analog noise every wave would flag, so serving-level ``verify`` must
 stay off for noisy arrays and corruption is handled by compensation

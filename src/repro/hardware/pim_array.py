@@ -286,11 +286,20 @@ class Substrate:
     and capacity (:meth:`units_needed`, :meth:`fits_matrix`). The
     kernel hook :meth:`_raw_values` is what the loop oracles in
     :mod:`repro.oracle` override.
+
+    A :class:`~repro.faults.injectors.FaultyPIMArray` attaches itself
+    as ``_faults``. Every dispatch style then asks it twice: before the
+    wave (a dead device raises) and between the kernel and the booking
+    (stuck cells and corruption act on the values, stragglers stretch
+    the timing). Stats, spans and the returned timing all carry the
+    stretched wave.
     """
 
     unit_name = "unit"
     backend = "abstract"
     _span_attrs: dict = {}
+    #: the attached fault injector, or None on a healthy device
+    _faults = None
     #: ``pim.*`` counters every wave updates, in creation order
     _wave_counters: tuple[str, ...] = ("waves", "results_produced")
 
@@ -494,6 +503,9 @@ class Substrate:
         the least-significant 64 bits; 32 for binary codes) and pass
         through the buffer array, which the host drains synchronously.
         """
+        faults = self._faults
+        if faults is not None:
+            faults.before_wave()
         record = self._record(name)
         vector = np.asarray(vector)
         if vector.ndim != 1:
@@ -501,8 +513,12 @@ class Substrate:
                 f"query must be a vector of length {record.layout.dims}"
             )
         bits = self._bits(input_bits)
-        values = self._values(record, vector[np.newaxis, :], bits)[0]
+        vectors = vector[np.newaxis, :]
+        values = self._values(record, vectors, bits)
         timing = self._wave_timing(record.layout, bits)
+        if faults is not None:
+            values, timing = faults.after_wave(name, vectors, values, timing)
+        values = values[0]
         if values.nbytes <= self.buffer.free_bytes:
             self.buffer.push(values)
             self.buffer.pop()
@@ -540,11 +556,16 @@ class Substrate:
         firing one wave per center) fast to simulate. Returns values of
         shape ``(n_queries, n_programmed_vectors)``.
         """
+        faults = self._faults
+        if faults is not None:
+            faults.before_wave()
         record = self._record(name)
         vectors = np.atleast_2d(np.asarray(vectors))
         bits = self._bits(input_bits)
         values = self._values(record, vectors, bits)
         timing = self._wave_timing(record.layout, bits)
+        if faults is not None:
+            values, timing = faults.after_wave(name, vectors, values, timing)
         n = vectors.shape[0]
         results = int(values.size)
         self._book(name, record.layout, n, results, timing.total_ns * n)
@@ -581,6 +602,9 @@ class Substrate:
         fill on crossbars, row activation on banks) across the batch;
         ``batch_saved_ns`` records the difference.
         """
+        faults = self._faults
+        if faults is not None:
+            faults.before_wave()
         record = self._record(name)
         vectors = np.atleast_2d(np.asarray(vectors))
         bits = self._bits(input_bits)
@@ -588,8 +612,11 @@ class Substrate:
         n = vectors.shape[0]
         timing = self._batch_timing(record.layout, n, bits)
         single = self._wave_timing(record.layout, bits)
-        self.buffer.pulse_rows(values)  # the host drains synchronously
+        # the saving batching makes on this device, whatever stretches it
         saved_ns = n * single.total_ns - timing.total_ns
+        if faults is not None:
+            values, timing = faults.after_wave(name, vectors, values, timing)
+        self.buffer.pulse_rows(values)  # the host drains synchronously
         results = int(values.size)
         self._book(name, record.layout, n, results, timing.total_ns, saved_ns)
         tele = get_recorder()

@@ -31,13 +31,18 @@ PIPELINE_DRAIN_CYCLES = 2
 
 @dataclass(frozen=True)
 class WaveTiming:
-    """Latency breakdown of one array-wide dot-product wave."""
+    """Latency breakdown of one array-wide dot-product wave.
+
+    ``stretch`` is the straggler factor a fault hook applied (1.0 on a
+    healthy device); it scales the whole wave, not its components.
+    """
 
     input_cycles: int
     gather_cycles: int
     pipeline_cycles: int
     crossbar_ns: float
     buffer_ns: float
+    stretch: float = 1.0
 
     @property
     def total_cycles(self) -> int:
@@ -47,7 +52,7 @@ class WaveTiming:
     @property
     def total_ns(self) -> float:
         """End-to-end wave latency in nanoseconds."""
-        return self.crossbar_ns + self.buffer_ns
+        return (self.crossbar_ns + self.buffer_ns) * self.stretch
 
 
 def wave_timing(
@@ -87,7 +92,7 @@ class BatchWaveTiming:
     pipelined behind the input stream, so their cycles are charged once
     per batch instead of once per query. Result drains to the buffer
     array still happen per query (every query produces ``n_vectors``
-    accumulator-width results).
+    accumulator-width results). ``stretch`` is as on :class:`WaveTiming`.
     """
 
     n_queries: int
@@ -95,6 +100,7 @@ class BatchWaveTiming:
     per_query_cycles: int
     crossbar_ns: float
     buffer_ns: float
+    stretch: float = 1.0
 
     @property
     def total_cycles(self) -> int:
@@ -104,7 +110,7 @@ class BatchWaveTiming:
     @property
     def total_ns(self) -> float:
         """End-to-end batch latency in nanoseconds."""
-        return self.crossbar_ns + self.buffer_ns
+        return (self.crossbar_ns + self.buffer_ns) * self.stretch
 
     @property
     def amortized_ns_per_query(self) -> float:

@@ -8,9 +8,10 @@ clock handed over by :meth:`advance`:
 * a **corrupt** probe raises suspicion; ``probe_confirmations``
   consecutive failures confirm a *persistent* defect (a single hit could
   be a transient ``wave_corrupt``), at which point the controller asks
-  the shard's :class:`~repro.faults.injectors.FaultyPIMArray` which
-  device faults are live and remaps the affected data crossbars onto
-  the shard's spare pool (wear-leveled, charged real reprogramming
+  the fault hook of the shard's device
+  (:class:`~repro.faults.injectors.FaultyPIMArray`) which device faults
+  are live and has the device remap the affected data crossbars onto
+  its spare pool (wear-leveled, charged real reprogramming
   latency), then quarantines the shard via
   :meth:`~repro.serving.health.ShardHealthTracker.mark_repaired`;
 * a **dead_array** probe is conclusive on its own — hard failures need
@@ -225,7 +226,7 @@ class RepairController:
                 if not window_open:
                     health.record_failure(s, t_ns)
                     window_open = True
-                spares, ns = shard.faulty.remap_crossbars(old_ids)
+                spares, ns = shard.controller.pim.remap_crossbars(old_ids)
             except CapacityError:
                 self._unrepairable.add(id(event))
                 self._event(

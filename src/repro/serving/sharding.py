@@ -222,11 +222,12 @@ class _Shard:
     With ``verify=True`` the programmed matrix carries one extra
     checksum row (see :mod:`repro.faults.integrity`), so waves return
     ``n_rows + 1`` values; callers verify and strip the last column.
-    With a fault plan, the shard's array is wrapped in a
-    :class:`~repro.faults.injectors.FaultyPIMArray` targeting this
-    shard's name and a :class:`~repro.faults.injectors.FaultyShardEngine`
-    answers crash/hang/slow verdicts per dispatch. An empty shard has
-    no array until a replica lands on it.
+    With a fault plan, the shard's device carries a
+    :class:`~repro.faults.injectors.FaultyPIMArray` hook targeting this
+    shard's name (``faulty``: its fault clock and repair API) and a
+    :class:`~repro.faults.injectors.FaultyShardEngine` answers
+    crash/hang/slow verdicts per dispatch. An empty shard has no array
+    until a replica lands on it.
     """
 
     def __init__(
@@ -277,7 +278,7 @@ class _Shard:
     def reprogram(self, verify: bool) -> float:
         """(Re)program the full matrix from the shard's current rows.
 
-        The first call builds the controller (and the fault wrapper) and
+        The first call builds the controller (and the fault hook) and
         fixes the shard's ``verify`` flag; later calls — live
         re-replication appended a chunk's rows — reset the matrix and
         rewrite it, checksum row included. Returns the programming
@@ -295,7 +296,6 @@ class _Shard:
                     self.controller.pim, self.fault_plan, self.name,
                     auto_advance=False,
                 )
-                self.controller.pim = self.faulty
             self.verify = verify
         elif self.name in self.controller.pim.layouts():
             # absent when a failed reprogram already erased the matrix

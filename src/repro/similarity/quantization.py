@@ -134,6 +134,9 @@ class Quantizer:
         if self._min is None or self._range is None:
             raise OperandError("quantizer must be fitted before use")
         vectors = np.asarray(vectors, dtype=np.float64)
+        if self.assume_normalized:
+            # min 0 and range 1 make the map below the identity, bit for bit
+            return np.clip(vectors, 0.0, 1.0)
         normed = (vectors - self._min) / self._range
         return np.clip(normed, 0.0, 1.0)
 

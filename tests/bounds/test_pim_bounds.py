@@ -93,6 +93,15 @@ class TestPIMEuclideanBound:
         bound.prepare(data)
         assert controller.pim.stats.crossbars_used == crossbars
 
+    def test_reprepare_equal_copy_is_noop(self, controller, data):
+        bound = PIMEuclideanBound(controller)
+        bound.prepare(data)
+        stats = controller.pim.stats
+        before = (stats.crossbars_used, stats.programming_time_ns)
+        bound.prepare(data.copy())
+        assert (stats.crossbars_used, stats.programming_time_ns) == before
+        assert bound.prepared_on is data
+
     def test_reprepare_different_data_raises(self, controller, data, rng):
         bound = PIMEuclideanBound(controller)
         bound.prepare(data)

@@ -29,7 +29,7 @@ from repro.faults import (
 )
 from repro.hardware.crossbar import Crossbar
 from repro.hardware.endurance import EnduranceTracker
-from repro.hardware.pim_array import PIMArray
+from repro.hardware.pim_array import PIMArray, Substrate
 
 
 @pytest.fixture
@@ -172,20 +172,24 @@ class TestEnduranceFaultContext:
 
 
 class TestFaultyPIMArray:
-    def test_delegates_everything_not_fault_related(self, array, matrix):
+    def test_attaches_as_the_devices_fault_hook(self, array, matrix):
         faulty = FaultyPIMArray(array, plan_of())
-        assert faulty.inner is array
-        assert faulty.config is array.config
-        assert np.array_equal(faulty.matrix_of("data"), matrix)
+        assert array._faults is faulty
+        assert isinstance(array, Substrate)
         # the stuck-cells injector rebuilds corrupted rows from this copy
-        assert faulty.matrix_of("data").dtype == np.int64
+        assert np.array_equal(array.matrix_of("data"), matrix)
+        assert array.matrix_of("data").dtype == np.int64
 
-    def test_no_events_is_a_transparent_wrapper(self, array, rng):
+    def test_no_events_leaves_waves_unchanged(
+        self, small_pim_platform, array, matrix, rng
+    ):
         query = rng.integers(0, 256, size=8)
+        clean = PIMArray(small_pim_platform)
+        clean.program_matrix("data", matrix)
         faulty = FaultyPIMArray(array, plan_of())
         assert np.array_equal(
-            faulty.query("data", query).values,
             array.query("data", query).values,
+            clean.query("data", query).values,
         )
         assert faulty.injected == {}
 
@@ -198,10 +202,10 @@ class TestFaultyPIMArray:
     def test_auto_advance_moves_the_clock_by_wave_latency(self, array, rng):
         query = rng.integers(0, 256, size=8)
         auto = FaultyPIMArray(array, plan_of(), auto_advance=True)
-        result = auto.query("data", query)
+        result = array.query("data", query)
         assert auto.now_ns == result.timing.total_ns
         manual = FaultyPIMArray(array, plan_of(), auto_advance=False)
-        manual.query("data", query)
+        array.query("data", query)
         assert manual.now_ns == 0.0
 
     def test_dead_crossbar_raises_with_context_once_active(self, array, rng):
@@ -210,15 +214,17 @@ class TestFaultyPIMArray:
             FaultEvent(t_ns=1000.0, kind="crossbar_dead", target="array")
         )
         faulty = FaultyPIMArray(array, plan, auto_advance=False)
-        faulty.query("data", query)  # before the fault: fine
+        array.query("data", query)  # before the fault: fine
         faulty.advance_to(1000.0)
+        waves = array.stats.waves
         with pytest.raises(CrossbarDeadError) as excinfo:
-            faulty.query("data", query)
+            array.query("data", query)
         exc = excinfo.value
         assert exc.unit == "array"
         assert exc.timestamp_ns == 1000.0
         assert exc.context["fault_t_ns"] == 1000.0
         assert faulty.injected["crossbar_dead"] == 1
+        assert array.stats.waves == waves  # refused before it ran
 
     def test_corruption_flips_the_residue_check(
         self, array, matrix, rng
@@ -231,7 +237,7 @@ class TestFaultyPIMArray:
             FaultEvent(t_ns=0.0, kind="wave_corrupt", target="array")
         )
         faulty = FaultyPIMArray(array, plan, auto_advance=False)
-        bad = faulty.query_many("prot", queries).values
+        bad = array.query_many("prot", queries).values
         # default probability 1.0: every wave row corrupted and detected
         assert not verify_wave_residues(bad, 8).any()
         assert faulty.injected["wave_corrupt"] == 3
@@ -252,14 +258,15 @@ class TestFaultyPIMArray:
             )
         )
         faulty = FaultyPIMArray(array, plan, auto_advance=False)
-        assert np.array_equal(faulty.query("data", query).values, clean)
+        assert np.array_equal(array.query("data", query).values, clean)
         faulty.advance_to(1500.0)
-        assert not np.array_equal(faulty.query("data", query).values, clean)
+        assert not np.array_equal(array.query("data", query).values, clean)
         faulty.advance_to(2000.0)  # window is half-open: [t, t+duration)
-        assert np.array_equal(faulty.query("data", query).values, clean)
+        assert np.array_equal(array.query("data", query).values, clean)
 
     def test_zero_probability_corruption_never_fires(self, array, rng):
         query = rng.integers(0, 256, size=8)
+        clean = array.query("data", query).values
         plan = plan_of(
             FaultEvent(
                 t_ns=0.0,
@@ -269,10 +276,7 @@ class TestFaultyPIMArray:
             )
         )
         faulty = FaultyPIMArray(array, plan, auto_advance=False)
-        assert np.array_equal(
-            faulty.query("data", query).values,
-            array.query("data", query).values,
-        )
+        assert np.array_equal(array.query("data", query).values, clean)
         assert "wave_corrupt" not in faulty.injected
 
     def test_latency_spike_stretches_timing_not_values(self, array, rng):
@@ -286,14 +290,40 @@ class TestFaultyPIMArray:
                 params={"factor": 4.0},
             )
         )
-        faulty = FaultyPIMArray(array, plan, auto_advance=False)
-        result = faulty.query_batch("data", queries)
+        FaultyPIMArray(array, plan, auto_advance=False)
+        result = array.query_batch("data", queries)
         assert np.array_equal(result.values, clean.values)
         assert result.timing.total_ns == pytest.approx(
             4.0 * clean.timing.total_ns
         )
         assert result.timing.amortized_ns_per_query == pytest.approx(
             4.0 * clean.timing.amortized_ns_per_query
+        )
+
+    @pytest.mark.parametrize("method", ["query", "query_many", "query_batch"])
+    def test_device_books_the_stretched_wave(self, array, rng, method):
+        """Stats, the matrix state and the returned timing agree."""
+        queries = rng.integers(0, 256, size=(3, 8))
+        operand = queries[0] if method == "query" else queries
+        clean = getattr(array, method)("data", operand).timing
+        plan = plan_of(
+            FaultEvent(
+                t_ns=0.0,
+                kind="latency_spike",
+                target="array",
+                params={"factor": 3.0},
+            )
+        )
+        FaultyPIMArray(array, plan, auto_advance=False)
+        before = array.stats.pim_time_ns
+        timing = getattr(array, method)("data", operand).timing
+        waves = 3 if method == "query_many" else 1
+        booked = array.stats.pim_time_ns - before
+        assert timing.stretch == 3.0
+        assert timing.total_ns == clean.total_ns * 3.0
+        assert booked == pytest.approx(timing.total_ns * waves, rel=1e-12)
+        assert array.stats.matrix_state("data").pim_time_ns == (
+            pytest.approx(array.stats.pim_time_ns, rel=1e-12)
         )
 
     def test_stuck_cells_are_deterministic_and_change_values(
@@ -308,10 +338,10 @@ class TestFaultyPIMArray:
             params={"fraction": 0.2, "stuck_to": 0, "matrix": "data"},
         )
         first = FaultyPIMArray(array, plan_of(event), auto_advance=False)
-        second = FaultyPIMArray(array, plan_of(event), auto_advance=False)
-        a = first.query("data", query).values
-        b = second.query("data", query).values
-        assert np.array_equal(a, b)  # seeded from the plan, not the wrapper
+        a = array.query("data", query).values
+        FaultyPIMArray(array, plan_of(event), auto_advance=False)
+        b = array.query("data", query).values
+        assert np.array_equal(a, b)  # seeded from the plan, not the hook
         # stuck-at-0 on values >= 1 can only lower an all-ones dot
         assert (a <= clean).all() and (a < clean).any()
         assert first.injected["stuck_cells"] == 1

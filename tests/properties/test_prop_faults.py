@@ -109,18 +109,41 @@ def clean_manager(data):
     return ShardManager(data, 1, quantizer=Quantizer(assume_normalized=True))
 
 
+#: Kinds whose cost only the dispatch ledger books: a hang is charged
+#: the watchdog's timeout, and the shard verdict stretches slow or
+#: delayed waves after the device ran them at its own speed.
+LEDGER_ONLY_KINDS = (
+    "shard_hang", "slow_shard", "intermittent_slow", "link_flaky"
+)
+
+
 def assert_booked_consistently(manager, timings):
-    """Dispatch accounting agrees with itself.
+    """Dispatch accounting agrees with itself and with the devices.
 
     Every attempt is booked once, so each shard's busy time equals the
     pim + cpu its dispatches recorded, and each dispatch's critical-path
-    segments add back up to its ``service_ns``.
+    segments add back up to its ``service_ns``. ``timings`` must cover
+    every dispatch the manager served. Device faults (latency spikes,
+    bank-group stragglers, corruption, dead crossbars) are booked by the
+    device itself, so on a shard no ledger-only kind targets, the
+    device's ``pim_time_ns`` equals the ledger's pim total plus the
+    hedge-cancelled device time (these waves never reach the 50 ms
+    watchdog).
     """
+    plan = manager.fault_plan
     for s, shard in enumerate(manager.shards):
         booked = sum(
             t.per_shard_pim_ns[s] + t.per_shard_cpu_ns[s] for t in timings
         )
         assert shard.busy_ns == pytest.approx(booked, rel=1e-9, abs=1e-6)
+        if plan is not None and any(
+            plan.events_for(shard.name, kind) for kind in LEDGER_ONLY_KINDS
+        ):
+            continue
+        ledger_pim = sum(t.per_shard_pim_ns[s] for t in timings)
+        assert shard.pim_stats.pim_time_ns == pytest.approx(
+            ledger_pim + shard.cancelled_pim_ns, rel=1e-9, abs=1e-6
+        )
     for t in timings:
         path = t.critical_path()
         segments = sum(v for key, v in path.items() if key != "shard")
@@ -182,6 +205,47 @@ class TestExactRecovery:
         assert np.array_equal(answer.distances, expected.distances)
         assert answer.degraded
         assert timing.degraded_chunks == manager.n_chunks
+
+
+class TestDeviceTimeIsTheLedgersTime:
+    @pytest.mark.parametrize("substrate", ["crossbar", "hbm_pim"])
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("latency_spike", {"factor": 10.0}),
+            # every bank group straggles, so any bank placement is hit
+            ("bankgroup_straggler", {"factor": 4.0, "groups": 64}),
+        ],
+    )
+    def test_stretched_waves_are_booked_once(self, kind, params, substrate):
+        data = np.random.default_rng(3).random((400, 32))
+        queries = np.random.default_rng(4).random((12, 32))
+        plan = FaultPlan(
+            [FaultEvent(t_ns=0.0, kind=kind, target="shard1", params=params)]
+        )
+
+        def serve(fault_plan):
+            manager = ShardManager(
+                data, 2, fault_plan=fault_plan, substrates=substrate
+            )
+            timings = [
+                manager.knn_batch(queries[i : i + 4], 5)[1]
+                for i in range(0, 12, 4)
+            ]
+            return manager, timings
+
+        # an empty plan keeps the checksum row, so only the stretch differs
+        clean, _ = serve(FaultPlan([]))
+        faulted, timings = serve(plan)
+        assert faulted.shards[1].faulty.injected[kind] == 3
+        assert_booked_consistently(faulted, timings)
+        factor = params["factor"]
+        assert faulted.shards[1].pim_stats.pim_time_ns == pytest.approx(
+            factor * clean.shards[1].pim_stats.pim_time_ns, rel=1e-12
+        )
+        assert faulted.merged_stats().pim_time_ns == pytest.approx(
+            sum(sum(t.per_shard_pim_ns) for t in timings), rel=1e-12
+        )
 
 
 class TestCorruptionIsNeverSilentlyUsed:

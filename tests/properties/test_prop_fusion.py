@@ -303,10 +303,10 @@ class TestFusionUnderFaultsAndNoise:
             PIMArray(hardware, simulate_cells=True),
             LoopPIMArray(hardware),
         ):
-            faulty = FaultyPIMArray(inner, plan, "array")
-            faulty.program_matrix("m", matrix)
-            waves.append(faulty.query("m", query))
-        # the injector corrupts whatever the pipeline produced; since
+            FaultyPIMArray(inner, plan, "array")
+            inner.program_matrix("m", matrix)
+            waves.append(inner.query("m", query))
+        # the hook corrupts whatever the pipeline produced; since
         # both pipelines produce identical bits and the fault RNG is
         # derived from the plan seed, the corrupted waves match too
         assert np.array_equal(waves[0].values, waves[1].values)

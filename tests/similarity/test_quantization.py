@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.errors import ConfigurationError, OperandError
 from repro.similarity.quantization import (
@@ -115,3 +118,27 @@ class TestQuantizer:
                 ed = euclidean(data[i], data[j])
                 assert lb <= ed + 1e-9
                 assert ed - lb <= bound + 1e-9
+
+
+class TestNormalizedShortcut:
+    """``assume_normalized`` clips directly, with the general map's bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=1, max_dims=2, max_side=12),
+            elements=st.floats(
+                allow_nan=False, allow_infinity=True, width=64
+            ),
+        )
+    )
+    def test_bytes_match_the_general_formula(self, vectors):
+        quantizer = Quantizer(assume_normalized=True)
+        quantizer.fit(np.zeros((1, vectors.shape[-1])))
+        general = np.clip(
+            (vectors - quantizer._min) / quantizer._range, 0.0, 1.0
+        )
+        fast = quantizer.normalize(vectors)
+        assert fast.shape == general.shape
+        assert fast.tobytes() == general.tobytes()
