@@ -312,14 +312,16 @@ class PIMFNNBound(_PIMBoundBase):
         if not self.quantizer.is_fitted:
             self.quantizer.fit(data)
         means, stds, length = self._summaries(data)
-        floors = np.floor(np.concatenate([means, stds], axis=1)).astype(
-            np.int64
-        )
-        self._phi = (
-            (means**2).sum(axis=1)
-            + (stds**2).sum(axis=1)
-            - 2.0 * floors.sum(axis=1)
-        )
+        n, k = means.shape
+        floors = np.zeros((n, 2 * k), dtype=np.int64)
+        floors[:, :k] = np.floor(means)
+        phi = (means**2).sum(axis=1)
+        # length-1 segments have all-zero stds: their floors are the zero
+        # block already and their squares would add exactly +0.0
+        if length > 1:
+            floors[:, k:] = np.floor(stds)
+            phi += (stds**2).sum(axis=1)
+        self._phi = phi - 2.0 * floors.sum(axis=1)
         self._segment_length = length
         self.controller.program(self._matrix_name, floors, self._phi.nbytes)
         self._n_objects = data.shape[0]

@@ -98,7 +98,9 @@ class FaultyPIMArray:
       the kernel (noise included) produced, and latency spikes and
       bank-group stragglers stretch the wave's timing before the device
       books it, so stats, spans and the returned timing carry one
-      number.
+      number;
+    * :meth:`booked` — the fault clock advances by the simulated ns
+      the device booked for the dispatch (every wave of a train).
 
     Parameters
     ----------
@@ -111,9 +113,10 @@ class FaultyPIMArray:
         This device's victim label in the plan (serving uses
         ``"shard<i>"``; standalone arrays conventionally ``"array"``).
     auto_advance:
-        Advance the fault clock by each wave's latency. Hosts that track
-        simulated time themselves (the serving layer) disable this and
-        call :meth:`advance_to` before dispatching.
+        Advance the fault clock by the latency the device books for
+        each dispatch. Hosts that track simulated time themselves (the
+        serving layer) disable this and call :meth:`advance_to` before
+        dispatching.
     """
 
     def __init__(
@@ -222,9 +225,12 @@ class FaultyPIMArray:
         factor = self._latency_factor(name)
         if factor != 1.0:
             timing = replace(timing, stretch=factor)
-        if self.auto_advance:
-            self.now_ns += timing.total_ns
         return values, timing
+
+    def booked(self, pim_ns: float) -> None:
+        """The device booked ``pim_ns`` for a dispatch: advance the clock."""
+        if self.auto_advance:
+            self.now_ns += pim_ns
 
     # ------------------------------------------------------------------
     def _rng_for_event(self, event: FaultEvent) -> np.random.Generator:

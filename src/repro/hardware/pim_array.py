@@ -674,6 +674,8 @@ class Substrate:
             state.batched_queries += n_queries
             stats.batch_saved_ns += saved_ns
         self._charge_extra(layout, n_queries)
+        if self._faults is not None:
+            self._faults.booked(pim_ns)
 
     def _wave_instruments(self, tele, batch: bool = False) -> dict:
         """Per-device cache of the hot wave instruments.

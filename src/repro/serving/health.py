@@ -32,9 +32,9 @@ against flap-admitting an intermittently slow shard).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import ServingError
 from repro.telemetry import get_recorder
@@ -153,17 +153,66 @@ class RecoveryPolicy:
             raise ServingError("hedge_budget must lie in [0, 1] or None")
 
 
-class _ShardLatency:
-    """Streaming service-time state of one (shard, substrate)."""
+def _median(ordered: list[float]) -> float:
+    """``np.median`` of an ascending list, in plain Python.
 
-    __slots__ = ("count", "ewma", "dev_ewma", "window", "suspicion")
+    NumPy takes the middle value, or the mean of the middle pair
+    (``(a + b) / 2`` in float64), so this keeps its bits.
+    """
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
+def _p95(ordered: list[float]) -> float:
+    """``np.percentile(x, 95)`` of an ascending list, in plain Python.
+
+    NumPy's ``linear`` rule: the virtual index ``(n - 1) * 0.95``
+    between two neighbours, blended by ``_lerp``, which measures from
+    the upper neighbour once the weight reaches one half.
+    """
+    n = len(ordered)
+    virtual = (n - 1) * 0.95
+    if virtual >= n - 1:
+        return ordered[-1]
+    lo = math.floor(virtual)
+    t = virtual - lo
+    a, b = ordered[lo], ordered[lo + 1]
+    if t >= 0.5:
+        return b - (b - a) * (1.0 - t)
+    return a + (b - a) * t
+
+
+class _ShardLatency:
+    """Streaming service-time state of one (shard, substrate).
+
+    ``window`` holds the last samples in arrival order (for eviction)
+    and ``ordered`` the same samples ascending (for the order
+    statistics); ``p95`` caches the window's p95 until the next sample.
+    """
+
+    __slots__ = (
+        "count", "ewma", "dev_ewma", "window", "ordered", "p95", "suspicion",
+    )
 
     def __init__(self) -> None:
         self.count = 0
         self.ewma = 0.0
         self.dev_ewma = 0.0
-        self.window: list[float] = []
+        self.window: deque[float] = deque()
+        self.ordered: list[float] = []
+        self.p95: float | None = None
         self.suspicion = 0.0
+
+    def push(self, x: float) -> None:
+        """Slide ``x`` into the window, evicting the oldest sample."""
+        self.window.append(x)
+        insort(self.ordered, x)
+        if len(self.window) > DETECTOR_WINDOW:
+            old = self.window.popleft()
+            del self.ordered[bisect_left(self.ordered, old)]
+        self.p95 = None
 
 
 class LatencyOutlierDetector:
@@ -232,8 +281,7 @@ class LatencyOutlierDetector:
             )
             st.ewma = (1.0 - DETECTOR_ALPHA) * st.ewma + DETECTOR_ALPHA * x
         st.count += 1
-        st.window.append(x)
-        del st.window[:-DETECTOR_WINDOW]
+        st.push(x)
         st.suspicion = (
             (1.0 - DETECTOR_ALPHA) * st.suspicion + DETECTOR_ALPHA * phi
         )
@@ -246,14 +294,14 @@ class LatencyOutlierDetector:
             if s != shard and self._state[s].count > 0
         ]
         if peers:
-            mu = float(np.median([p.ewma for p in peers]))
-            dev = float(np.median([p.dev_ewma for p in peers]))
+            mu = _median(sorted([p.ewma for p in peers]))
+            dev = _median(sorted([p.dev_ewma for p in peers]))
         else:
-            window = self._state[shard].window
-            if len(window) < DETECTOR_MIN_SAMPLES:
+            ordered = self._state[shard].ordered
+            if len(ordered) < DETECTOR_MIN_SAMPLES:
                 return None
-            mu = float(np.median(window))
-            dev = float(np.median(np.abs(np.asarray(window) - mu)))
+            mu = _median(ordered)
+            dev = _median(sorted([abs(x - mu) for x in ordered]))
         if mu <= 0.0:
             return None
         return mu, max(dev, 0.05 * mu)
@@ -288,9 +336,9 @@ class LatencyOutlierDetector:
     def observed_p95_ns(self, shard: int) -> float | None:
         """p95 of the shard's sliding window (None under the floor)."""
         st = self._state[shard]
-        if len(st.window) < DETECTOR_MIN_SAMPLES:
-            return None
-        return float(np.percentile(st.window, 95.0))
+        if st.p95 is None and len(st.ordered) >= DETECTOR_MIN_SAMPLES:
+            st.p95 = _p95(st.ordered)
+        return st.p95
 
     def fleet_p95_ns(self) -> float | None:
         """Median of the per-shard p95s (None before any shard has one)."""
@@ -301,7 +349,7 @@ class LatencyOutlierDetector:
         ]
         if not values:
             return None
-        return float(np.median(values))
+        return _median(sorted(values))
 
     def is_slow(self, shard: int, service_ns: float) -> bool:
         """Whether one sample exceeds ``READMIT_SLACK`` x the peer baseline."""

@@ -23,6 +23,7 @@ from repro.similarity.measures import (
     pearson_batch,
 )
 from repro.similarity.quantization import Quantizer
+from repro.similarity.segments import summarize
 
 
 @pytest.fixture
@@ -145,6 +146,37 @@ class TestPIMFNNBound:
         assert controller.pim.stats.waves == waves + 1
         layout = controller.pim.layouts()[pim._matrix_name]
         assert layout.dims == 2 * 8  # concatenated mu/sigma
+
+    @pytest.mark.parametrize("length", [1, 4])
+    def test_programmed_summary_keeps_the_general_formula(
+        self, controller, data, monkeypatch, length
+    ):
+        segments = data.shape[1] // length
+        pim = PIMFNNBound(segments, controller)
+        programmed = {}
+        program = controller.program
+
+        def spy(name, matrix, *args, **kwargs):
+            programmed[name] = matrix
+            return program(name, matrix, *args, **kwargs)
+
+        monkeypatch.setattr(controller, "program", spy)
+        pim.prepare(data)
+        summary = summarize(pim.quantizer.scale(data), segments)
+        assert summary.segment_length == length
+        means, stds = summary.means, summary.stds
+        floors = np.floor(np.concatenate([means, stds], axis=1)).astype(
+            np.int64
+        )
+        phi = (
+            (means**2).sum(axis=1)
+            + (stds**2).sum(axis=1)
+            - 2.0 * floors.sum(axis=1)
+        )
+        matrix = programmed[pim._matrix_name]
+        assert matrix.dtype == floors.dtype
+        assert np.array_equal(matrix, floors)
+        assert pim._phi.tobytes() == phi.tobytes()
 
 
 class TestPIMSMBound:

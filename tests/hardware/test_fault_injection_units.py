@@ -208,6 +208,23 @@ class TestFaultyPIMArray:
         array.query("data", query)
         assert manual.now_ns == 0.0
 
+    @pytest.mark.parametrize("spike", [False, True])
+    def test_auto_advance_covers_every_wave_of_a_train(
+        self, array, rng, spike
+    ):
+        # a train of n waves books n waves of time, so the clock moves n
+        queries = rng.integers(0, 256, size=(3, 8))
+        events = (
+            [FaultEvent(t_ns=0.0, kind="latency_spike", target="array")]
+            if spike else []
+        )
+        auto = FaultyPIMArray(array, plan_of(*events), auto_advance=True)
+        result = array.query_many("data", queries)
+        assert auto.now_ns == array.stats.pim_time_ns
+        assert auto.now_ns == result.timing.total_ns * 3
+        array.query_batch("data", queries)
+        assert auto.now_ns == array.stats.pim_time_ns
+
     def test_dead_crossbar_raises_with_context_once_active(self, array, rng):
         query = rng.integers(0, 256, size=8)
         plan = plan_of(
