@@ -16,6 +16,8 @@ kernel alone. Production code never imports this module.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from repro.bounds.pim import theorem1_lower_bound
@@ -191,6 +193,42 @@ class LoopHBMPIMArray(HBMPIMArray):
 # ----------------------------------------------------------------------
 # serving
 # ----------------------------------------------------------------------
+class _CanonicalHeap:
+    """The k smallest candidates by ``(score, global index)`` lex order.
+
+    Unlike the mining layer's heap (which keeps the first-seen among
+    equal scores, a visit-order artifact), ties always resolve to the
+    lowest global index — the property that makes merged shard results
+    placement-invariant.
+    """
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self._heap: list[tuple[float, int]] = []  # (-score, -index)
+
+    @property
+    def threshold(self) -> float:
+        """Current k-th best score (+inf while not yet full)."""
+        if len(self._heap) < self.k:
+            return float("inf")
+        return -self._heap[0][0]
+
+    def offer(self, score: float, index: int) -> bool:
+        """Insert if ``(score, index)`` beats the current worst member."""
+        entry = (-score, -index)
+        if len(self._heap) < self.k:
+            heapq.heappush(self._heap, entry)
+            return True
+        if entry > self._heap[0]:
+            heapq.heapreplace(self._heap, entry)
+            return True
+        return False
+
+    def sorted_items(self) -> list[tuple[float, int]]:
+        """Members as ``(score, index)``, canonical order."""
+        return sorted((-s, -i) for s, i in self._heap)
+
+
 class LoopShardManager(ShardManager):
     """Shard manager whose host-side kernels loop one candidate at a time.
 
@@ -210,8 +248,9 @@ class LoopShardManager(ShardManager):
             ]
         )
 
-    def _refine_scan(self, shard, sel, gidx, lb, q_norm, heap) -> int:
+    def _refine_scan(self, shard, sel, gidx, lb, q_norm, k):
         floats = shard.floats if sel is None else shard.floats[sel]
+        heap = _CanonicalHeap(k)
         refined = 0
         for j in np.lexsort((gidx, lb)):
             if lb[j] > heap.threshold:
@@ -219,7 +258,12 @@ class LoopShardManager(ShardManager):
             score = float(exact_sq_distances(floats[j], q_norm)[0])
             heap.offer(score, int(gidx[j]))
             refined += 1
-        return refined
+        items = heap.sorted_items()
+        return (
+            np.array([s for s, _ in items], dtype=np.float64),
+            np.array([i for _, i in items], dtype=np.int64),
+            refined,
+        )
 
     def _degraded_scores(self, floats, q_norm):
         return np.array(

@@ -2,7 +2,7 @@
 
 Every numeric step of a shard's host-side work lives here: the exact
 squared-Euclidean score, Theorem 1's lower bounds, the canonical top-k
-and its merge, the refine scan, the k-means assign sweep and the
+and its merge, the stop-at-k refine, the k-means assign sweep and the
 degraded (bound-free) recompute. The functions take plain arrays, so
 they do not depend on how rows are placed or dispatched; this module
 imports nothing from :mod:`repro.serving`, :mod:`repro.faults` or
@@ -16,8 +16,6 @@ for every placement.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -41,45 +39,6 @@ def exact_sq_distances(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
-class _CanonicalHeap:
-    """The k smallest candidates by ``(score, global index)`` lex order.
-
-    Unlike the mining layer's heap (which keeps the first-seen among
-    equal scores, a visit-order artifact), ties always resolve to the
-    lowest global index — the property that makes merged shard results
-    placement-invariant.
-    """
-
-    def __init__(self, k: int) -> None:
-        self.k = k
-        self._heap: list[tuple[float, int]] = []  # (-score, -index)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def threshold(self) -> float:
-        """Current k-th best score (+inf while not yet full)."""
-        if len(self._heap) < self.k:
-            return float("inf")
-        return -self._heap[0][0]
-
-    def offer(self, score: float, index: int) -> bool:
-        """Insert if ``(score, index)`` beats the current worst member."""
-        entry = (-score, -index)
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, entry)
-            return True
-        if entry > self._heap[0]:
-            heapq.heapreplace(self._heap, entry)
-            return True
-        return False
-
-    def sorted_items(self) -> list[tuple[float, int]]:
-        """Members as ``(score, index)``, canonical order."""
-        return sorted((-s, -i) for s, i in self._heap)
-
-
 def _canonical_prefix(lb: np.ndarray, gidx: np.ndarray, m: int) -> np.ndarray:
     """An exact prefix of ``np.lexsort((gidx, lb))`` at least ``m`` long.
 
@@ -97,25 +56,15 @@ def _canonical_prefix(lb: np.ndarray, gidx: np.ndarray, m: int) -> np.ndarray:
 
 def canonical_topk(
     values: np.ndarray, gidx: np.ndarray, k: int
-) -> _CanonicalHeap:
-    """The ``k`` smallest ``(value, gidx)`` pairs, as a canonical heap.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` smallest ``(value, gidx)`` pairs in canonical order.
 
-    The same members, in the same order, as offering every pair to a
-    :class:`_CanonicalHeap` one at a time — without the per-row loop.
+    Returns ``(values, gidx)`` arrays of ``min(k, n)`` entries: the
+    first entries of the full ``lexsort((gidx, values))``, without
+    sorting the rest.
     """
-    heap = _CanonicalHeap(k)
-    for j in _canonical_prefix(values, gidx, k)[:k].tolist():
-        heap.offer(float(values[j]), int(gidx[j]))
-    return heap
-
-
-def _merge_heaps(heaps: list[_CanonicalHeap], k: int) -> _CanonicalHeap:
-    """Global top-k from per-shard top-k lists (canonical order)."""
-    merged = _CanonicalHeap(k)
-    for heap in heaps:
-        for score, index in heap.sorted_items():
-            merged.offer(score, index)
-    return merged
+    top = _canonical_prefix(values, gidx, k)[:k]
+    return values[top], gidx[top]
 
 
 def knn_bounds(
@@ -135,55 +84,101 @@ def knn_bounds(
     )
 
 
-def refine_scan(
+def _kth_smallest(scores: np.ndarray, k: int) -> float:
+    """The ``k``-th smallest entry of ``scores`` (``k <= scores.size``)."""
+    return float(np.partition(scores, k - 1)[k - 1])
+
+
+def refine_topk(
     floats: np.ndarray,
     sel: np.ndarray | None,
     gidx: np.ndarray,
     lb: np.ndarray,
     q_norm: np.ndarray,
-    heap: _CanonicalHeap,
-) -> int:
-    """Refine candidates in canonical ``lexsort((gidx, lb))`` order.
+    k: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """One query's refined top-k on a shard: ``(scores, gidx, refined)``.
 
     ``floats`` holds a shard's normalised rows and ``sel`` the subset
     being served (``None`` = all of them); ``gidx`` and ``lb`` describe
-    exactly that subset. Stops at the first bound above the heap
-    threshold (ascending bounds: the rest prune too) and returns the
-    number of rows scored. Candidates are scored in doubling blocks
-    ahead of the scan; the kernel's row independence makes block scores
-    bit-identical to one-at-a-time scores, and the scan still checks the
-    live heap threshold per candidate, so the refined/pruned counts —
-    which feed the simulated CPU time — match the loop oracle exactly.
-    The scan walks an exact :func:`_canonical_prefix` of about ``4k``
-    rows, grown when the scan reaches its end without pruning, and
-    gathers only the float rows it scores.
+    exactly that subset. The result is what the loop oracle gets by
+    visiting candidates in canonical ``lexsort((gidx, lb))`` order,
+    scoring each and offering it to a k-best list, and stopping at the
+    first bound above the list's threshold (+inf until ``k`` rows are
+    scored): the canonical top-k of the scored rows and their number,
+    which feeds the simulated CPU time.
+
+    Bounds ascend along the canonical order and the threshold — the
+    k-th smallest score so far — only falls, so the stop test is false
+    and then true, and the stop point is found with array operations:
+
+    * **fast path** — score the first ``k`` rows of the canonical order
+      at once; if the next row's bound exceeds their largest score, the
+      scan stops there (the common case: bounds prune about 99% of
+      rows);
+    * **general path** — score further rows of an exact
+      :func:`_canonical_prefix` in doubling blocks, and binary-search
+      each block for the first row whose bound exceeds the k-th
+      smallest score before it.
+
+    Scores come from :func:`exact_sq_distances`, whose row independence
+    makes block scores bit-identical to one-at-a-time scores.
     """
-    n_local = int(gidx.size)
-    refined = 0
-    order = _canonical_prefix(lb, gidx, 4 * heap.k)
-    pos = 0
-    block = 2 * heap.k
-    while pos < n_local:
-        if pos == order.size:
-            order = _canonical_prefix(lb, gidx, 4 * order.size)
-        chunk = order[pos : pos + block]
-        lbs = lb[chunk].tolist()
-        if lbs[0] > heap.threshold:
+    n = int(gidx.size)
+    if n <= k:  # the threshold never leaves +inf: every row is scored
+        rows = floats if sel is None else floats[sel]
+        scores = exact_sq_distances(rows, q_norm)
+        top = np.lexsort((gidx, scores))
+        return scores[top], gidx[top], n
+    order = _canonical_prefix(lb, gidx, k + 1)
+
+    def score(at: np.ndarray) -> np.ndarray:
+        return exact_sq_distances(
+            floats[at if sel is None else sel[at]], q_norm
+        )
+
+    scores = score(order[:k])
+    if lb[order[k]] > scores.max():
+        refined = k
+    else:
+        # the stop test failed at every position up to ``checked``
+        checked, refined = k, n
+        while scores.size < n:
+            end = min(n, 2 * (checked + 1))  # score rows [.., end)
+            if order.size < min(end + 1, n):
+                order = _canonical_prefix(
+                    lb, gidx, max(end + 1, 4 * order.size)
+                )
+            scores = np.concatenate(
+                (scores, score(order[scores.size : end]))
+            )
+            hi = min(end, n - 1)  # the last position testable now
+            if hi == checked or lb[order[hi]] <= _kth_smallest(scores[:hi], k):
+                checked = hi
+                continue
+            lo = checked + 1  # the stop lies in [lo, hi]
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if lb[order[mid]] > _kth_smallest(scores[:mid], k):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            refined = lo
             break
-        rows = chunk if sel is None else sel[chunk]
-        scores = exact_sq_distances(floats[rows], q_norm).tolist()
-        stopped = False
-        for bound, score, index in zip(lbs, scores, gidx[chunk].tolist()):
-            if bound > heap.threshold:
-                stopped = True
-                break
-            heap.offer(score, index)
-            refined += 1
-        if stopped:
-            break
-        pos += chunk.size
-        block *= 2
-    return refined
+    scores = scores[:refined]
+    kept = gidx[order[:refined]]
+    top = np.lexsort((kept, scores))[:k]
+    return scores[top], kept[top], refined
+
+
+def merge_topk(
+    scores: list[np.ndarray], gidx: list[np.ndarray], k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Global canonical top-k from per-shard top-k lists."""
+    all_scores = np.concatenate(scores)
+    all_gidx = np.concatenate(gidx)
+    top = np.lexsort((all_gidx, all_scores))[:k]
+    return all_scores[top], all_gidx[top]
 
 
 def assign_sweep(

@@ -83,14 +83,13 @@ from repro.serving.health import (
     backoff_ns,
 )
 from repro.serving.kernels import (
-    _CanonicalHeap,
-    _merge_heaps,
     assign_sweep,
     canonical_topk,
     exact_sq_distances,
     knn_bounds,
+    merge_topk,
     nearest_centers,
-    refine_scan,
+    refine_topk,
 )
 from repro.serving.placement import (
     ReplicaPlacement,
@@ -1239,11 +1238,11 @@ class ShardManager(ReplicaPlacement):
         gidx: np.ndarray,
         lb: np.ndarray,
         q_norm: np.ndarray,
-        heap: _CanonicalHeap,
-    ) -> int:
-        """Refine one query's candidates on ``shard`` into ``heap``;
-        returns the number of rows scored."""
-        return refine_scan(shard.floats, sel, gidx, lb, q_norm, heap)
+        k: int,
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """One query's canonical top-``k`` on ``shard``: ``(scores,
+        gidx, refined)``, ``refined`` being the number of rows scored."""
+        return refine_topk(shard.floats, sel, gidx, lb, q_norm, k)
 
     def _degraded_scores(
         self, floats: np.ndarray, q_norm: np.ndarray
@@ -1309,9 +1308,11 @@ class ShardManager(ReplicaPlacement):
         timing = GatherTiming()
         tele = get_recorder()
         t0 = self._clock_ns if now_ns is None else float(now_ns)
-        # a heap never holds more than the dataset
-        heap_k = [min(k, self.n_rows) for k in k_list]
-        per_query_heaps: list[list[_CanonicalHeap]] = [[] for _ in range(batch)]
+        # a top-k list never holds more than the dataset
+        top_k = [min(k, self.n_rows) for k in k_list]
+        # per query: every shard's (and degraded chunk's) top-k lists
+        part_scores: list[list[np.ndarray]] = [[] for _ in range(batch)]
+        part_gidx: list[list[np.ndarray]] = [[] for _ in range(batch)]
         refined_total = [0] * batch
         pruned_total = [0] * batch
 
@@ -1326,16 +1327,16 @@ class ShardManager(ReplicaPlacement):
             for b in range(batch):
                 if approx_list[b]:
                     # degrade-to-approximate: the lower bound IS the score
-                    heap = canonical_topk(lb_all[b], gidx, heap_k[b])
+                    scores, top = canonical_topk(lb_all[b], gidx, top_k[b])
                     refined = 0
-                    pruned = gidx.size - len(heap)
+                    pruned = gidx.size - top.size
                 else:
-                    heap = _CanonicalHeap(heap_k[b])
-                    refined = self._refine_scan(
-                        shard, sel, gidx, lb_all[b], q_norm[b], heap
+                    scores, top, refined = self._refine_scan(
+                        shard, sel, gidx, lb_all[b], q_norm[b], top_k[b]
                     )
                     pruned = gidx.size - refined
-                per_query_heaps[b].append(heap)
+                part_scores[b].append(scores)
+                part_gidx[b].append(top)
                 refined_total[b] += refined
                 pruned_total[b] += pruned
                 refined_here += refined
@@ -1354,22 +1355,21 @@ class ShardManager(ReplicaPlacement):
                 continue
             for b in range(batch):
                 scores = self._degraded_scores(host.floats[sl], q_norm[b])
-                per_query_heaps[b].append(
-                    canonical_topk(scores, gidx, heap_k[b])
-                )
+                scores, top = canonical_topk(scores, gidx, top_k[b])
+                part_scores[b].append(scores)
+                part_gidx[b].append(top)
                 refined_total[b] += gidx.size
             timing.degraded_cpu_ns += self._degraded_cpu_ns(gidx.size, batch)
         answers: list[KNNAnswer] = []
         merge_candidates = 0
         degraded = bool(degraded_chunks)
         for b in range(batch):
-            merged = _merge_heaps(per_query_heaps[b], k_list[b])
-            merge_candidates += sum(len(h) for h in per_query_heaps[b])
-            items = merged.sorted_items()
+            scores, top = merge_topk(part_scores[b], part_gidx[b], k_list[b])
+            merge_candidates += sum(p.size for p in part_gidx[b])
             answers.append(
                 KNNAnswer(
-                    indices=np.array([i for _, i in items], dtype=np.int64),
-                    scores=np.array([s for s, _ in items], dtype=np.float64),
+                    indices=top,
+                    scores=scores,
                     refined=refined_total[b],
                     pruned=pruned_total[b],
                     approximate=approx_list[b],

@@ -6,11 +6,14 @@ below the final dot product, so a row whose ``max(query) * row_sum`` is
 at most ``2**53`` is exact in float64 whatever order BLAS sums in; wider
 rows are recomputed with the int64 matmul, which wraps mod 2**64. These
 properties pin the result to the int64 matmul — checksum rows, wrap past
-2**64, the int64 fallback and batch composition included — and pin the
-banked substrate's fast path to its instruction-stream oracle. The
+2**64, the int64 fallback and batch composition included — bound the
+transposed build to one full-size copy, and pin the banked substrate's
+fast path to its instruction-stream oracle. The
 crossbar substrate's fast path is pinned to its cell-level oracles by
 the fusion suite.
 """
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -146,6 +149,26 @@ class TestExactMatrix:
         back = bitslice.ExactMatrix(matrix).to_int64()
         assert back.dtype == np.int64 and back.flags.c_contiguous
         assert np.array_equal(back, matrix)
+
+    def test_build_holds_one_copy(self):
+        # the (dims, n) float64 copy is built block by block from the
+        # source: casting first and then transposing would hold a second
+        # full-size buffer at once
+        n, dims = 2000, 500
+        matrix = np.random.default_rng(0).integers(
+            0, 256, size=(n, dims), dtype=np.int64
+        )
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            wave = bitslice.ExactMatrix(matrix)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert wave.values.shape == (dims, n)
+        assert wave.values.flags.c_contiguous
+        copy_bytes, row_sum_bytes = n * dims * 8, n * 8
+        assert peak <= copy_bytes + row_sum_bytes + (64 << 10), peak
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ from repro.hardware.pim_array import PIMArray
 from repro.oracle import (
     LoopPIMArray,
     LoopShardManager,
+    _CanonicalHeap,
     crossbar_dot_loop,
     reconstruct_reference,
     shift_add_partials_reference,
@@ -36,9 +37,10 @@ from repro.oracle import (
 )
 from repro.serving import ShardManager
 from repro.serving.kernels import (
-    _CanonicalHeap,
     _canonical_prefix,
     canonical_topk,
+    exact_sq_distances,
+    refine_topk,
 )
 from repro.serving.sharding import _SHARD_CPU_MEMO_SIZE
 from repro.similarity.quantization import Quantizer
@@ -385,6 +387,80 @@ def _growth_case():
     return data, queries, 1, [1, 3, 10], approximate, "range", 8.0
 
 
+def _refine_case(seed, k, size, subset, ties):
+    """One query's refine inputs on a shard: ``(floats, sel, gidx, lb,
+    q_norm)``. Bounds are the exact scores minus random slack (none up
+    to loose), floored to a coarse grid so bounds tie; grid data makes
+    scores tie too."""
+    rng = np.random.default_rng(seed)
+    n_local = {
+        "empty": 0,
+        "at_most_k": int(rng.integers(1, k + 1)),
+        "k_plus_1": k + 1,
+        "large": int(rng.integers(k + 2, 300)),
+    }[size]
+    n_rows = n_local + (int(rng.integers(0, 20)) if subset else 0)
+    dims = 6
+    if ties:
+        floats = rng.integers(0, 3, size=(n_rows, dims)) / 2.0
+        q_norm = rng.integers(0, 3, size=dims) / 2.0
+    else:
+        floats = rng.random((n_rows, dims))
+        q_norm = rng.random(dims)
+    sel = rng.permutation(n_rows)[:n_local] if subset else None
+    gidx = rng.permutation(4 * n_rows + 1)[:n_local].astype(np.int64)
+    exact = exact_sq_distances(floats if sel is None else floats[sel], q_norm)
+    slack = rng.random(n_local) * rng.choice([0.0, 0.05, 0.5, 2.0])
+    lb = np.maximum(np.floor((exact - slack) * 8.0) / 8.0, 0.0)
+    return floats, sel, gidx, lb, q_norm
+
+
+def _refine_loop(floats, sel, gidx, lb, q_norm, k):
+    """The per-candidate scan the refine kernel replaces:
+    ``([(score, gidx), ...], refined)``."""
+    rows = floats if sel is None else floats[sel]
+    best = []
+    refined = 0
+    for j in np.lexsort((gidx, lb)):
+        if len(best) == k and lb[j] > best[-1][0]:
+            break  # ascending bounds: the rest prune too
+        score = float(exact_sq_distances(rows[j], q_norm)[0])
+        best = sorted(best + [(score, int(gidx[j]))])[:k]
+        refined += 1
+    return best, refined
+
+
+def _check_refine_kernel(case, k):
+    """Assert the kernel equals the loop; returns the loop's refined."""
+    scores, top, refined = refine_topk(*case, k)
+    best, want = _refine_loop(*case, k)
+    assert refined == want
+    assert list(zip(scores.tolist(), top.tolist())) == best
+    return refined
+
+
+_REFINE_SIZES = ["empty", "at_most_k", "k_plus_1", "large"]
+
+
+def _boundary_case(seed):
+    """Tight bounds on small grid data, one shard, one exact query."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 60))
+    dims = int(rng.integers(2, 6))
+    ks = [int(rng.integers(1, 8))]
+    data = rng.integers(0, 3, size=(n, dims)).astype(np.float64)
+    queries = rng.integers(0, 3, size=(1, dims)).astype(np.float64)
+    return data, queries, 1, ks, [False], "range", None
+
+
+#: the (k+1)-th bound equals the k-th best score: the strict ``>`` must
+#: refine that row rather than stop at it
+_BOUND_EQUALS_KTH = _boundary_case(3)
+#: more than k+1 rows share the (k+1)-th bound, so the canonical prefix
+#: holds more rows than the fast path scores
+_BOUNDARY_TIES = _boundary_case(18)
+
+
 def _managers(case, **kwargs):
     """The fused manager and its loop oracle."""
     data, _, n_shards, _, _, placement, alpha = case
@@ -403,6 +479,8 @@ def _managers(case, **kwargs):
 class TestServingFusion:
     @given(serving_cases())
     @example(_growth_case())
+    @example(_BOUND_EQUALS_KTH)
+    @example(_BOUNDARY_TIES)
     @settings(max_examples=20, deadline=None)
     def test_knn_batch_matches_reference_loops(self, case):
         _, queries, _, ks, approximate, _, _ = case
@@ -418,6 +496,51 @@ class TestServingFusion:
         assert tf.service_ns == tr.service_ns
         assert tf.per_shard_cpu_ns == tr.per_shard_cpu_ns
         assert tf.merge_cpu_ns == tr.merge_cpu_ns
+
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=1, max_value=15),
+        st.sampled_from(_REFINE_SIZES),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_refine_kernel_matches_loop(self, seed, k, size, subset, ties):
+        case = _refine_case(seed, k, size, subset, ties)
+        _check_refine_kernel(case, k)
+
+    def test_refine_kernel_takes_both_paths(self):
+        # the fast path stops right after the first k rows; the general
+        # path binary-searches a later stop (or scores every row)
+        paths = {"fast": 0, "general": 0}
+        for seed in range(120):
+            k = 1 + seed % 15
+            size = _REFINE_SIZES[2 + seed % 2]  # n_local > k
+            case = _refine_case(seed, k, size, seed % 3 == 0, seed % 5 < 3)
+            refined = _check_refine_kernel(case, k)
+            paths["fast" if refined == k else "general"] += 1
+        assert paths["fast"] > 0 and paths["general"] > 0, paths
+
+    def test_boundary_examples_reach_their_edge(self):
+        seen = []
+
+        class Recording(ShardManager):
+            def _refine_scan(self, shard, sel, gidx, lb, q_norm, k):
+                scores = exact_sq_distances(shard.floats, q_norm)
+                seen.append((lb, gidx, scores, k))
+                return super()._refine_scan(shard, sel, gidx, lb, q_norm, k)
+
+        for case in (_BOUND_EQUALS_KTH, _BOUNDARY_TIES):
+            data, queries, _, ks, approximate, _, _ = case
+            seen.clear()
+            Recording(data, n_shards=1).knn_batch(queries, ks, approximate)
+            ((lb, gidx, scores, k),) = seen
+            order = np.lexsort((gidx, lb))
+            bound = lb[order[k]]
+            if case is _BOUND_EQUALS_KTH:
+                assert bound == np.sort(scores[order[:k]])[k - 1]
+            else:
+                assert bound > 0 and np.count_nonzero(lb == bound) > k + 1
 
     @given(serving_cases())
     @settings(max_examples=15, deadline=None)
@@ -498,7 +621,8 @@ class TestServingFusion:
         for v, g in zip(values.tolist(), gidx.tolist()):
             heap.offer(v, g)
         assert heap.sorted_items() == expected
-        assert canonical_topk(values, gidx, k).sorted_items() == expected
+        scores, top = canonical_topk(values, gidx, k)
+        assert list(zip(scores.tolist(), top.tolist())) == expected
 
     @given(
         st.integers(min_value=0, max_value=5000),
