@@ -44,7 +44,7 @@ from repro.serving import (
     WorkloadDriver,
 )
 from repro.oracle import LoopShardManager
-from repro.serving.kernels import _canonical_prefix
+from repro.kernels import _canonical_prefix
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -293,7 +293,7 @@ def measure_bound_pipeline(smoke: bool = False, repeats: int = 5) -> dict:
     The fused serving scan visits candidates in the canonical
     ``lexsort((gidx, lb))`` order, but tight bounds let it stop after
     about ``k`` of them. So it orders only a
-    :func:`~repro.serving.kernels._canonical_prefix` of about ``4k``
+    :func:`~repro.kernels._canonical_prefix` of about ``4k``
     rows (a partition, then a lexsort of the rows at or below the
     partition value) instead of sorting every row. This microbench
     ranks the same per-query bounds both ways: each prefix must equal

@@ -84,14 +84,11 @@ class ApproximatePIMKNN(KNNAlgorithm):
             bytes_from_memory=12.0 * self.n_objects,
             branches=float(self.n_objects),
         )
-        order = np.argsort(estimates, kind="stable")[:k]
         pim_after = self.controller.pim.stats.pim_time_ns
-        return KNNResult(
-            indices=order.astype(np.int64),
-            scores=estimates[order],
-            counters=counters,
+        return self._finalize(
+            *self._topk(estimates, k),
+            counters,
             pim_time_ns=pim_after - pim_before,
-            exact_computations=0,
         )
 
 

@@ -17,23 +17,18 @@ paper's NVSim + Quartz summation.
 from __future__ import annotations
 
 import abc
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.cost.counters import OTHER, PerfCounters
 from repro.errors import ConfigurationError, OperandError
+from repro.kernels import canonical_topk
 from repro.similarity import measures
 
 #: Bytes one stored coordinate occupies on the modelled machines
 #: (the paper's baselines stream 32-bit values).
 OPERAND_BYTES = 4
-
-#: Largest block of the sorted filter-and-refine walk: each block's
-#: bounds and exact scores cost one array call per stage.
-CHUNK = 256
-
 
 @dataclass
 class KNNResult:
@@ -59,49 +54,6 @@ class KNNResult:
     pim_time_ns: float = 0.0
     exact_computations: int = 0
     stage_evaluations: dict[str, int] = field(default_factory=dict)
-
-
-class _Heap:
-    """Fixed-size best-k heap with threshold access.
-
-    Keeps the k best scores seen so far; ``threshold`` is the score a new
-    candidate must beat. For distances (minimise) it is the largest kept
-    value; for similarities (maximise) the smallest.
-    """
-
-    def __init__(self, k: int, minimize: bool) -> None:
-        self.k = k
-        self.minimize = minimize
-        self._heap: list[tuple[float, int]] = []
-
-    def push(self, score: float, index: int) -> None:
-        """Offer one candidate."""
-        key = -score if self.minimize else score
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, (key, index))
-        elif key > self._heap[0][0]:
-            heapq.heapreplace(self._heap, (key, index))
-
-    @property
-    def full(self) -> bool:
-        """Whether k candidates have been collected."""
-        return len(self._heap) >= self.k
-
-    @property
-    def threshold(self) -> float:
-        """Current pruning threshold (inf/-inf until the heap fills)."""
-        if not self.full:
-            return float("inf") if self.minimize else float("-inf")
-        key = self._heap[0][0]
-        return -key if self.minimize else key
-
-    def sorted_items(self) -> list[tuple[int, float]]:
-        """(index, score) pairs, best first."""
-        items = [
-            (index, -key if self.minimize else key)
-            for key, index in self._heap
-        ]
-        return sorted(items, key=lambda t: t[1] if self.minimize else -t[1])
 
 
 class KNNAlgorithm(abc.ABC):
@@ -208,21 +160,29 @@ class KNNAlgorithm(abc.ABC):
 
     def _finalize(
         self,
-        heap: _Heap,
+        indices: np.ndarray,
+        scores: np.ndarray,
         counters: PerfCounters,
         pim_time_ns: float = 0.0,
         exact_computations: int = 0,
         stage_evaluations: dict[str, int] | None = None,
     ) -> KNNResult:
-        items = heap.sorted_items()
         return KNNResult(
-            indices=np.array([i for i, _ in items], dtype=np.int64),
-            scores=np.array([s for _, s in items], dtype=np.float64),
+            indices=np.asarray(indices, dtype=np.int64),
+            scores=np.asarray(scores, dtype=np.float64),
             counters=counters,
             pim_time_ns=pim_time_ns,
             exact_computations=exact_computations,
             stage_evaluations=dict(stage_evaluations or {}),
         )
+
+    def _topk(self, scores: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+        """``(indices, scores)`` of the best ``k`` of all ``scores``: the
+        canonical top-k of the sign-adjusted scores (ties go to the
+        lowest index)."""
+        sign = 1.0 if self.minimize else -1.0
+        best, top = canonical_topk(sign * scores, np.arange(scores.size), k)
+        return top, sign * best
 
 
 def validate_query(q: np.ndarray, dims: int, k: int) -> np.ndarray:

@@ -1,30 +1,22 @@
 """Generic filter-and-refine kNN over a bound cascade.
 
 OST, SM, FNN and every PIM-optimized variant are thin subclasses that
-merely choose which bounds to stack; the scan/prune/refine loop and its
+merely choose which bounds to stack; the scan/prune/refine walk and its
 cost accounting live here once.
 
-The loop is the classic sorted filter-and-refine: the coarsest bound is
+The walk is the classic sorted filter-and-refine: the coarsest bound is
 computed for every object (one PIM wave when that bound lives on the
 crossbars), objects are visited in ascending bound order, finer bounds
 screen each candidate, survivors pay the exact measure, and the walk
 stops once the coarse bound itself exceeds the live k-th-best threshold
 — sortedness proves everything later loses too. Results are exact.
 
-The walk takes the sorted order in blocks (``2k`` rows, doubling up to
-``CHUNK``) and evaluates each block as a lazy cascade. The k-th-best
-threshold only tightens, so whatever the threshold at the start of a
-block stops or rejects stays stopped or rejected: the block is cut at
-that threshold's stop point, stage ``s`` runs only on the rows that
-pass every stage before it, and only rows that pass every stage pay the
-exact measure. An array replay then takes the per-row stop/skip/push
-decisions at the live threshold: between two heap pushes the threshold
-is fixed, so only stage survivors are visited one by one,
-``searchsorted`` finds the stop point and one pass finds each visited
-row's first failing stage for the evaluation counts. Bounds and measure
-score each row on its own, so a row scored in a subset has the bits it
-has alone, and every count and answer equals that of a
-one-candidate-at-a-time walk.
+The walk itself is :func:`repro.kernels.refine_topk`, the kernel the
+serving shards run too: candidates are visited in canonical
+``(bound, index)`` order and the answer is the canonical top-k, so ties
+resolve to the lowest index and a PIM variant returns its baseline's
+answer bit for bit. Bounds and measure score each row on its own, so
+every count and answer equals that of a one-candidate-at-a-time walk.
 """
 
 from __future__ import annotations
@@ -35,13 +27,8 @@ from repro.bounds.base import Bound
 from repro.cost.counters import OTHER, PerfCounters
 from repro.errors import PlanError
 from repro.hardware.controller import PIMController
-from repro.mining.knn.base import (
-    CHUNK,
-    KNNAlgorithm,
-    KNNResult,
-    _Heap,
-    validate_query,
-)
+from repro.kernels import refine_topk
+from repro.mining.knn.base import KNNAlgorithm, KNNResult, validate_query
 from repro.telemetry import get_recorder
 
 
@@ -124,23 +111,17 @@ class FilteredKNN(KNNAlgorithm):
         values = first.evaluate(q)
         first.charge(counters, self.n_objects)
 
-        # a lower bound prunes above the threshold, an upper one below
+        # a lower bound prunes above the threshold, an upper one below:
+        # negating an upper bound and its similarity makes both a lower
+        # bound and a distance, exactly
         sign = 1.0 if self.minimize else -1.0
-        keys = sign * values
-        order = np.argsort(keys)
-        heap = _Heap(k, self.minimize)
-        finer_evals = np.zeros(len(finer), dtype=np.int64)
-        exact = 0
-        stopped = False
-        start, size = 0, min(2 * k, CHUNK)
-        while start < self.n_objects and not stopped:
-            block = order[start : start + size]
-            start, size = start + size, min(2 * size, CHUNK)
-            pushed, stopped = self._walk_block(
-                q, block, keys[block], heap, finer_evals
-            )
-            exact += pushed
-        finer_evals = finer_evals.tolist()
+        scores, indices, exact, finer_evals, stopped = refine_topk(
+            lambda at: sign * self.exact_scores(q, at),
+            sign * values,
+            np.arange(self.n_objects),
+            k,
+            [lambda at, b=b: sign * b.evaluate(q, at) for b in finer],
+        )
 
         # one charge per bucket, in the order a per-candidate walk
         # first touches them (the cost model sums in insertion order)
@@ -171,88 +152,13 @@ class FilteredKNN(KNNAlgorithm):
             m.gauge("prune.ratio").set(1.0 - exact / self.n_objects)
             m.histogram("prune.survivors").observe(exact)
         return self._finalize(
-            heap,
+            indices,
+            sign * scores,
             counters,
             pim_time_ns=pim_after - pim_before,
             exact_computations=exact,
             stage_evaluations=stage_evals,
         )
-
-    def _walk_block(
-        self, q, block, firsts, heap, finer_evals
-    ) -> tuple[int, bool]:
-        """One block of the sorted walk: lazy stages, then an array replay.
-
-        ``firsts`` are the block's sorted coarse keys. Pushes the rows
-        that pass every stage at the live threshold onto ``heap``, adds
-        each finer stage's evaluations to ``finer_evals`` in place, and
-        returns the number of pushes and whether the walk stopped here.
-        """
-        finer = self.bounds[1:]
-        sign = 1.0 if self.minimize else -1.0
-        # the threshold only tightens, so what the block-start limit
-        # stops or rejects stays stopped or rejected: the rows that pass
-        # it are a superset of the rows the walk can still use
-        limit = sign * heap.threshold  # +inf until the heap fills
-        cut = int(np.searchsorted(firsts, limit, side="right"))
-        rows = block[:cut]
-        stage_values = np.full((cut, len(finer)), np.inf)
-        alive = np.arange(cut)
-        for s, bound in enumerate(finer):
-            # every stage runs on every block, on no rows if need be, so
-            # a PIM stage fires its one wave per query where the
-            # block-wide walk did
-            values = sign * bound.evaluate(q, rows[alive])
-            stage_values[alive, s] = values
-            alive = alive[~(values > limit)]
-        scores = self.exact_scores(q, rows[alive]).tolist()
-        heads = firsts[alive].tolist()
-        tops = (
-            stage_values[alive].max(axis=1).tolist()
-            if finer
-            else [-np.inf] * alive.size
-        )
-
-        # replay the per-row walk: between two pushes the limit is
-        # fixed, so only survivors of every stage can move the heap
-        pushed: list[int] = []
-        limits = [limit]
-        visited = cut
-        stopped = False
-        next_row = 0
-        for t, head, top, score in zip(alive.tolist(), heads, tops, scores):
-            if heap.full:
-                if head > limit:
-                    visited = next_row + int(
-                        np.searchsorted(firsts[next_row:t], limit, "right")
-                    )
-                    stopped = True
-                    break
-                if top > limit:
-                    continue
-            heap.push(score, int(rows[t]))
-            pushed.append(t)
-            limit = sign * heap.threshold
-            limits.append(limit)
-            next_row = t + 1
-        else:
-            if heap.full:
-                visited = next_row + int(
-                    np.searchsorted(firsts[next_row:cut], limit, "right")
-                )
-                stopped = visited < firsts.size
-        if finer and visited:
-            # each visited row at the limit in force when it was reached
-            # (a pushed row at the limit before its push): stage s ran
-            # on the rows that passed every stage before s
-            spans = np.diff([0, *(t + 1 for t in pushed), visited])
-            at = np.repeat(limits, spans)
-            passed = np.logical_and.accumulate(
-                ~(stage_values[:visited] > at[:, None]), axis=1
-            )
-            finer_evals[0] += visited
-            finer_evals[1:] += passed[:, :-1].sum(axis=0)
-        return len(pushed), stopped
 
     def query_batch(self, queries: np.ndarray, k: int) -> list[KNNResult]:
         """Batched filter-and-refine: one amortized wave per PIM bound.

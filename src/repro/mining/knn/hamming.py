@@ -20,7 +20,7 @@ from repro.cost.counters import PerfCounters
 from repro.errors import OperandError
 from repro.hardware.config import HardwareConfig, PIMArrayConfig
 from repro.hardware.controller import PIMController
-from repro.mining.knn.base import KNNAlgorithm, KNNResult, _Heap, validate_query
+from repro.mining.knn.base import KNNAlgorithm, KNNResult, validate_query
 from repro.similarity import measures
 
 
@@ -52,11 +52,9 @@ class HammingKNN(KNNAlgorithm):
         scores = measures.hamming_batch(self.data, q)
         self.charge_exact(counters, self.n_objects)
         self.charge_heap(counters, self.n_objects)
-        heap = _Heap(k, minimize=True)
-        for i, s in enumerate(scores):
-            heap.push(float(s), i)
         return self._finalize(
-            heap, counters, exact_computations=self.n_objects
+            *self._topk(scores, k), counters,
+            exact_computations=self.n_objects,
         )
 
 
@@ -90,12 +88,9 @@ class PIMHammingKNN(KNNAlgorithm):
         values = self._distance.evaluate(q)
         self._distance.charge(counters, self.n_objects)
         self.charge_heap(counters, self.n_objects)
-        heap = _Heap(k, minimize=True)
-        for i, s in enumerate(values):
-            heap.push(float(s), i)
         pim_after = self.controller.pim.stats.pim_time_ns
         return self._finalize(
-            heap,
+            *self._topk(values, k),
             counters,
             pim_time_ns=pim_after - pim_before,
             exact_computations=0,

@@ -20,6 +20,7 @@ from repro.bounds.pim import PIMEuclideanBound
 from repro.cost.counters import OTHER, PerfCounters
 from repro.errors import ConfigurationError, OperandError
 from repro.hardware.controller import PIMController
+from repro.kernels import canonical_topk, exact_sq_distances, refine_topk
 from repro.mining.knn.base import OPERAND_BYTES
 from repro.similarity.quantization import Quantizer
 
@@ -98,14 +99,14 @@ class StandardKNNJoin(_BaseKNNJoin):
         distances = np.empty((n_r, self.k))
         exact = 0
         for i in range(n_r):
-            diff = s - r[i]
-            d2 = np.einsum("sj,sj->s", diff, diff)
+            d2 = exact_sq_distances(s, r[i])
             exact += s.shape[0]
             mask = self._self_join_mask(i if self_join else None, s.shape[0])
-            candidates = np.nonzero(mask)[0]
-            order = candidates[np.argsort(d2[candidates], kind="stable")]
-            indices[i] = order[: self.k]
-            distances[i] = np.sqrt(d2[indices[i]])
+            candidates = np.flatnonzero(mask)
+            best, indices[i] = canonical_topk(
+                d2[candidates], candidates, self.k
+            )
+            distances[i] = np.sqrt(best)
             counters.record(OTHER, branches=float(s.shape[0]))
         self._charge_ed(counters, exact)
         return KNNJoinResult(
@@ -140,40 +141,35 @@ class PIMKNNJoin(_BaseKNNJoin):
     def join(
         self, r_data: np.ndarray | None = None
     ) -> KNNJoinResult:
-        """Exact neighbour lists via bound-sorted refinement."""
+        """Exact neighbour lists via bound-sorted refinement.
+
+        Each R row's walk is :func:`repro.kernels.refine_topk`, so ties
+        resolve to the lowest S index, as in :class:`StandardKNNJoin`.
+        """
         s = self.s_data
         self_join = r_data is None
         r = s if self_join else np.asarray(r_data, dtype=np.float64)
         counters = PerfCounters()
         pim_before = self.controller.pim.stats.pim_time_ns
-        # one wave per R-object, batched through the array
-        lb_matrix = np.sqrt(self._bound.evaluate_matrix(r))  # (|S|, |R|)
+        # one wave per R-object, batched through the array; squared
+        # bounds and scores order rows as StandardKNNJoin's sort does
+        lb_matrix = self._bound.evaluate_matrix(r)  # (|S|, |R|)
         self._bound.charge(counters, int(lb_matrix.size))
         n_r = r.shape[0]
         indices = np.empty((n_r, self.k), dtype=np.int64)
         distances = np.empty((n_r, self.k))
         exact = 0
         for i in range(n_r):
-            lbs = lb_matrix[:, i]
             mask = self._self_join_mask(i if self_join else None, s.shape[0])
-            candidates = np.nonzero(mask)[0]
-            order = candidates[np.argsort(lbs[candidates], kind="stable")]
-            kth = np.inf
-            kept: list[tuple[float, int]] = []
-            for j in order:
-                j = int(j)
-                if len(kept) >= self.k and lbs[j] >= kth:
-                    break  # sorted: nothing later can improve
-                diff = s[j] - r[i]
-                dist = float(np.sqrt(diff @ diff))
-                exact += 1
-                kept.append((dist, j))
-                kept.sort()
-                kept = kept[: self.k]
-                if len(kept) >= self.k:
-                    kth = kept[-1][0]
-            indices[i] = [j for _, j in kept]
-            distances[i] = [d for d, _ in kept]
+            candidates = np.flatnonzero(mask)
+            best, indices[i], n_exact, _, _ = refine_topk(
+                lambda at: exact_sq_distances(s[candidates[at]], r[i]),
+                lb_matrix[candidates, i],
+                candidates,
+                self.k,
+            )
+            distances[i] = np.sqrt(best)
+            exact += n_exact
         self._charge_ed(counters, exact)
         pim_after = self.controller.pim.stats.pim_time_ns
         return KNNJoinResult(

@@ -24,6 +24,7 @@ from repro.bounds.ed import PartitionUpperBound
 from repro.cost.counters import OTHER, PerfCounters
 from repro.errors import ConfigurationError, OperandError
 from repro.hardware.controller import PIMController
+from repro.kernels import canonical_topk
 from repro.mining.knn.base import OPERAND_BYTES
 from repro.similarity.quantization import Quantizer
 
@@ -37,6 +38,13 @@ class MIPSResult:
     counters: PerfCounters
     pim_time_ns: float = 0.0
     exact_computations: int = 0
+
+
+def _dots(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Inner products of ``rows`` with ``q``, each row reduced on its
+    own, so a product's bits do not depend on which rows share the call
+    (those of a BLAS ``gemv`` do)."""
+    return np.einsum("ij,j->i", np.atleast_2d(rows), q)
 
 
 class _BaseMIPS:
@@ -83,10 +91,16 @@ class _BaseMIPS:
         pim_time_ns: float,
         exact: int,
     ) -> MIPSResult:
-        order = np.argsort(products)[::-1][: self.top]
+        # the canonical top-t of the negated products: ties go to the
+        # lowest index, whichever order scored them
+        negated, top = canonical_topk(
+            -np.array(products, dtype=np.float64),
+            np.array(indices, dtype=np.int64),
+            self.top,
+        )
         return MIPSResult(
-            indices=np.array([indices[i] for i in order], dtype=np.int64),
-            products=np.array([products[i] for i in order]),
+            indices=top,
+            products=-negated,
             counters=counters,
             pim_time_ns=pim_time_ns,
             exact_computations=exact,
@@ -139,7 +153,7 @@ class StandardMIPS(_BaseMIPS):
             self._ub.charge(counters, 1)
             if len(kept_val) >= self.top and ub <= threshold:
                 continue
-            value = float(data[i] @ q)
+            value = float(_dots(data[i], q)[0])
             exact += 1
             kept_idx.append(i)
             kept_val.append(value)
@@ -206,7 +220,7 @@ class PIMMIPS(_BaseMIPS):
         # the top-t by guaranteed lower bound set the admission threshold
         threshold = float(np.sort(lower)[-self.top])
         candidates = np.nonzero(upper >= threshold)[0]
-        values = data[candidates] @ np.asarray(q, dtype=np.float64)
+        values = _dots(data[candidates], np.asarray(q, dtype=np.float64))
         exact = int(candidates.size)
         self._charge_dot(counters, exact)
         pim_after = self.controller.pim.stats.pim_time_ns

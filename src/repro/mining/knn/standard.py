@@ -9,12 +9,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cost.counters import PerfCounters
-from repro.mining.knn.base import KNNAlgorithm, KNNResult, _Heap, validate_query
+from repro.mining.knn.base import KNNAlgorithm, KNNResult, validate_query
 from repro.similarity import measures
 
 
 class StandardKNN(KNNAlgorithm):
-    """Exhaustive scan with a best-k heap."""
+    """Exhaustive scan with a canonical top-k cut."""
 
     name = "Standard"
 
@@ -28,11 +28,8 @@ class StandardKNN(KNNAlgorithm):
         scores = measures.compute_batch(self.measure, self.data, q)
         self.charge_exact(counters, self.n_objects)
         self.charge_heap(counters, self.n_objects)
-        heap = _Heap(k, self.minimize)
-        for i, s in enumerate(scores):
-            heap.push(float(s), i)
         return self._finalize(
-            heap,
+            *self._topk(scores, k),
             counters,
             exact_computations=self.n_objects,
             stage_evaluations={self.measure: self.n_objects},

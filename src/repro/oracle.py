@@ -27,7 +27,7 @@ from repro.hardware.bitslice import check_non_negative_integers, num_slices
 from repro.hardware.config import HardwareConfig, HBMPIMConfig
 from repro.hardware.crossbar import Crossbar, WaveResult
 from repro.hardware.pim_array import PIMArray
-from repro.serving.kernels import exact_sq_distances
+from repro.kernels import exact_sq_distances
 from repro.serving.sharding import ShardManager
 from repro.substrate.hbm_pim import HBMPIMArray
 
@@ -196,10 +196,9 @@ class LoopHBMPIMArray(HBMPIMArray):
 class _CanonicalHeap:
     """The k smallest candidates by ``(score, global index)`` lex order.
 
-    Unlike the mining layer's heap (which keeps the first-seen among
-    equal scores, a visit-order artifact), ties always resolve to the
-    lowest global index — the property that makes merged shard results
-    placement-invariant.
+    Ties always resolve to the lowest global index — the property that
+    makes merged shard results placement-invariant, and the rule every
+    top-k of :mod:`repro.kernels` keeps.
     """
 
     def __init__(self, k: int) -> None:
@@ -234,7 +233,7 @@ class LoopShardManager(ShardManager):
 
     Bounds are built one query (or one row) at a time, candidates are
     visited in the full ``lexsort((gidx, lb))`` order, and every exact
-    score is one :func:`~repro.serving.kernels.exact_sq_distances` call
+    score is one :func:`~repro.kernels.exact_sq_distances` call
     on one row.
     """
 

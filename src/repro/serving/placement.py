@@ -15,7 +15,7 @@ Two decisions, both taken here:
   candidate filter the repair layer uses too).
 
 Answers never depend on either decision: the quantizer is global and
-ties resolve canonically (:mod:`repro.serving.kernels`), so placement
+ties resolve canonically (:mod:`repro.kernels`), so placement
 changes *which* shards serve a chunk, never the values served.
 """
 

@@ -7,7 +7,7 @@ filter-and-refine its local rows, and merging the per-shard top-k lists
 — the SimplePIM-style thin software layer that turns N independent
 arrays into one logical store. Where rows and replicas live is decided
 in :mod:`repro.serving.placement`; every score, bound and top-k is a
-kernel of :mod:`repro.serving.kernels`. This module holds the dispatch.
+kernel of :mod:`repro.kernels`. This module holds the dispatch.
 
 Exactness and placement invariance
 ----------------------------------
@@ -82,7 +82,7 @@ from repro.serving.health import (
     ShardHealthTracker,
     backoff_ns,
 )
-from repro.serving.kernels import (
+from repro.kernels import (
     assign_sweep,
     canonical_topk,
     exact_sq_distances,
@@ -1222,7 +1222,7 @@ class ShardManager(ReplicaPlacement):
             return
 
     # ------------------------------------------------------------------
-    # kernel hooks: each calls into repro.serving.kernels, and
+    # kernel hooks: each calls into repro.kernels, and
     # repro.oracle.LoopShardManager overrides each with a plain loop
     # ------------------------------------------------------------------
     def _knn_bounds(
@@ -1242,7 +1242,14 @@ class ShardManager(ReplicaPlacement):
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """One query's canonical top-``k`` on ``shard``: ``(scores,
         gidx, refined)``, ``refined`` being the number of rows scored."""
-        return refine_topk(shard.floats, sel, gidx, lb, q_norm, k)
+        floats = shard.floats
+
+        def score(at: np.ndarray) -> np.ndarray:
+            return exact_sq_distances(
+                floats[at if sel is None else sel[at]], q_norm
+            )
+
+        return refine_topk(score, lb, gidx, k)[:3]
 
     def _degraded_scores(
         self, floats: np.ndarray, q_norm: np.ndarray

@@ -1,51 +1,46 @@
-"""Unit tests for kNN internals: the heap and the sorted refine loop."""
+"""Unit tests for kNN internals: canonical ties and the sorted refine."""
 
 import numpy as np
 import pytest
 
-from repro.bounds.ed import FNNBound, SMBound
-from repro.mining.knn.base import _Heap
+from repro.bounds.ed import FNNBound, PartitionUpperBound, SMBound
 from repro.mining.knn.filtered import FilteredKNN
 from repro.mining.knn.standard import StandardKNN
 
 
-class TestHeap:
-    def test_minimizing_keeps_smallest(self):
-        heap = _Heap(3, minimize=True)
-        for score, idx in [(5.0, 0), (1.0, 1), (3.0, 2), (2.0, 3), (9.0, 4)]:
-            heap.push(score, idx)
-        items = heap.sorted_items()
-        assert [i for i, _ in items] == [1, 3, 2]
-        assert [s for _, s in items] == [1.0, 2.0, 3.0]
+class TestCanonicalTies:
+    """Equal scores resolve to the lowest index, best first."""
 
-    def test_maximizing_keeps_largest(self):
-        heap = _Heap(2, minimize=False)
-        for score, idx in [(0.1, 0), (0.9, 1), (0.5, 2)]:
-            heap.push(score, idx)
-        items = heap.sorted_items()
-        assert [i for i, _ in items] == [1, 2]
+    @pytest.fixture
+    def data(self):
+        # rows 1, 3 and 4 tie at distance 1 from the origin, rows 0 and
+        # 2 at distance 2; rows 5 and 6 are far
+        return np.array(
+            [[2.0, 0.0], [0.0, 1.0], [0.0, 2.0], [1.0, 0.0], [0.0, 1.0],
+             [5.0, 5.0], [6.0, 6.0]]
+        )
 
-    def test_threshold_before_full(self):
-        heap = _Heap(3, minimize=True)
-        assert heap.threshold == float("inf")
-        heap.push(1.0, 0)
-        assert not heap.full
-        assert heap.threshold == float("inf")
+    def test_standard_keeps_lowest_tied_indices(self, data):
+        result = StandardKNN().fit(data).query(np.zeros(2), 4)
+        assert result.indices.tolist() == [1, 3, 4, 0]
+        assert result.scores.tolist() == [1.0, 1.0, 1.0, 4.0]  # squared
 
-    def test_threshold_after_full(self):
-        heap = _Heap(2, minimize=True)
-        heap.push(1.0, 0)
-        heap.push(5.0, 1)
-        assert heap.full
-        assert heap.threshold == 5.0
-        heap.push(2.0, 2)
-        assert heap.threshold == 2.0
+    def test_filtered_keeps_lowest_tied_indices(self, data):
+        result = FilteredKNN([FNNBound(1)]).fit(data).query(np.zeros(2), 2)
+        assert result.indices.tolist() == [1, 3]
+        assert result.scores.tolist() == [1.0, 1.0]
 
-    def test_maximizing_threshold(self):
-        heap = _Heap(2, minimize=False)
-        heap.push(0.2, 0)
-        heap.push(0.8, 1)
-        assert heap.threshold == 0.2
+    def test_similarity_ties_resolve_the_same_way(self, data):
+        # rows 1, 2 and 4 all have cosine similarity 1 to the query
+        q = np.array([0.0, 1.0])
+        want = StandardKNN("cosine").fit(data).query(q, 2)
+        got = FilteredKNN(
+            [PartitionUpperBound(1)], measure="cosine"
+        ).fit(data).query(q, 2)
+        assert want.indices.tolist() == [1, 2]
+        assert want.scores.tolist() == [1.0, 1.0]
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.scores, want.scores)
 
 
 class TestSortedRefineLoop:

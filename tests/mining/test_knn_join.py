@@ -49,17 +49,42 @@ class TestStandardKNNJoin:
             StandardKNNJoin(k=50).fit(s_data[:10])
 
 
+def assert_same_join(std, pim):
+    assert np.array_equal(std.indices, pim.indices)
+    assert np.array_equal(std.distances, pim.distances)
+
+
 class TestPIMKNNJoin:
     def test_matches_standard_self_join(self, s_data):
         std = StandardKNNJoin(k=3).fit(s_data).join()
         pim = PIMKNNJoin(k=3).fit(s_data).join()
-        assert np.allclose(std.distances, pim.distances)
+        assert_same_join(std, pim)
 
     def test_matches_standard_rs_join(self, s_data, rng):
         r = np.clip(rng.random((8, 16)), 0, 1)
         std = StandardKNNJoin(k=5).fit(s_data).join(r)
         pim = PIMKNNJoin(k=5).fit(s_data).join(r)
-        assert np.allclose(std.distances, pim.distances)
+        assert_same_join(std, pim)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_standard_on_uniform_data(self, seed):
+        s = np.random.default_rng(seed).random((200, 32))
+        std = StandardKNNJoin(k=4).fit(s).join()
+        pim = PIMKNNJoin(k=4).fit(s).join()
+        assert_same_join(std, pim)
+
+    def test_matches_standard_on_ties(self):
+        """A five-value alphabet and repeated rows: distances tie all
+        over (repeats at distance 0), and both joins keep the lowest
+        tied S indices in the same order."""
+        rng = np.random.default_rng(5)
+        s = rng.integers(0, 5, (200, 16)) / 4.0
+        dup = rng.choice(200, 50, replace=False)
+        s[dup] = s[rng.integers(0, 200, dup.size)]
+        for r in (None, s[::7]):
+            std = StandardKNNJoin(k=5).fit(s).join(r)
+            pim = PIMKNNJoin(k=5).fit(s).join(r)
+            assert_same_join(std, pim)
 
     def test_pim_computes_far_fewer_distances(self, s_data):
         std = StandardKNNJoin(k=3).fit(s_data).join()

@@ -1,8 +1,9 @@
 """The array-speed mining paths against the loops they replay.
 
-``FilteredKNN.query`` walks the sorted order in blocks as a lazy
-cascade with an array replay, and the Lloyd-PIM and Drake assign steps
-work on all points at once. The loops below are the
+``FilteredKNN.query`` walks the canonical ``(bound, index)`` order in
+blocks as a lazy cascade with an array replay
+(:func:`repro.kernels.refine_topk`), and the Lloyd-PIM and Drake assign
+steps work on all points at once. The loops below are the
 one-candidate-at-a-time and one-point-at-a-time walks those paths
 replace; on tie-heavy data (a five-value alphabet and duplicate rows)
 every answer, count, cost bucket, wave and simulated ns must come out
@@ -32,8 +33,8 @@ from repro.mining.knn import (
     SMPIMKNN,
     StandardPIMKNN,
 )
-from repro.mining.knn.base import CHUNK, _Heap
 from repro.mining.knn.filtered import FilteredKNN
+from repro.oracle import _CanonicalHeap
 
 
 def tie_heavy(n: int, dims: int, seed: int) -> np.ndarray:
@@ -53,42 +54,50 @@ def buckets(counters: PerfCounters) -> list:
 # kNN: the per-candidate filter-and-refine walk
 # ----------------------------------------------------------------------
 def loop_query(algo: FilteredKNN, q: np.ndarray, k: int):
+    """One candidate at a time, in canonical ``(key, index)`` order.
+
+    Keys and scores are sign-adjusted (a similarity and its upper
+    bounds negated), so the canonical heap keeps the k smallest
+    ``(score, index)`` pairs and its threshold is a k-th smallest score.
+    """
     pim_before = algo.controller.pim.stats.pim_time_ns if algo.controller else 0.0
     counters = PerfCounters()
     for bound in algo.bounds:
         bound.charge_query_setup(counters, algo.dims)
     first, finer = algo.bounds[0], algo.bounds[1:]
-    values = first.evaluate(q)
+    sign = 1.0 if algo.minimize else -1.0
+    keys = sign * first.evaluate(q)
     first.charge(counters, algo.n_objects)
     stage_evals = {b.name: 0 for b in algo.bounds}
     stage_evals[first.name] = algo.n_objects
-    order = np.argsort(values if algo.minimize else -values)
-    heap = _Heap(k, algo.minimize)
+    heap = _CanonicalHeap(k)
     exact = 0
-    for i in order:
-        if heap.full and first.prunes(values[i : i + 1], heap.threshold)[0]:
+    for i in np.lexsort((np.arange(keys.size), keys)):
+        if keys[i] > heap.threshold:
             counters.record(OTHER, branches=1.0)
             break
         candidate = int(i)
         pruned = False
         for bound in finer:
-            v = bound.evaluate(q, np.array([candidate]))
+            v = sign * bound.evaluate(q, np.array([candidate]))[0]
             bound.charge(counters, 1)
             stage_evals[bound.name] += 1
-            if heap.full and bound.prunes(v, heap.threshold)[0]:
+            if v > heap.threshold:
                 pruned = True
                 break
         if pruned:
             continue
-        score = float(algo.exact_scores(q, np.array([candidate]))[0])
+        score = sign * float(algo.exact_scores(q, np.array([candidate]))[0])
         algo.charge_exact(counters, 1)
         algo.charge_heap(counters, 1)
         exact += 1
-        heap.push(score, candidate)
+        heap.offer(score, candidate)
     stage_evals[algo.measure] = exact
     pim_after = algo.controller.pim.stats.pim_time_ns if algo.controller else 0.0
+    items = heap.sorted_items()
     return algo._finalize(
-        heap,
+        [i for _, i in items],
+        [sign * s for s, _ in items],
         counters,
         pim_time_ns=pim_after - pim_before,
         exact_computations=exact,
@@ -185,12 +194,12 @@ def test_filtered_knn_matches_per_candidate_loop(name):
     "name", ["FNN", "FNN-PIM", "FNN-PIM-finer", "UB_part-CS-ladder"]
 )
 def test_k_beyond_the_first_block_matches_loop(name):
-    """``k`` above ``CHUNK``: the heap is still filling across blocks."""
+    """A large ``k``: the threshold is still +inf across blocks."""
     n = 700
     data = tie_heavy(n, DIMS, seed=11)
     fast, slow = fitted_pair(name, data)
     for q in walk_queries(data)[[0, 4]]:
-        for k in (CHUNK + 1, 2 * CHUNK + 50):
+        for k in (257, 562):
             assert_same_walk(fast, slow, q, k, name)
 
 
@@ -219,10 +228,11 @@ class TableBound(Bound):
 def test_block_rejected_whole_by_its_first_finer_stage():
     """Every row of the second block fails the first finer stage.
 
-    Rows are visited in index order. The first block (``2k`` rows) sits
-    at distance 1/16, which fills the heap; the second block (``4k``
-    rows) is far, so LB_FNN at full resolution (the exact distance)
-    rejects all of it at block start and none of it is exact-scored.
+    Rows are visited in index order. The first ``2k`` rows sit at
+    distance 1/16, which fills the heap; the next ``4k`` rows are far
+    and hold a whole block of the walk (rows 8-17 for ``k = 3``), so
+    LB_FNN at full resolution (the exact distance) rejects all of it at
+    block start and none of it is exact-scored.
     """
     k, dims = 3, DIMS
     q = np.zeros(dims)
@@ -414,3 +424,23 @@ def test_drake_tracks_more_centers_than_exist():
         data, centers=centers.copy()
     )
     assert np.array_equal(drake.assignments, lloyd.assignments)
+
+
+# ----------------------------------------------------------------------
+# verification: a PIM variant and its baseline agree on ties
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("baseline", ["Standard", "OST", "SM", "FNN"])
+def test_accelerate_knn_verifies_on_tie_heavy_data(baseline):
+    """Scores tie all over, so answers match only if both sides keep
+    the lowest tied indices in the same order. The queries are dataset
+    rows (every 50th), so some rows sit at distance 0."""
+    from repro.core.framework import PIMAccelerator
+
+    accelerator = PIMAccelerator()
+    for seed in range(6):
+        data = tie_heavy(300, DIMS, seed)
+        for k in (1, 5, 10):
+            report = accelerator.accelerate_knn(
+                baseline, data, data[::50], k
+            )
+            assert report.results_match, (baseline, seed, k)

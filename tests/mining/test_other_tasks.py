@@ -59,7 +59,7 @@ class TestOutlierDetection:
             .detect()
         )
         assert np.allclose(np.sort(std.scores), np.sort(pim.scores))
-        assert set(std.indices.tolist()) == set(pim.indices.tolist())
+        assert np.array_equal(std.indices, pim.indices)
 
     def test_pim_computes_fewer_distances(self, outlier_data):
         std = (
@@ -147,7 +147,23 @@ class TestMIPS:
         q = rng.random(32)
         std = StandardMIPS(top=5).fit(data).query(q)
         pim = PIMMIPS(top=5).fit(data).query(q)
-        assert np.allclose(np.sort(std.products), np.sort(pim.products))
+        assert np.array_equal(std.indices, pim.indices)
+        assert np.array_equal(std.products, pim.products)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pim_matches_standard_on_ties(self, seed):
+        """A five-value alphabet and repeated rows: products tie all
+        over, and both variants keep the lowest tied indices."""
+        rng = np.random.default_rng(seed)
+        data = rng.integers(0, 5, (400, 32)) / 4.0
+        dup = rng.choice(400, 100, replace=False)
+        data[dup] = data[rng.integers(0, 400, dup.size)]
+        std = StandardMIPS(top=10).fit(data)
+        pim = PIMMIPS(top=10).fit(data)
+        for q in data[:6]:
+            a, b = std.query(q), pim.query(q)
+            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.products, b.products)
 
     def test_pim_computes_fewer_dots(self, data, rng):
         q = rng.random(32)

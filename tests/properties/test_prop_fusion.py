@@ -6,7 +6,7 @@ refinement) must be *bit-identical* — values, counts and simulated
 timings — to the sequential loop implementations they replaced, which
 live on as the :mod:`repro.oracle` classes. Integer paths are exact by
 mod-2**64 ring algebra; float paths share one canonical scoring kernel
-(:func:`repro.serving.kernels.exact_sq_distances`) whose per-row values
+(:func:`repro.kernels.exact_sq_distances`) whose per-row values
 are batch-independent. These properties are the contract that lets the
 simulator run orders of magnitude faster without moving a single bit.
 """
@@ -36,7 +36,7 @@ from repro.oracle import (
     slice_operands_reference,
 )
 from repro.serving import ShardManager
-from repro.serving.kernels import (
+from repro.kernels import (
     _canonical_prefix,
     canonical_topk,
     exact_sq_distances,
@@ -387,11 +387,11 @@ def _growth_case():
     return data, queries, 1, [1, 3, 10], approximate, "range", 8.0
 
 
-def _refine_case(seed, k, size, subset, ties):
-    """One query's refine inputs on a shard: ``(floats, sel, gidx, lb,
-    q_norm)``. Bounds are the exact scores minus random slack (none up
+def _refine_case(seed, k, size, subset, ties, n_stages=0):
+    """One query's refine inputs: ``(floats, sel, gidx, lb, q_norm,
+    stages)``. Bounds are the exact scores minus random slack (none up
     to loose), floored to a coarse grid so bounds tie; grid data makes
-    scores tie too."""
+    scores tie too. Each finer stage is such a bound of its own."""
     rng = np.random.default_rng(seed)
     n_local = {
         "empty": 0,
@@ -410,32 +410,73 @@ def _refine_case(seed, k, size, subset, ties):
     sel = rng.permutation(n_rows)[:n_local] if subset else None
     gidx = rng.permutation(4 * n_rows + 1)[:n_local].astype(np.int64)
     exact = exact_sq_distances(floats if sel is None else floats[sel], q_norm)
-    slack = rng.random(n_local) * rng.choice([0.0, 0.05, 0.5, 2.0])
-    lb = np.maximum(np.floor((exact - slack) * 8.0) / 8.0, 0.0)
-    return floats, sel, gidx, lb, q_norm
+
+    def bound():
+        slack = rng.random(n_local) * rng.choice([0.0, 0.05, 0.5, 2.0])
+        return np.maximum(np.floor((exact - slack) * 8.0) / 8.0, 0.0)
+
+    lb = bound()
+    return floats, sel, gidx, lb, q_norm, [bound() for _ in range(n_stages)]
 
 
-def _refine_loop(floats, sel, gidx, lb, q_norm, k):
-    """The per-candidate scan the refine kernel replaces:
-    ``([(score, gidx), ...], refined)``."""
+def _refine_loop(floats, sel, gidx, lb, q_norm, stages, k, sign):
+    """The per-candidate walk the refine kernel replaces, in the
+    problem's own direction: ``sign`` -1 turns every score into a
+    similarity and every bound into an upper bound, which prune below
+    the threshold. Returns ``([(score, gidx), ...], refined,
+    stage_evals, stopped)``, scores best first."""
     rows = floats if sel is None else floats[sel]
-    best = []
-    refined = 0
-    for j in np.lexsort((gidx, lb)):
-        if len(best) == k and lb[j] > best[-1][0]:
-            break  # ascending bounds: the rest prune too
-        score = float(exact_sq_distances(rows[j], q_norm)[0])
-        best = sorted(best + [(score, int(gidx[j]))])[:k]
+    lb = sign * lb
+    stages = [sign * stage for stage in stages]
+
+    def prunes(value, threshold):
+        return value > threshold if sign > 0 else value < threshold
+
+    best = []  # (sign * score, gidx): the canonical k best
+    refined, evals, stopped = 0, [0] * len(stages), False
+    for j in np.lexsort((gidx, sign * lb)):
+        full = len(best) == k
+        threshold = sign * best[-1][0] if full else None
+        if full and prunes(lb[j], threshold):
+            stopped = True
+            break  # sorted bounds: the rest prune too
+        skipped = False
+        for s, stage in enumerate(stages):
+            evals[s] += 1
+            if full and prunes(stage[j], threshold):
+                skipped = True
+                break
+        if skipped:
+            continue
+        score = sign * float(exact_sq_distances(rows[j], q_norm)[0])
+        best = sorted(best + [(sign * score, int(gidx[j]))])[:k]
         refined += 1
-    return best, refined
+    return [(sign * v, g) for v, g in best], refined, evals, stopped
 
 
-def _check_refine_kernel(case, k):
+def _check_refine_kernel(case, k, sign=1.0):
     """Assert the kernel equals the loop; returns the loop's refined."""
-    scores, top, refined = refine_topk(*case, k)
-    best, want = _refine_loop(*case, k)
-    assert refined == want
-    assert list(zip(scores.tolist(), top.tolist())) == best
+    floats, sel, gidx, lb, q_norm, stages = case
+    rows = floats if sel is None else floats[sel]
+
+    # the problem's own values (similarities and upper bounds when sign
+    # is -1), handed over sign-adjusted as FilteredKNN hands them
+    def native_scores(at):
+        return sign * exact_sq_distances(rows[at], q_norm)
+
+    native_stages = [sign * stage for stage in stages]
+    scores, top, exact, stage_evals, stopped = refine_topk(
+        lambda at: sign * native_scores(at),
+        sign * (sign * lb),
+        gidx,
+        k,
+        [lambda at, v=v: sign * v[at] for v in native_stages],
+    )
+    best, refined, evals, loop_stopped = _refine_loop(*case, k, sign)
+    assert exact == refined
+    assert stage_evals == evals
+    assert stopped == loop_stopped
+    assert list(zip((sign * scores).tolist(), top.tolist())) == best
     return refined
 
 
@@ -503,11 +544,16 @@ class TestServingFusion:
         st.sampled_from(_REFINE_SIZES),
         st.booleans(),
         st.booleans(),
+        st.integers(min_value=0, max_value=2),
+        st.sampled_from([1.0, -1.0]),
     )
-    @settings(max_examples=150, deadline=None)
-    def test_refine_kernel_matches_loop(self, seed, k, size, subset, ties):
-        case = _refine_case(seed, k, size, subset, ties)
-        _check_refine_kernel(case, k)
+    @settings(max_examples=200, deadline=None)
+    def test_refine_kernel_matches_loop(
+        self, seed, k, size, subset, ties, n_stages, sign
+    ):
+        """Coarse keys, 0-2 finer stages, lower or upper bounds."""
+        case = _refine_case(seed, k, size, subset, ties, n_stages)
+        _check_refine_kernel(case, k, sign)
 
     def test_refine_kernel_takes_both_paths(self):
         # the fast path stops right after the first k rows; the general

@@ -17,7 +17,7 @@ from repro.serving import (
     ShardPlacement,
     plan_placement,
 )
-from repro.serving.kernels import exact_sq_distances
+from repro.kernels import exact_sq_distances
 from repro.serving.sharding import GatherTiming
 
 
