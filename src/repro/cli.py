@@ -648,6 +648,43 @@ def _format_shard_health(entry: dict) -> str:
     return token
 
 
+def _fault_plan(args, topology, horizon_ns: float):
+    """The serve run's fault plan: ``--chaos``, ``--gray-chaos`` and
+    ``--domain-outage`` composed, or None without any of them.
+
+    A lone plan keeps its own seed; two or more merge their events under
+    ``--fault-seed``. The horizon is the run's expected length, so
+    mid-run faults land mid-run.
+    """
+    from repro.faults import FaultPlan
+
+    plans = []
+    if args.chaos:
+        plans.append(
+            FaultPlan.chaos(args.shards, horizon_ns, seed=args.fault_seed)
+        )
+    if args.gray_chaos:
+        plans.append(
+            FaultPlan.gray_chaos(
+                args.shards, horizon_ns, seed=args.fault_seed + 1
+            )
+        )
+    if args.domain_outage is not None:
+        plans.append(
+            FaultPlan.domain_outage(
+                topology,
+                horizon_ns,
+                seed=args.fault_seed + 2,
+                outage_domains=args.domain_outage,
+            )
+        )
+    if len(plans) < 2:
+        return plans[0] if plans else None
+    return FaultPlan(
+        [e for plan in plans for e in plan.events], seed=args.fault_seed
+    )
+
+
 def _cmd_serve(args, out) -> int:
     from repro.data.workloads import KINDS, make_workload
     from repro.serving import (
@@ -708,46 +745,7 @@ def _cmd_serve(args, out) -> int:
         )
     if args.domain_outage is not None and topology is None:
         raise SystemExit("--domain-outage requires --topology")
-    fault_plan = None
-    horizon_ns = args.requests / rate * 1e9
-    if args.chaos:
-        from repro.faults import FaultPlan
-
-        # horizon = expected run length, so the kill lands mid-run
-        fault_plan = FaultPlan.chaos(
-            args.shards,
-            horizon_ns=horizon_ns,
-            seed=args.fault_seed,
-        )
-    if args.gray_chaos:
-        from repro.faults import FaultPlan
-
-        gray = FaultPlan.gray_chaos(
-            args.shards, horizon_ns=horizon_ns, seed=args.fault_seed + 1
-        )
-        fault_plan = (
-            gray
-            if fault_plan is None
-            else FaultPlan(
-                fault_plan.events + gray.events, seed=args.fault_seed
-            )
-        )
-    if args.domain_outage is not None:
-        from repro.faults import FaultPlan
-
-        outage = FaultPlan.domain_outage(
-            topology,
-            horizon_ns=horizon_ns,
-            seed=args.fault_seed + 2,
-            outage_domains=args.domain_outage,
-        )
-        fault_plan = (
-            outage
-            if fault_plan is None
-            else FaultPlan(
-                fault_plan.events + outage.events, seed=args.fault_seed
-            )
-        )
+    fault_plan = _fault_plan(args, topology, args.requests / rate * 1e9)
     recovery = None
     if args.outlier_ejection or args.hedge_budget is not None:
         from repro.serving import RecoveryPolicy

@@ -12,11 +12,11 @@ mid-run. It provides:
   :class:`FaultyCrossbar` (cell-level stuck-at for the
   ``simulate_cells`` path), :class:`FaultyPIMArray` (array-level
   faults as a hook every wave of a device consults, so the device
-  books a stretched wave itself; composable with
+  books every slowdown of its target itself; composable with
   :class:`~repro.hardware.noise.NoisyPIMArray` and the
   :class:`~repro.hardware.endurance.EnduranceTracker`), and
-  :class:`FaultyShardEngine` (shard-level crash/hang/slow verdicts the
-  serving layer consults per dispatch);
+  :class:`FaultyShardEngine` (shard-level crash/hang/drop verdicts and
+  link delay the serving layer consults per dispatch);
 * residue/checksum integrity helpers (:mod:`repro.faults.integrity`)
   that flag corrupted waves without trusting analog values — one extra
   non-negative integer column per crossbar, paper-consistent;

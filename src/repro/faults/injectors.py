@@ -9,11 +9,12 @@ Three injection points, all driven by one :class:`~repro.faults.plan.FaultPlan`:
   :class:`~repro.hardware.noise.NoisyPIMArray` — faults compose with
   analog noise). The device consults it on every wave: a dead device
   raises, stuck-cell regions and transient corruption act on the
-  values, and latency spikes and bank-group stragglers stretch the
-  wave the device books;
+  values, and every slowdown — latency spikes, bank-group stragglers
+  and the shard-level ``slow_shard`` / ``intermittent_slow`` of its
+  target — stretches the wave the device books;
 * :class:`FaultyShardEngine` — a per-shard oracle the serving layer asks
   before each dispatch, returning a :class:`ShardVerdict`
-  (ok / crash / hang / slow).
+  (ok / crash / hang / drop, plus any link delay).
 
 Every injector keeps its own *fault clock* on the simulated timeline;
 hosts that know the dispatch time call :meth:`FaultyPIMArray.advance_to`,
@@ -95,10 +96,11 @@ class FaultyPIMArray:
     * :meth:`before_wave` — a dead device raises
       :class:`~repro.errors.CrossbarDeadError` before anything runs;
     * :meth:`after_wave` — stuck cells and corruption act on the values
-      the kernel (noise included) produced, and latency spikes and
-      bank-group stragglers stretch the wave's timing before the device
-      books it, so stats, spans and the returned timing carry one
-      number;
+      the kernel (noise included) produced, and every slowdown active
+      on the target (latency spikes, bank-group stragglers, slow and
+      intermittently slow shards) stretches the wave's timing before
+      the device books it, so stats, spans and the returned timing
+      carry one number;
     * :meth:`booked` — the fault clock advances by the simulated ns
       the device booked for the dispatch (every wave of a train).
 
@@ -372,30 +374,50 @@ class FaultyPIMArray:
                 )
         return factor
 
+    def _slow_factor(self) -> float:
+        """Product of the shard-level slowdowns active on the target.
+
+        A sustained ``slow_shard`` always counts; an
+        ``intermittent_slow`` window only in the slow part of its
+        period (phase-locked to the event start).
+        """
+        factor = 1.0
+        for event in self._active("slow_shard"):
+            factor *= float(event.params.get("factor", 10.0))
+        for event in self._active("intermittent_slow"):
+            period = float(event.params.get("period_ns", 1_000_000.0))
+            duty = float(event.params.get("duty", 0.5))
+            if period <= 0:
+                continue
+            if (self.now_ns - event.t_ns) % period < duty * period:
+                factor *= float(event.params.get("factor", 10.0))
+        return factor
+
     def _latency_factor(self, name: str) -> float:
-        """Product of the active latency spikes and bank-group stragglers."""
+        """Product of every slowdown active on the wave: latency spikes,
+        bank-group stragglers and shard-level slowdowns."""
         factor = 1.0
         events = self._active("latency_spike")
         if events:
             for event in events:
                 factor *= float(event.params.get("factor", 10.0))
             self._note("latency_spike", factor=factor)
-        return factor * self._bankgroup_factor(name)
+        return factor * self._bankgroup_factor(name) * self._slow_factor()
 
 
 @dataclass(frozen=True)
 class ShardVerdict:
     """What the fault plan says about one shard at one instant.
 
-    ``status`` is ``"ok"``, ``"crash"``, ``"hang"``, ``"drop"`` (the
-    host<->shard link ate the dispatch — fail fast, transient) or
-    ``"slow"``; ``factor`` is the service-time multiplier (1.0 unless
-    slow); ``delay_ns`` is additive link delay on top of the stretched
-    wave; ``event`` is the triggering fault, if any.
+    ``status`` is ``"ok"``, ``"crash"``, ``"hang"`` or ``"drop"`` (the
+    host<->shard link ate the dispatch — fail fast, transient);
+    ``delay_ns`` is additive link delay on a wave that runs (it is not
+    device time, so the device never books it); ``event`` is the
+    triggering fault, if any. Slowdowns are no verdict: the shard's
+    device stretches its own waves (:class:`FaultyPIMArray`).
     """
 
     status: str
-    factor: float = 1.0
     delay_ns: float = 0.0
     event: FaultEvent | None = None
 
@@ -407,13 +429,11 @@ class ShardVerdict:
 class FaultyShardEngine:
     """Per-shard fault oracle the serving layer consults each dispatch.
 
-    Crash dominates hang dominates link drop dominates slow: a crashed
-    shard fails fast regardless of other active faults, a hung one
-    never answers (the serving watchdog's problem), a dropped dispatch
-    fails fast but transiently, and a slow one answers late by the
-    product of the active slowdown factors (sustained ``slow_shard``
-    times any ``intermittent_slow`` window currently in its slow phase)
-    plus any ``link_flaky`` delay. Link draws are stateless
+    Crash dominates hang dominates link drop: a crashed shard fails
+    fast regardless of other active faults, a hung one never answers
+    (the serving watchdog's problem), and a dropped dispatch fails fast
+    but transiently. Otherwise the wave runs, late by any
+    ``link_flaky`` delay. Link draws are stateless
     (:meth:`FaultPlan.hash_unit`), so the verdict at an instant is a
     pure function of the plan — independent of call order.
     """
@@ -421,43 +441,6 @@ class FaultyShardEngine:
     def __init__(self, plan: FaultPlan, target: str) -> None:
         self.plan = plan
         self.target = target
-
-    def _link_verdict(self, now_ns: float) -> tuple[str, float, FaultEvent | None]:
-        """(status, delay_ns, event) of the host<->shard link."""
-        delay = 0.0
-        event_hit: FaultEvent | None = None
-        for event in self.plan.active(self.target, "link_flaky", now_ns):
-            drop_p = float(event.params.get("drop_probability", 0.0))
-            delay_p = float(event.params.get("delay_probability", 0.0))
-            u = self.plan.hash_unit(
-                self.target, f"link@{event.t_ns}", now_ns
-            )
-            if u < drop_p:
-                return "drop", 0.0, event
-            if u < drop_p + delay_p:
-                delay += float(event.params.get("delay_ns", 100_000.0))
-                event_hit = event
-        return "ok", delay, event_hit
-
-    def _slow_factor(self, now_ns: float) -> tuple[float, FaultEvent | None]:
-        """Product of the active sustained + intermittent slowdowns."""
-        factor = 1.0
-        event_hit: FaultEvent | None = None
-        for event in self.plan.active(self.target, "slow_shard", now_ns):
-            factor *= float(event.params.get("factor", 10.0))
-            event_hit = event_hit or event
-        for event in self.plan.active(
-            self.target, "intermittent_slow", now_ns
-        ):
-            period = float(event.params.get("period_ns", 1_000_000.0))
-            duty = float(event.params.get("duty", 0.5))
-            if period <= 0:
-                continue
-            phase = (now_ns - event.t_ns) % period
-            if phase < duty * period:
-                factor *= float(event.params.get("factor", 10.0))
-                event_hit = event_hit or event
-        return factor, event_hit
 
     def outcome(self, now_ns: float) -> ShardVerdict:
         """The shard's verdict at simulated time ``now_ns``."""
@@ -467,18 +450,20 @@ class FaultyShardEngine:
         hangs = self.plan.active(self.target, "shard_hang", now_ns)
         if hangs:
             return ShardVerdict(status="hang", event=hangs[0])
-        link_status, delay, link_event = self._link_verdict(now_ns)
-        if link_status == "drop":
-            return ShardVerdict(status="drop", event=link_event)
-        factor, slow_event = self._slow_factor(now_ns)
-        if factor != 1.0 or delay > 0.0:
-            return ShardVerdict(
-                status="slow",
-                factor=factor,
-                delay_ns=delay,
-                event=slow_event or link_event,
+        delay = 0.0
+        delayed_by: FaultEvent | None = None
+        for event in self.plan.active(self.target, "link_flaky", now_ns):
+            drop_p = float(event.params.get("drop_probability", 0.0))
+            delay_p = float(event.params.get("delay_probability", 0.0))
+            u = self.plan.hash_unit(
+                self.target, f"link@{event.t_ns}", now_ns
             )
-        return ShardVerdict(status="ok")
+            if u < drop_p:
+                return ShardVerdict(status="drop", event=event)
+            if u < drop_p + delay_p:
+                delay += float(event.params.get("delay_ns", 100_000.0))
+                delayed_by = event
+        return ShardVerdict(status="ok", delay_ns=delay, event=delayed_by)
 
     def crash_time(self) -> float | None:
         """Earliest scheduled crash of this shard (None if never)."""

@@ -32,17 +32,17 @@ dispatch):
   a whole-array slowdown. ``params``: ``factor``, ``groups`` (count of
   straggling groups, default 1).
 
-Shard-level (consulted by :class:`~repro.faults.injectors.FaultyShardEngine`):
+Shard-level (aimed at a serving shard's name, ``"shard<i>"``):
 
 * ``shard_crash``    — dispatches fail fast from ``t_ns`` on (permanent).
 * ``shard_hang``     — dispatches never complete while active; the
   serving watchdog converts this into a per-dispatch timeout.
-* ``slow_shard``     — shard service time multiplied by
-  ``params["factor"]`` while active (a *sustained* gray failure).
-* ``intermittent_slow`` — shard service time multiplied by
-  ``params["factor"]``, but only during the first ``params["duty"]``
-  fraction of each ``params["period_ns"]`` window (phase-locked to the
-  event start) — a shard that alternates fast/slow.
+* ``slow_shard``     — the shard's waves take ``params["factor"]``
+  times longer while active (a *sustained* gray failure).
+* ``intermittent_slow`` — the shard's waves take ``params["factor"]``
+  times longer, but only during the first ``params["duty"]`` fraction
+  of each ``params["period_ns"]`` window (phase-locked to the event
+  start) — a shard that alternates fast/slow.
 * ``link_flaky``     — the host<->shard link misbehaves per dispatch:
   with ``params["drop_probability"]`` the dispatch is dropped (fails
   fast, transient), else with ``params["delay_probability"]`` it is
@@ -50,6 +50,11 @@ Shard-level (consulted by :class:`~repro.faults.injectors.FaultyShardEngine`):
   from ``(seed, target, event, dispatch time)`` — so the verdict at an
   instant never depends on how many other draws happened first, and
   detector-on vs detector-off runs see identical link weather.
+
+The :class:`~repro.faults.injectors.FaultyShardEngine` rules on crash,
+hang and link per dispatch; the two slowdowns stretch the wave in the
+shard device's :class:`~repro.faults.injectors.FaultyPIMArray` hook,
+so the device books every slowdown.
 
 The gray kinds (everything that slows or delays but never corrupts)
 preserve bit-exactness by construction: slow answers are still correct

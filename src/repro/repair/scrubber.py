@@ -6,8 +6,9 @@ the next unlucky dispatch pays a retry/failover. The scrubber closes
 that gap: during idle windows of the simulated clock it walks the
 shards round-robin and fires a small *probe wave* (two query vectors —
 an all-ones vector that touches every programmed cell, plus one seeded
-random vector) through the exact same faulty-array path queries take,
-then re-verifies the residue checksum on the result. A silent defect is
+random vector) through the shard's one wave path (the one queries and
+hedges take), which re-verifies the residue checksum on the result and
+books the wave on the device, slowdowns included. A silent defect is
 therefore detected at most one ``scrub_period_ns`` of idle time after
 it appears, instead of on the next real query to hit it.
 
@@ -21,8 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import CrossbarDeadError
-from repro.faults.injectors import ShardVerdict
-from repro.faults.integrity import verify_wave_residues
 from repro.repair.policy import RepairPolicy
 from repro.serving.health import CRASH_DETECT_NS
 from repro.telemetry import get_recorder
@@ -61,7 +60,6 @@ class BackgroundScrubber:
                 rng.integers(0, 1 << bits, size=manager.dims, dtype=np.int64),
             ]
         )
-        self._bits = bits
 
     # ------------------------------------------------------------------
     @property
@@ -113,11 +111,9 @@ class BackgroundScrubber:
         if shard.n_rows == 0 or not self.manager.health.alive(s):
             return self._finish(result)
         shard.advance_clock(t_ns)
-        verdict = (
-            shard.fault_engine.outcome(t_ns)
-            if shard.fault_engine is not None
-            else ShardVerdict("ok")
-        )
+        # a probe runs through a dropped link and pays no link delay:
+        # it checks the device, not the path to it
+        verdict = shard.verdict(t_ns)
         if verdict.status == "crash":
             result.update(outcome="crash", cost_ns=CRASH_DETECT_NS)
             return self._finish(result)
@@ -127,22 +123,18 @@ class BackgroundScrubber:
             shard.busy_ns += cost
             return self._finish(result)
         try:
-            dots, pim_ns = shard.dot_products(self._queries)
+            _, pim_ns, bad = shard.fire(self._queries)
         except CrossbarDeadError:
             result.update(
                 outcome="dead_array", cost_ns=CRASH_DETECT_NS
             )
             return self._finish(result)
-        pim_ns *= verdict.factor
         shard.busy_ns += pim_ns
-        result["cost_ns"] = pim_ns
-        result["outcome"] = "clean"
-        if shard.verify and shard.n_rows:
-            clean = np.atleast_1d(verify_wave_residues(dots, self._bits))
-            bad = int(clean.size - np.count_nonzero(clean))
-            if bad:
-                result["outcome"] = "corrupt"
-                result["bad_waves"] = bad
+        result.update(
+            outcome="corrupt" if bad else "clean",
+            cost_ns=pim_ns,
+            bad_waves=bad,
+        )
         return self._finish(result)
 
     def _finish(self, result: dict) -> dict:

@@ -218,15 +218,18 @@ class GatherTiming:
 class _Shard:
     """One PIM module: a row subset, its side data, and its engine.
 
-    With ``verify=True`` the programmed matrix carries one extra
-    checksum row (see :mod:`repro.faults.integrity`), so waves return
-    ``n_rows + 1`` values; callers verify and strip the last column.
-    With a fault plan, the shard's device carries a
+    Every wave on the shard — a dispatch, a hedge, a scrub probe — goes
+    through :meth:`fire`. With ``verify=True`` the programmed matrix
+    carries one extra checksum row (see :mod:`repro.faults.integrity`),
+    which :meth:`fire` verifies and strips. With a fault plan, the
+    shard's device carries a
     :class:`~repro.faults.injectors.FaultyPIMArray` hook targeting this
-    shard's name (``faulty``: its fault clock and repair API) and a
+    shard's name (``faulty``: its fault clock and repair API), which
+    books every slowdown of the shard as device time, and a
     :class:`~repro.faults.injectors.FaultyShardEngine` answers
-    crash/hang/slow verdicts per dispatch. An empty shard has no array
-    until a replica lands on it.
+    crash/hang/drop verdicts and link delay per dispatch
+    (:meth:`verdict`). An empty shard has no array until a replica
+    lands on it.
     """
 
     def __init__(
@@ -254,6 +257,8 @@ class _Shard:
         # the merged PIMStats so hedging never double-counts device time.
         self.cancelled_pim_ns = 0.0
         self.hardware = hardware
+        #: operand width of the shard's integers (the checksum modulus)
+        self.bits = hardware.pim.operand_bits if hardware.pim else 8
         self.fault_plan = fault_plan
         self.spare_crossbars = spare_crossbars
         self.substrate = substrate
@@ -301,9 +306,7 @@ class _Shard:
             # (the rollback path re-programs from scratch)
             self.controller.pim.reset_matrix(self.name)
         payload = (
-            append_checksum_row(
-                self.integers, self.hardware.pim.operand_bits
-            )
+            append_checksum_row(self.integers, self.bits)
             if self.verify
             else self.integers
         )
@@ -357,12 +360,31 @@ class _Shard:
             return self.controller.pim.endurance
         return None
 
-    def dot_products(self, queries_int: np.ndarray) -> tuple[np.ndarray, float]:
-        """``(B, n_rows)`` integer dot products and their PIM time."""
+    def verdict(self, t_ns: float) -> ShardVerdict:
+        """The fault engine's verdict on a dispatch at ``t_ns``."""
+        if self.fault_engine is None:
+            return ShardVerdict("ok")
+        return self.fault_engine.outcome(t_ns)
+
+    def fire(self, q_int: np.ndarray) -> tuple[np.ndarray, float, int]:
+        """One batched wave of ``q_int``: ``(dots, pim_ns, bad)``.
+
+        ``dots`` are the ``(B, n_rows)`` integer dot products with the
+        checksum column verified and stripped, ``pim_ns`` the wave's
+        time as the device booked it (every slowdown included) and
+        ``bad`` the number of query rows whose residue check failed.
+        Raises :class:`~repro.errors.CrossbarDeadError` from a dead
+        device; an empty shard fires nothing.
+        """
         if self.n_rows == 0:
-            return np.zeros((queries_int.shape[0], 0), dtype=np.int64), 0.0
-        result = self.controller.dot_products_batch(self.name, queries_int)
-        return result.values, result.timing.total_ns
+            return np.zeros((q_int.shape[0], 0), dtype=np.int64), 0.0, 0
+        result = self.controller.dot_products_batch(self.name, q_int)
+        dots, bad = result.values, 0
+        if self.verify:
+            clean = np.atleast_1d(verify_wave_residues(dots, self.bits))
+            bad = int(clean.size - np.count_nonzero(clean))
+            dots = dots[:, : self.n_rows]
+        return dots, result.timing.total_ns, bad
 
 
 def _recovery_marker(tele, outcome: str, shard_id: int, n_chunks: int) -> None:
@@ -976,12 +998,6 @@ class ShardManager(ReplicaPlacement):
             return None
         return max(HEDGE_MIN_NS, HEDGE_P95_FACTOR * min(p95s))
 
-    def _verdict(self, shard: _Shard, t_ns: float) -> ShardVerdict:
-        """The fault engine's verdict on a dispatch to ``shard``."""
-        if self.fault_plan is None or shard.fault_engine is None:
-            return ShardVerdict("ok")
-        return shard.fault_engine.outcome(t_ns)
-
     def _dispatch(
         self,
         q_int: np.ndarray,
@@ -1017,7 +1033,6 @@ class ShardManager(ReplicaPlacement):
         tele = led.tele
         batch = q_int.shape[0]
         timeout_ns = self.recovery.dispatch_timeout_ns
-        bits = self.hardware.pim.operand_bits if self.hardware.pim else 8
         try:
             while led.pending:
                 groups: dict[int, list[int]] = {}
@@ -1043,7 +1058,7 @@ class ShardManager(ReplicaPlacement):
                         led.clock[s], max(led.ready[c] for c in chunks)
                     )
                     t_start = now_ns + start_rel
-                    verdict = self._verdict(shard, t_start)
+                    verdict = shard.verdict(t_start)
                     timing.attempts += 1
                     outcome = _VERDICT_OUTCOMES.get(verdict.status)
                     if outcome == "hang_timeout" and timeout_ns is None:
@@ -1057,7 +1072,6 @@ class ShardManager(ReplicaPlacement):
                     if outcome is not None:
                         led.fail(s, chunks, start_rel, outcome)
                         continue
-                    # ok / slow: fire the wave
                     shard.advance_clock(t_start)
                     with tele.span(
                         span_name, "serving",
@@ -1065,13 +1079,13 @@ class ShardManager(ReplicaPlacement):
                         substrate=shard.substrate,
                     ):
                         try:
-                            dots, pim_ns = shard.dot_products(q_int)
+                            dots, pim_ns, bad = shard.fire(q_int)
                         except CrossbarDeadError:
                             led.fail(s, chunks, start_rel, "crossbar_dead")
                             continue
-                        # slowdown scales the wave; a flaky link that
-                        # chose to delay (not drop) adds a flat stall
-                        pim_ns = pim_ns * verdict.factor + verdict.delay_ns
+                        # a flaky link that chose to delay (not drop)
+                        # adds a flat stall on top of the device's wave
+                        pim_ns += verdict.delay_ns
                         if (
                             self.fault_plan is not None
                             and timeout_ns is not None
@@ -1079,17 +1093,11 @@ class ShardManager(ReplicaPlacement):
                         ):
                             led.fail(s, chunks, start_rel, "timeout")
                             continue
-                        if shard.verify and shard.n_rows:
-                            clean = np.atleast_1d(
-                                verify_wave_residues(dots, bits)
+                        if bad:
+                            led.fail(
+                                s, chunks, start_rel, "corrupt", pim_ns, bad
                             )
-                            if not np.all(clean):
-                                led.fail(
-                                    s, chunks, start_rel, "corrupt", pim_ns,
-                                    int(clean.size - np.count_nonzero(clean)),
-                                )
-                                continue
-                            dots = dots[:, : shard.n_rows]
+                            continue
                         slices = [shard.chunk_slices[c] for c in chunks]
                         served = sum(sl.stop - sl.start for sl in slices)
                         if served == shard.n_rows:
@@ -1131,7 +1139,7 @@ class ShardManager(ReplicaPlacement):
                 # see their true busy times — evaluating inline would
                 # serialize the hedge *ahead* of a replica's own wave
                 for widx, trigger_ns, chunks in stragglers:
-                    self._hedge(led, q_int, widx, trigger_ns, chunks, bits)
+                    self._hedge(led, q_int, widx, trigger_ns, chunks)
         except BaseException:
             for s in led.claimed:
                 self.health.release_probe(s)
@@ -1145,7 +1153,6 @@ class ShardManager(ReplicaPlacement):
         widx: int,
         trigger_ns: float,
         chunks: list[int],
-        bits: int,
     ) -> None:
         """Race straggling wave ``widx`` against a copy on an idle replica.
 
@@ -1185,17 +1192,15 @@ class ShardManager(ReplicaPlacement):
                 return
             alt_start = max(led.clock[s2], hedge_start)
             alt.advance_clock(led.now_ns + alt_start)
-            verdict = self._verdict(alt, led.now_ns + alt_start)
-            if verdict.status not in ("ok", "slow"):
+            verdict = alt.verdict(led.now_ns + alt_start)
+            if not verdict.ok:
                 continue
             try:
-                dots2, pim2 = alt.dot_products(q_int)
+                _, pim2, bad = alt.fire(q_int)
             except CrossbarDeadError:
                 continue
-            pim2 = pim2 * verdict.factor + verdict.delay_ns
-            if alt.verify and alt.n_rows and not np.all(
-                verify_wave_residues(dots2, bits)
-            ):
+            pim2 += verdict.delay_ns
+            if bad:
                 timing.corrupt_detected += 1
                 continue
             timing.hedges += 1

@@ -4,7 +4,9 @@ import io
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _fault_plan, build_parser, main
+from repro.faults import FaultPlan
+from repro.hardware import FailureDomainTopology
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -177,3 +179,51 @@ class TestServeCommand:
         assert "prom written   :" in text
         assert trace.exists() and prom.exists()
         assert prom.read_text().rstrip().endswith("# EOF")
+
+
+class TestServeFaultPlan:
+    """``--chaos``, ``--gray-chaos`` and ``--domain-outage`` compose."""
+
+    HORIZON_NS = 2e6
+
+    @pytest.mark.parametrize(
+        "flags, parts",
+        [
+            (["--chaos"], ["chaos"]),
+            (["--gray-chaos"], ["gray"]),
+            (["--chaos", "--gray-chaos"], ["chaos", "gray"]),
+            (["--gray-chaos", "--domain-outage", "1"], ["gray", "outage"]),
+            (
+                ["--chaos", "--gray-chaos", "--domain-outage", "1"],
+                ["chaos", "gray", "outage"],
+            ),
+        ],
+    )
+    def test_plans_merge_under_the_fault_seed(self, flags, parts):
+        args = build_parser().parse_args(
+            ["serve", "--shards", "4", "--fault-seed", "5",
+             "--topology", "2x1x1", *flags]
+        )
+        topology = FailureDomainTopology(
+            n_shards=4, shards_per_board=2, boards_per_channel=1,
+            channels_per_power_domain=1,
+        )
+        h = self.HORIZON_NS
+        made = {
+            "chaos": FaultPlan.chaos(4, h, seed=5),
+            "gray": FaultPlan.gray_chaos(4, h, seed=6),
+            "outage": FaultPlan.domain_outage(
+                topology, h, seed=7, outage_domains=1
+            ),
+        }
+        plan = _fault_plan(args, topology, h)
+        events = [e for part in parts for e in made[part].events]
+        assert len(plan) == len(events)
+        # FaultPlan keeps its events sorted by (t_ns, target, kind)
+        assert plan.describe() == FaultPlan(events).describe()
+        # a lone plan keeps its own seed; a merge takes --fault-seed
+        assert plan.seed == (made[parts[0]].seed if len(parts) == 1 else 5)
+
+    def test_no_fault_flag_means_no_plan(self):
+        args = build_parser().parse_args(["serve"])
+        assert _fault_plan(args, None, self.HORIZON_NS) is None

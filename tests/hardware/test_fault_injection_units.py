@@ -343,6 +343,48 @@ class TestFaultyPIMArray:
             pytest.approx(array.stats.pim_time_ns, rel=1e-12)
         )
 
+    def test_slow_factors_multiply(self, array, rng):
+        """Two sustained slowdowns of the target book one 6x wave."""
+        queries = rng.integers(0, 256, size=(3, 8))
+        clean = array.query_batch("data", queries).timing.total_ns
+        plan = plan_of(
+            *(
+                FaultEvent(
+                    t_ns=0.0,
+                    kind="slow_shard",
+                    target="shard1",
+                    params={"factor": factor},
+                )
+                for factor in (2.0, 3.0)
+            )
+        )
+        FaultyPIMArray(array, plan, "shard1", auto_advance=False)
+        before = array.stats.pim_time_ns
+        timing = array.query_batch("data", queries).timing
+        assert timing.stretch == 6.0
+        assert timing.total_ns == clean * 6.0
+        assert array.stats.pim_time_ns - before == timing.total_ns
+
+    def test_intermittent_slow_stretches_only_its_slow_phase(
+        self, array, rng
+    ):
+        queries = rng.integers(0, 256, size=(3, 8))
+        clean = array.query_batch("data", queries).timing.total_ns
+        plan = plan_of(
+            FaultEvent(
+                t_ns=100.0,
+                kind="intermittent_slow",
+                target="shard0",
+                params={"factor": 5.0, "period_ns": 1_000.0, "duty": 0.25},
+            )
+        )
+        faulty = FaultyPIMArray(array, plan, "shard0", auto_advance=False)
+        for t_ns, stretch in [(50.0, 1.0), (100.0, 5.0), (349.0, 5.0),
+                              (350.0, 1.0), (1_200.0, 5.0)]:
+            faulty.advance_to(t_ns)
+            timing = array.query_batch("data", queries).timing
+            assert timing.total_ns == clean * stretch
+
     def test_stuck_cells_are_deterministic_and_change_values(
         self, array, rng
     ):
@@ -382,29 +424,10 @@ class TestFaultyShardEngine:
         assert verdict.status == "crash" and not verdict.ok
         assert engine.crash_time() == 100.0
 
-    def test_slow_factors_multiply(self):
-        plan = plan_of(
-            FaultEvent(
-                t_ns=0.0,
-                kind="slow_shard",
-                target="shard1",
-                params={"factor": 2.0},
-            ),
-            FaultEvent(
-                t_ns=0.0,
-                kind="slow_shard",
-                target="shard1",
-                params={"factor": 3.0},
-            ),
-        )
-        verdict = FaultyShardEngine(plan, "shard1").outcome(10.0)
-        assert verdict.status == "slow"
-        assert verdict.factor == pytest.approx(6.0)
-
     def test_healthy_shard_is_ok(self):
         engine = FaultyShardEngine(plan_of(), "shard0")
         verdict = engine.outcome(0.0)
-        assert verdict.ok and verdict.factor == 1.0
+        assert verdict.ok and verdict.delay_ns == 0.0
         assert engine.crash_time() is None
 
 

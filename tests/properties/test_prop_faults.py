@@ -26,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ChunkUnavailableError
-from repro.faults import FaultEvent, FaultPlan
+from repro.faults import ARRAY_FAULT_KINDS, FaultEvent, FaultPlan
 from repro.serving import RecoveryPolicy, ShardManager
 from repro.similarity.quantization import Quantizer
 
@@ -110,11 +110,8 @@ def clean_manager(data):
 
 
 #: Kinds whose cost only the dispatch ledger books: a hang is charged
-#: the watchdog's timeout, and the shard verdict stretches slow or
-#: delayed waves after the device ran them at its own speed.
-LEDGER_ONLY_KINDS = (
-    "shard_hang", "slow_shard", "intermittent_slow", "link_flaky"
-)
+#: the watchdog's timeout, and a flaky link's delay is not device time.
+LEDGER_ONLY_KINDS = ("shard_hang", "link_flaky")
 
 
 def assert_booked_consistently(manager, timings):
@@ -123,9 +120,10 @@ def assert_booked_consistently(manager, timings):
     Every attempt is booked once, so each shard's busy time equals the
     pim + cpu its dispatches recorded, and each dispatch's critical-path
     segments add back up to its ``service_ns``. ``timings`` must cover
-    every dispatch the manager served. Device faults (latency spikes,
-    bank-group stragglers, corruption, dead crossbars) are booked by the
-    device itself, so on a shard no ledger-only kind targets, the
+    every dispatch the manager served. Every slowdown (latency spikes,
+    bank-group stragglers, slow and intermittently slow shards),
+    corruption and dead crossbars are booked by the device itself, so
+    on a shard no ledger-only kind targets, the
     device's ``pim_time_ns`` equals the ledger's pim total plus the
     hedge-cancelled device time (these waves never reach the 50 ms
     watchdog).
@@ -215,6 +213,9 @@ class TestDeviceTimeIsTheLedgersTime:
             ("latency_spike", {"factor": 10.0}),
             # every bank group straggles, so any bank placement is hit
             ("bankgroup_straggler", {"factor": 4.0, "groups": 64}),
+            ("slow_shard", {"factor": 10.0}),
+            # the default 1 ms period: all three batches in its slow phase
+            ("intermittent_slow", {"factor": 10.0}),
         ],
     )
     def test_stretched_waves_are_booked_once(self, kind, params, substrate):
@@ -237,7 +238,8 @@ class TestDeviceTimeIsTheLedgersTime:
         # an empty plan keeps the checksum row, so only the stretch differs
         clean, _ = serve(FaultPlan([]))
         faulted, timings = serve(plan)
-        assert faulted.shards[1].faulty.injected[kind] == 3
+        if kind in ARRAY_FAULT_KINDS:
+            assert faulted.shards[1].faulty.injected[kind] == 3
         assert_booked_consistently(faulted, timings)
         factor = params["factor"]
         assert faulted.shards[1].pim_stats.pim_time_ns == pytest.approx(

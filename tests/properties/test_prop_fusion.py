@@ -655,6 +655,9 @@ class TestServingFusion:
         st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=80, deadline=None)
+    # the k-th smallest value ties across the partition boundary
+    @example([0.5, 0.0, 0.5, 1.0, 0.5, 0.0, 0.5], 3, 0)
+    @example([0.5, 0.0, 0.5, 1.0, 0.5, 0.0, 0.5], 5, 1)
     def test_canonical_topk_equals_lexsort_and_heap(self, values, k, seed):
         # a three-value alphabet makes ties the common case
         values = np.array(values, dtype=np.float64)

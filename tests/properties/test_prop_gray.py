@@ -35,6 +35,7 @@ from repro.faults import FaultEvent, FaultPlan
 from repro.serving import RecoveryPolicy, ShardHealthTracker, ShardManager
 from repro.serving import health
 from repro.similarity.quantization import Quantizer
+from test_prop_faults import assert_booked_consistently
 
 #: Coarse value grid -> many exact duplicate coordinates and rows.
 GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -141,18 +142,11 @@ class TestGrayExactness:
             assert np.array_equal(answers[0].scores, expected.scores)
             timings.append(timing)
             t += timing.service_ns + HORIZON_NS / 9.0
-        # hedge wins and losses book through the same path as waves:
-        # busy time is exactly what the dispatches recorded per shard
-        for s, shard in enumerate(manager.shards):
-            booked = sum(
-                t.per_shard_pim_ns[s] + t.per_shard_cpu_ns[s]
-                for t in timings
-            )
-            assert shard.busy_ns == pytest.approx(booked, rel=1e-9, abs=1e-6)
-        for t in timings:
-            path = t.critical_path()
-            segments = sum(v for key, v in path.items() if key != "shard")
-            assert segments == pytest.approx(t.service_ns, abs=1.0)
+        # hedge wins and losses book through the same path as waves, and
+        # the device books every slowdown: busy time is what the
+        # dispatches recorded, and on shards only slow kinds target the
+        # device's pim time is the ledger's
+        assert_booked_consistently(manager, timings)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=1, max_value=4), st.integers(0, 5))

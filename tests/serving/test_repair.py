@@ -184,6 +184,51 @@ class TestBackgroundScrubber:
         assert probe["outcome"] == "hang"
         assert probe["cost_ns"] > 0
 
+    def test_slow_shard_probe_costs_what_the_device_booked(self, data):
+        clean = BackgroundScrubber(build(data, []), RepairPolicy())
+        manager = build(
+            data,
+            [
+                FaultEvent(
+                    t_ns=0.0, kind="slow_shard", target="shard0",
+                    params={"factor": 10.0},
+                )
+            ],
+        )
+        scrubber = BackgroundScrubber(manager, RepairPolicy())
+        device = manager.shards[0].pim_stats
+        before = device.pim_time_ns
+        probe = scrubber.probe(1.0)
+        assert probe["outcome"] == "clean"
+        assert probe["cost_ns"] == device.pim_time_ns - before
+        assert probe["cost_ns"] == pytest.approx(
+            10.0 * clean.probe(1.0)["cost_ns"], rel=1e-12
+        )
+
+    @pytest.mark.parametrize("defect, outcome", [(None, "clean"),
+                                                 (stuck(0), "corrupt")])
+    def test_probe_fires_through_a_flaky_link(self, data, defect, outcome):
+        """A dropped or delayed link neither stops nor slows a probe."""
+        link = [
+            FaultEvent(
+                t_ns=0.0, kind="link_flaky", target="shard0",
+                params={"drop_probability": p, "delay_probability": 1 - p},
+            )
+            for p in (1.0, 0.0)
+        ]
+        clean = BackgroundScrubber(build(data, []), RepairPolicy())
+        want = clean.probe(1.0)["cost_ns"]
+        for event in link:
+            events = [event] if defect is None else [event, defect]
+            manager = build(data, events)
+            assert manager.shards[0].verdict(1.0).status == (
+                "drop" if event.params["drop_probability"] else "ok"
+            )
+            probe = BackgroundScrubber(manager, RepairPolicy()).probe(1.0)
+            assert probe["outcome"] == outcome
+            assert probe["cost_ns"] == want
+            assert manager.shards[0].busy_ns == want
+
     def test_report_accumulates_outcomes(self, data):
         manager = build(data, [stuck(0)])
         scrubber = BackgroundScrubber(manager, RepairPolicy())
