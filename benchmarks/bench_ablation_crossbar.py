@@ -1,7 +1,8 @@
 """Ablation — crossbar geometry and operand width vs wave latency.
 
 The simulated per-wave latency is driven by the DAC input slicing
-(``ceil(b/g)`` cycles), the gather-tree depth and the buffer drain.
+(``ceil(b/g)`` cycles per query), the setup cycles (gather-tree depth
+plus the pipeline drain) and the buffer drain.
 This bench sweeps crossbar size and operand width and prints the wave
 latency model's outputs, plus pytest-benchmark timings of the simulator
 itself (the functional dot-product path) for regression tracking.
@@ -19,7 +20,7 @@ from repro.hardware.config import (
 )
 from repro.hardware.mapper import plan_layout
 from repro.hardware.pim_array import PIMArray
-from repro.hardware.timing import wave_timing
+from repro.hardware.timing import batch_wave_timing
 
 GEOMETRIES = [64, 128, 256, 512]
 OPERAND_BITS = [8, 16, 32]
@@ -38,14 +39,14 @@ def test_ablation_wave_latency(benchmark, save_results):
             )
             hardware = HardwareConfig(pim=config)
             layout = plan_layout(N, DIMS, config)
-            timing = wave_timing(layout, config, hardware)
+            timing = batch_wave_timing(layout, config, hardware, 1)
             latencies[(rows_cols, bits)] = timing.total_ns
             rows.append(
                 [
                     f"{rows_cols}x{rows_cols}",
                     bits,
-                    timing.input_cycles,
-                    timing.gather_cycles,
+                    timing.per_query_cycles,
+                    timing.setup_cycles,
                     timing.total_ns,
                     layout.n_crossbars,
                 ]
@@ -54,8 +55,8 @@ def test_ablation_wave_latency(benchmark, save_results):
         [
             "crossbar",
             "operand bits",
-            "input cycles",
-            "gather cycles",
+            "per-query cycles",
+            "setup cycles",
             "wave (ns)",
             "crossbars used",
         ],

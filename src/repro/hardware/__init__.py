@@ -54,11 +54,10 @@ from repro.hardware.noise import (
 from repro.hardware.pim_array import (
     MatrixBatchState,
     PIMArray,
-    PIMBatchResult,
     PIMQueryResult,
     PIMStats,
 )
-from repro.hardware.timing import BatchWaveTiming, WaveTiming
+from repro.hardware.timing import BatchWaveTiming
 from repro.hardware.reprogramming import (
     ChunkedDotProductEngine,
     ReprogrammingStats,
@@ -87,7 +86,6 @@ __all__ = [
     "NoisyPIMArray",
     "PIMArray",
     "PIMArrayConfig",
-    "PIMBatchResult",
     "PIMController",
     "PIMQueryResult",
     "PIMStats",
@@ -95,7 +93,6 @@ __all__ = [
     "ReprogrammingStats",
     "TracingPIMController",
     "WaveResult",
-    "WaveTiming",
     "baseline_platform",
     "compensate_dot_lower",
     "compensate_dot_upper",

@@ -11,11 +11,12 @@ resident data. This module models exactly that:
 * :func:`plan_bank_layout` — block-distributes an ``n x dims`` integer
   matrix over the available banks (bank ``j`` holds vectors
   ``[j*vpb, (j+1)*vpb)``), maximising MAC parallelism;
-* :func:`bank_batch_timing` / :func:`bank_wave_timing` — per-command DRAM
-  timing: MAC bursts paced by ``tCCD``, row switches paying
-  ``tRP + tRCD``, the query broadcast as ``MOV`` bursts, and a GRF-
-  pressure term (a query longer than ``grf_entries`` bursts is streamed
-  in segments, re-activating each vector's rows once per segment);
+* :func:`bank_batch_timing` — per-command DRAM timing of a wave of
+  ``n_queries`` queries (a single wave is ``n_queries=1``): MAC bursts
+  paced by ``tCCD``, row switches paying ``tRP + tRCD``, the query
+  broadcast as ``MOV`` bursts, and a GRF-pressure term (a query longer
+  than ``grf_entries`` bursts is streamed in segments, re-activating
+  each vector's rows once per segment);
 * :func:`bank_program_ns` — programming writes all banks in parallel at
   burst granularity (DRAM writes, no SET/RESET cost — far cheaper than
   crossbar programming);
@@ -26,10 +27,10 @@ instruction-stream oracle (:func:`repro.oracle.bank_dot_loop`, which
 executes the generated MOV/FILL/MAC/result stream bank by bank, burst by
 burst, with GRF semantics) are bit-identical; only the cost model
 differs from the crossbar substrate. The timing results reuse the
-crossbar model's :class:`~repro.hardware.timing.WaveTiming` containers
-(field mapping documented on each function), so every downstream
-consumer — telemetry spans, fault latency inflation, serving accounting —
-works unchanged.
+crossbar model's :class:`~repro.hardware.timing.BatchWaveTiming`
+container (field mapping documented on :func:`bank_batch_timing`), so
+every downstream consumer — telemetry spans, fault latency inflation,
+serving accounting — works unchanged.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.config import HardwareConfig, HBMPIMConfig
-from repro.hardware.timing import BatchWaveTiming, WaveTiming
+from repro.hardware.timing import BatchWaveTiming
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,8 @@ def bank_instruction_counts(layout: BankLayout, n_queries: int = 1) -> dict:
     The counts feed the backend-specific ``PIMStats.extra`` counters and
     the energy model; they are exactly the commands
     :func:`repro.oracle.bank_dot_loop` executes. Row activations are
-    charged once per dispatched batch (rows stay open between queries of
-    one dispatch), matching :func:`bank_batch_timing`.
+    charged once per wave (rows stay open between the queries of one
+    wave), matching :func:`bank_batch_timing`.
     """
     vpb = layout.vectors_per_bank
     return {
@@ -170,12 +171,12 @@ def bank_batch_timing(
     hardware: HardwareConfig,
     n_queries: int,
 ) -> BatchWaveTiming:
-    """Per-command DRAM timing of one batched all-bank wave.
+    """Per-command DRAM timing of one all-bank wave of ``n_queries``.
 
     Field mapping onto the shared :class:`BatchWaveTiming` container:
 
     * ``setup_cycles`` — row activate/precharge cycles, charged once per
-      batch (rows stay open between queries of one dispatch; the
+      wave (rows stay open between queries of one dispatch; the
       GRF-segment multiplier still applies, a long query re-opens rows
       per segment);
     * ``per_query_cycles`` — query-broadcast MOVs plus the busiest
@@ -205,30 +206,6 @@ def bank_batch_timing(
         per_query_cycles=per_query,
         crossbar_ns=cycles * config.tck_ns,
         buffer_ns=buffer_ns,
-    )
-
-
-def bank_wave_timing(
-    layout: BankLayout,
-    config: HBMPIMConfig,
-    hardware: HardwareConfig,
-) -> WaveTiming:
-    """Timing of a single (unbatched) wave.
-
-    Defined as the batch timing at ``n_queries=1`` and repackaged in the
-    single-wave container: ``input_cycles`` carries the MAC/FILL/drain
-    stream, ``gather_cycles`` the query-broadcast MOVs, and
-    ``pipeline_cycles`` the row activates — so ``total_cycles`` equals
-    the batch's cycle count exactly.
-    """
-    batch = bank_batch_timing(layout, config, hardware, 1)
-    broadcast_cycles = layout.bursts_per_vector * config.mov_cycles
-    return WaveTiming(
-        input_cycles=batch.per_query_cycles - broadcast_cycles,
-        gather_cycles=broadcast_cycles,
-        pipeline_cycles=batch.setup_cycles,
-        crossbar_ns=batch.crossbar_ns,
-        buffer_ns=batch.buffer_ns,
     )
 
 

@@ -133,10 +133,9 @@ class TracingPIMController(PIMController):
             )
         return receipt
 
-    def _record_wave(self, name: str, result: PIMQueryResult, waves: int):
-        self.trace.append(
-            Instruction("COMPUTE", name, detail=f"{waves} wave(s)")
-        )
+    def _record_wave(self, name: str, result: PIMQueryResult, detail: str):
+        """Append one dispatch's COMPUTE + READBUF pair; returns ``result``."""
+        self.trace.append(Instruction("COMPUTE", name, detail=detail))
         self.trace.append(
             Instruction(
                 "READBUF",
@@ -146,39 +145,25 @@ class TracingPIMController(PIMController):
                 / 8.0,
             )
         )
+        return result
 
     def dot_products(self, name, query, input_bits=None):
         result = super().dot_products(name, query, input_bits=input_bits)
-        self._record_wave(name, result, waves=1)
-        return result
+        return self._record_wave(name, result, "1 wave(s)")
 
     def dot_products_many(self, name, queries, input_bits=None):
         result = super().dot_products_many(
             name, queries, input_bits=input_bits
         )
-        self._record_wave(
-            name, result, waves=int(np.atleast_2d(queries).shape[0])
-        )
-        return result
+        n = len(result.values)
+        return self._record_wave(name, result, f"{n} wave(s)")
 
     def dot_products_batch(self, name, queries, input_bits=None):
         result = super().dot_products_batch(
             name, queries, input_bits=input_bits
         )
-        n = int(np.atleast_2d(queries).shape[0])
-        self.trace.append(
-            Instruction("COMPUTE", name, detail=f"batch of {n}")
-        )
-        self.trace.append(
-            Instruction(
-                "READBUF",
-                name,
-                payload_bytes=float(result.values.size)
-                * self.pim.config.accumulator_bits
-                / 8.0,
-            )
-        )
-        return result
+        n = len(result.values)
+        return self._record_wave(name, result, f"batch of {n}")
 
     def reset_matrix(self, name: str) -> None:
         """Erase a matrix and record the RESET."""

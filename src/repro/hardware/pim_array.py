@@ -38,7 +38,7 @@ anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,25 +57,19 @@ from repro.hardware.mapper import (
 )
 from repro.hardware.timing import (
     BatchWaveTiming,
-    WaveTiming,
     batch_wave_timing,
     programming_time_ns,
-    wave_timing,
 )
 from repro.telemetry import get_recorder
 
 
 @dataclass(frozen=True)
 class PIMQueryResult:
-    """Values plus timing of one dot-product wave."""
+    """Values plus timing of one dispatch.
 
-    values: np.ndarray
-    timing: WaveTiming
-
-
-@dataclass(frozen=True)
-class PIMBatchResult:
-    """Values plus timing of one batched multi-query wave."""
+    ``timing`` prices one wave of the dispatch: the whole batch of a
+    :meth:`Substrate.query_batch`, one query's wave otherwise.
+    """
 
     values: np.ndarray
     timing: BatchWaveTiming
@@ -222,12 +216,7 @@ class PIMStats:
                         f"merge() would double count matrix {key!r}; "
                         "pass distinct prefixes"
                     )
-                merged.per_matrix[key] = MatrixBatchState(
-                    waves=state.waves,
-                    batches=state.batches,
-                    batched_queries=state.batched_queries,
-                    pim_time_ns=state.pim_time_ns,
-                )
+                merged.per_matrix[key] = replace(state)
         return merged
 
 
@@ -265,10 +254,12 @@ class Substrate:
     """Base of every memory-side compute device.
 
     Owns the decisions every backend shares: the ``program_matrix``
-    checks and booking, the three wave dispatch styles (validation,
-    buffer drain, :class:`PIMStats` and per-matrix booking, telemetry
-    spans and wave metrics) and the spare-pool remap. Conventions the
-    exactness and repair invariants lean on:
+    checks and booking, wave dispatch (validation, buffer drain,
+    :class:`PIMStats` and per-matrix booking, telemetry spans and wave
+    metrics) and the spare-pool remap. The three dispatch styles —
+    :meth:`query`, :meth:`query_many`, :meth:`query_batch` — are thin
+    wrappers of one body, :meth:`_dispatch`: a single wave is a batch
+    of one. Conventions the exactness and repair invariants lean on:
 
     * arithmetic is exact integer dot products truncated to
       ``config.accumulator_bits``, so answers are independent of the
@@ -282,13 +273,13 @@ class Substrate:
     tag) and ``_span_attrs`` (extra attributes of every span), and
     implements the hooks below: placement (:meth:`_place`,
     :meth:`_release`, :meth:`_move_to_spare`), timing
-    (:meth:`_program_ns`, :meth:`_wave_timing`, :meth:`_batch_timing`)
+    (:meth:`_program_ns`, :meth:`_batch_timing`)
     and capacity (:meth:`units_needed`, :meth:`fits_matrix`). The
     kernel hook :meth:`_raw_values` is what the loop oracles in
     :mod:`repro.oracle` override.
 
     A :class:`~repro.faults.injectors.FaultyPIMArray` attaches itself
-    as ``_faults``. Every dispatch style then asks it twice: before the
+    as ``_faults``. The dispatch body then asks it twice: before the
     wave (a dead device raises) and between the kernel and the booking
     (stuck cells and corruption act on the values, stragglers stretch
     the timing). Stats, spans and the returned timing all carry the
@@ -503,44 +494,14 @@ class Substrate:
         the least-significant 64 bits; 32 for binary codes) and pass
         through the buffer array, which the host drains synchronously.
         """
-        faults = self._faults
-        if faults is not None:
-            faults.before_wave()
-        record = self._record(name)
         vector = np.asarray(vector)
         if vector.ndim != 1:
-            raise OperandError(
-                f"query must be a vector of length {record.layout.dims}"
-            )
-        bits = self._bits(input_bits)
-        vectors = vector[np.newaxis, :]
-        values = self._values(record, vectors, bits)
-        timing = self._wave_timing(record.layout, bits)
-        if faults is not None:
-            values, timing = faults.after_wave(name, vectors, values, timing)
-        values = values[0]
-        if values.nbytes <= self.buffer.free_bytes:
-            self.buffer.push(values)
-            self.buffer.pop()
-        results = int(values.shape[0])
-        self._book(name, record.layout, 1, results, timing.total_ns)
-        tele = get_recorder()
-        if tele.enabled:
-            with tele.span(
-                "pim.wave", "pim_dispatch",
-                matrix=name, queries=1, results=results,
-                input_cycles=timing.input_cycles,
-                gather_cycles=timing.gather_cycles,
-                pipeline_cycles=timing.pipeline_cycles,
-                crossbar_ns=timing.crossbar_ns,
-                buffer_ns=timing.buffer_ns,
-                **self._span_attrs,
-            ):
-                tele.advance(timing.total_ns)
-            self._record_wave_metrics(
-                tele, waves=1, cycles=timing.input_cycles, results=results
-            )
-        return PIMQueryResult(values=values, timing=timing)
+            dims = self._record(name).layout.dims
+            raise OperandError(f"query must be a vector of length {dims}")
+        values, timing = self._dispatch(
+            name, vector[np.newaxis, :], input_bits, "pim.wave", False
+        )
+        return PIMQueryResult(values=values[0], timing=timing)
 
     def query_many(
         self,
@@ -554,38 +515,13 @@ class Substrate:
         its own wave, charged separately — but evaluated as a single
         matrix product, which keeps large sweeps (k-means iterations
         firing one wave per center) fast to simulate. Returns values of
-        shape ``(n_queries, n_programmed_vectors)``.
+        shape ``(n_queries, n_programmed_vectors)`` and the timing of
+        each single wave.
         """
-        faults = self._faults
-        if faults is not None:
-            faults.before_wave()
-        record = self._record(name)
-        vectors = np.atleast_2d(np.asarray(vectors))
-        bits = self._bits(input_bits)
-        values = self._values(record, vectors, bits)
-        timing = self._wave_timing(record.layout, bits)
-        if faults is not None:
-            values, timing = faults.after_wave(name, vectors, values, timing)
-        n = vectors.shape[0]
-        results = int(values.size)
-        self._book(name, record.layout, n, results, timing.total_ns * n)
-        tele = get_recorder()
-        if tele.enabled:
-            with tele.span(
-                "pim.wave_train", "pim_dispatch",
-                matrix=name, queries=n, results=results,
-                input_cycles=timing.input_cycles * n,
-                gather_cycles=timing.gather_cycles * n,
-                pipeline_cycles=timing.pipeline_cycles * n,
-                crossbar_ns=timing.crossbar_ns * n,
-                buffer_ns=timing.buffer_ns * n,
-                **self._span_attrs,
-            ):
-                tele.advance(timing.total_ns * n)
-            self._record_wave_metrics(
-                tele, waves=n, cycles=timing.input_cycles * n,
-                results=results,
-            )
+        values, timing = self._dispatch(
+            name, np.atleast_2d(np.asarray(vectors)), input_bits,
+            "pim.wave_train", False,
+        )
         return PIMQueryResult(values=values, timing=timing)
 
     def query_batch(
@@ -593,89 +529,94 @@ class Substrate:
         name: str,
         vectors: np.ndarray,
         input_bits: int | None = None,
-    ) -> PIMBatchResult:
+    ) -> PIMQueryResult:
         """Fire one *batched* wave: all rows of ``vectors`` in one dispatch.
 
         Values are bit-identical to looping :meth:`query`, and each row
         still counts as one logical wave in :attr:`stats`, but the
-        backend's batch timing amortizes the per-wave setup (pipeline
-        fill on crossbars, row activation on banks) across the batch;
+        backend's timing amortizes the per-wave setup (pipeline fill on
+        crossbars, row activation on banks) across the batch;
         ``batch_saved_ns`` records the difference.
         """
-        faults = self._faults
-        if faults is not None:
-            faults.before_wave()
-        record = self._record(name)
-        vectors = np.atleast_2d(np.asarray(vectors))
-        bits = self._bits(input_bits)
-        values = self._values(record, vectors, bits)
-        n = vectors.shape[0]
-        timing = self._batch_timing(record.layout, n, bits)
-        single = self._wave_timing(record.layout, bits)
-        # the saving batching makes on this device, whatever stretches it
-        saved_ns = n * single.total_ns - timing.total_ns
-        if faults is not None:
-            values, timing = faults.after_wave(name, vectors, values, timing)
-        self.buffer.pulse_rows(values)  # the host drains synchronously
-        results = int(values.size)
-        self._book(name, record.layout, n, results, timing.total_ns, saved_ns)
-        tele = get_recorder()
-        if tele.enabled:
-            # begin/end pair instead of the contextmanager: this is the
-            # serving hot path and the generator frame is measurable
-            tele.begin_span(
-                "pim.batch_wave", "pim_dispatch",
-                matrix=name, queries=n, results=results,
-                saved_ns=saved_ns,
-                setup_cycles=timing.setup_cycles,
-                per_query_cycles=timing.per_query_cycles,
-                crossbar_ns=timing.crossbar_ns,
-                buffer_ns=timing.buffer_ns,
-                **self._span_attrs,
-            )
-            tele.advance(timing.total_ns)
-            tele.end_span()
-            self._record_wave_metrics(
-                tele, waves=n, cycles=timing.per_query_cycles * n,
-                results=results,
-            )
-            m = self._wave_instruments(tele, batch=True)
-            m["batch_flushes"].add(1)
-            m["batch_saved_ns"].add(max(saved_ns, 0.0))
-            m["batch_size"].observe(n)
-        return PIMBatchResult(values=values, timing=timing)
+        values, timing = self._dispatch(
+            name, np.atleast_2d(np.asarray(vectors)), input_bits,
+            "pim.batch_wave", True,
+        )
+        return PIMQueryResult(values=values, timing=timing)
 
     def total_pim_time_ns(self) -> float:
         """Cumulative simulated PIM time (waves only)."""
         return self.stats.pim_time_ns
 
-    def _bits(self, input_bits: int | None) -> int:
-        return input_bits if input_bits is not None else self.config.operand_bits
+    def _dispatch(
+        self, name: str, vectors: np.ndarray, input_bits: int | None,
+        span: str, batch: bool,
+    ):
+        """The one wave path: ``(values, timing)`` of ``(B, dims)`` queries.
 
-    def _book(
-        self, name: str, layout, n_queries: int, results: int,
-        pim_ns: float, saved_ns: float | None = None,
-    ) -> None:
-        """Charge one dispatch to :attr:`stats` and the matrix's state.
-
-        ``saved_ns`` is given for batched dispatches only.
+        With ``batch`` the B queries share one wave of ``n_queries=B``
+        (one setup; ``batch_saved_ns`` and the batch counters are
+        booked); without it each row is a wave of its own, so the device
+        books B waves of ``n_queries=1`` and returns that timing.
         """
+        faults = self._faults
+        if faults is not None:
+            faults.before_wave()
+        record = self._record(name)
+        layout = record.layout
+        bits = input_bits if input_bits is not None else self.config.operand_bits
+        values = self._values(record, vectors, bits)
+        n = vectors.shape[0]
+        waves, per_wave = (1, n) if batch else (n, 1)
+        timing = self._batch_timing(layout, per_wave, bits)
+        if batch:
+            # the saving batching makes on this device, whatever stretches it
+            single_ns = self._batch_timing(layout, 1, bits).total_ns
+            saved_ns = n * single_ns - timing.total_ns
+        if faults is not None:
+            values, timing = faults.after_wave(name, vectors, values, timing)
+        self.buffer.pulse_rows(values)  # the host drains synchronously
+        results = int(values.size)
+        pim_ns = timing.total_ns * waves
         stats = self.stats
-        state = stats.matrix_state(name)
-        stats.waves += n_queries
-        state.waves += n_queries
-        stats.pim_time_ns += pim_ns
-        state.pim_time_ns += pim_ns
+        for booked in (stats, stats.matrix_state(name)):
+            booked.waves += n
+            booked.pim_time_ns += pim_ns
+            if batch:
+                booked.batches += 1
+                booked.batched_queries += n
         stats.results_produced += results
-        if saved_ns is not None:
-            stats.batches += 1
-            state.batches += 1
-            stats.batched_queries += n_queries
-            state.batched_queries += n_queries
+        if batch:
             stats.batch_saved_ns += saved_ns
-        self._charge_extra(layout, n_queries)
-        if self._faults is not None:
-            self._faults.booked(pim_ns)
+        self._charge_extra(layout, per_wave, waves)
+        if faults is not None:
+            faults.booked(pim_ns)
+        tele = get_recorder()
+        if tele.enabled:
+            # begin/end pair instead of the contextmanager: this is the
+            # serving hot path and the generator frame is measurable
+            tele.begin_span(
+                span, "pim_dispatch",
+                matrix=name, queries=n, results=results,
+                **({"saved_ns": saved_ns} if batch else {}),
+                setup_cycles=timing.setup_cycles * waves,
+                per_query_cycles=timing.per_query_cycles,
+                crossbar_ns=timing.crossbar_ns * waves,
+                buffer_ns=timing.buffer_ns * waves,
+                **self._span_attrs,
+            )
+            tele.advance(pim_ns)
+            tele.end_span()
+            self._record_wave_metrics(
+                tele, waves=n, cycles=timing.per_query_cycles * n,
+                results=results,
+            )
+            if batch:
+                m = self._wave_instruments(tele, batch=True)
+                m["batch_flushes"].add(1)
+                m["batch_saved_ns"].add(max(saved_ns, 0.0))
+                m["batch_size"].observe(n)
+        return values, timing
 
     def _wave_instruments(self, tele, batch: bool = False) -> dict:
         """Per-device cache of the hot wave instruments.
@@ -701,7 +642,7 @@ class Substrate:
     def _record_wave_metrics(
         self, tele, waves: int, cycles: int, results: int
     ) -> None:
-        """Wave counters shared by the three dispatch styles."""
+        """Wave counters of one dispatch."""
         m = self._wave_instruments(tele)
         m["waves"].add(waves)
         m["results_produced"].add(results)
@@ -759,14 +700,13 @@ class Substrate:
     def _program_ns(self, layout) -> float:
         raise NotImplementedError
 
-    def _wave_timing(self, layout, bits: int):
-        raise NotImplementedError
-
     def _batch_timing(self, layout, n_queries: int, bits: int):
+        """Timing of one wave of ``n_queries`` queries (a single wave is 1)."""
         raise NotImplementedError
 
-    def _charge_extra(self, layout, n_queries: int) -> None:
-        """Backend-specific ``stats.extra`` counters of a dispatch."""
+    def _charge_extra(self, layout, n_queries: int, waves: int) -> None:
+        """Backend-specific ``stats.extra`` counters of ``waves`` waves of
+        ``n_queries`` queries each."""
 
     def units_needed(self, n_vectors: int, dims: int) -> int:
         """Physical units a fresh ``(n_vectors, dims)`` matrix occupies."""
@@ -946,9 +886,6 @@ class PIMArray(Substrate):
     # ------------------------------------------------------------------
     def _program_ns(self, layout: DatasetLayout) -> float:
         return programming_time_ns(layout, self.config)
-
-    def _wave_timing(self, layout: DatasetLayout, bits: int) -> WaveTiming:
-        return wave_timing(layout, self.config, self.hardware, input_bits=bits)
 
     def _batch_timing(
         self, layout: DatasetLayout, n_queries: int, bits: int

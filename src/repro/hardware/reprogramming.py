@@ -33,7 +33,7 @@ from repro.hardware.config import HardwareConfig, PIMArrayConfig, pim_platform
 from repro.hardware.mapper import DatasetLayout, plan_layout
 from repro.hardware.memory import MemoryArray
 from repro.hardware.pim_array import PIMArray
-from repro.hardware.timing import programming_time_ns, wave_timing
+from repro.hardware.timing import programming_time_ns
 from repro.telemetry import get_recorder
 
 POLICIES = ("round_robin", "pinned")

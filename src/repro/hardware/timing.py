@@ -1,16 +1,19 @@
 """NVSim-style latency model for PIM dot-product waves.
 
 The paper measures PIM-side time with NVSim: the latency of computing a
-PIM-aware bound on the crossbars plus buffering the results. We charge:
+PIM-aware bound on the crossbars plus buffering the results. One model,
+:func:`batch_wave_timing`, prices a wave of ``n_queries`` queries (a
+single wave is ``n_queries=1``). We charge:
 
-* ``ceil(b/g)`` crossbar read cycles for the DAC-sliced input waves
-  (Fig. 2) — operand slices and columns are concurrent in the analog
-  domain;
-* a constant pipeline overhead for S&H -> ADC -> S&A drain;
+* ``ceil(b/g)`` crossbar read cycles per query for the DAC-sliced input
+  waves (Fig. 2) — operand slices and columns are concurrent in the
+  analog domain;
+* a constant pipeline overhead for S&H -> ADC -> S&A drain, once per
+  wave;
 * one extra read cycle per gather-tree level beyond the data layer
-  (Fig. 3 / Fig. 11);
-* buffer-write time for depositing the per-vector results into the
-  eDRAM buffer array over the internal bus.
+  (Fig. 3 / Fig. 11), once per wave;
+* buffer-write time for depositing each query's per-vector results into
+  the eDRAM buffer array over the internal bus.
 
 Every quantity is derived from :class:`~repro.hardware.config` values, so
 changing the crossbar geometry or bus width in a bench sweep changes the
@@ -30,69 +33,18 @@ PIPELINE_DRAIN_CYCLES = 2
 
 
 @dataclass(frozen=True)
-class WaveTiming:
-    """Latency breakdown of one array-wide dot-product wave.
-
-    ``stretch`` is the straggler factor a fault hook applied (1.0 on a
-    healthy device); it scales the whole wave, not its components.
-    """
-
-    input_cycles: int
-    gather_cycles: int
-    pipeline_cycles: int
-    crossbar_ns: float
-    buffer_ns: float
-    stretch: float = 1.0
-
-    @property
-    def total_cycles(self) -> int:
-        """All crossbar read cycles charged for the wave."""
-        return self.input_cycles + self.gather_cycles + self.pipeline_cycles
-
-    @property
-    def total_ns(self) -> float:
-        """End-to-end wave latency in nanoseconds."""
-        return (self.crossbar_ns + self.buffer_ns) * self.stretch
-
-
-def wave_timing(
-    layout: DatasetLayout,
-    config: PIMArrayConfig,
-    hardware: HardwareConfig,
-    input_bits: int | None = None,
-) -> WaveTiming:
-    """Latency of one query wave against a programmed layout.
-
-    A wave evaluates the dot product of one query vector against *every*
-    programmed vector concurrently (the crossbars form a SIMD pool), then
-    writes ``n_vectors`` accumulator-width results to the buffer array.
-    """
-    bits = input_bits if input_bits is not None else config.operand_bits
-    input_cycles = bitslice.num_slices(bits, config.crossbar.dac_bits)
-    gather_cycles = layout.gather_levels - 1
-    cycles = input_cycles + gather_cycles + PIPELINE_DRAIN_CYCLES
-    crossbar_ns = cycles * config.crossbar.read_latency_ns
-    result_bytes = layout.n_vectors * config.accumulator_bits / 8.0
-    buffer_ns = result_bytes / hardware.memory.internal_bus_gbs  # B / (GB/s) = ns
-    return WaveTiming(
-        input_cycles=input_cycles,
-        gather_cycles=gather_cycles,
-        pipeline_cycles=PIPELINE_DRAIN_CYCLES,
-        crossbar_ns=crossbar_ns,
-        buffer_ns=buffer_ns,
-    )
-
-
-@dataclass(frozen=True)
 class BatchWaveTiming:
-    """Latency breakdown of one *batched* wave of several query vectors.
+    """Latency breakdown of one wave of ``n_queries`` query vectors.
 
-    The controller streams the DAC slices of the B queries through the
-    crossbars back to back; the gather tree and the S&H/ADC/S&A drain are
-    pipelined behind the input stream, so their cycles are charged once
-    per batch instead of once per query. Result drains to the buffer
-    array still happen per query (every query produces ``n_vectors``
-    accumulator-width results). ``stretch`` is as on :class:`WaveTiming`.
+    The one timing container of every backend; a single wave is a batch
+    of one. The controller streams the DAC slices of the B queries
+    through the crossbars back to back; the gather tree and the
+    S&H/ADC/S&A drain are pipelined behind the input stream, so their
+    cycles are charged once per batch instead of once per query. Result
+    drains to the buffer array still happen per query (every query
+    produces ``n_vectors`` accumulator-width results). ``stretch`` is
+    the straggler factor a fault hook applied (1.0 on a healthy device);
+    it scales the whole wave, not its components.
     """
 
     n_queries: int
@@ -125,13 +77,16 @@ def batch_wave_timing(
     n_queries: int,
     input_bits: int | None = None,
 ) -> BatchWaveTiming:
-    """Latency of one batched wave of ``n_queries`` query vectors.
+    """Latency of one wave of ``n_queries`` query vectors.
 
-    Each query still pays its ``ceil(b/g)`` DAC input cycles (the analog
-    array evaluates one input vector at a time), but the gather-tree and
-    pipeline-drain cycles overlap with the next query's input stream and
-    are charged once per batch. A batch of 1 therefore costs exactly
-    :func:`wave_timing`; a batch of B costs strictly less than B single
+    A wave evaluates each query against *every* programmed vector
+    concurrently (the crossbars form a SIMD pool) and writes
+    ``n_vectors`` accumulator-width results per query to the buffer
+    array. Each query pays its ``ceil(b/g)`` DAC input cycles (the
+    analog array evaluates one input vector at a time), but the
+    gather-tree and pipeline-drain cycles overlap with the next query's
+    input stream and are charged once per batch. A single wave is
+    ``n_queries=1``; a batch of B costs strictly less than B single
     waves whenever the pipeline has anything to drain (always, since
     :data:`PIPELINE_DRAIN_CYCLES` > 0).
     """

@@ -475,14 +475,23 @@ class _Ledger:
         self.clock[s] = max(start_rel, start_rel + pim_ns + cpu_ns)
         return self.clock[s]
 
-    def cut(self, s: int, at_rel: float, tail_ns: float, cpu_ns: float):
+    def cut(
+        self, s: int, at_rel: float, tail_ns: float, cpu_ns: float,
+        delay_ns: float,
+    ):
         """Cancel the last ``tail_ns`` of a race loser's wave at ``at_rel``.
 
-        The wave's cpu stage (``cpu_ns``) runs last, so the cancelled
-        tail eats cpu time first, then device time.
+        The wave's cpu stage (``cpu_ns``) runs last, after its flaky-link
+        stall (``delay_ns``), so the cancelled tail eats cpu time first,
+        then link delay, then device time. Only the device part moves to
+        ``cancelled_pim_ns``: the device never booked the link stall.
         """
         cpu_cut = min(tail_ns, cpu_ns)
-        self.book(s, at_rel, cpu_cut - tail_ns, -cpu_cut, tail_ns - cpu_cut)
+        delay_cut = min(tail_ns - cpu_cut, delay_ns)
+        self.book(
+            s, at_rel, cpu_cut - tail_ns, -cpu_cut,
+            tail_ns - cpu_cut - delay_cut,
+        )
         self.timing.hedge_cancelled_ns += tail_ns
 
     def fail(
@@ -1132,14 +1141,16 @@ class ShardManager(ReplicaPlacement):
                     trigger_ns = self._hedge_trigger_ns(s)
                     if trigger_ns is not None and pim_ns + cpu_ns > trigger_ns:
                         widx = len(timing.wave_end_ns) - 1
-                        stragglers.append((widx, trigger_ns, chunks))
+                        stragglers.append(
+                            (widx, trigger_ns, chunks, verdict.delay_ns)
+                        )
                 # hedges resolve only after every primary wave of the
                 # round is simulated: a hedge fires later in wall time
                 # than the round's waves start, so its replica pick must
                 # see their true busy times — evaluating inline would
                 # serialize the hedge *ahead* of a replica's own wave
-                for widx, trigger_ns, chunks in stragglers:
-                    self._hedge(led, q_int, widx, trigger_ns, chunks)
+                for straggler in stragglers:
+                    self._hedge(led, q_int, *straggler)
         except BaseException:
             for s in led.claimed:
                 self.health.release_probe(s)
@@ -1153,8 +1164,11 @@ class ShardManager(ReplicaPlacement):
         widx: int,
         trigger_ns: float,
         chunks: list[int],
+        delay_ns: float,
     ) -> None:
         """Race straggling wave ``widx`` against a copy on an idle replica.
+
+        ``delay_ns`` is the flaky-link stall inside the wave's ``pim_ns``.
 
         Values are identical either way; only the finish time improves.
         Cancel-on-first-win: whichever wave finishes first is the
@@ -1208,7 +1222,7 @@ class ShardManager(ReplicaPlacement):
             alt_end = led.book(s2, alt_start, pim2, cpu_ns)
             if alt_end < end_rel:
                 # hedge won: the original is cancelled at alt_end
-                led.cut(s, alt_end, end_rel - alt_end, cpu_ns)
+                led.cut(s, alt_end, end_rel - alt_end, cpu_ns, delay_ns)
                 timing.hedges_won += 1
                 health.record_service_time(
                     s2, led.now_ns + alt_end, pim2 + cpu_ns
@@ -1222,7 +1236,10 @@ class ShardManager(ReplicaPlacement):
                 # hedge lost: cancelled where the original finished
                 cut_end = min(alt_end, max(end_rel, alt_start))
                 ran = max(0.0, cut_end - alt_start)
-                led.cut(s2, cut_end, (pim2 + cpu_ns) - ran, cpu_ns)
+                led.cut(
+                    s2, cut_end, (pim2 + cpu_ns) - ran, cpu_ns,
+                    verdict.delay_ns,
+                )
                 timing.hedges_lost += 1
             return
 

@@ -31,7 +31,6 @@ from repro.hardware.banked_memory import (
     bank_batch_timing,
     bank_instruction_counts,
     bank_program_ns,
-    bank_wave_timing,
     plan_bank_layout,
 )
 from repro.hardware.config import (
@@ -41,7 +40,7 @@ from repro.hardware.config import (
 )
 from repro.hardware.energy import EnergyModel
 from repro.hardware.pim_array import ProgrammedMatrix, Substrate
-from repro.hardware.timing import BatchWaveTiming, WaveTiming
+from repro.hardware.timing import BatchWaveTiming
 from repro.substrate.protocol import SubstrateCapabilities
 
 
@@ -224,23 +223,18 @@ class HBMPIMArray(Substrate):
     def _program_ns(self, layout: BankLayout) -> float:
         return bank_program_ns(layout, self.config)
 
-    def _wave_timing(self, layout: BankLayout, bits: int) -> WaveTiming:
-        return bank_wave_timing(layout, self.config, self.hardware)
-
     def _batch_timing(
         self, layout: BankLayout, n_queries: int, bits: int
     ) -> BatchWaveTiming:
         return bank_batch_timing(layout, self.config, self.hardware, n_queries)
 
-    def _charge_extra(self, layout: BankLayout, n_queries: int) -> None:
-        counts = bank_instruction_counts(layout, n_queries)
-        banks = layout.n_data_banks
-        self.stats.add_extra("mac_commands", counts["mac_commands"] * banks)
-        self.stats.add_extra("mov_commands", counts["mov_commands"] * banks)
-        self.stats.add_extra("fill_commands", counts["fill_commands"] * banks)
-        self.stats.add_extra(
-            "row_activations", counts["row_activations"] * banks
-        )
+    def _charge_extra(
+        self, layout: BankLayout, n_queries: int, waves: int
+    ) -> None:
+        """Command counts of every bank; each wave opens its rows anew."""
+        scale = layout.n_data_banks * waves
+        for key, count in bank_instruction_counts(layout, n_queries).items():
+            self.stats.add_extra(key, count * scale)
 
 
 class HBMPIMCapabilities(SubstrateCapabilities):

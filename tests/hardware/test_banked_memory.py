@@ -14,7 +14,6 @@ from repro.hardware.banked_memory import (
     bank_batch_timing,
     bank_instruction_counts,
     bank_program_ns,
-    bank_wave_timing,
     plan_bank_layout,
 )
 from repro.hardware.config import HBMPIMConfig, hbm_pim_platform
@@ -86,10 +85,9 @@ class TestTimingGoldens:
 
     def test_single_wave_cycles(self):
         layout = plan_bank_layout(128, 16, CFG)
-        wave = bank_wave_timing(layout, CFG, HW)
-        assert wave.pipeline_cycles == self.ACTIVATE
-        assert wave.gather_cycles == 4
-        assert wave.input_cycles == self.PER_QUERY - 4
+        wave = bank_batch_timing(layout, CFG, HW, n_queries=1)
+        assert wave.setup_cycles == self.ACTIVATE
+        assert wave.per_query_cycles == self.PER_QUERY
         assert wave.total_cycles == self.ACTIVATE + self.PER_QUERY
         assert wave.crossbar_ns == pytest.approx(
             (self.ACTIVATE + self.PER_QUERY) * CFG.tck_ns
@@ -105,7 +103,7 @@ class TestTimingGoldens:
         assert batch.setup_cycles == self.ACTIVATE
         assert batch.per_query_cycles == self.PER_QUERY
         assert batch.total_cycles == self.ACTIVATE + 4 * self.PER_QUERY
-        single = bank_wave_timing(layout, CFG, HW)
+        single = bank_batch_timing(layout, CFG, HW, n_queries=1)
         saved = 4 * single.total_ns - batch.total_ns
         assert saved == pytest.approx(3 * self.ACTIVATE * CFG.tck_ns)
 
@@ -118,8 +116,8 @@ class TestTimingGoldens:
         # 800 dims: 100 bursts, 13 segments; rows re-open per segment
         layout = plan_bank_layout(64, 800, CFG)
         rows = layout.rows_touched_per_bank
-        wave = bank_wave_timing(layout, CFG, HW)
-        assert wave.pipeline_cycles == rows * 13 * (
+        wave = bank_batch_timing(layout, CFG, HW, n_queries=1)
+        assert wave.setup_cycles == rows * 13 * (
             CFG.trp_cycles + CFG.trcd_cycles
         )
 

@@ -17,8 +17,8 @@ from repro.hardware.memory import MemoryArray
 from repro.hardware.quartz import Epoch, epoch_time_ns
 from repro.hardware.timing import (
     PIPELINE_DRAIN_CYCLES,
+    batch_wave_timing,
     programming_time_ns,
-    wave_timing,
 )
 
 
@@ -110,6 +110,8 @@ class TestEnduranceTracker:
 
 
 class TestWaveTiming:
+    """A single wave is ``batch_wave_timing`` at ``n_queries=1``."""
+
     @pytest.fixture
     def setup(self):
         config = PIMArrayConfig()
@@ -119,37 +121,44 @@ class TestWaveTiming:
     def test_input_cycles_follow_operand_width(self, setup):
         config, hardware = setup
         layout = plan_layout(100, 128, config)
-        timing = wave_timing(layout, config, hardware)
-        assert timing.input_cycles == 16  # 32-bit on a 2-bit DAC
+        timing = batch_wave_timing(layout, config, hardware, 1)
+        assert timing.per_query_cycles == 16  # 32-bit on a 2-bit DAC
 
     def test_gather_adds_cycles(self, setup):
         config, hardware = setup
         flat = plan_layout(100, 128, config)
         deep = plan_layout(100, 512, config)
-        t_flat = wave_timing(flat, config, hardware)
-        t_deep = wave_timing(deep, config, hardware)
-        assert t_deep.gather_cycles == t_flat.gather_cycles + 1
+        t_flat = batch_wave_timing(flat, config, hardware, 1)
+        t_deep = batch_wave_timing(deep, config, hardware, 1)
+        assert t_deep.setup_cycles == t_flat.setup_cycles + 1
         assert t_deep.total_ns > t_flat.total_ns
 
     def test_total_cycles_include_drain(self, setup):
         config, hardware = setup
         layout = plan_layout(10, 64, config)
-        timing = wave_timing(layout, config, hardware)
+        timing = batch_wave_timing(layout, config, hardware, 1)
+        assert timing.setup_cycles == (
+            layout.gather_levels - 1 + PIPELINE_DRAIN_CYCLES
+        )
         assert timing.total_cycles == (
-            timing.input_cycles + timing.gather_cycles + PIPELINE_DRAIN_CYCLES
+            timing.per_query_cycles + timing.setup_cycles
         )
 
     def test_buffer_time_scales_with_results(self, setup):
         config, hardware = setup
-        small = wave_timing(plan_layout(10, 64, config), config, hardware)
-        large = wave_timing(plan_layout(10000, 64, config), config, hardware)
+        small = batch_wave_timing(
+            plan_layout(10, 64, config), config, hardware, 1
+        )
+        large = batch_wave_timing(
+            plan_layout(10000, 64, config), config, hardware, 1
+        )
         assert large.buffer_ns > small.buffer_ns
 
     def test_narrow_inputs_cut_cycles(self, setup):
         config, hardware = setup
         layout = plan_layout(10, 64, config)
-        binary = wave_timing(layout, config, hardware, input_bits=1)
-        assert binary.input_cycles == 1
+        binary = batch_wave_timing(layout, config, hardware, 1, input_bits=1)
+        assert binary.per_query_cycles == 1
 
     def test_programming_time_positive(self, setup):
         config, _ = setup

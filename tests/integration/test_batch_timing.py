@@ -23,11 +23,7 @@ from repro.hardware.config import (
 )
 from repro.hardware.controller import PIMController
 from repro.hardware.mapper import plan_layout
-from repro.hardware.timing import (
-    PIPELINE_DRAIN_CYCLES,
-    batch_wave_timing,
-    wave_timing,
-)
+from repro.hardware.timing import PIPELINE_DRAIN_CYCLES, batch_wave_timing
 
 
 def _platform() -> HardwareConfig:
@@ -94,19 +90,20 @@ class TestAnalyticalGoldens:
         assert timing.crossbar_ns == pytest.approx(120.0)
 
     def test_batch_of_one_is_exactly_one_wave(self, platform):
+        # one wave: ceil(8/2) = 4 input + 0 gather + 2 drain cycles, and
+        # 3 vectors x 8 B over 50 GB/s = 0.48 ns of buffer writes
         layout = plan_layout(3, 8, platform.pim)
-        single = wave_timing(layout, platform.pim, platform)
-        batch = batch_wave_timing(layout, platform.pim, platform, 1)
-        assert batch.total_cycles == single.total_cycles
-        assert batch.crossbar_ns == single.crossbar_ns
-        assert batch.buffer_ns == single.buffer_ns
-        assert batch.total_ns == single.total_ns
+        single = batch_wave_timing(layout, platform.pim, platform, 1)
+        assert single.total_cycles == 4 + 0 + PIPELINE_DRAIN_CYCLES  # 6
+        assert single.crossbar_ns == pytest.approx(60.0)
+        assert single.buffer_ns == pytest.approx(0.48)
+        assert single.total_ns == pytest.approx(60.48)
 
     def test_batch_saving_is_setup_amortization(self, platform):
         # B waves merged into one batch save exactly (B-1) x setup
         # crossbar cycles; buffer traffic is identical.
         layout = plan_layout(2, 20, platform.pim)
-        single = wave_timing(layout, platform.pim, platform)
+        single = batch_wave_timing(layout, platform.pim, platform, 1)
         for b in (2, 3, 8, 16):
             batch = batch_wave_timing(layout, platform.pim, platform, b)
             saved_cycles = b * single.total_cycles - batch.total_cycles

@@ -5,8 +5,10 @@ multi-query waves: batching changes *when* waves fire and what setup
 they amortize, never *what* they compute. Under random datasets,
 measures and batch sizes:
 
-* :meth:`PIMArray.query_batch` returns bit-identical values to a
-  sequential ``query`` loop and books the same logical wave count;
+* on both substrates, :meth:`~repro.hardware.pim_array.Substrate.query_batch`
+  and ``query_many`` return bit-identical values to a sequential
+  ``query`` loop and book the same logical waves, stats, per-matrix
+  state and buffer traffic (a batch differing only by its saving);
 * every PIM kNN variant's ``query_batch`` reproduces the sequential
   ``query`` loop exactly (indices, score ordering, wave counts);
 * the :class:`BatchScheduler` delivers the same values regardless of
@@ -16,12 +18,13 @@ measures and batch sizes:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.planner import BatchScheduler
 from repro.hardware.controller import PIMController
-from repro.hardware.timing import batch_wave_timing, wave_timing
+from repro.hardware.timing import PIPELINE_DRAIN_CYCLES, batch_wave_timing
 from repro.mining.knn.hamming import PIMHammingKNN, binary_pim_platform
 from repro.mining.knn.pim import make_pim_variant
 
@@ -39,21 +42,26 @@ def dataset_and_queries(draw):
     return data, queries
 
 
-def _programmed_pair(data):
+SUBSTRATES = ["crossbar", "hbm_pim"]
+
+
+def _programmed_pair(data, substrate="crossbar"):
     """Two controllers with the same integer matrix programmed."""
     matrix = np.floor(data * 255).astype(np.int64)
-    seq, bat = PIMController(), PIMController()
+    seq = PIMController(substrate=substrate)
+    bat = PIMController(substrate=substrate)
     seq.pim.program_matrix("d", matrix)
     bat.pim.program_matrix("d", matrix)
     return matrix, seq, bat
 
 
 class TestArrayLevelEquivalence:
+    @pytest.mark.parametrize("substrate", SUBSTRATES)
     @given(dataset_and_queries())
     @settings(max_examples=25, deadline=None)
-    def test_query_batch_matches_sequential_queries(self, case):
+    def test_query_batch_matches_sequential_queries(self, substrate, case):
         data, queries = case
-        matrix, seq, bat = _programmed_pair(data)
+        matrix, seq, bat = _programmed_pair(data, substrate)
         ints = np.floor(queries * 255).astype(np.int64)
 
         sequential = np.vstack([seq.pim.query("d", q).values for q in ints])
@@ -62,11 +70,12 @@ class TestArrayLevelEquivalence:
         assert np.array_equal(sequential, batch.values)
         assert batch.values.dtype == sequential.dtype
 
+    @pytest.mark.parametrize("substrate", SUBSTRATES)
     @given(dataset_and_queries())
     @settings(max_examples=25, deadline=None)
-    def test_query_batch_books_same_logical_waves(self, case):
+    def test_query_batch_books_same_logical_waves(self, substrate, case):
         data, queries = case
-        matrix, seq, bat = _programmed_pair(data)
+        matrix, seq, bat = _programmed_pair(data, substrate)
         ints = np.floor(queries * 255).astype(np.int64)
 
         for q in ints:
@@ -80,11 +89,12 @@ class TestArrayLevelEquivalence:
         assert bat.pim.stats.batches == 1
         assert bat.pim.stats.batched_queries == len(ints)
 
+    @pytest.mark.parametrize("substrate", SUBSTRATES)
     @given(dataset_and_queries())
     @settings(max_examples=25, deadline=None)
-    def test_batch_never_slower_than_sequential(self, case):
+    def test_batch_never_slower_than_sequential(self, substrate, case):
         data, queries = case
-        matrix, seq, bat = _programmed_pair(data)
+        matrix, seq, bat = _programmed_pair(data, substrate)
         ints = np.floor(queries * 255).astype(np.int64)
 
         for q in ints:
@@ -100,6 +110,52 @@ class TestArrayLevelEquivalence:
         assert np.isclose(
             bat.pim.stats.batch_saved_ns, seq_ns - bat_ns, atol=1e-6
         )
+
+    @pytest.mark.parametrize("substrate", SUBSTRATES)
+    @pytest.mark.parametrize("style", ["query_many", "query_batch"])
+    @given(dataset_and_queries())
+    @settings(max_examples=15, deadline=None)
+    def test_style_books_like_a_query_loop(self, style, substrate, case):
+        """Values, every PIMStats field, the matrix state and the buffer
+        bytes of one dispatch equal a ``query`` loop's; a batch differs
+        only by its saving and by opening each bank's rows once."""
+        data, queries = case
+        matrix, seq, other = _programmed_pair(data, substrate)
+        ints = np.floor(queries * 255).astype(np.int64)
+        n, batch = len(ints), style == "query_batch"
+
+        loop = np.vstack([seq.pim.query("d", q).values for q in ints])
+        result = getattr(other.pim, style)("d", ints)
+
+        assert np.array_equal(result.values, loop)
+        want, got = seq.pim.stats, other.pim.stats
+        for name in (
+            "waves", "programming_time_ns", "crossbars_used",
+            "results_produced", "remaps", "matrices", "backend",
+        ):
+            assert getattr(got, name) == getattr(want, name), name
+        assert got.pim_time_ns + got.batch_saved_ns == pytest.approx(
+            want.pim_time_ns, rel=1e-12
+        )
+        assert (got.batches, got.batched_queries) == (
+            (1, n) if batch else (0, 0)
+        )
+        if not batch:
+            assert got.batch_saved_ns == 0.0
+        extra = dict(got.extra)
+        if batch and "row_activations" in extra:
+            extra["row_activations"] *= n
+        assert extra == want.extra
+        state = got.per_matrix["d"]
+        assert state.waves == want.per_matrix["d"].waves
+        assert (state.batches, state.batched_queries) == (
+            got.batches, got.batched_queries,
+        )
+        assert state.pim_time_ns == got.pim_time_ns
+        assert (
+            other.pim.buffer.total_bytes_written,
+            other.pim.buffer.total_bytes_read,
+        ) == (seq.pim.buffer.total_bytes_written, seq.pim.buffer.total_bytes_read)
 
 
 class TestKNNVariantEquivalence:
@@ -235,13 +291,17 @@ class TestTimingModelProperties:
         layout = controller.pim.program_matrix("d", matrix)
         pim = controller.pim
 
-        single = wave_timing(layout, pim.config, pim.hardware)
+        single = batch_wave_timing(layout, pim.config, pim.hardware, 1)
         batch = batch_wave_timing(
             layout, pim.config, pim.hardware, n_queries=b
         )
+        assert single.total_cycles == (
+            single.per_query_cycles
+            + layout.gather_levels - 1
+            + PIPELINE_DRAIN_CYCLES
+        )
         if b == 1:
-            assert batch.total_ns == single.total_ns
-            assert batch.total_cycles == single.total_cycles
+            assert batch == single
         else:
             assert batch.total_ns < b * single.total_ns
             assert batch.amortized_ns_per_query < single.total_ns

@@ -265,6 +265,36 @@ class TestFlakyLinks:
             t += timing.service_ns + HORIZON_NS / (len(queries) + 1)
         assert drops >= 1
 
+    def test_hedge_cut_cancels_only_device_time(self, data, queries):
+        """A won hedge cuts the loser's link stall from its timeline, but
+        only device time the device booked moves to ``cancelled_pim_ns``."""
+        plan = FaultPlan(
+            (
+                FaultEvent(
+                    t_ns=0.0,
+                    kind="link_flaky",
+                    target="shard0",
+                    duration_ns=HORIZON_NS,
+                    params={
+                        "drop_probability": 0.0,
+                        "delay_probability": 0.5,
+                        "delay_ns": 200_000.0,
+                    },
+                ),
+            ),
+            seed=5,
+        )
+        manager, _, timings = serve_trace(data, queries, plan, DEFENDED)
+        assert sum(t.hedges_won for t in timings) >= 1
+        assert sum(t.hedge_cancelled_ns for t in timings) > 0.0
+        for shard in manager.shards:
+            assert shard.cancelled_pim_ns <= shard.pim_stats.pim_time_ns
+        raw = sum(s.pim_stats.pim_time_ns for s in manager.shards)
+        cancelled = sum(s.cancelled_pim_ns for s in manager.shards)
+        assert manager.merged_stats().pim_time_ns == pytest.approx(
+            raw - cancelled
+        )
+
     def test_link_verdicts_are_stateless_in_time(self):
         # detector-on and detector-off arms consult the plan a
         # different number of times; the weather must not depend on it

@@ -205,3 +205,20 @@ class TestStatsAcrossBackends:
         many = per_wave.query_many("m", queries)
         assert np.array_equal(result.values, many.values)
         assert hbm.stats.pim_time_ns < per_wave.stats.pim_time_ns
+
+    def test_wave_train_books_every_waves_extras(self):
+        """A 3-row ``query_many`` is three waves: three times the row
+        activations and buffer traffic of one ``query``, like the loop."""
+        queries = _matrix(3, 40, seed=5)
+        train, loop = HBMPIMArray(), HBMPIMArray()
+        for hbm in (train, loop):
+            hbm.program_matrix("m", _matrix(500, 40))
+        train.query_many("m", queries)
+        for q in queries:
+            loop.query("m", q)
+        assert train.stats.extra == loop.stats.extra
+        assert train.stats.extra["row_activations"] > 0
+        assert (
+            train.buffer.total_bytes_written,
+            train.buffer.total_bytes_read,
+        ) == (loop.buffer.total_bytes_written, loop.buffer.total_bytes_read)

@@ -29,11 +29,15 @@ def workload():
 
 
 class TestProfilerReconciliation:
-    def test_pim_dispatch_spans_sum_to_profiled_wave_time(self, workload):
+    @pytest.mark.parametrize("substrate", ["crossbar", "hbm_pim"])
+    def test_pim_dispatch_spans_sum_to_profiled_wave_time(
+        self, workload, substrate
+    ):
         data, queries = workload
         with telemetry_session() as tele:
             algo = make_pim_variant(
-                "Standard-PIM", 24, 60, controller=PIMController()
+                "Standard-PIM", 24, 60,
+                controller=PIMController(substrate=substrate),
             )
             algo.fit(data)
             profile = profile_knn(
