@@ -316,8 +316,8 @@ class Campaign:
                 else 0.0
             ),
             "pim_time_ns": stats.pim_time_ns,
-            "hedge_cancelled_ns": stats.extra.get(
-                "hedge_cancelled_ns", 0.0
+            "hedge_cancelled_pim_ns": stats.extra.get(
+                "hedge_cancelled_pim_ns", 0.0
             ),
             "counters": counters,
             "spread_report": spread_report,

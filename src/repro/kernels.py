@@ -9,6 +9,15 @@ arrays and callables, so they do not depend on how rows are placed or
 dispatched; this module imports nothing from :mod:`repro.serving`,
 :mod:`repro.mining`, :mod:`repro.faults` or :mod:`repro.repair`.
 
+Scoring gathers rather than copies: :func:`exact_sq_distances` takes
+row positions, gathers those rows into one fresh array and subtracts
+the query in place. The in-place subtract is only ever done on that
+fresh gather, so no kernel here writes into the caller's rows (a
+shard's stored ``floats`` stay byte-identical across every call). The
+assign sweep keeps its bounds as ``(n_centers, n)``, the wave's own
+``(C, n)`` dot layout, so each center's prune test reads one
+contiguous row.
+
 The order every top-k here keeps is *canonical*: the k smallest
 ``(score, global index)`` pairs in lexicographic order, so duplicate
 scores resolve to the lowest global index no matter which shard, block
@@ -27,11 +36,15 @@ import numpy as np
 from repro.bounds.pim import theorem1_lower_bound
 
 
-def exact_sq_distances(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
+def exact_sq_distances(
+    matrix: np.ndarray, query: np.ndarray, at: np.ndarray | None = None
+) -> np.ndarray:
     """Canonical exact scoring kernel: squared Euclidean per row.
 
-    Every exact-scoring path — shard refinement, degraded host-side
-    recompute, the k-means assist and the loop oracles in
+    Scores the rows of ``matrix``, or with ``at`` (a 1-D integer array
+    of row positions, repeats allowed) the rows ``matrix[at]`` in that
+    order. Every exact-scoring path — shard refinement, degraded
+    host-side recompute, the k-means assist and the loop oracles in
     :mod:`repro.oracle` — must route through this one expression. The
     einsum reduces each row independently, so a row's score does not
     depend on which other rows ride in the same call; scoring rows one
@@ -39,8 +52,22 @@ def exact_sq_distances(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
     That row independence is what lets the fused batch paths match the
     sequential loop oracles bit for bit (a plain ``diff @ diff`` BLAS
     dot does *not* guarantee this across batch shapes).
+
+    With ``at`` the gather ``matrix[at]`` is the one full-size buffer
+    of the call: the query is subtracted from it in place, which gives
+    the bits of ``matrix[at] - query``. Subtracting in place is only
+    ever done on that fresh gather, never on ``matrix`` or a view of
+    it, so the caller's rows are never written.
     """
-    diff = np.atleast_2d(rows) - query
+    if at is None:
+        diff = np.atleast_2d(matrix) - query
+    else:
+        # advanced indexing copies; cast (a no-op for float64 rows) to
+        # the dtype ``matrix[at] - query`` would have
+        diff = matrix[np.atleast_1d(at)].astype(
+            np.result_type(matrix, query), copy=False
+        )
+        np.subtract(diff, query, out=diff)
     return np.einsum("ij,ij->i", diff, diff)
 
 
@@ -287,31 +314,41 @@ def assign_sweep(
     phi_c: np.ndarray,
     dims: int,
     alpha: float,
+    sel: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Nearest center of every row: ``(centers, dists, refined)``.
 
-    ``phi``, ``floats`` and the ``(n_centers, n)`` dot products
-    ``dots`` describe the rows to assign. Sweeps centers in index order
-    across all rows at once. Each row's prune test (``lb > best_d``) and
-    strict ``d < best_d`` update depend only on that row's own state, so
-    the center-major sweep replays the per-row loop's decisions exactly
-    — same refined count, same canonical lowest-center-index tie-break,
+    The rows to assign are ``phi`` and ``floats`` at the positions
+    ``sel`` (``None``: every row), and ``dots`` are their
+    ``(n_centers, n)`` dot products, one wave row per center. The
+    bounds keep that ``(C, n)`` layout, so each center's prune test
+    reads one contiguous row. Sweeps centers in index order across all
+    rows at once. Each row's prune test (``lb > best_d``) and strict
+    ``d < best_d`` update depend only on that row's own state, so the
+    center-major sweep replays the per-row loop's decisions exactly —
+    same refined count, same canonical lowest-center-index tie-break,
     same distance bits (row independence of the kernel). Only the
-    surviving rows are gathered and scored per center: the lb pruning is
+    surviving rows are scored per center, each center's in one
+    :func:`exact_sq_distances` call on their composed positions, so
+    neither ``floats`` nor ``phi`` is copied whole: the lb pruning is
     heavy enough that scoring whole row blocks costs more than the
     per-center gathers save.
     """
     lb = theorem1_lower_bound(
-        phi[:, np.newaxis], phi_c[np.newaxis, :], dots.T, dims, alpha
+        (phi if sel is None else phi[sel])[np.newaxis, :],
+        phi_c[:, np.newaxis], dots, dims, alpha,
     )
-    best_d = np.full(phi.size, np.inf)
-    best_c = np.zeros(phi.size, dtype=np.int64)
+    n = lb.shape[1]
+    best_d = np.full(n, np.inf)
+    best_c = np.zeros(n, dtype=np.int64)
     refined = 0
     for c in range(c_norm.shape[0]):
-        hit = np.flatnonzero(lb[:, c] <= best_d)
+        hit = np.flatnonzero(lb[c] <= best_d)
         if hit.size == 0:
             continue
-        d = exact_sq_distances(floats[hit], c_norm[c])
+        d = exact_sq_distances(
+            floats, c_norm[c], hit if sel is None else sel[hit]
+        )
         refined += int(hit.size)
         closer = d < best_d[hit]
         upd = hit[closer]

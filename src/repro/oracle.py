@@ -269,7 +269,8 @@ class LoopShardManager(ShardManager):
             [float(exact_sq_distances(row, q_norm)[0]) for row in floats]
         )
 
-    def _assign_rows(self, shard, idx, dots, c_norm, phi_c):
+    def _assign_rows(self, shard, sel, dots, c_norm, phi_c):
+        idx = np.arange(shard.n_rows) if sel is None else sel
         best_c = np.zeros(idx.size, dtype=np.int64)
         best_d = np.full(idx.size, np.inf)
         refined = 0

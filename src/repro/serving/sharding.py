@@ -161,8 +161,10 @@ class GatherTiming:
     #: hedged waves that finished before their original (and vice
     #: versa); the loser is cancelled at the winner's completion and
     #: only charged for the time it actually ran — the cancelled
-    #: remainder accumulates in ``hedge_cancelled_ns`` instead of
-    #: inflating shard busy time or the merged PIM stats.
+    #: remainder (cpu, link stall and device time) accumulates in
+    #: ``hedge_cancelled_ns`` instead of inflating shard busy time, and
+    #: its device part leaves the merged PIM stats (their
+    #: ``hedge_cancelled_pim_ns``).
     hedges_won: int = 0
     hedges_lost: int = 0
     #: hedges the global budget refused (token bucket dry)
@@ -1268,7 +1270,7 @@ class ShardManager(ReplicaPlacement):
 
         def score(at: np.ndarray) -> np.ndarray:
             return exact_sq_distances(
-                floats[at if sel is None else sel[at]], q_norm
+                floats, q_norm, at if sel is None else sel[at]
             )
 
         return refine_topk(score, lb, gidx, k)[:3]
@@ -1282,16 +1284,16 @@ class ShardManager(ReplicaPlacement):
     def _assign_rows(
         self,
         shard: _Shard,
-        idx: np.ndarray,
+        sel: np.ndarray | None,
         dots: np.ndarray,
         c_norm: np.ndarray,
         phi_c: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Nearest center of the shard rows ``idx``: ``(centers, dists,
-        refined)``."""
+        """Nearest center of the shard rows ``sel`` (``None`` = all
+        rows): ``(centers, dists, refined)``."""
         return assign_sweep(
-            shard.phi[idx], shard.floats[idx], dots, c_norm, phi_c,
-            self.dims, self.quantizer.alpha,
+            shard.phi, shard.floats, dots, c_norm, phi_c,
+            self.dims, self.quantizer.alpha, sel,
         )
 
     def _degraded_assign(
@@ -1451,16 +1453,17 @@ class ShardManager(ReplicaPlacement):
         stats = {"refined": 0, "visited": 0}
 
         def process(shard: _Shard, sel, dots) -> float:
-            idx = (
-                np.arange(shard.n_rows, dtype=np.int64) if sel is None else sel
-            )
-            n_here = int(idx.size)
+            """Nearest centers of the shard rows ``sel`` (``None`` =
+            all rows), written straight into the global answer."""
+            gi = shard.global_indices
+            if sel is not None:
+                gi = gi[sel]
+            n_here = int(gi.size)
             refined = 0
             if n_here:
                 best_c, best_d, refined = self._assign_rows(
-                    shard, idx, dots, c_norm, phi_c
+                    shard, sel, dots, c_norm, phi_c
                 )
-                gi = shard.global_indices[idx]
                 assignments[gi] = best_c
                 distances[gi] = best_d
             stats["refined"] += refined
@@ -1660,9 +1663,11 @@ class ShardManager(ReplicaPlacement):
 
         Device time spent on waves that a decided hedge race cancelled
         is subtracted from the merged ``pim_time_ns`` (and reported
-        under ``extra["hedge_cancelled_ns"]``) so a hedged deployment's
-        total device time reflects work that produced answers — the
-        per-shard namespaced stats keep the raw uncancelled numbers.
+        under ``extra["hedge_cancelled_pim_ns"]``, the device part of
+        :attr:`GatherTiming.hedge_cancelled_ns`) so a hedged
+        deployment's total device time reflects work that produced
+        answers — the per-shard namespaced stats keep the raw
+        uncancelled numbers.
         """
         merged = PIMStats.merge(
             [shard.pim_stats for shard in self.shards],
@@ -1671,5 +1676,5 @@ class ShardManager(ReplicaPlacement):
         cancelled = sum(shard.cancelled_pim_ns for shard in self.shards)
         if cancelled > 0.0:
             merged.pim_time_ns = max(0.0, merged.pim_time_ns - cancelled)
-            merged.add_extra("hedge_cancelled_ns", cancelled)
+            merged.add_extra("hedge_cancelled_pim_ns", cancelled)
         return merged

@@ -11,6 +11,8 @@ are batch-independent. These properties are the contract that lets the
 simulator run orders of magnitude faster without moving a single bit.
 """
 
+import hashlib
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -387,6 +389,15 @@ def _growth_case():
     return data, queries, 1, [1, 3, 10], approximate, "range", 8.0
 
 
+def _replicated_case():
+    """120 rows on 4 range shards with two replicas per chunk, for the
+    replicated-assign examples."""
+    rng = np.random.default_rng(0)
+    data = rng.random((120, 6))
+    centers = rng.random((5, 6))
+    return data, centers, 4, [1] * 5, [False] * 5, "range", None
+
+
 def _refine_case(seed, k, size, subset, ties, n_stages=0):
     """One query's refine inputs: ``(floats, sel, gidx, lb, q_norm,
     stages)``. Bounds are the exact scores minus random slack (none up
@@ -600,6 +611,133 @@ class TestServingFusion:
         assert bf.refined == br.refined
         assert bf.pruned == br.pruned
         assert tf.service_ns == tr.service_ns
+
+    @given(
+        serving_cases(),
+        st.integers(min_value=3, max_value=4),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from([0.0, 5e4, 1.5e5]),
+    )
+    @example(_replicated_case(), 4, 1, 5e4)
+    @settings(max_examples=15, deadline=None)
+    def test_replicated_assign_matches_reference_loops(
+        self, case, n_shards, victim, crash_ns
+    ):
+        # two replicas per chunk: before the crash each shard serves
+        # only its own chunk (a row subset, ``sel``), after it a
+        # survivor serves the victim's chunk too
+        centers = case[1]
+        case = (case[0], centers, n_shards, *case[3:])
+        plan = FaultPlan(
+            [
+                FaultEvent(
+                    t_ns=crash_ns,
+                    kind="shard_crash",
+                    target=f"shard{victim % n_shards}",
+                )
+            ]
+        )
+        fused, loop = _managers(case, replication=2, fault_plan=plan)
+        for now_ns in (0.0, 1e5, 2e5):
+            bf, tf = fused.assign(centers, now_ns=now_ns)
+            br, tr = loop.assign(centers, now_ns=now_ns)
+            assert np.array_equal(bf.assignments, br.assignments)
+            assert np.array_equal(
+                bf.distances.view(np.int64), br.distances.view(np.int64)
+            )
+            assert bf.refined == br.refined
+            assert bf.pruned == br.pruned
+            assert tf.service_ns == tr.service_ns
+
+    def test_replicated_assign_serves_chunk_subsets(self):
+        # the example above reaches both branches of the assist's
+        # ``sel``: a shard serving one of its chunks, and one serving all
+        seen = []
+
+        class Recording(ShardManager):
+            def _assign_rows(self, shard, sel, *args):
+                seen.append(sel is None)
+                return super()._assign_rows(shard, sel, *args)
+
+        data, centers = _replicated_case()[:2]
+        plan = FaultPlan(
+            [FaultEvent(t_ns=5e4, kind="shard_crash", target="shard1")]
+        )
+        manager = Recording(data, n_shards=4, replication=2, fault_plan=plan)
+        for now_ns in (0.0, 1e5, 2e5):
+            manager.assign(centers, now_ns=now_ns)
+        assert False in seen and True in seen
+
+    @given(
+        st.integers(min_value=1, max_value=20),
+        st.integers(min_value=1, max_value=8),
+        st.lists(st.integers(min_value=0, max_value=10**6), max_size=30),
+        st.sampled_from([np.float64, np.float32]),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    @example(1, 3, [0], np.float64, 0)  # one row
+    @example(5, 3, [], np.float64, 0)  # no positions
+    @example(5, 3, [2, 2, 0, 2], np.float64, 0)  # repeated positions
+    @settings(max_examples=80, deadline=None)
+    def test_positions_score_like_gathered_rows(
+        self, n, dims, picks, dtype, seed
+    ):
+        rng = np.random.default_rng(seed)
+        matrix = rng.random((n, dims)).astype(dtype)
+        query = rng.random(dims)
+        at = np.array([p % n for p in picks], dtype=np.int64)
+        before = matrix.copy()
+        got = exact_sq_distances(matrix, query, at)
+        want = exact_sq_distances(matrix[at], query)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert matrix.tobytes() == before.tobytes()
+
+    @staticmethod
+    def _storage_digest(manager):
+        digest = hashlib.sha256()
+        for shard in manager.shards:
+            digest.update(shard.floats.tobytes())
+            digest.update(shard.phi.tobytes())
+        return digest.hexdigest()
+
+    def test_serving_never_writes_shard_storage(self):
+        # an in-place subtract on a view of a shard's rows would corrupt
+        # every later answer: the stored bytes must never change
+        rng = np.random.default_rng(3)
+        data = rng.random((160, 8))
+        queries = rng.random((4, 8))
+        faulted = FaultPlan(
+            [
+                FaultEvent(t_ns=4e4, kind="shard_crash", target="shard2"),
+                FaultEvent(
+                    t_ns=0.0,
+                    kind="wave_corrupt",
+                    target="shard0",
+                    duration_ns=1e9,
+                    params={"probability": 0.5},
+                ),
+            ],
+            seed=1,
+        )
+        # every shard down: each chunk is recomputed host-side
+        down = FaultPlan(
+            [
+                FaultEvent(t_ns=0.0, kind="shard_crash", target=f"shard{s}")
+                for s in range(4)
+            ]
+        )
+        for kwargs in (
+            {},
+            {"replication": 2, "fault_plan": faulted},
+            {"fault_plan": down},
+        ):
+            manager = ShardManager(data, n_shards=4, **kwargs)
+            before = self._storage_digest(manager)
+            for now_ns in (0.0, 1e5):
+                manager.knn_batch(queries, [1, 3, 5, 10], now_ns=now_ns)
+                manager.assign(queries, now_ns=now_ns)
+                assert self._storage_digest(manager) == before
 
     @given(serving_cases())
     @settings(max_examples=10, deadline=None)

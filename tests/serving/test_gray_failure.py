@@ -182,7 +182,7 @@ class TestHedging:
         cancelled = sum(t.hedge_cancelled_ns for t in timings)
         assert cancelled > 0.0
         merged = manager.merged_stats()
-        assert merged.extra["hedge_cancelled_ns"] == pytest.approx(
+        assert merged.extra["hedge_cancelled_pim_ns"] == pytest.approx(
             sum(s.cancelled_pim_ns for s in manager.shards)
         )
         # device time actually charged = raw array accounting minus
