@@ -150,7 +150,9 @@ def write_checkpoint(
 
 def _load_container(path: str) -> dict[str, np.ndarray]:
     try:
-        with np.load(path) as payload:
+        # np.load leaks the file it opens when the zip container is
+        # unreadable, so the file is opened (and closed) here
+        with open(path, "rb") as fh, np.load(fh) as payload:
             names = set(payload.files)
             missing = [n for n in _REQUIRED_ARRAYS if n not in names]
             if missing:

@@ -13,10 +13,14 @@ Scoring gathers rather than copies: :func:`exact_sq_distances` takes
 row positions, gathers those rows into one fresh array and subtracts
 the query in place. The in-place subtract is only ever done on that
 fresh gather, so no kernel here writes into the caller's rows (a
-shard's stored ``floats`` stay byte-identical across every call). The
-assign sweep keeps its bounds as ``(n_centers, n)``, the wave's own
-``(C, n)`` dot layout, so each center's prune test reads one
-contiguous row.
+shard's stored ``floats`` stay byte-identical across every call). Its
+callers: the assign sweep and the degraded recompute here, the shards'
+refine closure, the kNN join, the k-means algorithms (one call per
+center group in ``KMeansAlgorithm._pair_distances``, one per point in
+``_exact_distances``, one per chosen center in k-means++ seeding) and
+the loop oracles of :mod:`repro.oracle`. The assign sweep keeps its
+bounds as ``(n_centers, n)``, the wave's own ``(C, n)`` dot layout, so
+each center's prune test reads one contiguous row.
 
 The order every top-k here keeps is *canonical*: the k smallest
 ``(score, global index)`` pairs in lexicographic order, so duplicate

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.cost.counters import OTHER, PerfCounters
 from repro.errors import ConfigurationError, OperandError
+from repro.kernels import exact_sq_distances
 from repro.mining.knn.base import OPERAND_BYTES
 from repro.telemetry import get_recorder
 
@@ -101,8 +102,7 @@ def initial_centers_plusplus(
     rng = np.random.default_rng(seed)
     centers = np.empty((k, data.shape[1]))
     centers[0] = data[rng.integers(0, n)]
-    diff = data - centers[0]
-    closest_sq = np.einsum("ij,ij->i", diff, diff)
+    closest_sq = exact_sq_distances(data, centers[0])
     for c in range(1, k):
         total = float(closest_sq.sum())
         if total <= 0.0:
@@ -112,9 +112,8 @@ def initial_centers_plusplus(
         probs = closest_sq / total
         pick = int(rng.choice(n, p=probs))
         centers[c] = data[pick]
-        diff = data - centers[c]
         closest_sq = np.minimum(
-            closest_sq, np.einsum("ij,ij->i", diff, diff)
+            closest_sq, exact_sq_distances(data, centers[c])
         )
     return centers
 
@@ -184,8 +183,7 @@ class KMeansAlgorithm(abc.ABC):
         self, i: int, centers: np.ndarray, center_ids: np.ndarray
     ) -> np.ndarray:
         """True Euclidean distance of point ``i`` to selected centers."""
-        diff = centers[center_ids] - self.data[i]
-        dists = np.sqrt(np.einsum("cj,cj->c", diff, diff))
+        dists = np.sqrt(exact_sq_distances(centers, self.data[i], center_ids))
         self._charge_ed(len(center_ids))
         return dists
 
@@ -194,14 +192,25 @@ class KMeansAlgorithm(abc.ABC):
     ) -> np.ndarray:
         """Uncharged true distance of point ``rows[t]`` to ``cols[t]``.
 
-        One center at a time with :meth:`_exact_distances`' einsum: the
-        same bits per pair, and never a (pairs x dims) array.
+        The pairs are grouped by center with one stable sort, and each
+        group is one :func:`~repro.kernels.exact_sq_distances` call on
+        its rows: one center's gather at a time, never a (pairs x dims)
+        array. ``x - c`` is exactly ``-(c - x)`` and the kernel reduces
+        each row on its own, so every pair gets the bits of
+        :meth:`_exact_distances`.
         """
+        order = np.argsort(cols, kind="stable")
+        grouped_rows = rows[order]
+        grouped = np.empty(len(rows))
+        lo = 0
+        for c, hi in enumerate(np.cumsum(np.bincount(cols))):
+            if hi > lo:
+                grouped[lo:hi] = exact_sq_distances(
+                    self.data, centers[c], grouped_rows[lo:hi]
+                )
+                lo = hi
         out = np.empty(len(rows))
-        for c in np.unique(cols):
-            sel = cols == c
-            diff = centers[c] - self.data[rows[sel]]
-            out[sel] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        out[order] = np.sqrt(grouped, out=grouped)
         return out
 
     def _masked_values(

@@ -1,5 +1,7 @@
 """Unit tests for the k-means family: every variant must match Lloyd."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -263,3 +265,27 @@ class TestIterationDynamics:
         )
         trace = result.iteration_exact_distances
         assert len(set(trace)) == 1  # N*k every iteration
+
+
+class TestPairDistances:
+    def test_grid_holds_one_center_gather(self):
+        # Drake's all-center rescan scores every (point, center) pair:
+        # grouped by center, the call holds one center's gather plus a
+        # few pair-length arrays, never a (pairs x dims) buffer
+        n, k, dims = 3000, 16, 90
+        rng = np.random.default_rng(0)
+        data, centers = rng.random((n, dims)), rng.random((k, dims))
+        alg = LloydKMeans(k, max_iters=1)
+        alg.fit(data, centers)
+        rows = np.repeat(np.arange(n), k)
+        cols = np.tile(np.arange(k), n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = alg._pair_distances(rows, cols, centers)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n * k,)
+        gather_bytes, pair_bytes = n * dims * 8, n * k * 8
+        assert peak <= gather_bytes + 6 * pair_bytes + (64 << 10), peak

@@ -4,8 +4,10 @@ The paper's headline guarantee — PIM optimization never changes results
 — must hold for arbitrary datasets, ks and measures.
 """
 
+import hashlib
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.mining.kmeans import LloydKMeans, make_kmeans, initial_centers
@@ -113,3 +115,76 @@ class TestKMeansEquivalence:
         assert res.inertia <= ref.inertia * (1 + 1e-9) + 1e-12
         assert res.n_iterations == ref.n_iterations
         assert np.array_equal(res.assignments, ref.assignments)
+
+
+@st.composite
+def pair_case(draw):
+    """A fitted Lloyd run plus a pair list over its points and centers.
+
+    Pairs draw their centers from a random subset, so some centers go
+    unreferenced; rows and centers repeat, and the list may be empty.
+    """
+    n = draw(st.integers(min_value=1, max_value=40))
+    dims = draw(st.integers(min_value=1, max_value=12))
+    k = draw(st.integers(min_value=1, max_value=min(6, n)))
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    rng = np.random.default_rng(seed)
+    # mixed magnitudes so differences round differently per pair
+    scale = 10.0 ** rng.integers(-3, 4, size=(1, dims))
+    data = rng.standard_normal((n, dims)) * scale
+    centers = rng.standard_normal((k, dims)) * scale
+    used = draw(
+        st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True)
+    )
+    size = draw(st.integers(min_value=0, max_value=60))
+    rows = np.array(
+        draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)),
+        dtype=np.int64,
+    )
+    cols = np.array(
+        draw(st.lists(st.sampled_from(used), min_size=size, max_size=size)),
+        dtype=np.int64,
+    )
+    return data, centers, rows, cols
+
+
+def _digest(*arrays):
+    return [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
+
+
+_EMPTY = np.array([], dtype=np.int64)
+
+
+class TestPairDistances:
+    @given(pair_case())
+    # an empty pair list
+    @example((np.eye(3), np.eye(3)[[2, 0, 1]], _EMPTY, _EMPTY))
+    # a single center
+    @example(
+        (np.arange(12.0).reshape(4, 3), np.full((1, 3), 0.1),
+         np.array([3, 0, 3, 1]), np.zeros(4, dtype=np.int64))
+    )
+    # unsorted cols, centers 0 and 2 unreferenced
+    @example(
+        (np.arange(15.0).reshape(5, 3) / 7, np.eye(4, 3) * 3,
+         np.array([4, 4, 0, 2, 0]), np.array([3, 1, 3, 1, 1]))
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_grouped_pairs_equal_per_pair_loop(self, case):
+        data, centers, rows, cols = case
+        alg = LloydKMeans(centers.shape[0], max_iters=1)
+        alg.fit(data, centers)
+        assert alg.data is data
+        before = _digest(data, centers)
+        got = alg._pair_distances(rows, cols, centers)
+        want = np.array(
+            [
+                alg._exact_distances(int(r), centers, np.array([c]))[0]
+                for r, c in zip(rows, cols)
+            ],
+            dtype=np.float64,
+        )
+        assert got.shape == rows.shape
+        assert got.tobytes() == want.tobytes()
+        # the kernel subtracts in place, but only on its fresh gather
+        assert _digest(data, centers) == before

@@ -141,7 +141,8 @@ class TestIntegrity:
         m = manager8()
         path = str(tmp_path / "ck.npz")
         write_checkpoint(m, path)
-        blob = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            blob = fh.read()
         with open(path, "wb") as fh:
             fh.write(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError, match="unreadable"):
