@@ -79,6 +79,15 @@ def _same_answers(a, b) -> bool:
     )
 
 
+def _same_clustering(a, b) -> bool:
+    """Bit-for-bit equal k-means fits: assignments, centers, inertia."""
+    return (
+        np.array_equal(a.assignments, b.assignments)
+        and np.array_equal(a.centers, b.centers)
+        and a.inertia == b.inertia
+    )
+
+
 class PIMAccelerator:
     """Facade running the full profile -> offload -> verify pipeline."""
 
@@ -282,7 +291,11 @@ class PIMAccelerator:
         max_iters: int = 10,
         seed: int = 0,
     ) -> AccelerationReport:
-        """Profile a k-means baseline, build its PIM variant, compare."""
+        """Profile a k-means baseline, build its PIM variant, compare.
+
+        The two fits start from the same centers and must agree bit for
+        bit: assignments, centers and inertia.
+        """
         data = np.asarray(data, dtype=np.float64)
         notes: list[str] = []
         from repro.mining.kmeans import initial_centers
@@ -313,9 +326,9 @@ class PIMAccelerator:
                 pim_algo, data, centers=centers.copy()
             )
         with tele.span("phase.verify", "phase", task="kmeans"):
-            results_match = abs(
-                pim_profile.extras["inertia"] - base_profile.extras["inertia"]
-            ) <= 1e-6 * max(1.0, base_profile.extras["inertia"])
+            results_match = _same_clustering(
+                base_profile.results[0], pim_profile.results[0]
+            )
         return AccelerationReport(
             baseline=base_profile,
             optimized=pim_profile,

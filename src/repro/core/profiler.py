@@ -24,7 +24,7 @@ import numpy as np
 from repro.cost.counters import PerfCounters
 from repro.cost.model import ComponentBreakdown, CostModel, combined_time_ns
 from repro.hardware.config import HardwareConfig, baseline_platform
-from repro.mining.kmeans.base import KMeansAlgorithm
+from repro.mining.kmeans.base import KMeansAlgorithm, KMeansResult
 from repro.mining.knn.base import KNNAlgorithm, KNNResult
 from repro.telemetry import get_recorder
 
@@ -42,9 +42,9 @@ class AlgorithmProfile:
     offloadable: tuple[str, ...]
     pim_oracle_ns: float
     extras: dict[str, float] = field(default_factory=dict)
-    #: Per-query answers of a kNN run (empty for k-means), so a caller
-    #: can check them without running the workload again.
-    results: list[KNNResult] = field(default_factory=list)
+    #: Per-query answers of a kNN run, or the one fit of a k-means run,
+    #: so a caller can check them without running the workload again.
+    results: list[KNNResult | KMeansResult] = field(default_factory=list)
 
     @property
     def total_time_ns(self) -> float:
@@ -275,6 +275,7 @@ def profile_kmeans(
     profile.extras["inertia"] = result.inertia
     profile.extras["exact_distances"] = float(result.exact_distances)
     profile.extras["time_per_iteration_ms"] = profile.total_time_ms / iters
+    profile.results = [result]
     if assist is not None:
         stats = assist.controller.pim.stats
         batches = stats.batches - batches_before

@@ -3,9 +3,14 @@
 All variants implement *exact* Lloyd iterations — Elkan/Drake/Yinyang
 only avoid distance computations that provably cannot change the
 assignment, and the PIM-assisted variants add one more such filter
-(LB_PIM-ED, Section V-B of the paper). Consequently every variant
-produces the same clustering as Lloyd from the same initial centers
-(up to distance ties), which the test suite asserts.
+(LB_PIM-ED, Section V-B of the paper). Every LB_PIM-ED consult goes
+through one scan, :meth:`KMeansAlgorithm._masked_values`, with one
+refine rule (an entry is computed exactly iff its bound is ``<=`` the
+row's threshold), and a row's winner is :func:`nearest`, the
+lowest-index nearest center among its exact entries. Consequently every
+``-PIM`` variant returns its baseline's clustering bit for bit (tie-heavy
+data included), and every variant matches Lloyd from the same initial
+centers up to distance ties, which the test suite asserts.
 
 Internally the algorithms work with *true* (root) Euclidean distances so
 the triangle inequality holds; reported inertia is the usual sum of
@@ -118,6 +123,17 @@ def initial_centers_plusplus(
     return centers
 
 
+def nearest(values: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    """Each row's winner: the first minimum among its exact entries.
+
+    The assigned center must carry an exact value (``ub`` must
+    upper-bound its true distance). A skipped entry's bound exceeds the
+    row's threshold, which some exact entry meets, so this is the
+    lowest-index nearest center.
+    """
+    return np.argmin(np.where(exact, values, np.inf), axis=1)
+
+
 class KMeansAlgorithm(abc.ABC):
     """Base of every k-means implementation.
 
@@ -217,24 +233,66 @@ class KMeansAlgorithm(abc.ABC):
         self,
         centers: np.ndarray,
         rows: np.ndarray,
-        ids: np.ndarray,
-        want: np.ndarray,
-        ub: np.ndarray | None,
+        ids: np.ndarray | None = None,
+        want: np.ndarray | None = None,
+        threshold: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Whole-array :meth:`_distances_with_pim`: points ``rows`` to
-        their centers ``ids`` where ``want``, each row at threshold
-        ``ub``; only wanted entries of the result are meaningful."""
+        """The one nearest-center scan: distances or safe lower bounds.
+
+        Scores points ``rows`` against their centers ``ids`` (a row of
+        center ids per point; ``None`` means every center) where
+        ``want`` (``None`` means every entry), and returns ``(values,
+        exact)``; only wanted entries of ``values`` are meaningful.
+        Without PIM every wanted entry is an exact distance. With PIM
+        each wanted LB_PIM-ED is read and charged once, and an entry is
+        computed exactly iff its bound is ``<=`` its row's
+        ``threshold``; the others keep the bound, which proves they
+        cannot beat the threshold. With no ``threshold`` each row is
+        seeded: its threshold is the exact distance to its
+        smallest-bound wanted center, computed once and kept in the row
+        as an exact entry. :func:`nearest` picks the winner.
+        """
+        shape = (rows.size, self.n_clusters) if ids is None else ids.shape
+        exact = np.ones(shape, dtype=bool) if want is None else want.copy()
+        seed, n_ed = None, 0
         if self.pim is None:
-            values, exact = np.zeros(ids.shape), want.copy()
+            values = np.zeros(shape)
         else:
-            values = self.pim.lower_bounds(rows[:, None], ids)
-            if want.any():
-                self.pim.charge(self._counters, int(want.sum()))
-            exact = want & (values < ub[:, None])
-        r, c = np.nonzero(exact)
-        values[exact] = self._pair_distances(rows[r], ids[r, c], centers)
+            # every center's bounds are one row take, much cheaper than
+            # a (rows x ids) fancy gather
+            values = (
+                self.pim.lower_bounds(rows, slice(None))
+                if ids is None
+                else self.pim.lower_bounds(rows[:, None], ids)
+            )
+            consults = int(np.count_nonzero(exact))
+            if consults:
+                self.pim.charge(self._counters, consults)
+            if threshold is None:
+                at = np.arange(rows.size)
+                seed = nearest(values, exact)  # smallest wanted bound
+                threshold = self._pair_distances(
+                    rows, seed if ids is None else ids[at, seed], centers
+                )
+                n_ed = rows.size
+            exact &= values <= threshold[:, None]
+            if seed is not None:
+                exact[at, seed] = False
+        # one flat pass: much faster than a 2-D ``np.nonzero``
+        r, c = np.divmod(np.flatnonzero(exact), shape[1])
         if r.size:
-            self._charge_ed(r.size)
+            cols = c if ids is None else ids[r, c]
+            values[r, c] = (
+                # one point's scan: one kernel call over its centers
+                np.sqrt(exact_sq_distances(centers, self.data[rows[0]], cols))
+                if rows.size == 1
+                else self._pair_distances(rows[r], cols, centers)
+            )
+        n_ed += r.size
+        if n_ed:
+            self._charge_ed(n_ed)
+        if seed is not None:
+            values[at, seed], exact[at, seed] = threshold, True
         return values, exact
 
     def _distances_with_pim(
@@ -244,26 +302,11 @@ class KMeansAlgorithm(abc.ABC):
         center_ids: np.ndarray,
         ub: float,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Distances (or safe lower bounds) to selected centers.
-
-        Returns ``(values, is_exact)``. With PIM assistance, centers
-        whose LB_PIM-ED already meets ``ub`` return the bound instead of
-        the exact distance (the bound proves they cannot win, so using
-        it as the value keeps every argmin decision intact).
-        """
-        center_ids = np.asarray(center_ids)
-        if self.pim is None:
-            values = self._exact_distances(i, centers, center_ids)
-            return values, np.ones(len(center_ids), dtype=bool)
-        lbs = self.pim.lower_bounds(i, center_ids)
-        self.pim.charge(self._counters, len(center_ids))
-        exact_mask = lbs < ub
-        values = lbs.copy()
-        if exact_mask.any():
-            values[exact_mask] = self._exact_distances(
-                i, centers, center_ids[exact_mask]
-            )
-        return values, exact_mask
+        """One point's row of :meth:`_masked_values` at threshold ``ub``."""
+        values, exact = self._masked_values(
+            centers, np.array([i]), center_ids[None, :], None, np.array([ub])
+        )
+        return values[0], exact[0]
 
     # ------------------------------------------------------------------
     # the Lloyd loop

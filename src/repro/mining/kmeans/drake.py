@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cost.counters import OTHER
-from repro.mining.kmeans.base import BOUND_UPDATE, KMeansAlgorithm
+from repro.mining.kmeans.base import BOUND_UPDATE, KMeansAlgorithm, nearest
 from repro.mining.knn.base import OPERAND_BYTES
 
 
@@ -53,14 +53,12 @@ class DrakeKMeans(KMeansAlgorithm):
         """Reset the state of ``rows`` from (rows x k) distance values.
 
         ``values`` may mix exact distances and safe lower bounds; both
-        are valid bound-list entries, but the *assigned* center must
-        carry an exact value (``ub`` must upper-bound its true distance),
-        so the winner is the first minimum among exact entries.
+        are valid bound-list entries, and the winner is :func:`nearest`.
         """
         m, k = values.shape
         b = self.n_tracked
         at = np.arange(m)
-        winner = np.argmin(np.where(exact, values, np.inf), axis=1)
+        winner = nearest(values, exact)
         self._a[rows] = winner
         self._ub[rows] = values[at, winner]
         if k == 1:
@@ -89,7 +87,7 @@ class DrakeKMeans(KMeansAlgorithm):
         if self._first:
             self._first = False
             rows = np.arange(self.data.shape[0])
-            self._rebuild_rows(rows, *self._all_values(rows, centers))
+            self._rebuild_rows(rows, *self._masked_values(centers, rows))
             return self._a.copy()
 
         guard = np.minimum(
@@ -120,7 +118,7 @@ class DrakeKMeans(KMeansAlgorithm):
 
         # the aggregate bound fails: rescan every center
         r, d_r = rows[rescan], d_a[rescan]
-        values, exact = self._all_values(r, centers, threshold=d_r)
+        values, exact = self._masked_values(centers, r, threshold=d_r)
         at, a_r = np.arange(r.size), self._a[r]
         values[at, a_r], exact[at, a_r] = d_r, True
         self._rebuild_rows(r, values, exact)
@@ -140,29 +138,6 @@ class DrakeKMeans(KMeansAlgorithm):
         ids[at, j], lbs[at, j] = old_a, d_t[win]
         self._tracked[t], self._tracked_lb[t] = ids, lbs
         return self._a.copy()
-
-    def _all_values(
-        self,
-        rows: np.ndarray,
-        centers: np.ndarray,
-        threshold: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Distances (or safe bounds) of ``rows`` to every center, plus
-        the mask of entries that are exact."""
-        k = self.n_clusters
-        ids = np.broadcast_to(np.arange(k), (rows.size, k))
-        want = np.ones((rows.size, k), dtype=bool)
-        if self.pim is None or threshold is not None:
-            return self._masked_values(centers, rows, ids, want, threshold)
-        lbs = self.pim.lower_bounds(rows[:, None], ids)
-        self.pim.charge(self._counters, lbs.size)
-        seed = np.argmin(lbs, axis=1)
-        threshold = self._pair_distances(rows, seed, centers)
-        self._charge_ed(rows.size)
-        values, exact = self._masked_values(centers, rows, ids, want, threshold)
-        at = np.arange(rows.size)
-        values[at, seed], exact[at, seed] = threshold, True
-        return values, exact
 
     def _after_update(
         self, old_centers: np.ndarray, new_centers: np.ndarray

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cost.counters import OTHER
-from repro.mining.kmeans.base import BOUND_UPDATE, KMeansAlgorithm
+from repro.mining.kmeans.base import BOUND_UPDATE, KMeansAlgorithm, nearest
 from repro.mining.knn.base import OPERAND_BYTES
 
 
@@ -40,10 +40,15 @@ class ElkanKMeans(KMeansAlgorithm):
         return np.sqrt(d2)
 
     def _assign(self, centers: np.ndarray) -> np.ndarray:
-        if self._first:
-            self._first = False
-            return self._assign_initial(centers)
         n = self.data.shape[0]
+        if self._first:
+            # first pass: assignments, ub and the whole lb matrix
+            self._first = False
+            rows = np.arange(n)
+            self._lb, exact = self._masked_values(centers, rows)
+            self._a = nearest(self._lb, exact)
+            self._ub = self._lb[rows, self._a]
+            return self._a.copy()
         k = self.n_clusters
         dcc = self._center_separations(centers)
         np.fill_diagonal(dcc, np.inf)
@@ -78,36 +83,6 @@ class ElkanKMeans(KMeansAlgorithm):
                 if exact[j] and values[j] < self._ub[i]:
                     self._a[i] = int(cand[j])
                     self._ub[i] = float(values[j])
-        return self._a.copy()
-
-    def _assign_initial(self, centers: np.ndarray) -> np.ndarray:
-        """First pass: establish assignments, ub and the lb matrix."""
-        n = self.data.shape[0]
-        k = self.n_clusters
-        ids = np.arange(k)
-        for i in range(n):
-            if self.pim is None:
-                values = self._exact_distances(i, centers, ids)
-                self._lb[i] = values
-                self._a[i] = int(np.argmin(values))
-                self._ub[i] = float(values[self._a[i]])
-            else:
-                lbs = self.pim.lower_bounds(i, ids)
-                self.pim.charge(self._counters, k)
-                seed = int(np.argmin(lbs))
-                ub = float(
-                    self._exact_distances(i, centers, np.array([seed]))[0]
-                )
-                values, exact = self._distances_with_pim(i, centers, ids, ub)
-                values[seed] = ub
-                exact[seed] = True
-                self._lb[i] = values
-                # the assigned center must carry an exact value so that
-                # ub really upper-bounds its distance
-                exact_ids = np.nonzero(exact)[0]
-                winner = int(exact_ids[np.argmin(values[exact_ids])])
-                self._a[i] = winner
-                self._ub[i] = float(values[winner])
         return self._a.copy()
 
     def _after_update(

@@ -2,17 +2,18 @@
 
 The assign step computes all N*k distances — the heaviest data-transfer
 pattern of the family, which is why Standard-PIM shows the largest
-speedup (Table 7: up to 33.4x). With PIM assistance each point first
-reads the LB_PIM-ED wave results, computes one exact distance to the
-bound-minimising center, and refines only centers whose bound beats it
-— all points at once, one array step per decision.
+speedup (Table 7: up to 33.4x). With PIM assistance the assign step is
+one call of the shared seeded scan: each point computes one exact
+distance to its bound-minimising center and refines only centers whose
+bound does not exceed it — all points at once — and takes the
+lowest-index nearest center, as the CPU path's ``argmin`` does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.mining.kmeans.base import KMeansAlgorithm
+from repro.mining.kmeans.base import KMeansAlgorithm, nearest
 
 
 class LloydKMeans(KMeansAlgorithm):
@@ -35,18 +36,5 @@ class LloydKMeans(KMeansAlgorithm):
         return np.argmin(d2, axis=1).astype(np.int64)
 
     def _assign_pim(self, centers: np.ndarray) -> np.ndarray:
-        n, k = self.data.shape[0], centers.shape[0]
-        rows = np.arange(n)
-        lbs = self.pim.lower_bounds(slice(None), np.arange(k))
-        self.pim.charge(self._counters, n * k)
-        seed = np.argmin(lbs, axis=1)
-        ub = self._pair_distances(rows, seed, centers)
-        candidates = lbs < ub[:, None]
-        candidates[rows, seed] = False
-        dists = np.full((n, k), np.inf)
-        r, c = np.nonzero(candidates)
-        dists[r, c] = self._pair_distances(r, c, centers)
-        self._charge_ed(n + r.size)
-        # first-min over the candidates, kept only if strictly better
-        best = np.argmin(dists, axis=1)
-        return np.where(dists[rows, best] < ub, best, seed).astype(np.int64)
+        rows = np.arange(self.data.shape[0])
+        return nearest(*self._masked_values(centers, rows)).astype(np.int64)

@@ -128,7 +128,7 @@ class YinyangKMeans(KMeansAlgorithm):
                 self._glb[i, g] = np.inf
                 continue
             values, exact = self._distances_with_pim(
-                i, centers, members, best_d if best_d < np.inf else np.inf
+                i, centers, members, best_d
             )
             seen[g] = values
             exact_ids = np.nonzero(exact)[0]

@@ -3,12 +3,12 @@
 ``FilteredKNN.query`` walks the canonical ``(bound, index)`` order in
 blocks as a lazy cascade with an array replay
 (:func:`repro.kernels.refine_topk`), and the Lloyd-PIM and Drake assign
-steps work on all points at once. The loops below are the
-one-candidate-at-a-time and one-point-at-a-time walks those paths
-replace; on tie-heavy data (a five-value alphabet and duplicate rows)
-every answer, count, cost bucket, wave and simulated ns must come out
-equal, bucket order included, since the cost model sums buckets in
-insertion order.
+steps and Elkan's first pass work on all points at once through one
+nearest-center scan. The loops below are the one-candidate-at-a-time
+and one-point-at-a-time walks those paths replace; on tie-heavy data (a
+five-value alphabet and duplicate rows) every answer, count, cost
+bucket, wave and simulated ns must come out equal, bucket order
+included, since the cost model sums buckets in insertion order.
 """
 
 from __future__ import annotations
@@ -21,7 +21,12 @@ from repro.bounds.ed import FNNBound, PartitionUpperBound
 from repro.bounds.pim import PIMFNNBound
 from repro.cost.counters import OTHER, PerfCounters
 from repro.hardware.controller import PIMController
-from repro.mining.kmeans import DrakeKMeans, LloydKMeans, PIMAssist
+from repro.mining.kmeans import (
+    DrakeKMeans,
+    ElkanKMeans,
+    LloydKMeans,
+    PIMAssist,
+)
 from repro.mining.kmeans.base import initial_centers
 from repro.mining.knn import (
     FNNKNN,
@@ -260,34 +265,72 @@ def test_block_rejected_whole_by_its_first_finer_stage():
 # ----------------------------------------------------------------------
 # k-means: the per-point assign steps
 # ----------------------------------------------------------------------
+def loop_scan(algo, i, centers, ids, threshold=None):
+    """Point ``i``'s row of the nearest-center scan, walked on its own.
+
+    Every bound is read and charged once; an entry is computed exactly
+    iff its bound is ``<=`` the threshold. With no threshold the row is
+    seeded by the exact distance to its smallest-bound center, which
+    stays in the row as an exact entry.
+    """
+    if algo.pim is None:
+        values = algo._exact_distances(i, centers, ids)
+        return values, np.ones(len(ids), dtype=bool)
+    lbs = algo.pim.lower_bounds(i, ids)
+    algo.pim.charge(algo._counters, len(ids))
+    values, exact = lbs.copy(), np.zeros(len(ids), dtype=bool)
+    if threshold is None:
+        seed = int(np.argmin(lbs))
+        threshold = float(algo._exact_distances(i, centers, ids[[seed]])[0])
+        values[seed], exact[seed] = threshold, True
+    refine = ~exact & (lbs <= threshold)
+    if refine.any():
+        values[refine] = algo._exact_distances(i, centers, ids[refine])
+        exact |= refine
+    return values, exact
+
+
+def loop_nearest(values, exact):
+    """The lowest-index minimum among the exact entries."""
+    exact_ids = np.nonzero(exact)[0]
+    return int(exact_ids[np.argmin(values[exact_ids])])
+
+
 class LoopLloydKMeans(LloydKMeans):
     def _assign_pim(self, centers):
-        data = self.data
-        k = centers.shape[0]
-        assignments = np.empty(data.shape[0], dtype=np.int64)
-        all_ids = np.arange(k)
-        for i in range(data.shape[0]):
-            lbs = self.pim.lower_bounds(i, all_ids)
-            self.pim.charge(self._counters, k)
-            seed = int(np.argmin(lbs))
-            ub = float(self._exact_distances(i, centers, np.array([seed]))[0])
-            best, best_d = seed, ub
-            candidates = np.nonzero(lbs < ub)[0]
-            candidates = candidates[candidates != seed]
-            if candidates.size:
-                dists = self._exact_distances(i, centers, candidates)
-                j = int(np.argmin(dists))
-                if dists[j] < best_d:
-                    best, best_d = int(candidates[j]), float(dists[j])
-            assignments[i] = best
-        return assignments
+        ids = np.arange(centers.shape[0])
+        return np.array(
+            [
+                loop_nearest(*loop_scan(self, i, centers, ids))
+                for i in range(self.data.shape[0])
+            ],
+            dtype=np.int64,
+        )
+
+
+class LoopElkanKMeans(ElkanKMeans):
+    """Elkan with a per-point first pass and per-point candidate scan."""
+
+    def _distances_with_pim(self, i, centers, center_ids, ub):
+        return loop_scan(self, i, centers, center_ids, ub)
+
+    def _assign(self, centers):
+        if not self._first:
+            return super()._assign(centers)
+        self._first = False
+        ids = np.arange(self.n_clusters)
+        for i in range(self.data.shape[0]):
+            values, exact = loop_scan(self, i, centers, ids)
+            self._lb[i] = values
+            self._a[i] = loop_nearest(values, exact)
+            self._ub[i] = values[self._a[i]]
+        return self._a.copy()
 
 
 class LoopDrakeKMeans(DrakeKMeans):
     def _rebuild_point(self, i, values, exact):
         b = self.n_tracked
-        exact_ids = np.nonzero(exact)[0]
-        winner = int(exact_ids[np.argmin(values[exact_ids])])
+        winner = loop_nearest(values, exact)
         self._a[i] = winner
         self._ub[i] = float(values[winner])
         others = np.argsort(values)
@@ -303,32 +346,13 @@ class LoopDrakeKMeans(DrakeKMeans):
             float(values[others[b]]) if others.size > b else np.inf
         )
 
-    def _point_values(self, i, centers, ids, threshold=None):
-        if self.pim is None:
-            values = self._exact_distances(i, centers, ids)
-            return values, np.ones(len(ids), dtype=bool)
-        if threshold is None:
-            lbs = self.pim.lower_bounds(i, ids)
-            self.pim.charge(self._counters, len(ids))
-            seed = int(np.argmin(lbs))
-            threshold = float(
-                self._exact_distances(i, centers, np.array([seed]))[0]
-            )
-            values, exact = self._distances_with_pim(
-                i, centers, ids, threshold
-            )
-            values[seed] = threshold
-            exact[seed] = True
-            return values, exact
-        return self._distances_with_pim(i, centers, ids, threshold)
-
     def _assign(self, centers):
         n = self.data.shape[0]
         ids = np.arange(self.n_clusters)
         if self._first:
             self._first = False
             for i in range(n):
-                self._rebuild_point(i, *self._point_values(i, centers, ids))
+                self._rebuild_point(i, *loop_scan(self, i, centers, ids))
             return self._a.copy()
         for i in range(n):
             guard = min(
@@ -344,9 +368,7 @@ class LoopDrakeKMeans(DrakeKMeans):
             if d_a <= guard:
                 continue
             if self._rest_lb[i] < d_a:
-                values, exact = self._point_values(
-                    i, centers, ids, threshold=d_a
-                )
+                values, exact = loop_scan(self, i, centers, ids, d_a)
                 values[a] = d_a
                 exact[a] = True
                 self._rebuild_point(i, values, exact)
@@ -355,7 +377,7 @@ class LoopDrakeKMeans(DrakeKMeans):
             cand = self._tracked[i][mask]
             if cand.size == 0:
                 continue
-            values, exact = self._distances_with_pim(i, centers, cand, d_a)
+            values, exact = loop_scan(self, i, centers, cand, d_a)
             self._tracked_lb[i][mask] = values
             j = int(np.argmin(values))
             if exact[j] and values[j] < self._ub[i]:
@@ -383,7 +405,17 @@ KMEANS_CASES = [
     ("Drake", 4, 3),
     ("Drake", 9, None),
     ("Drake", 16, None),
+    ("Elkan", 1, None),
+    ("Elkan", 9, None),
+    ("Elkan", 16, None),
 ]
+
+
+LOOP_PAIRS = {
+    "Standard": (LloydKMeans, LoopLloydKMeans),
+    "Drake": (DrakeKMeans, LoopDrakeKMeans),
+    "Elkan": (ElkanKMeans, LoopElkanKMeans),
+}
 
 
 @pytest.mark.parametrize("pim", [False, True], ids=["cpu", "pim"])
@@ -398,10 +430,7 @@ def test_kmeans_assign_matches_per_point_loop(algorithm, k, n_tracked, pim):
             kwargs["n_tracked"] = n_tracked
         return cls(k, max_iters=8, **kwargs)
 
-    if algorithm == "Standard":
-        fast, slow = build(LloydKMeans), build(LoopLloydKMeans)
-    else:
-        fast, slow = build(DrakeKMeans), build(LoopDrakeKMeans)
+    fast, slow = (build(cls) for cls in LOOP_PAIRS[algorithm])
     got = fast.fit(data, centers=centers.copy())
     want = slow.fit(data, centers=centers.copy())
     assert np.array_equal(got.assignments, want.assignments)
@@ -442,5 +471,23 @@ def test_accelerate_knn_verifies_on_tie_heavy_data(baseline):
         for k in (1, 5, 10):
             report = accelerator.accelerate_knn(
                 baseline, data, data[::50], k
+            )
+            assert report.results_match, (baseline, seed, k)
+
+
+@pytest.mark.parametrize("baseline", ["Standard", "Elkan", "Drake", "Yinyang"])
+def test_accelerate_kmeans_verifies_on_tie_heavy_data(baseline):
+    """Points sit at equal distances from several centers, so the fits
+    match only if both sides pick the same nearest center on every
+    tie; the verify step compares assignments, centers and inertia
+    bit for bit."""
+    from repro.core.framework import PIMAccelerator
+
+    accelerator = PIMAccelerator()
+    for seed in range(6):
+        data = tie_heavy(300, 24, seed)
+        for k in (2, 8, 16):
+            report = accelerator.accelerate_kmeans(
+                baseline, data, k, max_iters=10, seed=seed
             )
             assert report.results_match, (baseline, seed, k)

@@ -10,7 +10,14 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.mining.kmeans import LloydKMeans, make_kmeans, initial_centers
+from repro.kernels import exact_sq_distances
+from repro.mining.kmeans import (
+    LloydKMeans,
+    PIMAssist,
+    initial_centers,
+    make_kmeans,
+)
+from repro.mining.kmeans.base import nearest
 from repro.mining.knn import (
     FNNKNN,
     HammingKNN,
@@ -115,6 +122,85 @@ class TestKMeansEquivalence:
         assert res.inertia <= ref.inertia * (1 + 1e-9) + 1e-12
         assert res.n_iterations == ref.n_iterations
         assert np.array_equal(res.assignments, ref.assignments)
+
+
+@st.composite
+def tie_kmeans_case(draw):
+    """Grid data: a five-value alphabet with a quarter of rows repeated,
+    so points tie between centers and initial centers may coincide."""
+    n = draw(st.integers(min_value=12, max_value=120))
+    dims = draw(st.sampled_from([2, 3, 8, 24]))
+    k = draw(st.integers(min_value=1, max_value=12))
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    rng = np.random.default_rng(seed)
+    data = rng.integers(0, 5, (n, dims)) / 4.0
+    dup = rng.choice(n, n // 4, replace=False)
+    data[dup] = data[rng.integers(0, n, dup.size)]
+    return data, k, seed
+
+
+class TightAssist(PIMAssist):
+    """An assist whose "bound" is the exact distance itself.
+
+    That is the tightest valid lower bound: every bound that meets a
+    threshold ties it. LB_PIM-ED's ``2d / alpha^2`` slack keeps it
+    strictly below the distance except where it clamps to 0, so only a
+    tight bound shows that the scan stays exact on bound ties.
+    """
+
+    def prepare(self, data):
+        super().prepare(data)
+        self._data = data
+
+    def begin_iteration(self, centers):
+        super().begin_iteration(centers)
+        self._lb = np.sqrt(
+            np.stack([exact_sq_distances(self._data, c) for c in centers], 1)
+        )
+
+
+class TestPIMVariantsBitExact:
+    """Every ``-PIM`` variant returns its baseline's fit bit for bit."""
+
+    @given(
+        tie_kmeans_case(),
+        st.sampled_from(["Standard", "Elkan", "Drake", "Yinyang"]),
+        st.sampled_from([PIMAssist, TightAssist]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pim_variant_equals_baseline(self, case, name, assist):
+        data, k, seed = case
+        init = initial_centers(data, k, seed=seed % 1000)
+        ref = make_kmeans(name, k, max_iters=8).fit(data, init.copy())
+        res = make_kmeans(
+            name + "-PIM", k, max_iters=8, pim_assist=assist()
+        ).fit(data, init.copy())
+        assert np.array_equal(res.assignments, ref.assignments)
+        assert res.centers.tobytes() == ref.centers.tobytes()
+        assert res.inertia == ref.inertia
+        assert res.n_iterations == ref.n_iterations
+
+    @given(tie_kmeans_case(), st.sampled_from([PIMAssist, TightAssist]))
+    @settings(max_examples=40, deadline=None)
+    def test_scan_at_the_nearest_distance_finds_lowest_index(
+        self, case, assist
+    ):
+        """Each row's threshold is its nearest distance, so only the
+        ``<=`` rule refines a center whose bound ties it; the winner
+        must be the lowest-index nearest center on every row."""
+        data, k, seed = case
+        init = initial_centers(data, k, seed=seed % 1000)
+        alg = LloydKMeans(k, max_iters=1, pim_assist=assist())
+        alg.fit(data, init.copy())  # leaves the first center wave loaded
+        true = np.sqrt(
+            np.stack([exact_sq_distances(data, c) for c in init], 1)
+        )
+        rows = np.arange(data.shape[0])
+        values, exact = alg._masked_values(
+            init, rows, threshold=true.min(axis=1)
+        )
+        assert np.array_equal(nearest(values, exact), np.argmin(true, 1))
+        assert values[exact].tobytes() == true[exact].tobytes()
 
 
 @st.composite
