@@ -3,24 +3,29 @@
 Every numeric step of a shard's host-side work lives here, and the
 mining algorithms share it: the exact squared-Euclidean score, Theorem
 1's lower bounds, the canonical top-k and its merge, the one sorted
-filter-and-refine walk (:func:`refine_topk`), the k-means assign sweep
-and the degraded (bound-free) recompute. The functions take plain
-arrays and callables, so they do not depend on how rows are placed or
-dispatched; this module imports nothing from :mod:`repro.serving`,
-:mod:`repro.mining`, :mod:`repro.faults` or :mod:`repro.repair`.
+filter-and-refine walk (:func:`refine_topk`), the k-means pair scoring
+and certified assign sweep, and the degraded (bound-free) recompute.
+The functions take plain arrays and callables, so they do not depend
+on how rows are placed or dispatched; this module imports nothing from
+:mod:`repro.serving`, :mod:`repro.mining`, :mod:`repro.faults` or
+:mod:`repro.repair`.
 
 Scoring gathers rather than copies: :func:`exact_sq_distances` takes
 row positions, gathers those rows into one fresh array and subtracts
 the query in place. The in-place subtract is only ever done on that
 fresh gather, so no kernel here writes into the caller's rows (a
 shard's stored ``floats`` stay byte-identical across every call). Its
-callers: the assign sweep and the degraded recompute here, the shards'
-refine closure, the kNN join, the k-means algorithms (one call per
-center group in ``KMeansAlgorithm._pair_distances``, one per point in
-``_exact_distances``, one per chosen center in k-means++ seeding) and
+callers: :func:`pair_sq_distances` here (one call per center group),
+which scores the assign sweep's winners and its current bests and
+``KMeansAlgorithm._pair_distances``'s pairs; the assign sweep's
+candidates and the degraded recompute here; the shards' refine
+closure; the kNN join; the k-means algorithms' ``_exact_distances``
+(one call per point) and k-means++ seeding (one per chosen center); and
 the loop oracles of :mod:`repro.oracle`. The assign sweep keeps its
 bounds as ``(n_centers, n)``, the wave's own ``(C, n)`` dot layout, so
-each center's prune test reads one contiguous row.
+each center's pass test reads one contiguous row, and settles nearly
+every decision from Theorem 3's window (:func:`assign_window`) without
+scoring.
 
 The order every top-k here keeps is *canonical*: the k smallest
 ``(score, global index)`` pairs in lexicographic order, so duplicate
@@ -38,6 +43,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from repro.bounds.pim import theorem1_lower_bound
+from repro.similarity.quantization import theorem3_error_bound
 
 
 def exact_sq_distances(
@@ -86,19 +92,23 @@ def _canonical_prefix(lb: np.ndarray, gidx: np.ndarray, m: int) -> np.ndarray:
 
     Partitioning finds the ``m``-th smallest bound ``v``; every row with
     ``lb <= v`` precedes every other row in the full canonical order, so
-    lexsorting just that set (boundary ties included) yields the full
+    sorting just that head (boundary ties included) yields the full
     order's first ``count(lb <= v)`` entries without sorting the rest.
+    The head (every row when ``m >= lb.size``) is quicksorted by bound,
+    and lexsorted by ``(bound, gidx)`` only if two bounds tie.
     """
     if m >= lb.size:
-        # the full order: a quicksort, and a lexsort only if bounds tie
-        order = np.argsort(lb)
-        ranked = lb[order]
-        if (ranked[1:] == ranked[:-1]).any():
-            order = order[np.lexsort((gidx[order], ranked))]
-        return order
-    v = np.partition(lb, m - 1)[m - 1]
-    head = np.flatnonzero(lb <= v)
-    return head[np.lexsort((gidx[head], lb[head]))]
+        head, keys = None, lb
+    else:
+        v = np.partition(lb, m - 1)[m - 1]
+        head = (lb <= v).nonzero()[0]
+        keys = lb[head]
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if np.count_nonzero(ranked[1:] == ranked[:-1]):
+        ids = gidx if head is None else gidx[head]
+        order = order[np.lexsort((ids[order], ranked))]
+    return order if head is None else head[order]
 
 
 def canonical_topk(
@@ -316,6 +326,94 @@ def merge_topk(
     return all_scores[top], all_gidx[top]
 
 
+def pair_sq_distances(
+    matrix: np.ndarray,
+    centers: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+) -> np.ndarray:
+    """Exact squared distance of ``matrix[rows[t]]`` to ``centers[cols[t]]``.
+
+    The pairs are grouped by center with one stable sort, and each
+    group is one :func:`exact_sq_distances` call on its rows: one
+    center's gather at a time, never a (pairs x dims) array. The kernel
+    reduces each row on its own, so every pair gets the bits of scoring
+    it alone (and ``x - c`` is exactly ``-(c - x)``, so also the bits of
+    scoring the center against the row).
+    """
+    order = np.argsort(cols, kind="stable")
+    grouped_rows = rows[order]
+    grouped = np.empty(len(rows))
+    counts = np.bincount(cols)
+    present = counts.nonzero()[0]
+    lo = 0
+    for c, hi in zip(present.tolist(), np.cumsum(counts[present]).tolist()):
+        grouped[lo:hi] = exact_sq_distances(
+            matrix, centers[c], grouped_rows[lo:hi]
+        )
+        lo = hi
+    out = np.empty(len(rows))
+    out[order] = grouped
+    return out
+
+
+def assign_window(
+    dims: int, alpha: float, accumulator_bits: int = 64
+) -> tuple[float, float]:
+    """``(below, above)``: a pair's score is in ``[lb - below, lb + above]``.
+
+    For a row ``x`` and a center ``c`` in ``[0, 1]^d`` (what
+    ``Quantizer.normalize`` yields), ``lb`` their clamped Theorem 1
+    bound as :func:`~repro.bounds.pim.theorem1_lower_bound` computes it
+    from exact dot products, and ``E`` their
+    :func:`exact_sq_distances` score, ``lb - below <= E <= lb + above``
+    with ``below = delta`` and ``above = eps + delta``.
+
+    ``eps`` is Theorem 3's bound. With ``p = fl(alpha x)``, ``q =
+    fl(alpha c)`` (both in ``[0, alpha]``), ``P = floor(p)`` and
+    ``Q = floor(q)``, the exact Theorem 1 expression ``L`` on them and
+    ``S = sum (p - q)^2 / alpha^2`` satisfy ``0 <= S - L <= 2 sum (P +
+    Q + 1) / alpha^2 <= 4d/alpha + 2d/alpha^2``, and ``S >= 0`` makes
+    that hold for ``max(0, L)`` too.
+
+    ``delta`` covers float rounding (``u = 2**-53``, magnitudes from
+    values in ``[0, alpha]``, error terms to first order in ``u``):
+
+    * ``S`` against ``D = sum (x - c)^2``: ``p / alpha`` is ``x`` up to
+      a relative ``u``, so each term moves by at most ``4u``: ``4du``;
+    * ``E`` against ``D``: one rounded difference, square and ``d - 1``
+      adds of non-negative terms at most 1: ``(d + 2) d u``;
+    * the computed bound against ``L``: the two ``sum p^2`` (``d``
+      rounded squares and adds of terms ``<= alpha^2``) ``2 d^2 u``;
+      the float conversions of ``2 sum P``, ``2 sum Q`` and ``2 dots``
+      and the five additions, each at most ``8 d alpha^2 + 2d`` in
+      size, ``34 d u + 2 d u / alpha^2`` together after the division
+      by ``alpha^2``; that division, on a value at most ``8d +
+      2d/alpha^2``, ``16 d u + 4 d u / alpha^2``;
+    * rounding ``eps`` (at most ``4d/alpha + 2d/alpha^2``) and the
+      window ends ``lb - below`` and ``lb + above``: ``48 d u + 42 d u
+      / alpha^2`` (``1/alpha <= 1 + 1/alpha^2``).
+
+    Together ``3 d^2 u + 104 d u + 48 d u / alpha^2``, below ``delta =
+    4 d (d + 32 + 16 / alpha^2) u``, whose extra ``d^2 u`` also covers
+    the second-order terms. With ``d = 420`` and ``alpha =
+    1e6``, ``delta`` is 8.4e-11 against ``eps`` = 1.68e-3, so the window
+    is Theorem 3's own.
+
+    Dot products are exact only while they fit the accumulator: the
+    largest is ``d floor(alpha)^2``, and past ``2**63`` (or
+    ``2**accumulator_bits`` for a narrower one) they may wrap, and
+    ``lb`` bounds nothing. The window is then the whole line,
+    ``(inf, inf)``.
+    """
+    limit = 2.0 ** min(accumulator_bits, 63)
+    if dims * float(alpha) ** 2 >= limit:
+        return np.inf, np.inf
+    u = np.finfo(np.float64).eps / 2
+    delta = 4.0 * dims * (dims + 32.0 + 16.0 / alpha**2) * u
+    return delta, theorem3_error_bound(dims, alpha) + delta
+
+
 def assign_sweep(
     phi: np.ndarray,
     floats: np.ndarray,
@@ -325,46 +423,108 @@ def assign_sweep(
     dims: int,
     alpha: float,
     sel: np.ndarray | None = None,
+    accumulator_bits: int = 64,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Nearest center of every row: ``(centers, dists, refined)``.
 
     The rows to assign are ``phi`` and ``floats`` at the positions
     ``sel`` (``None``: every row), and ``dots`` are their
-    ``(n_centers, n)`` dot products, one wave row per center. The
-    bounds keep that ``(C, n)`` layout, so each center's prune test
-    reads one contiguous row. Sweeps centers in index order across all
-    rows at once. Each row's prune test (``lb > best_d``) and strict
-    ``d < best_d`` update depend only on that row's own state, so the
-    center-major sweep replays the per-row loop's decisions exactly —
-    same refined count, same canonical lowest-center-index tie-break,
-    same distance bits (row independence of the kernel). Only the
-    surviving rows are scored per center, each center's in one
-    :func:`exact_sq_distances` call on their composed positions, so
-    neither ``floats`` nor ``phi`` is copied whole: the lb pruning is
-    heavy enough that scoring whole row blocks costs more than the
-    per-center gathers save.
+    ``(n_centers, n)`` dot products, one wave row per center; rows and
+    centers lie in ``[0, 1]``. The result is the per-row loop's: visit
+    centers in index order, refine center ``c`` iff ``lb[c] <=
+    best_d``, and take it iff its exact score ``d < best_d`` (strict,
+    so ties keep the lowest center index), with the bits of
+    :func:`exact_sq_distances`.
+
+    The sweep takes those decisions for all rows at once, center by
+    center, without scoring every refined pair. Each row keeps an
+    interval ``[lo, hi]`` that holds its running ``best_d``: the
+    :func:`assign_window` of its best center's bound, or one exact
+    score. A row's pass test is certain when ``lb[c] <= lo`` or
+    ``lb[c] > hi``, and its update is certain when ``c``'s whole window
+    lies below ``lo``. Theorem 3's window is far narrower than the gaps
+    between centers, so nearly every decision is certain; a row whose
+    decision is not is scored exactly (its current best if that is
+    still a window, then its candidate if it passes), and at the end
+    each row's winner that is still a window is scored once, with
+    :func:`pair_sq_distances`. Decisions, refined count, tie rule and
+    bits are the loop's by construction.
+
+    Every exact score is checked against its window. One outside it
+    means wrong dot products slipped past the wave checks; the shard's
+    sweep is then redone on the whole-line window, where every refined
+    pair is scored exactly and no decision reads a window.
     """
     lb = theorem1_lower_bound(
         (phi if sel is None else phi[sel])[np.newaxis, :],
         phi_c[:, np.newaxis], dots, dims, alpha,
     )
+    rows = np.arange(lb.shape[1]) if sel is None else sel
+    below, above = assign_window(dims, alpha, accumulator_bits)
+    swept = _certified_sweep(lb, floats, c_norm, rows, below, above)
+    if swept is None:
+        swept = _certified_sweep(lb, floats, c_norm, rows, np.inf, np.inf)
+    return swept
+
+
+def _outside(d: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether any exact score left its window."""
+    return bool(((d < lo) | (d > hi)).any())
+
+
+def _certified_sweep(lb, floats, c_norm, rows, below, above):
+    """:func:`assign_sweep` on ``(below, above)`` windows, or ``None``
+    when an exact score falls outside its window."""
     n = lb.shape[1]
-    best_d = np.full(n, np.inf)
     best_c = np.zeros(n, dtype=np.int64)
+    lo = np.full(n, np.inf)  # best_d lies in [lo, hi]; inf: no best yet
+    hi = np.full(n, np.inf)
     refined = 0
-    for c in range(c_norm.shape[0]):
-        hit = np.flatnonzero(lb[c] <= best_d)
+
+    def settle(at: np.ndarray) -> bool:
+        """Score the current bests of rows ``at``; False if one left
+        its window."""
+        b = pair_sq_distances(floats, c_norm, rows[at], best_c[at])
+        if _outside(b, lo[at], hi[at]):
+            return False
+        lo[at] = hi[at] = b
+        return True
+
+    for c in range(lb.shape[0]):
+        lbc = lb[c]
+        hit = (lbc <= hi).nonzero()[0]  # the others certainly fail
         if hit.size == 0:
             continue
-        d = exact_sq_distances(
-            floats, c_norm[c], hit if sel is None else sel[hit]
-        )
+        lb_hit = lbc[hit]
+        top = lb_hit + above
+        sure = top < lo[hit]  # certain pass and certain update
+        if not sure.all():
+            # open decisions: score the row's best if it is still a
+            # window, so the pass test is exact, then the candidate
+            unsure = hit[~sure]
+            windowed = unsure[lo[unsure] < hi[unsure]]
+            if windowed.size and not settle(windowed):
+                return None
+            passed = unsure[lbc[unsure] <= hi[unsure]]
+            if passed.size:
+                d = exact_sq_distances(floats, c_norm[c], rows[passed])
+                lb_passed = lbc[passed]
+                if _outside(d, lb_passed - below, lb_passed + above):
+                    return None
+                closer = d < hi[passed]
+                won = passed[closer]
+                best_c[won] = c
+                lo[won] = hi[won] = d[closer]
+                refined += int(passed.size)
+            hit, lb_hit, top = hit[sure], lb_hit[sure], top[sure]
         refined += int(hit.size)
-        closer = d < best_d[hit]
-        upd = hit[closer]
-        best_d[upd] = d[closer]
-        best_c[upd] = c
-    return best_c, best_d, refined
+        best_c[hit] = c
+        lo[hit] = lb_hit - below
+        hi[hit] = top
+    windowed = (lo < hi).nonzero()[0]
+    if windowed.size and not settle(windowed):
+        return None
+    return best_c, hi, refined
 
 
 def nearest_centers(

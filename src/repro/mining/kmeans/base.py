@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.cost.counters import OTHER, PerfCounters
 from repro.errors import ConfigurationError, OperandError
-from repro.kernels import exact_sq_distances
+from repro.kernels import exact_sq_distances, pair_sq_distances
 from repro.mining.knn.base import OPERAND_BYTES
 from repro.telemetry import get_recorder
 
@@ -208,26 +208,12 @@ class KMeansAlgorithm(abc.ABC):
     ) -> np.ndarray:
         """Uncharged true distance of point ``rows[t]`` to ``cols[t]``.
 
-        The pairs are grouped by center with one stable sort, and each
-        group is one :func:`~repro.kernels.exact_sq_distances` call on
-        its rows: one center's gather at a time, never a (pairs x dims)
-        array. ``x - c`` is exactly ``-(c - x)`` and the kernel reduces
-        each row on its own, so every pair gets the bits of
+        One :func:`~repro.kernels.pair_sq_distances` call: one center's
+        gather at a time, and every pair gets the bits of
         :meth:`_exact_distances`.
         """
-        order = np.argsort(cols, kind="stable")
-        grouped_rows = rows[order]
-        grouped = np.empty(len(rows))
-        lo = 0
-        for c, hi in enumerate(np.cumsum(np.bincount(cols))):
-            if hi > lo:
-                grouped[lo:hi] = exact_sq_distances(
-                    self.data, centers[c], grouped_rows[lo:hi]
-                )
-                lo = hi
-        out = np.empty(len(rows))
-        out[order] = np.sqrt(grouped, out=grouped)
-        return out
+        out = pair_sq_distances(self.data, centers, rows, cols)
+        return np.sqrt(out, out=out)
 
     def _masked_values(
         self,

@@ -2,7 +2,7 @@
 
 Each fast kernel (broadcast bit-slicing, one-contraction crossbar and
 array waves, the exact float64-BLAS HBM-PIM wave, block-scored
-refinement and the center-major assign sweep) replaced a plain loop
+refinement and the certified assign sweep) replaced a plain loop
 that is easy to check by eye. Those loops live here, and the property
 suites and perf benches diff every kernel against them bit for bit:
 values, refined/pruned counts and simulated nanoseconds.
@@ -141,6 +141,10 @@ class LoopPIMArray(PIMArray):
 # ----------------------------------------------------------------------
 # HBM-PIM
 # ----------------------------------------------------------------------
+# the int64 scalar adds wrap mod 2**64 as the fast path's int64 matmul
+# does: the wrap is the accumulator's, so NumPy's overflow warning is off
+# inside this loop oracle only
+@np.errstate(over="ignore")
 def bank_dot_loop(
     matrix: np.ndarray,
     layout: BankLayout,

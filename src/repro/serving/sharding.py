@@ -1294,6 +1294,7 @@ class ShardManager(ReplicaPlacement):
         return assign_sweep(
             shard.phi, shard.floats, dots, c_norm, phi_c,
             self.dims, self.quantizer.alpha, sel,
+            shard.controller.pim.config.accumulator_bits,
         )
 
     def _degraded_assign(

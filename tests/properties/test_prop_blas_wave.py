@@ -14,8 +14,10 @@ the fusion suite.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -189,6 +191,26 @@ def _platform(operand_bits, accumulator_bits):
 
 
 class TestHBMFastPath:
+    @pytest.mark.parametrize("acc", [32, 64])
+    def test_wrapping_dot_agrees_with_instruction_stream(self, acc):
+        # 2**29 * 2**30 per element: each 8-element burst's MAC stays
+        # below 2**63, but the accumulator passes it on the second burst
+        # and the total wraps mod 2**64; the oracle wraps silently
+        platform = _platform(32, acc)
+        matrix = np.full((3, 24), 1 << 29, dtype=np.int64)
+        queries = np.full((2, 24), 1 << 30, dtype=np.int64)
+        fast = HBMPIMArray(platform)
+        oracle = LoopHBMPIMArray(platform)
+        fast.program_matrix("m", matrix)
+        oracle.program_matrix("m", matrix)
+        got = fast.query_batch("m", queries).values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = oracle.query_batch("m", queries).values
+        assert np.array_equal(got, want)
+        wrapped = (24 << 59) % (1 << 64) % (1 << acc)
+        assert (got.view(np.uint64) == wrapped).all()
+
     @given(wave_cases())
     @settings(max_examples=40, deadline=None)
     def test_hbm_pim_matches_instruction_stream_oracle(self, case):

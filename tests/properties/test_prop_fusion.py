@@ -40,6 +40,7 @@ from repro.oracle import (
 from repro.serving import ShardManager
 from repro.kernels import (
     _canonical_prefix,
+    assign_window,
     canonical_topk,
     exact_sq_distances,
     refine_topk,
@@ -398,6 +399,28 @@ def _replicated_case():
     return data, centers, 4, [1] * 5, [False] * 5, "range", None
 
 
+def _assign_case(seed, alpha, grid):
+    """150 rows and 9 centers on 3 range shards; ``grid`` data (values
+    in {0, 0.5, 1}) makes distances tie."""
+    rng = np.random.default_rng(seed)
+    if grid:
+        data = rng.integers(0, 3, size=(150, 8)).astype(np.float64)
+        centers = rng.integers(0, 3, size=(9, 8)).astype(np.float64)
+    else:
+        data, centers = rng.random((150, 8)), rng.random((9, 8))
+    return data, centers, 3, [1] * 9, [False] * 9, "range", alpha
+
+
+#: alpha = 8: Theorem 3's window is wider than any distance, so every
+#: refined pair is ambiguous and scored exactly
+_ASSIGN_COARSE = _assign_case(0, 8.0, grid=False)
+#: grid data: rows tie between centers, so the lowest index must win
+_ASSIGN_TIES = _assign_case(1, None, grid=True)
+#: alpha = 2**32 - 1: dot products can wrap int64, so the bounds bound
+#: nothing and the window is the whole line
+_ASSIGN_GUARD = _assign_case(2, float(2**32 - 1), grid=True)
+
+
 def _refine_case(seed, k, size, subset, ties, n_stages=0):
     """One query's refine inputs: ``(floats, sel, gidx, lb, q_norm,
     stages)``. Bounds are the exact scores minus random slack (none up
@@ -600,6 +623,9 @@ class TestServingFusion:
                 assert bound > 0 and np.count_nonzero(lb == bound) > k + 1
 
     @given(serving_cases())
+    @example(_ASSIGN_COARSE)
+    @example(_ASSIGN_TIES)
+    @example(_ASSIGN_GUARD)
     @settings(max_examples=15, deadline=None)
     def test_assign_matches_reference_loops(self, case):
         centers = case[1]
@@ -648,6 +674,24 @@ class TestServingFusion:
             assert bf.refined == br.refined
             assert bf.pruned == br.pruned
             assert tf.service_ns == tr.service_ns
+
+    def test_assign_examples_reach_their_edge(self):
+        def distances(case):
+            data, centers = case[:2]
+            quantizer = ShardManager(data, n_shards=3).quantizer
+            c_norm = quantizer.normalize(centers)
+            return np.stack(
+                [exact_sq_distances(c_norm, x)
+                 for x in quantizer.normalize(data)]
+            )
+
+        # the coarse window is wider than every distance: no update is
+        # ever certain, so every refined pair is scored
+        dims = _ASSIGN_COARSE[0].shape[1]
+        assert distances(_ASSIGN_COARSE).max() < assign_window(dims, 8.0)[1]
+        d = distances(_ASSIGN_TIES)
+        assert (np.sum(d == d.min(axis=1, keepdims=True), axis=1) > 1).any()
+        assert assign_window(dims, _ASSIGN_GUARD[-1]) == (np.inf, np.inf)
 
     def test_replicated_assign_serves_chunk_subsets(self):
         # the example above reaches both branches of the assist's
@@ -786,6 +830,25 @@ class TestServingFusion:
         out = _canonical_prefix(lb, gidx, m)
         assert out.size >= min(m, n)
         assert np.array_equal(out, np.lexsort((gidx, lb))[: out.size])
+
+    @given(
+        st.lists(
+            st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=90
+        ),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_prefix_is_exact_for_every_m(self, values, seed):
+        # a four-value alphabet: the m-th bound ties across the head's
+        # boundary for most m, and inside the head for all of them
+        lb = np.array(values, dtype=np.float64)
+        n = lb.size
+        gidx = np.random.default_rng(seed).permutation(3 * n)[:n]
+        want = np.lexsort((gidx, lb))
+        for m in range(1, n + 2):
+            out = _canonical_prefix(lb, gidx, m)
+            assert out.size >= min(m, n)
+            assert np.array_equal(out, want[: out.size])
 
     @given(
         st.lists(st.sampled_from([0.0, 0.5, 1.0]), max_size=60),
