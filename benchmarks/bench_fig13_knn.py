@@ -7,12 +7,13 @@
 (c) Standard vs Standard-PIM as k grows (1/10/100);
 (d) Standard vs Standard-PIM across distance functions (ED/CS/PCC).
 
-Perf trajectory: this bench also measures the fused cell-level wave
-kernel against the per-crossbar loop reference — same bits, same
-simulated nanoseconds, orders of magnitude less wall-clock — and
-persists the numbers as ``BENCH_fig13_knn.json`` so CI can gate on the
-speedup never regressing (``--smoke`` floor: 3x; the full run records
-the 10x+ trajectory point under ``benchmarks/results/``).
+Perf trajectory: this bench also measures the production wave kernel
+(the default :class:`PIMArray`'s exact BLAS wave) against the
+per-crossbar loop reference :class:`repro.oracle.LoopPIMArray` — same
+bits, same simulated nanoseconds, orders of magnitude less wall-clock —
+and persists the numbers as ``BENCH_fig13_knn.json`` so CI can gate on
+the speedup never regressing (``--smoke`` floor: 3x; the full run
+records the 10x+ trajectory point under ``benchmarks/results/``).
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ def test_fig13d_vary_distance(benchmark, msd_workload, save_results, measure):
 
 
 # ----------------------------------------------------------------------
-# perf trajectory: fused wave kernel vs per-crossbar loop reference
+# perf trajectory: production wave kernel vs per-crossbar loop reference
 # ----------------------------------------------------------------------
 def _trajectory_workload(smoke: bool):
     """Integer wave workload on the Table 5 platform (MSD-like shape)."""
@@ -235,16 +236,17 @@ def _trajectory_workload(smoke: bool):
 
 
 def measure_fused_trajectory(smoke: bool = False, repeats: int = 5) -> dict:
-    """Fused vs loop-reference cell-level waves: wall-clock + fidelity.
+    """Production vs loop-reference waves: wall-clock + fidelity.
 
-    Both paths must return bit-identical values and *identical*
-    simulated nanoseconds (the fusion contract); only the host
-    wall-clock differs. The loop runs once (it is the slow side); the
-    fused kernel is averaged over ``repeats`` runs.
+    The default :class:`PIMArray` is the fused side, the cell-level
+    :class:`LoopPIMArray` the reference. Both must return bit-identical
+    values and *identical* simulated nanoseconds (the fusion contract);
+    only the host wall-clock differs. The loop runs once (it is the
+    slow side); the fused kernel is averaged over ``repeats`` runs.
     """
     matrix, queries = _trajectory_workload(smoke)
     platform = pim_platform()
-    fused = PIMArray(platform, simulate_cells=True)
+    fused = PIMArray(platform)
     loop = LoopPIMArray(platform)
     fused.program_matrix("bench", matrix)
     loop.program_matrix("bench", matrix)
@@ -263,7 +265,7 @@ def measure_fused_trajectory(smoke: bool = False, repeats: int = 5) -> dict:
     loop_s = time.perf_counter() - t0
     return {
         "bench": "fig13_knn",
-        "kernel": "cell_level_batched_wave",
+        "kernel": "batched_wave",
         "smoke": smoke,
         "workload": {
             "n_vectors": int(matrix.shape[0]),
@@ -316,7 +318,7 @@ def test_fig13_fused_perf_trajectory(benchmark, save_results):
     assert wall["speedup"] >= MIN_FUSED_SPEEDUP
 
     matrix, queries = _trajectory_workload(smoke=True)
-    fused = PIMArray(pim_platform(), simulate_cells=True)
+    fused = PIMArray(pim_platform())
     fused.program_matrix("bench", matrix)
     benchmark(lambda: fused.query_batch("bench", queries))
 

@@ -80,6 +80,26 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError("must lie in [0, 1]")
+    return value
+
+
+def _topology(text: str) -> tuple[int, int, int]:
+    """``SxBxC`` as three positive ints."""
+    try:
+        parts = tuple(_positive_int(part) for part in text.lower().split("x"))
+    except (ValueError, argparse.ArgumentTypeError):
+        parts = ()
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(
+            f"expects SxBxC of positive ints (e.g. 2x2x1), got {text!r}"
+        )
+    return parts
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--dataset", default="MSD", choices=sorted(PROFILES),
@@ -240,6 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="sharded multi-array query serving (repro.serving)"
     )
+    # argparse checks flags one at a time; main() reports the serve
+    # cross-flag rules through this parser, like any other bad flag
+    serve.set_defaults(usage_error=serve.error)
     _add_common(serve)
     serve.add_argument(
         "--shards", type=_positive_int, default=4,
@@ -305,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--topology", default=None, metavar="SxBxC",
+        "--topology", type=_topology, default=None, metavar="SxBxC",
         help=(
             "failure-domain tree as shards-per-board x boards-per-"
             "channel x channels-per-power-domain (e.g. 2x2x1); turns "
@@ -377,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--hedge-budget", type=float, default=None, metavar="FRACTION",
+        "--hedge-budget", type=_fraction, default=None, metavar="FRACTION",
         help=(
             "cap hedged waves at this fraction of dispatch attempts "
             "(implies --outlier-ejection)"
@@ -728,23 +751,13 @@ def _cmd_serve(args, out) -> int:
     if args.topology is not None:
         from repro.hardware import FailureDomainTopology
 
-        try:
-            spb, bpc, cpp = (
-                int(part) for part in args.topology.lower().split("x")
-            )
-        except ValueError:
-            raise SystemExit(
-                f"--topology expects SxBxC (e.g. 2x2x1), got "
-                f"{args.topology!r}"
-            )
+        spb, bpc, cpp = args.topology
         topology = FailureDomainTopology(
             n_shards=args.shards,
             shards_per_board=spb,
             boards_per_channel=bpc,
             channels_per_power_domain=cpp,
         )
-    if args.domain_outage is not None and topology is None:
-        raise SystemExit("--domain-outage requires --topology")
     fault_plan = _fault_plan(args, topology, args.requests / rate * 1e9)
     recovery = None
     if args.outlier_ejection or args.hedge_budget is not None:
@@ -1045,6 +1058,9 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     """CLI entry point; returns a process exit code."""
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
+    needs_topology = getattr(args, "domain_outage", None) is not None
+    if needs_topology and args.topology is None:
+        args.usage_error("--domain-outage requires --topology")
     try:
         with telemetry_scope(args, out):
             return _dispatch(args, out)

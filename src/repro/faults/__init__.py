@@ -9,8 +9,8 @@ mid-run. It provides:
   wave corruption, latency spikes, crossbar death, shard crash/hang/
   slowdown);
 * injectors for the existing simulators —
-  :class:`FaultyCrossbar` (cell-level stuck-at for the
-  ``simulate_cells`` path), :class:`FaultyPIMArray` (array-level
+  :class:`FaultyCrossbar` (cell-level stuck-at on the standalone
+  crossbar model), :class:`FaultyPIMArray` (array-level
   faults as a hook every wave of a device consults, so the device
   books every slowdown of its target itself; composable with
   :class:`~repro.hardware.noise.NoisyPIMArray` and the

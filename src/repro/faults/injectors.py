@@ -3,7 +3,7 @@
 Three injection points, all driven by one :class:`~repro.faults.plan.FaultPlan`:
 
 * :class:`FaultyCrossbar` — a :class:`~repro.hardware.crossbar.Crossbar`
-  with physically stuck cells (the ``simulate_cells`` bit-slice path);
+  with physically stuck cells (the standalone single-crossbar model);
 * :class:`FaultyPIMArray` — the fault hook of one device (any
   :class:`~repro.hardware.pim_array.Substrate`, including a
   :class:`~repro.hardware.noise.NoisyPIMArray` — faults compose with

@@ -20,9 +20,10 @@ in :mod:`repro.oracle`. Both compute in 64-bit wrap-around (mod 2**64)
 arithmetic, which is associative and commutative, so the two always
 agree bit for bit — the fusion property suite asserts exactly that.
 
-:class:`ExactMatrix` holds a programmed matrix for the arrays' default
-wave path: the same exact mod-2**64 dot products, run on float64 BLAS
-(the BLAS-wave property suite pins it to the int64 matmul).
+:class:`ExactMatrix` holds a programmed matrix for every array wave: the
+same exact mod-2**64 dot products, run on float64 BLAS (the BLAS-wave
+property suite pins it to the int64 matmul, and the fusion suite to the
+cell-level crossbar loop).
 """
 
 from __future__ import annotations

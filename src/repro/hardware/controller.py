@@ -47,7 +47,9 @@ class PIMController:
     :func:`repro.substrate.create_substrate`. Side data is staged in the
     device class the backend's capability descriptor declares (ReRAM
     for crossbars, DRAM for HBM-PIM). A ``noise`` model swaps in a
-    :class:`~repro.hardware.noise.NoisyPIMArray`, crossbar only.
+    :class:`~repro.hardware.noise.NoisyPIMArray`, crossbar only. The
+    cell-level crossbar oracle, :class:`repro.oracle.LoopPIMArray`, is
+    not a setting: a test assigns one to :attr:`pim` before programming.
 
     ``dot_products``, ``dot_products_many`` and ``dot_products_batch``
     stay defined in this class body: pimbench's tracer wraps them by name
@@ -57,7 +59,6 @@ class PIMController:
     def __init__(
         self,
         hardware: HardwareConfig | None = None,
-        simulate_cells: bool = False,
         noise=None,
         spare_crossbars: int = 0,
         substrate: str = "crossbar",
@@ -82,7 +83,6 @@ class PIMController:
                 substrate,
                 hardware=self.hardware,
                 spare_units=spare_crossbars,
-                simulate_cells=simulate_cells,
             )
         memory_device = substrate_capabilities(
             substrate, self.hardware

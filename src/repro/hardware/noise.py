@@ -133,7 +133,7 @@ class NoisyPIMArray(PIMArray):
         hardware: HardwareConfig | None = None,
         noise: NoiseModel | None = None,
     ) -> None:
-        super().__init__(hardware, simulate_cells=False)
+        super().__init__(hardware)
         self.noise = noise if noise is not None else NoiseModel()
         self._rng = np.random.default_rng(self.noise.seed)
 

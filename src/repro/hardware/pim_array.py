@@ -10,30 +10,21 @@ by every backend: matrix bookkeeping, wave dispatch, buffer drain,
 stats, telemetry and the spare-pool remap. A backend supplies only
 placement, its timing model and its kernel.
 
-:class:`PIMArray` is the paper's ReRAM crossbar backend. Two execution
-paths produce identical values:
+:class:`PIMArray` is the paper's ReRAM crossbar backend. The bit-sliced
+analog pipeline (DAC input slices, ADC, shift-and-add) is value-exact,
+so every wave computes the integer matrix-vector product exactly on
+float64 BLAS (:class:`~repro.hardware.bitslice.ExactMatrix`: the matrix
+is held once, as float64, with its exact row sums; rows whose dot
+products could pass ``2**53`` are recomputed with the int64 matmul),
+while the cycle-accurate wave latency is still charged.
 
-* the default fast path computes the integer matrix-vector product
-  exactly on float64 BLAS (:class:`~repro.hardware.bitslice.ExactMatrix`:
-  the matrix is held once, as float64, with its exact row sums; rows
-  whose dot products could pass ``2**53`` are recomputed with the
-  int64 matmul).
-  The bit-sliced analog pipeline is value-exact, so this is a pure
-  optimisation; the cycle-accurate wave latency is still charged;
-* ``simulate_cells=True`` runs the *fused* bit-sliced kernel: the
-  operand bit-slice decomposition is precomputed at ``program()`` time
-  (cached per matrix, dropped on reprogram/remap) and every wave is one
-  whole-array tensor contraction over (operand-slice, input-slice)
-  partials — cell-faithful DAC/ADC bit-slicing without Python loops.
-
-:class:`repro.oracle.LoopPIMArray` is the slow loop oracle the fused
-kernel is checked against, bit for bit, on small geometries: it merges
-the partial results of the real
-:class:`~repro.hardware.crossbar.Crossbar` objects per crossbar and per
-slice. Every path shares the analytical timing model (latency is
-computed from the layout, not from the execution style), so simulated
-times are identical by construction; the fusion golden tests pin them
-anyway.
+:class:`repro.oracle.LoopPIMArray` is the cell-level oracle it is
+checked against, bit for bit, on small geometries: it programs real
+:class:`~repro.hardware.crossbar.Crossbar` objects and merges their
+partial results per crossbar and per slice. Both share the analytical
+timing model (latency is computed from the layout, not from the
+execution style), so simulated times are identical by construction;
+the fusion golden tests pin them anyway.
 """
 
 from __future__ import annotations
@@ -46,14 +37,12 @@ from repro.errors import CapacityError, OperandError, ProgrammingError
 from repro.hardware import bitslice
 from repro.hardware.buffer import BufferArray
 from repro.hardware.config import HardwareConfig, pim_platform
-from repro.hardware.crossbar import Crossbar
 from repro.hardware.endurance import EnduranceTracker
 from repro.hardware.mapper import (
     DatasetLayout,
     plan_layout,
     reserve_spares,
     total_crossbars,
-    vectors_per_crossbar,
 )
 from repro.hardware.timing import (
     BatchWaveTiming,
@@ -225,29 +214,14 @@ class ProgrammedMatrix:
 
     ``matrix`` is the single resident copy of the operands, held for the
     exact BLAS waves; ``unit_ids`` are the physical units backing it.
-    Crossbars in ``simulate_cells`` mode also keep their cell objects in
-    ``crossbars`` and cache the operand bit-slice decomposition the
-    fused kernel contracts against in ``sliced`` — shape ``(n_vectors,
-    dims, n_operand_slices)``, int64, built at program time and rebuilt
-    lazily after :meth:`drop_sliced` (any reprogram/remap event).
     """
 
     def __init__(
-        self,
-        matrix: bitslice.ExactMatrix,
-        layout,
-        unit_ids: list[int],
-        crossbars: list[list[Crossbar]] | None = None,
+        self, matrix: bitslice.ExactMatrix, layout, unit_ids: list[int]
     ) -> None:
         self.matrix = matrix
         self.layout = layout
         self.unit_ids = unit_ids
-        self.crossbars = crossbars
-        self.sliced: np.ndarray | None = None
-
-    def drop_sliced(self) -> None:
-        """Invalidate the cached bit-slice decomposition."""
-        self.sliced = None
 
 
 class Substrate:
@@ -735,9 +709,6 @@ class PIMArray(Substrate):
     hardware:
         Platform description; must contain a PIM array. Defaults to the
         paper's Table 5 platform.
-    simulate_cells:
-        Route every wave through the fused, cell-faithful bit-sliced
-        kernel.
     spare_crossbars:
         Crossbars withheld from data placement as a repair pool. A
         stuck/dead crossbar can be remapped onto the least-worn spare
@@ -754,7 +725,6 @@ class PIMArray(Substrate):
     def __init__(
         self,
         hardware: HardwareConfig | None = None,
-        simulate_cells: bool = False,
         spare_crossbars: int = 0,
     ) -> None:
         hardware = hardware if hardware is not None else pim_platform()
@@ -764,7 +734,6 @@ class PIMArray(Substrate):
             hardware, hardware.pim, hardware.pim.crossbar.endurance,
             spare_crossbars,
         )
-        self.simulate_cells = simulate_cells
         self.data_capacity = reserve_spares(self.config, self.spare_units)
         self._next_crossbar_id = self.spare_units
         self._free_crossbar_ids: list[int] = []
@@ -786,84 +755,33 @@ class PIMArray(Substrate):
                 f"programming {name!r} would use {used} crossbars, "
                 f"array has {self.data_capacity}{detail}"
             )
-        if self.simulate_cells:
-            crossbars = self._program_cells(matrix, layout)
-            crossbar_ids = [
-                xbar.crossbar_id for column in crossbars for xbar in column
-            ]
-        else:
-            # charge endurance at layout granularity (one write per
-            # crossbar), reusing freed physical crossbars so repeated
-            # re-programming accumulates wear on the same cells
-            crossbars = None
-            crossbar_ids = []
-            for _ in range(layout.n_crossbars):
-                if self._free_crossbar_ids:
-                    unit = self._free_crossbar_ids.pop()
-                else:
-                    unit = self._next_crossbar_id
-                    self._next_crossbar_id += 1
-                self.endurance.record_write(unit)
-                crossbar_ids.append(unit)
-        record = ProgrammedMatrix(
-            bitslice.ExactMatrix(matrix), layout, crossbar_ids, crossbars
-        )
-        if crossbars is not None:
-            self._prepare_cells(record)
-        return record
-
-    def _program_cells(
-        self, matrix: np.ndarray, layout: DatasetLayout
-    ) -> list[list[Crossbar]]:
-        """Shard the matrix over real crossbar objects (simulate mode)."""
-        rows = self.config.crossbar.rows
-        per_xbar = vectors_per_crossbar(self.config)
-        n_vectors, dims = matrix.shape
-        shards: list[list[Crossbar]] = []
-        for v0 in range(0, n_vectors, per_xbar):
-            chunk_vectors = matrix[v0 : v0 + per_xbar]
-            column: list[Crossbar] = []
-            for d0 in range(0, dims, rows):
-                xbar = Crossbar(
-                    self.config.crossbar,
-                    crossbar_id=self._next_crossbar_id,
-                    endurance_tracker=self.endurance,
-                )
+        # charge endurance at layout granularity (one write per
+        # crossbar), reusing freed physical crossbars so repeated
+        # re-programming accumulates wear on the same cells
+        crossbar_ids = []
+        for _ in range(layout.n_crossbars):
+            if self._free_crossbar_ids:
+                unit = self._free_crossbar_ids.pop()
+            else:
+                unit = self._next_crossbar_id
                 self._next_crossbar_id += 1
-                xbar.program(
-                    chunk_vectors[:, d0 : d0 + rows], self.config.operand_bits
-                )
-                column.append(xbar)
-            shards.append(column)
-        return shards
+            self.endurance.record_write(unit)
+            crossbar_ids.append(unit)
+        return ProgrammedMatrix(
+            bitslice.ExactMatrix(matrix), layout, crossbar_ids
+        )
 
     def _release(self, record: ProgrammedMatrix) -> None:
-        record.drop_sliced()
-        if record.crossbars is None:
-            # cell-mode crossbar objects are not recycled; only the
-            # fast path returns physical ids to the free pool
-            self._free_crossbar_ids.extend(record.unit_ids)
-        else:
-            for column in record.crossbars:
-                for xbar in column:
-                    xbar.reset()
+        self._free_crossbar_ids.extend(record.unit_ids)
 
     def _move_to_spare(self, owners: list, old_id: int, spare: int) -> float:
         """Reprogram the owning matrix's crossbar onto the spare."""
         from repro.hardware.reprogramming import crossbar_reprogram_ns
 
-        total_ns = 0.0
-        for _, record in owners:
-            # any cached bit-slice decomposition is rebuilt from scratch
-            # on next query (defensively — stale cell state must never
-            # outlive a remap)
-            record.drop_sliced()
-            for column in record.crossbars or ():
-                for xbar in column:
-                    if xbar.crossbar_id == old_id:
-                        xbar.crossbar_id = spare
-            total_ns += crossbar_reprogram_ns(record.layout, self.config)
-        return total_ns
+        return sum(
+            crossbar_reprogram_ns(record.layout, self.config)
+            for _, record in owners
+        )
 
     def units_needed(self, n_vectors: int, dims: int) -> int:
         return total_crossbars(n_vectors, dims, self.config)
@@ -882,7 +800,7 @@ class PIMArray(Substrate):
         return CrossbarCapabilities(self.hardware)
 
     # ------------------------------------------------------------------
-    # timing + kernel
+    # timing
     # ------------------------------------------------------------------
     def _program_ns(self, layout: DatasetLayout) -> float:
         return programming_time_ns(layout, self.config)
@@ -909,64 +827,3 @@ class PIMArray(Substrate):
         m["bit_slice_passes"].add(cycles)
         if waves:
             m["adc_conversions"].add(results / waves * cycles)
-
-    def _raw_values(
-        self, record: ProgrammedMatrix, vectors: np.ndarray, bits: int,
-        peak: int,
-    ) -> np.ndarray:
-        """:meth:`_cell_values` in ``simulate_cells`` mode, else BLAS."""
-        if record.crossbars is not None:
-            return self._cell_values(record, vectors, bits)
-        return record.matrix.dot(vectors, peak)
-
-    def _prepare_cells(self, record: ProgrammedMatrix) -> None:
-        """Program-time kernel state: the fused kernel's slice cache."""
-        record.sliced = self._decompose(record.matrix)
-
-    def _decompose(self, matrix: bitslice.ExactMatrix) -> np.ndarray:
-        """Operand bit-slice tensor of ``matrix`` for the fused kernel.
-
-        Shape ``(n_vectors, dims, n_operand_slices)``; slice ``j`` holds
-        bits ``[j*h, (j+1)*h)`` of each operand — exactly the cell
-        contents :meth:`_program_cells` writes, reassembled whole-array.
-        """
-        return bitslice.slice_operands(
-            matrix.to_int64(),
-            self.config.operand_bits,
-            self.config.crossbar.cell_bits,
-        ).astype(np.int64)
-
-    def _cell_values(
-        self, record: _ProgrammedMatrix, vectors: np.ndarray, bits: int
-    ) -> np.ndarray:
-        """Cell-level values of a ``(B, dims)`` query block.
-
-        The fused whole-array wave: one contraction, one shift-add.
-        :class:`repro.oracle.LoopPIMArray` overrides this hook with the
-        per-crossbar loop.
-
-        The crossbar loop computes, per crossbar/input slice/operand
-        slice, ``partials[j, k] = sum_r Q_k[r] * cell_j[r, v]`` and
-        shift-adds ``partials[j, k] << (j*h + k*g)``. Mod-2**64 integer
-        arithmetic is a commutative ring, and the DAC slices recombine
-        exactly (``sum_k Q_k * 2**(k*g) == q``), so the per-input-slice
-        axis folds away algebraically: contracting the *unsliced* query
-        against each cached operand-slice plane and shift-adding over
-        operand slices alone is bit-identical to the loop — at a
-        fraction of the multiplies. The property suite pins the
-        equivalence against :class:`repro.oracle.LoopPIMArray`.
-        """
-        sliced = record.sliced
-        if sliced is None:  # dropped by a reprogram/remap — rebuild
-            sliced = record.sliced = self._decompose(record.matrix)
-        queries = np.atleast_2d(vectors).astype(np.int64)  # (B, dims)
-        # contract the shared dims axis: -> (B, n_vectors, n_op)
-        planes = np.tensordot(queries, sliced, axes=([1], [1]))
-        # operand-slice shift-add; the input-slice axis is a singleton
-        # because the DAC slices were recombined before the contraction
-        partials = planes.transpose(2, 0, 1)[:, np.newaxis]
-        return bitslice.shift_add_partials(
-            partials,
-            self.config.crossbar.cell_bits,
-            self.config.crossbar.dac_bits,
-        )

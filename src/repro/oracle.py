@@ -1,17 +1,18 @@
 """Slow loop oracles of every vectorised wave and serving kernel.
 
-Each fast kernel (broadcast bit-slicing, one-contraction crossbar and
-array waves, the exact float64-BLAS HBM-PIM wave, block-scored
-refinement and the certified assign sweep) replaced a plain loop
-that is easy to check by eye. Those loops live here, and the property
-suites and perf benches diff every kernel against them bit for bit:
-values, refined/pruned counts and simulated nanoseconds.
+Each fast kernel (broadcast bit-slicing, the one-contraction crossbar
+wave, the exact float64-BLAS array waves of both substrates,
+block-scored refinement and the certified assign sweep) replaced a
+plain loop that is easy to check by eye. Those loops live here, and the
+property suites and perf benches diff every kernel against them bit for
+bit: values, refined/pruned counts and simulated nanoseconds.
 
 The oracle devices (:class:`LoopPIMArray`, :class:`LoopHBMPIMArray`,
 :class:`LoopShardManager`) subclass their production class and
-override only its kernel hooks. Dispatch, timing, stats, fault
-injection and the recovery ledger are inherited, so a diff checks the
-kernel alone. Production code never imports this module.
+override only its kernel hooks (:class:`LoopPIMArray` also writes its
+crossbar cells at placement). Dispatch, placement, wear, timing, stats,
+fault injection and the recovery ledger are inherited, so a diff checks
+the kernel alone. Production code never imports this module.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from repro.bounds.pim import theorem1_lower_bound
 from repro.errors import OperandError
 from repro.hardware.banked_memory import BankLayout
 from repro.hardware.bitslice import check_non_negative_integers, num_slices
-from repro.hardware.config import HardwareConfig, HBMPIMConfig
+from repro.hardware.config import HBMPIMConfig, PIMArrayConfig
 from repro.hardware.crossbar import Crossbar, WaveResult
+from repro.hardware.mapper import vectors_per_crossbar
 from repro.hardware.pim_array import PIMArray
 from repro.kernels import exact_sq_distances
 from repro.serving.sharding import ShardManager
@@ -102,27 +104,51 @@ def crossbar_dot_loop(
     )
 
 
+def _program_cells(
+    matrix: np.ndarray, config: PIMArrayConfig
+) -> list[list[Crossbar]]:
+    """Shard ``matrix`` over real crossbar objects, layout order.
+
+    One column of crossbars per block of ``vectors_per_crossbar``
+    vectors, one crossbar per ``rows`` dimensions. The crossbars carry
+    no endurance tracker: the array they stand in for books the wear.
+    """
+    rows = config.crossbar.rows
+    per_xbar = vectors_per_crossbar(config)
+    n_vectors, dims = matrix.shape
+    shards = []
+    for v0 in range(0, n_vectors, per_xbar):
+        column = []
+        for d0 in range(0, dims, rows):
+            xbar = Crossbar(config.crossbar)
+            xbar.program(
+                matrix[v0 : v0 + per_xbar, d0 : d0 + rows],
+                config.operand_bits,
+            )
+            column.append(xbar)
+        shards.append(column)
+    return shards
+
+
 class LoopPIMArray(PIMArray):
     """Cell-level PIM array whose waves loop over its crossbars.
 
-    Each query row is evaluated crossbar by crossbar with
-    :func:`crossbar_dot_loop`, and the partial sums of the crossbars
-    stacked along one vector block are added up. Orders of magnitude
-    slower than the fused kernel; meant for small geometries and as
-    the perf-trajectory baseline.
+    Every programmed matrix is also written once onto real
+    :class:`~repro.hardware.crossbar.Crossbar` objects. Each query row
+    is evaluated crossbar by crossbar with :func:`crossbar_dot_loop`,
+    and the partial sums of the crossbars stacked along one vector
+    block are added up. Unit ids, endurance writes and spare remaps
+    are the production array's. Orders of magnitude slower than the
+    BLAS wave; meant for small geometries and as the perf-trajectory
+    baseline.
     """
 
-    def __init__(
-        self, hardware: HardwareConfig | None = None, spare_crossbars: int = 0
-    ) -> None:
-        super().__init__(
-            hardware, simulate_cells=True, spare_crossbars=spare_crossbars
-        )
+    def _place(self, name: str, matrix: np.ndarray):
+        record = super()._place(name, matrix)
+        record.crossbars = _program_cells(matrix, self.config)
+        return record
 
-    def _prepare_cells(self, record) -> None:
-        """The loop reads the crossbar objects: no slice cache."""
-
-    def _cell_values(self, record, vectors: np.ndarray, bits: int):
+    def _raw_values(self, record, vectors: np.ndarray, bits: int, peak: int):
         rows = self.config.crossbar.rows
         out = []
         for vector in vectors:

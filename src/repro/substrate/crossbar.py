@@ -28,7 +28,6 @@ class CrossbarCapabilities(SubstrateCapabilities):
     name = "crossbar"
     unit_name = "crossbar"
     memory_device = "reram"
-    supports_cell_simulation = True
 
     def __init__(
         self, hardware: HardwareConfig | None = None, energy=None
@@ -92,13 +91,7 @@ class CrossbarCapabilities(SubstrateCapabilities):
 
 
 def build_crossbar(
-    hardware: HardwareConfig | None = None,
-    spare_units: int = 0,
-    simulate_cells: bool = False,
+    hardware: HardwareConfig | None = None, spare_units: int = 0
 ) -> PIMArray:
     """Registry factory for the ``"crossbar"`` backend."""
-    return PIMArray(
-        hardware=hardware,
-        simulate_cells=simulate_cells,
-        spare_crossbars=spare_units,
-    )
+    return PIMArray(hardware=hardware, spare_crossbars=spare_units)

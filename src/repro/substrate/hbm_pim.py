@@ -313,18 +313,7 @@ class HBMPIMCapabilities(SubstrateCapabilities):
 
 
 def build_hbm_pim(
-    hardware: HardwareConfig | None = None,
-    spare_units: int = 0,
-    simulate_cells: bool = False,
+    hardware: HardwareConfig | None = None, spare_units: int = 0
 ) -> HBMPIMArray:
-    """Registry factory for the ``"hbm_pim"`` backend.
-
-    The stack computes digitally, so it has no cell-level mode:
-    ``simulate_cells=True`` raises :class:`ConfigurationError`.
-    """
-    if simulate_cells:
-        raise ConfigurationError(
-            "hbm_pim has no cell-level simulation; its instruction-stream "
-            "oracle is repro.oracle.LoopHBMPIMArray"
-        )
+    """Registry factory for the ``"hbm_pim"`` backend."""
     return HBMPIMArray(hardware=hardware, spare_banks=spare_units)

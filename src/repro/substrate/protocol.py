@@ -33,9 +33,6 @@ class SubstrateCapabilities:
     #: device class of the backing storage ("reram", "dram", ...) —
     #: selects the MemoryArray write-slowdown when staging side data
     memory_device: str = "dram"
-    #: whether the factory's ``simulate_cells=True`` builds a
-    #: cell-faithful device
-    supports_cell_simulation: bool = False
 
     def __init__(self, hardware) -> None:
         self.hardware = hardware
@@ -89,6 +86,5 @@ class SubstrateCapabilities:
             "name": self.name,
             "unit_name": self.unit_name,
             "memory_device": self.memory_device,
-            "supports_cell_simulation": self.supports_cell_simulation,
             "endurance": self.endurance,
         }

@@ -22,9 +22,9 @@ from repro.substrate.protocol import SubstrateCapabilities
 class SubstrateSpec:
     """One registered backend.
 
-    ``factory(hardware, spare_units, simulate_cells)`` builds
-    a live device; ``capabilities(hardware)`` builds the planner-facing
-    descriptor without touching a device.
+    ``factory(hardware, spare_units)`` builds a live device;
+    ``capabilities(hardware)`` builds the planner-facing descriptor
+    without touching a device.
     """
 
     name: str
@@ -64,17 +64,10 @@ def _spec(name: str) -> SubstrateSpec:
 
 
 def create_substrate(
-    name: str,
-    hardware=None,
-    spare_units: int = 0,
-    simulate_cells: bool = False,
+    name: str, hardware=None, spare_units: int = 0
 ) -> Substrate:
     """Build a live device of the named backend."""
-    return _spec(name).factory(
-        hardware=hardware,
-        spare_units=spare_units,
-        simulate_cells=simulate_cells,
-    )
+    return _spec(name).factory(hardware=hardware, spare_units=spare_units)
 
 
 def substrate_capabilities(name: str, hardware=None) -> SubstrateCapabilities:

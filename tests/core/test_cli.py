@@ -65,6 +65,11 @@ class TestBadInput:
             ["--repair", "--scrub-period", "0"],
             ["--k", "0"],
             ["--spares", "-1"],
+            ["--topology", "2x2"],
+            ["--topology", "2x0x1"],
+            ["--domain-outage"],
+            ["--hedge-budget", "2"],
+            ["--hedge-budget", "-0.5"],
         ],
     )
     def test_bad_serve_flag_exits_2(self, flags, capsys):

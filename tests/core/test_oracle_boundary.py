@@ -1,9 +1,10 @@
 """The loop oracles stay in ``repro.oracle``, out of production classes.
 
-No production constructor or factory takes a ``reference`` switch, no
-production module reads ``self.reference``, and nothing in the library
-imports :mod:`repro.oracle`: the property suites and perf benches build
-the oracle classes directly.
+No production constructor or factory takes a ``reference`` or
+``simulate_cells`` switch, no capability descriptor advertises a cell
+mode, no production module reads ``self.reference``, and nothing in the
+library imports :mod:`repro.oracle`: the property suites and perf
+benches build the oracle classes directly.
 """
 
 import ast
@@ -17,7 +18,12 @@ from repro.hardware.controller import PIMController
 from repro.hardware.crossbar import Crossbar
 from repro.hardware.pim_array import PIMArray
 from repro.serving import ShardManager
-from repro.substrate import create_substrate
+from repro.substrate import (
+    SubstrateCapabilities,
+    available_substrates,
+    create_substrate,
+    substrate_capabilities,
+)
 from repro.substrate.crossbar import build_crossbar
 from repro.substrate.hbm_pim import HBMPIMArray, build_hbm_pim
 
@@ -44,6 +50,23 @@ def test_no_reference_parameter(target):
 
 def test_hbm_pim_array_has_no_simulate_cells_alias():
     assert "simulate_cells" not in inspect.signature(HBMPIMArray).parameters
+
+
+@pytest.mark.parametrize(
+    "target",
+    [PIMArray, PIMController, create_substrate, build_crossbar, build_hbm_pim],
+    ids=lambda t: t.__qualname__,
+)
+def test_no_simulate_cells_parameter(target):
+    assert "simulate_cells" not in inspect.signature(target).parameters
+
+
+def test_no_capability_advertises_a_cell_mode():
+    assert not hasattr(SubstrateCapabilities, "supports_cell_simulation")
+    for name in available_substrates():
+        caps = substrate_capabilities(name)
+        assert not hasattr(caps, "supports_cell_simulation")
+        assert "supports_cell_simulation" not in caps.describe()
 
 
 def _modules():

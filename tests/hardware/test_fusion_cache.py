@@ -1,12 +1,12 @@
-"""Regression tests: the fused kernel's bit-slice cache never goes stale.
+"""Regression tests: no wave outlives a reprogram or remap.
 
-The fused cell-level path contracts queries against a decomposition
-cached at ``program_matrix`` time. Every event that changes what the
-crossbars physically hold — reset + reprogram under the same name, a
-spare-pool remap of one crossbar, bulk remaps — must drop that cache so
-the next wave rebuilds it from the live matrix. A stale cache would
+Every event that changes what the crossbars physically hold — reset +
+reprogram under the same name, a spare-pool remap of one crossbar, bulk
+remaps — must leave the next wave reading the live matrix, on the
+default array and on the cell-level loop oracle. A stale copy would
 silently serve the *previous* matrix's bits: exactly the class of bug
-these tests pin.
+these tests pin. The oracle must also book that traffic exactly as
+production does, so a diff of the two checks the kernel alone.
 """
 
 import numpy as np
@@ -47,25 +47,12 @@ def query():
 
 
 class TestDecompositionCache:
-    def test_fused_mode_caches_at_program_time(self, platform, matrix):
-        array = PIMArray(platform, simulate_cells=True)
-        array.program_matrix("m", matrix)
-        record = array._matrices["m"]
-        assert record.sliced is not None
-        assert record.sliced.shape == matrix.shape + (4,)  # ceil(8/2)
-
-    def test_fast_and_reference_modes_do_not_cache(self, platform, matrix):
-        for array in (
-            PIMArray(platform),
-            LoopPIMArray(platform),
-        ):
-            array.program_matrix("m", matrix)
-            assert array._matrices["m"].sliced is None
+    """Waves after reprogram and remap events read the live matrix."""
 
     def test_reprogram_same_name_serves_fresh_values(
         self, platform, matrix, query
     ):
-        array = PIMArray(platform, simulate_cells=True)
+        array = LoopPIMArray(platform)
         array.program_matrix("m", matrix)
         stale = array.query("m", query).values
         successor = (matrix + 1) % 251
@@ -77,31 +64,8 @@ class TestDecompositionCache:
         oracle.program_matrix("m", successor)
         assert np.array_equal(fresh, oracle.query("m", query).values)
 
-    def test_remap_drops_cache_and_retargets_cells(
-        self, platform, matrix, query
-    ):
-        array = PIMArray(platform, simulate_cells=True, spare_crossbars=2)
-        array.program_matrix("m", matrix)
-        expected = array.query("m", query).values
-        record = array._matrices["m"]
-        assert record.sliced is not None
-        victim = record.unit_ids[0]
-        spare, reprogram_ns = array.remap_crossbar(victim)
-        assert reprogram_ns > 0
-        assert record.sliced is None  # cache invalidated by the remap
-        # the cell-mode crossbar object now answers to the spare id
-        remapped = [
-            xbar.crossbar_id
-            for column in record.crossbars
-            for xbar in column
-        ]
-        assert spare in remapped and victim not in remapped
-        # values rebuilt from the live matrix: bit-identical to before
-        assert np.array_equal(array.query("m", query).values, expected)
-        assert record.sliced is not None  # lazily rebuilt by the wave
-
     def test_bulk_remap_preserves_values(self, platform, matrix, query):
-        array = PIMArray(platform, simulate_cells=True, spare_crossbars=4)
+        array = LoopPIMArray(platform, spare_crossbars=4)
         array.program_matrix("m", matrix)
         expected = array.query("m", query).values
         victims = array.unit_ids_of("m")[:2]
@@ -141,7 +105,7 @@ class TestDecompositionCache:
 
     def test_batch_after_reprogram_matches_fast_path(self, platform, matrix):
         queries = (np.arange(3 * 14, dtype=np.int64).reshape(3, 14) * 5) % 256
-        array = PIMArray(platform, simulate_cells=True)
+        array = LoopPIMArray(platform)
         array.program_matrix("m", matrix)
         array.query_batch("m", queries)
         successor = (matrix * 3) % 256
@@ -153,3 +117,27 @@ class TestDecompositionCache:
             array.query_batch("m", queries).values,
             oracle.query_batch("m", queries).values,
         )
+
+
+class TestOracleBookkeeping:
+    def test_oracle_books_like_production(self, platform, matrix, query):
+        # program, remap one crossbar, reset and reprogram: the loop
+        # oracle allocates, wears and remaps crossbars as production does
+        arrays = (
+            PIMArray(platform, spare_crossbars=2),
+            LoopPIMArray(platform, spare_crossbars=2),
+        )
+        for array in arrays:
+            array.program_matrix("m", matrix)
+            array.query("m", query)
+            array.remap_crossbar(array.unit_ids_of("m")[1])
+            array.reset_matrix("m")
+            array.program_matrix("m", (matrix * 3) % 256)
+            array.program_matrix("n", matrix[:4])
+            array.query_batch("m", np.vstack([query, query // 2]))
+        prod, loop = arrays
+        for name in ("m", "n"):
+            assert loop.unit_ids_of(name) == prod.unit_ids_of(name)
+        assert loop.wear_report() == prod.wear_report()
+        assert loop.spares_remaining == prod.spares_remaining == 1
+        assert loop.stats == prod.stats

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import CapacityError, OperandError, ProgrammingError
 from repro.hardware.config import HardwareConfig, PIMArrayConfig
 from repro.hardware.pim_array import PIMArray
+from repro.oracle import LoopPIMArray
 
 
 @pytest.fixture
@@ -172,8 +173,8 @@ class TestCellSimulationEquivalence:
     def test_fast_path_matches_cell_path(self, small_pim_platform, rng):
         matrix = rng.integers(0, 256, size=(7, 19))
         query = rng.integers(0, 256, size=19)
-        fast = PIMArray(small_pim_platform, simulate_cells=False)
-        cells = PIMArray(small_pim_platform, simulate_cells=True)
+        fast = PIMArray(small_pim_platform)
+        cells = LoopPIMArray(small_pim_platform)
         fast.program_matrix("d", matrix)
         cells.program_matrix("d", matrix)
         v_fast = fast.query("d", query).values
@@ -184,7 +185,7 @@ class TestCellSimulationEquivalence:
     def test_cell_path_tracks_endurance_per_crossbar(
         self, small_pim_platform, rng
     ):
-        array = PIMArray(small_pim_platform, simulate_cells=True)
+        array = LoopPIMArray(small_pim_platform)
         array.program_matrix("d", rng.integers(0, 256, size=(4, 16)))
         assert array.endurance.total_writes > 0
 
@@ -220,7 +221,7 @@ class TestBatchQueries:
 
     def test_cell_path_matches_fast_path(self, small_pim_platform, rng):
         fast = PIMArray(small_pim_platform)
-        cells = PIMArray(small_pim_platform, simulate_cells=True)
+        cells = LoopPIMArray(small_pim_platform)
         matrix = rng.integers(0, 256, size=(2, 8))
         queries = rng.integers(0, 256, size=(3, 8))
         fast.program_matrix("a", matrix)

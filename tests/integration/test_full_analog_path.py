@@ -1,10 +1,11 @@
 """End-to-end fidelity: mining on the cell-level analog simulation.
 
-The fast PIM path computes matrix products directly; these tests force
-the *cell-level* path (real crossbar objects, DAC slicing, shift-and-add
-on every wave) through a whole mining algorithm on a miniature platform
-and assert the final mining results still match the CPU baselines —
-the deepest equivalence check in the suite.
+The default PIM array computes matrix products directly; these tests
+attach the *cell-level* loop oracle (real crossbar objects, DAC slicing,
+shift-and-add on every wave) to a controller, run a whole mining
+algorithm on a miniature platform and assert the final mining results
+still match the CPU baselines — the deepest equivalence check in the
+suite.
 """
 
 import numpy as np
@@ -17,7 +18,16 @@ from repro.hardware.config import (
 )
 from repro.hardware.controller import PIMController
 from repro.mining.knn import StandardKNN, StandardPIMKNN
+from repro.oracle import LoopPIMArray
 from repro.similarity.quantization import Quantizer
+
+
+def _controller(platform: HardwareConfig, cells: bool) -> PIMController:
+    """A controller on ``platform``; ``cells`` swaps in the loop oracle."""
+    controller = PIMController(platform)
+    if cells:
+        controller.pim = LoopPIMArray(platform)
+    return controller
 
 
 @pytest.fixture
@@ -45,7 +55,7 @@ class TestCellLevelKNN:
         q = np.clip(data[7] + 0.02 * rng.standard_normal(12), 0, 1)
         # alpha sized to the 10-bit operand width of the tiny platform
         quantizer = Quantizer(alpha=1000, assume_normalized=True)
-        controller = PIMController(cell_platform, simulate_cells=True)
+        controller = _controller(cell_platform, cells=True)
         ref = StandardKNN().fit(data).query(q, 5)
         algo = StandardPIMKNN(
             controller=controller, quantizer=quantizer
@@ -53,17 +63,15 @@ class TestCellLevelKNN:
         res = algo.query(q, 5)
         assert np.allclose(np.sort(res.scores), np.sort(ref.scores))
         # the wave really ran on cell objects
-        assert controller.pim.simulate_cells
+        assert isinstance(controller.pim, LoopPIMArray)
         assert controller.pim.stats.waves >= 1
 
     def test_cell_and_fast_paths_agree_end_to_end(self, cell_platform, rng):
         data = np.clip(rng.random((40, 12)), 0, 1)
         q = rng.random(12)
         results = []
-        for simulate in (False, True):
-            controller = PIMController(
-                cell_platform, simulate_cells=simulate
-            )
+        for cells in (False, True):
+            controller = _controller(cell_platform, cells)
             algo = StandardPIMKNN(
                 controller=controller,
                 quantizer=Quantizer(alpha=1000, assume_normalized=True),

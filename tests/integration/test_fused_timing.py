@@ -1,7 +1,7 @@
 """Golden simulated-timing tests: fusion moved zero nanoseconds.
 
-The kernel fusion (vectorised bit-slicing, cached decompositions, block
-scoring) is a *wall-clock* optimisation only — simulated PIM latency,
+The kernel fusion (vectorised bit-slicing, exact BLAS array waves,
+block scoring) is a *wall-clock* optimisation only — simulated PIM latency,
 energy, CPU cost-model times, refined/pruned counts and answer bits are
 pinned here against values captured from the pre-fusion loop
 implementation. Any drift in these constants means the fused kernels
@@ -23,6 +23,7 @@ from repro.hardware.config import (
 from repro.hardware.controller import PIMController
 from repro.hardware.energy import EnergyModel
 from repro.mining.knn import StandardPIMKNN
+from repro.oracle import LoopPIMArray
 from repro.serving import ShardManager
 
 
@@ -41,46 +42,57 @@ def _small_platform() -> HardwareConfig:
 
 
 class TestCellWaveGoldens:
-    """Scenario: simulate_cells waves on the small 8x8 platform."""
+    """Scenario: crossbar waves on the small 8x8 platform.
+
+    Every golden holds on the default controller and on one whose
+    device is the cell-level loop oracle.
+    """
 
     @pytest.fixture()
-    def controller(self):
-        ctrl = PIMController(_small_platform(), simulate_cells=True)
+    def controllers(self):
+        platform = _small_platform()
+        loop = PIMController(platform)
+        loop.pim = LoopPIMArray(platform)
         matrix = (np.arange(7 * 20, dtype=np.int64).reshape(7, 20) * 13) % 251
-        ctrl.program("m", matrix)
-        return ctrl
+        ctrls = (PIMController(platform), loop)
+        for ctrl in ctrls:
+            ctrl.program("m", matrix)
+        return ctrls
 
-    def test_single_wave_values_and_latency(self, controller):
+    def test_single_wave_values_and_latency(self, controllers):
         q = (np.arange(20, dtype=np.int64) * 7) % 256
-        result = controller.dot_products("m", q)
-        assert result.values.tolist() == [
-            224770, 203357, 183701, 195671, 177772, 161630, 173600,
-        ]
-        assert result.timing.total_ns == 71.12
+        for controller in controllers:
+            result = controller.dot_products("m", q)
+            assert result.values.tolist() == [
+                224770, 203357, 183701, 195671, 177772, 161630, 173600,
+            ]
+            assert result.timing.total_ns == 71.12
 
-    def test_batch_wave_values_and_latency(self, controller):
+    def test_batch_wave_values_and_latency(self, controllers):
         queries = (np.arange(5 * 20, dtype=np.int64).reshape(5, 20) * 3) % 256
-        batch = controller.dot_products_batch("m", queries)
-        assert batch.values[0].tolist() == [
-            96330, 87153, 78729, 83859, 76188, 69270, 74400,
-        ]
-        assert batch.timing.total_ns == 235.6
+        for controller in controllers:
+            batch = controller.dot_products_batch("m", queries)
+            assert batch.values[0].tolist() == [
+                96330, 87153, 78729, 83859, 76188, 69270, 74400,
+            ]
+            assert batch.timing.total_ns == 235.6
 
-    def test_cumulative_stats_and_energy(self, controller):
+    def test_cumulative_stats_and_energy(self, controllers):
         q = (np.arange(20, dtype=np.int64) * 7) % 256
         queries = (np.arange(5 * 20, dtype=np.int64).reshape(5, 20) * 3) % 256
-        controller.dot_products("m", q)
-        controller.dot_products_batch("m", queries)
-        stats = controller.pim.stats
-        assert stats.pim_time_ns == 306.72
-        assert stats.batch_saved_ns == 120.00000000000003
-        assert stats.programming_time_ns == 457.92
-        model = EnergyModel()
-        layout = controller.pim.layouts()["m"]
-        assert model.wave_energy_j(
-            layout, controller.pim.config
-        ) == 3.2489600000000005e-10
-        assert model.programming_energy_j(layout) == 1.12e-10
+        for controller in controllers:
+            controller.dot_products("m", q)
+            controller.dot_products_batch("m", queries)
+            stats = controller.pim.stats
+            assert stats.pim_time_ns == 306.72
+            assert stats.batch_saved_ns == 120.00000000000003
+            assert stats.programming_time_ns == 457.92
+            model = EnergyModel()
+            layout = controller.pim.layouts()["m"]
+            assert model.wave_energy_j(
+                layout, controller.pim.config
+            ) == 3.2489600000000005e-10
+            assert model.programming_energy_j(layout) == 1.12e-10
 
 
 class TestServingGoldens:

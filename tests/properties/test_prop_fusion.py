@@ -1,7 +1,7 @@
 """Property-based tests: fused kernels equal the loop oracles bit for bit.
 
 The fused whole-array kernels (vectorised bit-slicing, one-contraction
-crossbar waves, cached-decomposition PIM waves, block-scored serving
+crossbar waves, exact BLAS array waves, block-scored serving
 refinement) must be *bit-identical* — values, counts and simulated
 timings — to the sequential loop implementations they replaced, which
 live on as the :mod:`repro.oracle` classes. Integer paths are exact by
@@ -144,7 +144,7 @@ class TestCrossbarFusion:
 
 
 # ----------------------------------------------------------------------
-# PIM array: fused cached-decomposition kernel vs crossbar loop vs fast
+# PIM array: BLAS wave vs cell-level crossbar loop
 # ----------------------------------------------------------------------
 @st.composite
 def array_cases(draw):
@@ -178,13 +178,12 @@ def array_cases(draw):
     return hardware, matrix, queries
 
 
-def _triple(hardware, matrix):
-    fused = PIMArray(hardware, simulate_cells=True)
-    loop = LoopPIMArray(hardware)
+def _pair(hardware, matrix):
     fast = PIMArray(hardware)
-    for array in (fused, loop, fast):
+    loop = LoopPIMArray(hardware)
+    for array in (fast, loop):
         array.program_matrix("m", matrix)
-    return fused, loop, fast
+    return fast, loop
 
 
 class TestArrayFusion:
@@ -192,40 +191,25 @@ class TestArrayFusion:
     @settings(max_examples=40, deadline=None)
     def test_query_paths_bit_identical(self, case):
         hardware, matrix, queries = case
-        fused, loop, fast = _triple(hardware, matrix)
-        results = [a.query("m", queries[0]) for a in (fused, loop, fast)]
-        assert np.array_equal(results[0].values, results[1].values)
-        assert np.array_equal(results[0].values, results[2].values)
-        assert (
-            results[0].timing.total_ns
-            == results[1].timing.total_ns
-            == results[2].timing.total_ns
-        )
+        fast, loop = _pair(hardware, matrix)
+        got, want = (a.query("m", queries[0]) for a in (fast, loop))
+        assert np.array_equal(got.values, want.values)
+        assert got.timing.total_ns == want.timing.total_ns
 
     @given(array_cases())
     @settings(max_examples=30, deadline=None)
     def test_batch_paths_bit_identical(self, case):
         hardware, matrix, queries = case
-        fused, loop, fast = _triple(hardware, matrix)
-        many = [a.query_many("m", queries) for a in (fused, loop, fast)]
-        batch = [a.query_batch("m", queries) for a in (fused, loop, fast)]
-        for other in many[1:]:
-            assert np.array_equal(many[0].values, other.values)
-        for other in batch[1:]:
-            assert np.array_equal(batch[0].values, other.values)
+        fast, loop = _pair(hardware, matrix)
+        many = [a.query_many("m", queries) for a in (fast, loop)]
+        batch = [a.query_batch("m", queries) for a in (fast, loop)]
+        assert np.array_equal(many[0].values, many[1].values)
+        assert np.array_equal(batch[0].values, batch[1].values)
         assert np.array_equal(batch[0].values, many[0].values)
-        assert (
-            batch[0].timing.total_ns
-            == batch[1].timing.total_ns
-            == batch[2].timing.total_ns
-        )
-        # identical simulated time accounting across all three paths
-        assert (
-            fused.stats.pim_time_ns
-            == loop.stats.pim_time_ns
-            == fast.stats.pim_time_ns
-        )
-        assert fused.stats.batch_saved_ns == loop.stats.batch_saved_ns
+        assert batch[0].timing.total_ns == batch[1].timing.total_ns
+        # identical simulated time accounting on both paths
+        assert fast.stats.pim_time_ns == loop.stats.pim_time_ns
+        assert fast.stats.batch_saved_ns == loop.stats.batch_saved_ns
 
     @given(array_cases())
     @settings(max_examples=20, deadline=None)
@@ -233,13 +217,12 @@ class TestArrayFusion:
         hardware, matrix, queries = case
         bits = max(1, hardware.pim.operand_bits // 2)
         narrow = queries[0] % (1 << bits)
-        fused, loop, fast = _triple(hardware, matrix)
-        results = [
-            a.query("m", narrow, input_bits=bits) for a in (fused, loop, fast)
-        ]
-        assert np.array_equal(results[0].values, results[1].values)
-        assert np.array_equal(results[0].values, results[2].values)
-        assert results[0].timing.total_ns == results[1].timing.total_ns
+        fast, loop = _pair(hardware, matrix)
+        got, want = (
+            a.query("m", narrow, input_bits=bits) for a in (fast, loop)
+        )
+        assert np.array_equal(got.values, want.values)
+        assert got.timing.total_ns == want.timing.total_ns
 
     @given(
         st.integers(min_value=1, max_value=30),
@@ -263,15 +246,14 @@ class TestArrayFusion:
         rng = np.random.default_rng(seed)
         codes = rng.integers(0, 2, size=(n_codes, dims))
         query = rng.integers(0, 2, size=dims)
-        fused, loop, fast = _triple(hardware, codes)
+        fast, loop = _pair(hardware, codes)
         complement = 1 - codes
-        for array in (fused, loop, fast):
+        for array in (fast, loop):
             array.program_matrix("c", complement)
         for name in ("m", "c"):
-            results = [a.query(name, query) for a in (fused, loop, fast)]
-            assert np.array_equal(results[0].values, results[1].values)
-            assert np.array_equal(results[0].values, results[2].values)
-            assert results[0].timing.total_ns == results[1].timing.total_ns
+            got, want = (a.query(name, query) for a in (fast, loop))
+            assert np.array_equal(got.values, want.values)
+            assert got.timing.total_ns == want.timing.total_ns
 
 
 # ----------------------------------------------------------------------
@@ -304,10 +286,7 @@ class TestFusionUnderFaultsAndNoise:
             seed=plan_seed,
         )
         waves = []
-        for inner in (
-            PIMArray(hardware, simulate_cells=True),
-            LoopPIMArray(hardware),
-        ):
+        for inner in (PIMArray(hardware), LoopPIMArray(hardware)):
             FaultyPIMArray(inner, plan, "array")
             inner.program_matrix("m", matrix)
             waves.append(inner.query("m", query))

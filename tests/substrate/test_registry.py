@@ -36,12 +36,6 @@ class TestRegistry:
             register_substrate(spec)
         register_substrate(spec, replace=True)  # tests may swap in fakes
 
-    def test_hbm_pim_has_no_cell_level_mode(self):
-        assert create_substrate("crossbar", simulate_cells=True).simulate_cells
-        assert not substrate_capabilities("hbm_pim").supports_cell_simulation
-        with pytest.raises(ConfigurationError, match="cell-level"):
-            create_substrate("hbm_pim", simulate_cells=True)
-
 
 class TestProtocolConformance:
     """Both backends derive from the Substrate base class."""
