@@ -588,11 +588,16 @@ def measure_tracing_overhead(smoke: bool = False, repeats: int = 3) -> dict:
     }
 
 
-def test_serving_fused_perf_trajectory(benchmark, save_results):
-    """Fused serving kernels: big wall-clock win, zero observable drift."""
+def test_serving_fused_perf_trajectory(benchmark, save_results, tmp_path):
+    """Fused serving kernels: big wall-clock win, zero observable drift.
+
+    The smoke record goes to ``tmp_path``: the tracked
+    ``BENCH_serving.json`` holds the full-scale run, written only by the
+    slow test below and by :func:`main`.
+    """
     result = measure_fused_trajectory(smoke=True)
     result["bound_pipeline"] = measure_bound_pipeline(smoke=True)
-    save_bench_json(result, RESULTS_DIR / "BENCH_serving.json")
+    save_bench_json(result, tmp_path / "BENCH_serving.json")
     assert result["bound_pipeline"]["identical"]
     wall = result["wall_clock"]
     save_results(

@@ -21,11 +21,24 @@ import abc
 import numpy as np
 
 from repro.cost.counters import PerfCounters
-from repro.errors import ProgrammingError
+from repro.errors import OperandError, ProgrammingError
 
 #: Bound direction constants.
 LOWER = "lower"
 UPPER = "upper"
+
+
+def as_matrix(data: np.ndarray) -> np.ndarray:
+    """``data`` as a float64 ``(vectors x dims)`` matrix for ``prepare``."""
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 2:
+        raise OperandError("prepare() expects a (vectors x dims) matrix")
+    return data
+
+
+def take_rows(values: np.ndarray, indices: np.ndarray | None) -> np.ndarray:
+    """The rows of per-object ``values`` at ``indices`` (all when None)."""
+    return values if indices is None else values[indices]
 
 
 class Bound(abc.ABC):

@@ -10,23 +10,19 @@
   product, used for cosine-similarity kNN.
 
 All are lower bounds of the squared ED (upper bound of CS for UB_part);
-property tests verify the inequalities on random data.
+property tests verify the inequalities on random data. They share
+:func:`~repro.bounds.base.as_matrix` (``prepare``'s input check) and
+:func:`~repro.bounds.base.take_rows` (a cascade's row subset) with the
+PIM bounds.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bounds.base import LOWER, UPPER, Bound
+from repro.bounds.base import LOWER, UPPER, Bound, as_matrix, take_rows
 from repro.errors import ConfigurationError, OperandError
 from repro.similarity.segments import summarize
-
-
-def _as_matrix(data: np.ndarray) -> np.ndarray:
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise OperandError("prepare() expects a (vectors x dims) matrix")
-    return data
 
 
 class OSTBound(Bound):
@@ -54,7 +50,7 @@ class OSTBound(Bound):
         self._tail_norms: np.ndarray | None = None
 
     def prepare(self, data: np.ndarray) -> None:
-        data = _as_matrix(data)
+        data = as_matrix(data)
         if data.shape[1] < self.head_dims:
             raise ConfigurationError(
                 f"head_dims {self.head_dims} exceeds data dims {data.shape[1]}"
@@ -71,10 +67,8 @@ class OSTBound(Bound):
         query = np.asarray(query, dtype=np.float64)
         q_head = query[: self.head_dims]
         q_tail_norm = float(np.linalg.norm(query[self.head_dims :]))
-        heads = self._heads if indices is None else self._heads[indices]
-        tails = (
-            self._tail_norms if indices is None else self._tail_norms[indices]
-        )
+        heads = take_rows(self._heads, indices)
+        tails = take_rows(self._tail_norms, indices)
         diff = heads - q_head
         head_part = np.einsum("ij,ij->i", diff, diff)
         tail_part = (tails - q_tail_norm) ** 2
@@ -105,7 +99,7 @@ class SMBound(Bound):
         self._segment_length: int | None = None
 
     def prepare(self, data: np.ndarray) -> None:
-        data = _as_matrix(data)
+        data = as_matrix(data)
         summary = summarize(data, self.n_segments)
         self._means = summary.means
         self._segment_length = summary.segment_length
@@ -120,7 +114,7 @@ class SMBound(Bound):
         q_means = self._per_query(
             query, lambda q: summarize(q, self.n_segments).means
         )
-        means = self._means if indices is None else self._means[indices]
+        means = take_rows(self._means, indices)
         diff = means - q_means
         return self._segment_length * np.einsum("ij,ij->i", diff, diff)
 
@@ -150,7 +144,7 @@ class FNNBound(Bound):
         self._segment_length: int | None = None
 
     def prepare(self, data: np.ndarray) -> None:
-        data = _as_matrix(data)
+        data = as_matrix(data)
         summary = summarize(data, self.n_segments)
         self._means = summary.means
         self._stds = summary.stds
@@ -170,8 +164,8 @@ class FNNBound(Bound):
         q_summary = self._per_query(
             query, lambda q: summarize(q, self.n_segments)
         )
-        means = self._means if indices is None else self._means[indices]
-        stds = self._stds if indices is None else self._stds[indices]
+        means = take_rows(self._means, indices)
+        stds = take_rows(self._stds, indices)
         mu_diff = means - q_summary.means
         sd_diff = stds - q_summary.stds
         return self._segment_length * (
@@ -213,7 +207,7 @@ class PartitionUpperBound(Bound):
         self._full_norms: np.ndarray | None = None
 
     def prepare(self, data: np.ndarray) -> None:
-        data = _as_matrix(data)
+        data = as_matrix(data)
         if data.shape[1] < self.head_dims:
             raise ConfigurationError(
                 f"head_dims {self.head_dims} exceeds data dims {data.shape[1]}"
@@ -235,16 +229,12 @@ class PartitionUpperBound(Bound):
         query = np.asarray(query, dtype=np.float64)
         q_head = query[: self.head_dims]
         q_tail_norm = float(np.linalg.norm(query[self.head_dims :]))
-        heads = self._heads if indices is None else self._heads[indices]
-        tails = (
-            self._tail_norms if indices is None else self._tail_norms[indices]
-        )
+        heads = take_rows(self._heads, indices)
+        tails = take_rows(self._tail_norms, indices)
         dot_ub = heads @ q_head + tails * q_tail_norm
         if not self.normalize:
             return dot_ub
-        norms = (
-            self._full_norms if indices is None else self._full_norms[indices]
-        )
+        norms = take_rows(self._full_norms, indices)
         q_norm = float(np.linalg.norm(query))
         denom = norms * q_norm
         out = np.zeros_like(dot_ub)

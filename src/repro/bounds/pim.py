@@ -7,6 +7,11 @@ at once. The host only combines three scalars per object (Fig. 8), so
 the per-object memory->CPU transfer collapses from ``d*b`` to ``3*b``
 bits — the source of the paper's speedups.
 
+Every quantized bound has Table 4's shape ``F(p,q) = G(Phi(p), Phi(q),
+p.q)`` and states it once, as three hooks of :class:`_PIMBoundBase`
+(``_encode``, ``_query_terms`` and ``_combine``); the base owns
+preparing, programming, waves and their caches.
+
 Correctness contracts (verified by property tests):
 
 * :class:`PIMEuclideanBound` — Theorem 1: ``LB_PIM-ED(p,q) <= ED(p,q)``;
@@ -23,9 +28,11 @@ device.
 
 from __future__ import annotations
 
+import abc
+
 import numpy as np
 
-from repro.bounds.base import LOWER, UPPER, Bound
+from repro.bounds.base import LOWER, UPPER, Bound, as_matrix, take_rows
 from repro.cost.transfer import pim_bound_transfer
 from repro.errors import OperandError
 from repro.hardware.controller import PIMController
@@ -48,12 +55,40 @@ def theorem1_lower_bound(
     return np.maximum(lb, 0.0, out=lb)
 
 
-class _PIMBoundBase(Bound):
-    """Shared machinery: quantizer, controller, wave caching.
+def _dot_upper(dots, floor_sums, q_floor_sum, dims: int, alpha: float):
+    """The floor inequality's upper bound of ``p.q`` (CS and PCC).
 
-    One wave computes dot products for *all* programmed objects; when a
-    cascade later asks for a subset, the cached wave results are sliced
-    instead of re-firing the array.
+    ``p.q <= (floor(p).floor(q) + sum floor(p) + sum floor(q) + d)
+    / alpha^2``.
+    """
+    return (dots + floor_sums + q_floor_sum + dims) / alpha**2
+
+
+def _ratio_or_one(numerator: np.ndarray, denominator: np.ndarray):
+    """``numerator / denominator``, 1 (never pruned) where it is not > 0."""
+    out = np.ones_like(numerator)
+    nonzero = denominator > 0
+    out[nonzero] = numerator[nonzero] / denominator[nonzero]
+    return out
+
+
+class _PIMBoundBase(Bound):
+    """One Table 4 bound ``F(p,q) = G(Phi(p), Phi(q), p.q)`` on PIM.
+
+    A subclass states its bound in three hooks:
+
+    * :meth:`_encode` — the dataset's integer matrix (programmed on the
+      crossbars) and its per-object side arrays (``Phi(p)``, norms, ...;
+      stored in the memory array, and charged there by their bytes);
+    * :meth:`_query_terms` — one query's integer wave input and its
+      scalars (``Phi(q)``, ...), computed once per query;
+    * :meth:`_combine` — the host's ``G`` over the dot products, the
+      side arrays and the query scalars, in that order.
+
+    This base owns the rest. One wave computes dot products for *all*
+    programmed objects; when a cascade later asks for a subset, the
+    cached wave results and side arrays are sliced instead of re-firing
+    the array.
     """
 
     _instances = 0
@@ -74,10 +109,36 @@ class _PIMBoundBase(Bound):
         )
         _PIMBoundBase._instances += 1
         self._matrix_name = f"{name}#{_PIMBoundBase._instances}"
+        self._dims: int | None = None
+        #: the side arrays :meth:`_encode` returned, row-aligned
+        self._side: tuple[np.ndarray, ...] | None = None
         self._last_key: bytes | None = None
         self._last_values: np.ndarray | None = None
         self._batch_cache: dict[bytes, np.ndarray] = {}
 
+    # ------------------------------------------------------------------
+    # the bound's own terms
+    # ------------------------------------------------------------------
+    def _validate(self, data: np.ndarray) -> None:
+        """Reject a dataset the bound cannot encode (before any fit)."""
+
+    @abc.abstractmethod
+    def _encode(
+        self, data: np.ndarray
+    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """``(integer matrix, per-object side arrays)`` of ``data``."""
+
+    @abc.abstractmethod
+    def _query_terms(self, query: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """``(integer wave input, query scalars)`` of one ``query``."""
+
+    @abc.abstractmethod
+    def _combine(self, dots: np.ndarray, *terms) -> np.ndarray:
+        """``G(dots, *side arrays, *query scalars)``: the bound values."""
+
+    # ------------------------------------------------------------------
+    # life cycle
+    # ------------------------------------------------------------------
     def _already_prepared(self, data: np.ndarray) -> bool:
         """Idempotence guard: skip re-programming for the same dataset.
 
@@ -89,7 +150,6 @@ class _PIMBoundBase(Bound):
         """
         held = self.prepared_on
         if held is None:
-            self.prepared_on = data
             return False
         if data is held or (
             data.shape == held.shape and np.array_equal(data, held)
@@ -99,6 +159,35 @@ class _PIMBoundBase(Bound):
             f"{self.name} is already programmed with a different dataset; "
             "create a fresh bound (re-programming wears the crossbars)"
         )
+
+    def prepare(self, data: np.ndarray) -> None:
+        data = as_matrix(data)
+        if not self._already_prepared(data):
+            self._validate(data)
+            if not self.quantizer.is_fitted:
+                self.quantizer.fit(data)
+            ints, side = self._encode(data)
+            self.controller.program(
+                self._matrix_name, ints, sum(a.nbytes for a in side)
+            )
+            self._dims = data.shape[1]
+            self._side = side
+            self.prepared_on = data
+        self._n_objects = data.shape[0]
+
+    def _prepared_side(self) -> tuple[np.ndarray, ...]:
+        if self._side is None:
+            raise OperandError(f"{self.name} is not prepared")
+        return self._side
+
+    def evaluate(
+        self, query: np.ndarray, indices: np.ndarray | None = None
+    ) -> np.ndarray:
+        side = self._prepared_side()
+        ints, scalars = self._per_query(query, self._query_terms)
+        dots = self._wave(ints)
+        rows = (take_rows(values, indices) for values in (dots, *side))
+        return self._combine(*rows, *scalars)
 
     @property
     def alpha(self) -> float:
@@ -110,6 +199,9 @@ class _PIMBoundBase(Bound):
         """Operand width used for transfer accounting."""
         return self.controller.pim.config.operand_bits
 
+    # ------------------------------------------------------------------
+    # waves
+    # ------------------------------------------------------------------
     def _compensated(self, values: np.ndarray) -> np.ndarray:
         """Raw wave readings -> safe dot-product upper bounds under noise."""
         values = values.astype(np.float64)
@@ -144,13 +236,12 @@ class _PIMBoundBase(Bound):
             self._last_values = self._compensated(result.values)
         return self._last_values
 
-    def _query_ints(self, query: np.ndarray) -> np.ndarray:
-        """The integer input vector this bound dispatches for ``query``.
-
-        Must match what :meth:`evaluate` computes internally byte for
-        byte, so primed batch results are found in the cache.
-        """
-        raise NotImplementedError
+    def _batch_wave(self, query_ints: np.ndarray) -> np.ndarray:
+        """One batched wave, shape ``(n_queries, n_objects)``."""
+        result = self.controller.dot_products_batch(
+            self._matrix_name, query_ints
+        )
+        return self._compensated(result.values)
 
     def prime_queries(self, queries: np.ndarray) -> int:
         """Fire ONE batched wave covering every query's dot products.
@@ -161,27 +252,16 @@ class _PIMBoundBase(Bound):
         Returns the number of queries dispatched (after intra-batch
         dedup). Priming replaces any previously primed batch.
         """
+        self._prepared_side()
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        ints = np.stack([self._query_ints(q) for q in queries])
         # duplicate query vectors would waste wave slots; keep first
-        keys: list[bytes] = []
-        rows: list[np.ndarray] = []
-        seen: set[bytes] = set()
-        for row in ints:
-            key = row.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            keys.append(key)
-            rows.append(row)
-        result = self.controller.dot_products_batch(
-            self._matrix_name, np.stack(rows)
-        )
-        values = self._compensated(result.values)
-        self._batch_cache = {
-            key: values[i] for i, key in enumerate(keys)
-        }
-        return len(rows)
+        unique: dict[bytes, np.ndarray] = {}
+        for query in queries:
+            ints = self._query_terms(query)[0]
+            unique.setdefault(ints.tobytes(), ints)
+        values = self._batch_wave(np.stack(list(unique.values())))
+        self._batch_cache = dict(zip(unique, values))
+        return len(unique)
 
     @property
     def per_object_transfer_bits(self) -> float:
@@ -209,39 +289,17 @@ class PIMEuclideanBound(_PIMBoundBase):
             name="LB_PIM-ED", kind=LOWER, controller=controller,
             quantizer=quantizer,
         )
-        self._phi: np.ndarray | None = None
-        self._dims: int | None = None
 
-    def prepare(self, data: np.ndarray) -> None:
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2:
-            raise OperandError("prepare() expects a (vectors x dims) matrix")
-        if self._already_prepared(data):
-            self._n_objects = data.shape[0]
-            return
-        if not self.quantizer.is_fitted:
-            self.quantizer.fit(data)
+    def _encode(self, data):
         qv = self.quantizer.quantize(data)
-        self._phi = (qv.scaled**2).sum(axis=1) - 2.0 * qv.integers.sum(axis=1)
-        self._dims = data.shape[1]
-        side_bytes = self._phi.nbytes
-        self.controller.program(self._matrix_name, qv.integers, side_bytes)
-        self._n_objects = data.shape[0]
+        return qv.integers, (qv.phi,)
 
-    def _query_ints(self, query: np.ndarray) -> np.ndarray:
-        return self.quantizer.quantize(query).integers
+    def _query_terms(self, query):
+        qq = self.quantizer.quantize(query)
+        return qq.integers, (float(qq.phi),)
 
-    def evaluate(
-        self, query: np.ndarray, indices: np.ndarray | None = None
-    ) -> np.ndarray:
-        if self._phi is None or self._dims is None:
-            raise OperandError(f"{self.name} is not prepared")
-        qq = self.quantizer.quantize(np.asarray(query, dtype=np.float64))
-        phi_q = float((qq.scaled**2).sum() - 2.0 * qq.integers.sum())
-        dots = self._wave(qq.integers)
-        phi = self._phi if indices is None else self._phi[indices]
-        d = dots if indices is None else dots[indices]
-        return theorem1_lower_bound(phi, phi_q, d, self._dims, self.alpha)
+    def _combine(self, dots, phi, phi_q):
+        return theorem1_lower_bound(phi, phi_q, dots, self._dims, self.alpha)
 
     def evaluate_matrix(self, queries: np.ndarray) -> np.ndarray:
         """Bounds for several queries at once, shape ``(N, n_queries)``.
@@ -250,47 +308,37 @@ class PIMEuclideanBound(_PIMBoundBase):
         per-query increments); used by the k-means assign step, which
         needs LB_PIM-ED of every point to every center each iteration.
         """
-        if self._phi is None or self._dims is None:
-            raise OperandError(f"{self.name} is not prepared")
+        (phi,) = self._prepared_side()
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         qq = self.quantizer.quantize(queries)
-        phi_q = (qq.scaled**2).sum(axis=1) - 2.0 * qq.integers.sum(axis=1)
-        result = self.controller.dot_products_batch(
-            self._matrix_name, qq.integers
-        )
-        values = self._compensated(result.values)
-        dots = values.T  # (N, n_queries)
-        return theorem1_lower_bound(
-            self._phi[:, None], phi_q[None, :], dots, self._dims, self.alpha
-        )
+        dots = self._batch_wave(qq.integers).T  # (N, n_queries)
+        return self._combine(dots, phi[:, None], qq.phi[None, :])
 
 
-class PIMFNNBound(_PIMBoundBase):
-    """LB_PIM-FNN (Theorem 2): quantized lower bound of LB_FNN.
+class _PIMSegmentBound(_PIMBoundBase):
+    """Theorem 2's shape over floored segment summaries of the scaled data.
 
-    Segment means and standard deviations of the *scaled* vectors are
-    floored and programmed as one concatenated ``2 d'``-dimensional
-    matrix, so a single wave delivers
-    ``floor(mu_p).floor(mu_q) + floor(sigma_p).floor(sigma_q)``:
-
-    ``LB = max(0, l/alpha^2 * (Phi(p) + Phi(q) - 2 dot - 4 d'))``.
+    ``LB = max(0, l/alpha^2 * (Phi(p) + Phi(q) - 2 dot - c d'))`` with
+    ``c`` = :attr:`_floor_terms`.
     """
+
+    #: ``c`` above: 2 per floored summary (mean, std) of a segment
+    _floor_terms: float
 
     def __init__(
         self,
+        prefix: str,
         n_segments: int,
         controller: PIMController,
-        quantizer: Quantizer | None = None,
+        quantizer: Quantizer | None,
     ) -> None:
         super().__init__(
-            name=f"LB_PIM-FNN_{n_segments}",
+            name=f"{prefix}_{n_segments}",
             kind=LOWER,
             controller=controller,
             quantizer=quantizer,
         )
         self.n_segments = n_segments
-        self._phi: np.ndarray | None = None
-        self._segment_length: int | None = None
 
     def _summaries(self, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         """Scaled segment means/stds: (means, stds, segment_length)."""
@@ -302,15 +350,37 @@ class PIMFNNBound(_PIMBoundBase):
             summary.segment_length,
         )
 
-    def prepare(self, data: np.ndarray) -> None:
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2:
-            raise OperandError("prepare() expects a (vectors x dims) matrix")
-        if self._already_prepared(data):
-            self._n_objects = data.shape[0]
-            return
-        if not self.quantizer.is_fitted:
-            self.quantizer.fit(data)
+    def _combine(self, dots, phi, phi_q):
+        lb = (
+            self._dims // self.n_segments
+            / self.alpha**2
+            * (phi + phi_q - 2.0 * dots - self._floor_terms * self.n_segments)
+        )
+        return np.maximum(lb, 0.0)
+
+
+class PIMFNNBound(_PIMSegmentBound):
+    """LB_PIM-FNN (Theorem 2): quantized lower bound of LB_FNN.
+
+    Segment means and standard deviations of the *scaled* vectors are
+    floored and programmed as one concatenated ``2 d'``-dimensional
+    matrix, so a single wave delivers
+    ``floor(mu_p).floor(mu_q) + floor(sigma_p).floor(sigma_q)``:
+
+    ``LB = max(0, l/alpha^2 * (Phi(p) + Phi(q) - 2 dot - 4 d'))``.
+    """
+
+    _floor_terms = 4.0
+
+    def __init__(
+        self,
+        n_segments: int,
+        controller: PIMController,
+        quantizer: Quantizer | None = None,
+    ) -> None:
+        super().__init__("LB_PIM-FNN", n_segments, controller, quantizer)
+
+    def _encode(self, data):
         means, stds, length = self._summaries(data)
         n, k = means.shape
         floors = np.zeros((n, 2 * k), dtype=np.int64)
@@ -321,15 +391,9 @@ class PIMFNNBound(_PIMBoundBase):
         if length > 1:
             floors[:, k:] = np.floor(stds)
             phi += (stds**2).sum(axis=1)
-        self._phi = phi - 2.0 * floors.sum(axis=1)
-        self._segment_length = length
-        self.controller.program(self._matrix_name, floors, self._phi.nbytes)
-        self._n_objects = data.shape[0]
+        return floors, (phi - 2.0 * floors.sum(axis=1),)
 
-    def _query_ints(self, query: np.ndarray) -> np.ndarray:
-        return self._query_terms(query)[0]
-
-    def _query_terms(self, query: np.ndarray) -> tuple[np.ndarray, float]:
+    def _query_terms(self, query):
         """The query's floored summary and ``Phi(q)``."""
         means, stds, _ = self._summaries(query)
         q_floors = np.floor(np.concatenate([means[0], stds[0]])).astype(
@@ -338,26 +402,10 @@ class PIMFNNBound(_PIMBoundBase):
         phi_q = float(
             (means**2).sum() + (stds**2).sum() - 2.0 * q_floors.sum()
         )
-        return q_floors, phi_q
-
-    def evaluate(
-        self, query: np.ndarray, indices: np.ndarray | None = None
-    ) -> np.ndarray:
-        if self._phi is None or self._segment_length is None:
-            raise OperandError(f"{self.name} is not prepared")
-        q_floors, phi_q = self._per_query(query, self._query_terms)
-        dots = self._wave(q_floors)
-        phi = self._phi if indices is None else self._phi[indices]
-        d = dots if indices is None else dots[indices]
-        lb = (
-            self._segment_length
-            / self.alpha**2
-            * (phi + phi_q - 2.0 * d - 4.0 * self.n_segments)
-        )
-        return np.maximum(lb, 0.0)
+        return q_floors, (phi_q,)
 
 
-class PIMSMBound(_PIMBoundBase):
+class PIMSMBound(_PIMSegmentBound):
     """PIM-aware bound of LB_SM: quantized segment-means lower bound.
 
     Identical derivation to Theorem 2 restricted to the mean terms:
@@ -366,64 +414,26 @@ class PIMSMBound(_PIMBoundBase):
     and therefore the squared ED.
     """
 
+    _floor_terms = 2.0
+
     def __init__(
         self,
         n_segments: int,
         controller: PIMController,
         quantizer: Quantizer | None = None,
     ) -> None:
-        super().__init__(
-            name=f"LB_PIM-SM_{n_segments}",
-            kind=LOWER,
-            controller=controller,
-            quantizer=quantizer,
-        )
-        self.n_segments = n_segments
-        self._phi: np.ndarray | None = None
-        self._segment_length: int | None = None
+        super().__init__("LB_PIM-SM", n_segments, controller, quantizer)
 
-    def prepare(self, data: np.ndarray) -> None:
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2:
-            raise OperandError("prepare() expects a (vectors x dims) matrix")
-        if self._already_prepared(data):
-            self._n_objects = data.shape[0]
-            return
-        if not self.quantizer.is_fitted:
-            self.quantizer.fit(data)
-        means = np.atleast_2d(
-            summarize(self.quantizer.scale(data), self.n_segments).means
-        )
+    def _encode(self, data):
+        means = self._summaries(data)[0]
         floors = np.floor(means).astype(np.int64)
-        self._phi = (means**2).sum(axis=1) - 2.0 * floors.sum(axis=1)
-        self._segment_length = data.shape[1] // self.n_segments
-        self.controller.program(self._matrix_name, floors, self._phi.nbytes)
-        self._n_objects = data.shape[0]
+        return floors, ((means**2).sum(axis=1) - 2.0 * floors.sum(axis=1),)
 
-    def _query_ints(self, query: np.ndarray) -> np.ndarray:
-        return self._query_terms(query)[0]
-
-    def _query_terms(self, query: np.ndarray) -> tuple[np.ndarray, float]:
+    def _query_terms(self, query):
         """The query's floored segment means and ``Phi(q)``."""
-        means = summarize(self.quantizer.scale(query), self.n_segments).means
+        means = self._summaries(query)[0][0]
         q_floors = np.floor(means).astype(np.int64)
-        return q_floors, float((means**2).sum() - 2.0 * q_floors.sum())
-
-    def evaluate(
-        self, query: np.ndarray, indices: np.ndarray | None = None
-    ) -> np.ndarray:
-        if self._phi is None or self._segment_length is None:
-            raise OperandError(f"{self.name} is not prepared")
-        q_floors, phi_q = self._per_query(query, self._query_terms)
-        dots = self._wave(q_floors)
-        phi = self._phi if indices is None else self._phi[indices]
-        d = dots if indices is None else dots[indices]
-        lb = (
-            self._segment_length
-            / self.alpha**2
-            * (phi + phi_q - 2.0 * d - 2.0 * self.n_segments)
-        )
-        return np.maximum(lb, 0.0)
+        return q_floors, (float((means**2).sum() - 2.0 * q_floors.sum()),)
 
 
 class PIMOSTBound(_PIMBoundBase):
@@ -448,56 +458,31 @@ class PIMOSTBound(_PIMBoundBase):
             quantizer=quantizer,
         )
         self.head_dims = head_dims
-        self._phi: np.ndarray | None = None
-        self._tail_norms: np.ndarray | None = None
 
-    def prepare(self, data: np.ndarray) -> None:
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2:
-            raise OperandError("prepare() expects a (vectors x dims) matrix")
-        if self._already_prepared(data):
-            self._n_objects = data.shape[0]
-            return
+    def _validate(self, data):
         if data.shape[1] <= self.head_dims:
             raise OperandError("head_dims must be below the data dims")
-        if not self.quantizer.is_fitted:
-            self.quantizer.fit(data)
-        scaled = self.quantizer.scale(data)
-        head = scaled[:, : self.head_dims]
+
+    def _encode(self, data):
+        head = self.quantizer.scale(data)[:, : self.head_dims]
         floors = np.floor(head).astype(np.int64)
-        self._phi = (head**2).sum(axis=1) - 2.0 * floors.sum(axis=1)
+        phi = (head**2).sum(axis=1) - 2.0 * floors.sum(axis=1)
         normed = self.quantizer.normalize(data)
-        self._tail_norms = np.linalg.norm(normed[:, self.head_dims :], axis=1)
-        side = self._phi.nbytes + self._tail_norms.nbytes
-        self.controller.program(self._matrix_name, floors, side)
-        self._n_objects = data.shape[0]
+        tails = np.linalg.norm(normed[:, self.head_dims :], axis=1)
+        return floors, (phi, tails)
 
-    def _query_ints(self, query: np.ndarray) -> np.ndarray:
+    def _query_terms(self, query):
         head = self.quantizer.scale(query)[: self.head_dims]
-        return np.floor(head).astype(np.int64)
-
-    def evaluate(
-        self, query: np.ndarray, indices: np.ndarray | None = None
-    ) -> np.ndarray:
-        if self._phi is None or self._tail_norms is None:
-            raise OperandError(f"{self.name} is not prepared")
-        query = np.asarray(query, dtype=np.float64)
-        scaled = self.quantizer.scale(query)
-        head = scaled[: self.head_dims]
         q_floors = np.floor(head).astype(np.int64)
         phi_q = float((head**2).sum() - 2.0 * q_floors.sum())
         q_tail = float(
             np.linalg.norm(self.quantizer.normalize(query)[self.head_dims :])
         )
-        dots = self._wave(q_floors)
-        phi = self._phi if indices is None else self._phi[indices]
-        tails = (
-            self._tail_norms if indices is None else self._tail_norms[indices]
-        )
-        d = dots if indices is None else dots[indices]
-        head_lb = np.maximum(
-            (phi + phi_q - 2.0 * d - 2.0 * self.head_dims) / self.alpha**2,
-            0.0,
+        return q_floors, (phi_q, q_tail)
+
+    def _combine(self, dots, phi, tails, phi_q, q_tail):
+        head_lb = theorem1_lower_bound(
+            phi, phi_q, dots, self.head_dims, self.alpha
         )
         return head_lb + (tails - q_tail) ** 2
 
@@ -524,49 +509,23 @@ class PIMCosineBound(_PIMBoundBase):
             name="UB_PIM-CS", kind=UPPER, controller=controller,
             quantizer=quantizer,
         )
-        self._floor_sums: np.ndarray | None = None
-        self._norms: np.ndarray | None = None
-        self._dims: int | None = None
 
-    def prepare(self, data: np.ndarray) -> None:
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2:
-            raise OperandError("prepare() expects a (vectors x dims) matrix")
-        if self._already_prepared(data):
-            self._n_objects = data.shape[0]
-            return
-        if not self.quantizer.is_fitted:
-            self.quantizer.fit(data)
+    def _encode(self, data):
         qv = self.quantizer.quantize(data)
-        self._floor_sums = qv.integers.sum(axis=1).astype(np.float64)
-        self._norms = np.linalg.norm(self.quantizer.normalize(data), axis=1)
-        self._dims = data.shape[1]
-        side = self._floor_sums.nbytes + self._norms.nbytes
-        self.controller.program(self._matrix_name, qv.integers, side)
-        self._n_objects = data.shape[0]
+        floor_sums = qv.integers.sum(axis=1).astype(np.float64)
+        norms = np.linalg.norm(self.quantizer.normalize(data), axis=1)
+        return qv.integers, (floor_sums, norms)
 
-    def _query_ints(self, query: np.ndarray) -> np.ndarray:
-        return self.quantizer.quantize(query).integers
-
-    def evaluate(
-        self, query: np.ndarray, indices: np.ndarray | None = None
-    ) -> np.ndarray:
-        if self._floor_sums is None or self._norms is None or self._dims is None:
-            raise OperandError(f"{self.name} is not prepared")
-        query = np.asarray(query, dtype=np.float64)
+    def _query_terms(self, query):
         qq = self.quantizer.quantize(query)
-        q_floor_sum = float(qq.integers.sum())
         q_norm = float(np.linalg.norm(self.quantizer.normalize(query)))
-        dots = self._wave(qq.integers)
-        sums = self._floor_sums if indices is None else self._floor_sums[indices]
-        norms = self._norms if indices is None else self._norms[indices]
-        d = dots if indices is None else dots[indices]
-        dot_ub = (d + sums + q_floor_sum + self._dims) / self.alpha**2
-        denom = norms * q_norm
-        ub = np.ones_like(dot_ub)
-        nonzero = denom > 0
-        ub[nonzero] = dot_ub[nonzero] / denom[nonzero]
-        return np.minimum(ub, 1.0)
+        return qq.integers, (float(qq.integers.sum()), q_norm)
+
+    def _combine(self, dots, floor_sums, norms, q_floor_sum, q_norm):
+        dot_ub = _dot_upper(
+            dots, floor_sums, q_floor_sum, self._dims, self.alpha
+        )
+        return np.minimum(_ratio_or_one(dot_ub, norms * q_norm), 1.0)
 
     @property
     def per_object_long_ops(self) -> float:
@@ -589,70 +548,35 @@ class PIMPearsonBound(_PIMBoundBase):
             name="UB_PIM-PCC", kind=UPPER, controller=controller,
             quantizer=quantizer,
         )
-        self._floor_sums: np.ndarray | None = None
-        self._sums: np.ndarray | None = None
-        self._phi_a: np.ndarray | None = None
-        self._dims: int | None = None
 
-    def prepare(self, data: np.ndarray) -> None:
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2:
-            raise OperandError("prepare() expects a (vectors x dims) matrix")
-        if self._already_prepared(data):
-            self._n_objects = data.shape[0]
-            return
-        if not self.quantizer.is_fitted:
-            self.quantizer.fit(data)
+    def _encode(self, data):
         normed = self.quantizer.normalize(data)
         qv = self.quantizer.quantize(data)
-        d = data.shape[1]
-        self._floor_sums = qv.integers.sum(axis=1).astype(np.float64)
-        self._sums = normed.sum(axis=1)
-        phi_a_sq = d * (normed**2).sum(axis=1) - self._sums**2
-        self._phi_a = np.sqrt(np.maximum(phi_a_sq, 0.0))
-        self._dims = d
-        side = (
-            self._floor_sums.nbytes + self._sums.nbytes + self._phi_a.nbytes
-        )
-        self.controller.program(self._matrix_name, qv.integers, side)
-        self._n_objects = data.shape[0]
+        floor_sums = qv.integers.sum(axis=1).astype(np.float64)
+        sums = normed.sum(axis=1)
+        phi_a_sq = data.shape[1] * (normed**2).sum(axis=1) - sums**2
+        phi_a = np.sqrt(np.maximum(phi_a_sq, 0.0))
+        return qv.integers, (floor_sums, sums, phi_a)
 
-    def _query_ints(self, query: np.ndarray) -> np.ndarray:
-        return self.quantizer.quantize(query).integers
-
-    def evaluate(
-        self, query: np.ndarray, indices: np.ndarray | None = None
-    ) -> np.ndarray:
-        if (
-            self._floor_sums is None
-            or self._sums is None
-            or self._phi_a is None
-            or self._dims is None
-        ):
-            raise OperandError(f"{self.name} is not prepared")
-        query = np.asarray(query, dtype=np.float64)
-        q_norm = self.quantizer.normalize(query)
+    def _query_terms(self, query):
+        normed = self.quantizer.normalize(query)
         qq = self.quantizer.quantize(query)
-        d = float(self._dims)
-        q_floor_sum = float(qq.integers.sum())
-        q_sum = float(q_norm.sum())
+        q_sum = float(normed.sum())
         q_phi_a = float(
-            np.sqrt(max(d * float(q_norm @ q_norm) - q_sum**2, 0.0))
+            np.sqrt(max(self._dims * float(normed @ normed) - q_sum**2, 0.0))
         )
-        dots = self._wave(qq.integers)
-        f_sums = (
-            self._floor_sums if indices is None else self._floor_sums[indices]
+        return qq.integers, (float(qq.integers.sum()), q_sum, q_phi_a)
+
+    def _combine(
+        self, dots, floor_sums, sums, phi_a, q_floor_sum, q_sum, q_phi_a
+    ):
+        dot_ub = _dot_upper(
+            dots, floor_sums, q_floor_sum, self._dims, self.alpha
         )
-        sums = self._sums if indices is None else self._sums[indices]
-        phi_a = self._phi_a if indices is None else self._phi_a[indices]
-        dvals = dots if indices is None else dots[indices]
-        dot_ub = (dvals + f_sums + q_floor_sum + d) / self.alpha**2
-        numerator_ub = d * dot_ub - sums * q_sum
-        denom = phi_a * q_phi_a
-        ub = np.ones_like(numerator_ub)
-        nonzero = denom > 0
-        ub[nonzero] = numerator_ub[nonzero] / denom[nonzero]
-        return np.clip(ub, -1.0, 1.0)
+        numerator_ub = self._dims * dot_ub - sums * q_sum
+        return np.clip(
+            _ratio_or_one(numerator_ub, phi_a * q_phi_a), -1.0, 1.0
+        )
 
     @property
     def per_object_transfer_bits(self) -> float:

@@ -788,7 +788,7 @@ class ShardManager(ReplicaPlacement):
         self._shard_cpu_memo: dict[tuple[int, int, int], float] = {}
         qv = self.quantizer.quantize(data)
         normalized = self.quantizer.normalize(data)
-        phi = (qv.scaled**2).sum(axis=1) - 2.0 * qv.integers.sum(axis=1)
+        phi = qv.phi
         self.chunk_rows: list[np.ndarray] = [
             self.placement.rows_of(c) for c in range(self.n_chunks)
         ]
@@ -916,8 +916,7 @@ class ShardManager(ReplicaPlacement):
             )
         qv = self.quantizer.quantize(queries)
         normalized = self.quantizer.normalize(queries)
-        phi_q = (qv.scaled**2).sum(axis=1) - 2.0 * qv.integers.sum(axis=1)
-        return qv.integers, normalized, phi_q
+        return qv.integers, normalized, qv.phi
 
     # ------------------------------------------------------------------
     # fault-tolerant chunk dispatch

@@ -52,6 +52,15 @@ class QuantizedVector:
     scaled: np.ndarray
     integers: np.ndarray
 
+    @property
+    def phi(self) -> np.ndarray:
+        """Theorem 1's ``Phi(p) = sum p_bar_i^2 - 2 sum floor(p_bar_i)``.
+
+        One value per vector (the last axis is summed), so a dataset and
+        a single query share this one expression and its bits.
+        """
+        return (self.scaled**2).sum(axis=-1) - 2.0 * self.integers.sum(axis=-1)
+
 
 class Quantizer:
     """Min-max normalisation + alpha scaling + floor truncation.

@@ -36,6 +36,84 @@ def query(query_vector):
     return query_vector
 
 
+#: every quantized bound on the shared template, with the number of
+#: float64 side arrays it keeps per object in the memory array
+TEMPLATED = [
+    pytest.param(lambda c: PIMEuclideanBound(c), 1, id="ED"),
+    pytest.param(lambda c: PIMFNNBound(8, c), 1, id="FNN"),
+    pytest.param(lambda c: PIMSMBound(8, c), 1, id="SM"),
+    pytest.param(lambda c: PIMOSTBound(16, c), 2, id="OST"),
+    pytest.param(lambda c: PIMCosineBound(c), 2, id="CS"),
+    pytest.param(lambda c: PIMPearsonBound(c), 3, id="PCC"),
+]
+
+
+@pytest.mark.parametrize(("make", "side_arrays"), TEMPLATED)
+class TestPIMBoundContract:
+    """What the shared base promises for every quantized bound."""
+
+    def test_unprepared_evaluate_raises(
+        self, make, side_arrays, controller, query
+    ):
+        with pytest.raises(OperandError, match="not prepared"):
+            make(controller).evaluate(query)
+
+    def test_reprepare_same_or_equal_data_is_noop(
+        self, make, side_arrays, controller, data
+    ):
+        bound = make(controller)
+        bound.prepare(data)
+        stats = controller.pim.stats
+        before = (stats.crossbars_used, stats.programming_time_ns)
+        bound.prepare(data)
+        bound.prepare(data.copy())
+        assert (stats.crossbars_used, stats.programming_time_ns) == before
+        assert bound.prepared_on is data
+
+    def test_reprepare_different_data_raises(
+        self, make, side_arrays, controller, data, rng
+    ):
+        bound = make(controller)
+        bound.prepare(data)
+        with pytest.raises(OperandError, match="different dataset"):
+            bound.prepare(rng.random((10, 32)))
+
+    def test_subset_is_the_full_evaluation_sliced(
+        self, make, side_arrays, controller, data, query
+    ):
+        bound = make(controller)
+        bound.prepare(data)
+        idx = np.array([1, 4, 9, 200])
+        full = bound.evaluate(query)
+        assert bound.evaluate(query, idx).tobytes() == full[idx].tobytes()
+
+    def test_primed_evaluate_fires_no_wave(
+        self, make, side_arrays, controller, data, query, rng
+    ):
+        queries = np.vstack([query, rng.random((2, data.shape[1])), query])
+        plain = make(controller)
+        plain.prepare(data)
+        expected = [plain.evaluate(q).tobytes() for q in queries]
+        primed = make(controller)
+        primed.prepare(data)
+        assert primed.prime_queries(queries) == 3  # the repeat is deduped
+        waves = controller.pim.stats.waves
+        assert [primed.evaluate(q).tobytes() for q in queries] == expected
+        assert controller.pim.stats.waves == waves
+
+    def test_memory_payload_is_matrix_plus_side_arrays(
+        self, make, side_arrays, controller, data
+    ):
+        bound = make(controller)
+        bound.prepare(data)
+        layout = controller.pim.layouts()[bound._matrix_name]
+        side_bytes = side_arrays * data.shape[0] * 8
+        receipt = controller.receipt(bound._matrix_name)
+        assert receipt.memory_write_ns == controller.memory.write_time_ns(
+            layout.storage_bits / 8.0 + side_bytes
+        )
+
+
 class TestPIMEuclideanBound:
     def test_theorem1_lower_bound(self, controller, data, query):
         bound = PIMEuclideanBound(controller)
@@ -176,7 +254,7 @@ class TestPIMFNNBound:
         matrix = programmed[pim._matrix_name]
         assert matrix.dtype == floors.dtype
         assert np.array_equal(matrix, floors)
-        assert pim._phi.tobytes() == phi.tobytes()
+        assert pim._side[0].tobytes() == phi.tobytes()
 
 
 class TestPIMSMBound:
@@ -205,8 +283,10 @@ class TestPIMOSTBound:
 
     def test_rejects_head_at_full_dims(self, controller, data):
         pim = PIMOSTBound(data.shape[1], controller)
-        with pytest.raises(OperandError):
-            pim.prepare(data)
+        for _ in range(2):  # a rejected dataset is not marked prepared
+            with pytest.raises(OperandError, match="head_dims"):
+                pim.prepare(data)
+        assert not pim.quantizer.is_fitted
 
 
 class TestPIMCosineBound:

@@ -119,6 +119,18 @@ class TestQuantizer:
                 assert lb <= ed + 1e-9
                 assert ed - lb <= bound + 1e-9
 
+    def test_phi_of_a_row_alone_has_the_batch_bits(self, rng):
+        # the bounds compute Phi(p) over the dataset and Phi(q) one query
+        # at a time; both must be the same reduction, bit for bit
+        vectors = rng.random((5, 300))
+        quantizer = Quantizer(assume_normalized=True).fit(vectors)
+        qv = quantizer.quantize(vectors)
+        for i in range(5):
+            row = quantizer.quantize(vectors[i])
+            assert row.phi.tobytes() == qv.phi[i].tobytes()
+            expected = (row.scaled**2).sum() - 2.0 * row.integers.sum()
+            assert row.phi.tobytes() == expected.tobytes()
+
 
 class TestNormalizedShortcut:
     """``assume_normalized`` clips directly, with the general map's bytes."""
