@@ -407,7 +407,7 @@ def _chaos_setup(
     return service, requests
 
 
-def measure_observability(smoke: bool = False) -> dict:
+def measure_observability(out_dir: Path, smoke: bool = False) -> dict:
     """End-to-end trace integrity + burn-rate sanity in one record.
 
     Runs the chaos+repair workload under tracing and checks the ISSUE
@@ -417,8 +417,9 @@ def measure_observability(smoke: bool = False) -> dict:
     within :data:`MAX_RESIDUAL_NS`, the trace/metrics files pass schema
     validation and the Prometheus snapshot parses. A separate clean
     run confirms the default burn-rate rules stay silent on a healthy
-    baseline. Violations are returned, not raised — ``main`` turns
-    them into the CI exit code.
+    baseline. The trace, metrics and Prometheus files land in
+    ``out_dir`` (``serving_observability.*``). Violations are returned,
+    not raised — ``main`` turns them into the CI exit code.
     """
     from repro.observability import (
         BurnRateMonitor,
@@ -467,10 +468,10 @@ def measure_observability(smoke: bool = False) -> dict:
             f"{MAX_RESIDUAL_NS} ns"
         )
 
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    trace_path = RESULTS_DIR / "serving_observability.trace.json"
-    metrics_path = RESULTS_DIR / "serving_observability.metrics.jsonl"
-    prom_path = RESULTS_DIR / "serving_observability.prom"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    trace_path = out_dir / "serving_observability.trace.json"
+    metrics_path = out_dir / "serving_observability.metrics.jsonl"
+    prom_path = out_dir / "serving_observability.prom"
     write_chrome_trace(tele, trace_path)
     write_metrics_jsonl(tele, metrics_path)
     write_prometheus(tele, prom_path)
@@ -646,9 +647,14 @@ def test_serving_fused_perf_trajectory_full():
 # ----------------------------------------------------------------------
 # pytest mode
 # ----------------------------------------------------------------------
-def test_serving_observability_integrity(save_results):
-    """Traced chaos run: full span trees, exact attribution, no alarms."""
-    result = measure_observability(smoke=True)
+def test_serving_observability_integrity(save_results, tmp_path):
+    """Traced chaos run: full span trees, exact attribution, no alarms.
+
+    The smoke exports go to ``tmp_path``: the tracked
+    ``serving_observability.*`` files hold the full-scale run, written
+    only by :func:`main`.
+    """
+    result = measure_observability(tmp_path, smoke=True)
     trace = result["trace"]
     save_results(
         "serving_observability",
@@ -666,10 +672,12 @@ def test_serving_observability_integrity(save_results):
     assert result["violations"] == []
 
 
-def test_serving_throughput_scaling(benchmark, save_results):
+def test_serving_throughput_scaling(benchmark, save_results, tmp_path):
+    """Smoke sweep; its curve goes to ``tmp_path``, since the tracked
+    ``serving_latency_curve.json`` holds the full sweep of :func:`main`."""
     result = run_sweep(smoke=True)
     save_results("serving_scaling", format_report(result))
-    save_curve(result, RESULTS_DIR / "serving_latency_curve.json")
+    save_curve(result, tmp_path / "serving_latency_curve.json")
     scaling = result["scaling"]
     assert scaling["ratio_4_over_1"] >= MIN_SCALING
     # saturation really saturates: the overloaded point sheds traffic
@@ -700,7 +708,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--perf-out", default=str(RESULTS_DIR / "BENCH_serving.json"),
-        metavar="FILE", help="fused-kernel perf-trajectory JSON path",
+        metavar="FILE",
+        help="fused-kernel perf-trajectory JSON path; the observability "
+        "exports (serving_observability.*) land beside it",
     )
     add_telemetry_args(parser)
     args = parser.parse_args(argv)
@@ -711,7 +721,9 @@ def main(argv=None) -> int:
     print(f"latency curve  : {args.out}")
     perf = measure_fused_trajectory(smoke=args.smoke)
     perf["bound_pipeline"] = measure_bound_pipeline(smoke=args.smoke)
-    obs = measure_observability(smoke=args.smoke)
+    obs = measure_observability(
+        Path(args.perf_out).parent, smoke=args.smoke
+    )
     overhead = measure_tracing_overhead(smoke=args.smoke)
     perf["observability"] = obs
     perf["tracing_overhead"] = overhead

@@ -5,7 +5,7 @@ Walks the pluggable compute layer bottom-up:
 1. program the same matrix into a ReRAM crossbar array and an HBM-PIM
    bank array and show the answers are bit-identical while the
    simulated nanoseconds (and the instruction mix) are not;
-2. ask the capability descriptors what each backend *would* cost for
+2. ask the cost models what each backend *would* cost for
    two workload shapes, and watch the predicted winner flip;
 3. serve a mixed fleet — crossbar and HBM-PIM shards behind one
    ShardManager — with the cost router steering each chunk's waves to
@@ -59,7 +59,7 @@ def main() -> None:
     assert np.array_equal(a, b)
     print("=> identical accumulator values, different nanoseconds\n")
 
-    # -- 2. capability descriptors predict the crossover --------------
+    # -- 2. the cost models predict the crossover ---------------------
     shapes = {"small wave": (256, 24, 4), "wide batch": (1024, 420, 16)}
     print(f"{'workload':<12} {'crossbar ns':>12} {'hbm_pim ns':>12}  winner")
     for label, (n, dims, batch) in shapes.items():

@@ -45,8 +45,8 @@ class PIMController:
     name (``"crossbar"``, the paper's array and the default;
     ``"hbm_pim"``, ...), built through
     :func:`repro.substrate.create_substrate`. Side data is staged in the
-    device class the backend's capability descriptor declares (ReRAM
-    for crossbars, DRAM for HBM-PIM). A ``noise`` model swaps in a
+    device class the backend's cost model declares (ReRAM for
+    crossbars, DRAM for HBM-PIM). A ``noise`` model swaps in a
     :class:`~repro.hardware.noise.NoisyPIMArray`, crossbar only. The
     cell-level crossbar oracle, :class:`repro.oracle.LoopPIMArray`, is
     not a setting: a test assigns one to :attr:`pim` before programming.
@@ -63,7 +63,7 @@ class PIMController:
         spare_crossbars: int = 0,
         substrate: str = "crossbar",
     ) -> None:
-        from repro.substrate import create_substrate, substrate_capabilities
+        from repro.substrate import create_substrate
 
         self.hardware = hardware if hardware is not None else pim_platform()
         self.substrate = substrate
@@ -84,11 +84,10 @@ class PIMController:
                 hardware=self.hardware,
                 spare_units=spare_crossbars,
             )
-        memory_device = substrate_capabilities(
-            substrate, self.hardware
-        ).memory_device
         self.noise = noise
-        self.memory = MemoryArray(self.hardware.memory, device=memory_device)
+        self.memory = MemoryArray(
+            self.hardware.memory, device=self.pim.model.memory_device
+        )
         self._receipts: dict[str, ProgramReceipt] = {}
 
     def program(

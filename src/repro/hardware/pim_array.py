@@ -8,7 +8,8 @@ every programmed vector of a matrix concurrently and deposits the
 results in the buffer array. :class:`Substrate` is that shape, shared
 by every backend: matrix bookkeeping, wave dispatch, buffer drain,
 stats, telemetry and the spare-pool remap. A backend supplies only
-placement, its timing model and its kernel.
+placement, its cost model (``model``, charged for every wave, program
+and remap) and its kernel.
 
 :class:`PIMArray` is the paper's ReRAM crossbar backend. The bit-sliced
 analog pipeline (DAC input slices, ADC, shift-and-add) is value-exact,
@@ -38,17 +39,8 @@ from repro.hardware import bitslice
 from repro.hardware.buffer import BufferArray
 from repro.hardware.config import HardwareConfig, pim_platform
 from repro.hardware.endurance import EnduranceTracker
-from repro.hardware.mapper import (
-    DatasetLayout,
-    plan_layout,
-    reserve_spares,
-    total_crossbars,
-)
-from repro.hardware.timing import (
-    BatchWaveTiming,
-    batch_wave_timing,
-    programming_time_ns,
-)
+from repro.hardware.mapper import reserve_spares
+from repro.hardware.timing import BatchWaveTiming
 from repro.telemetry import get_recorder
 
 
@@ -243,14 +235,18 @@ class Substrate:
       :meth:`remap_crossbar` answers with the backend's own units;
     * backend-specific counters live in ``stats.extra``.
 
+    Every cost is charged through ``model``, the backend's
+    :class:`~repro.substrate.protocol.SubstrateCapabilities`: the same
+    object the cost router prices with, so a device charge and a
+    router prediction of the same layout are one computation. The
+    device takes its ``config`` and wear budget from it too.
+
     A backend sets ``unit_name``, ``backend`` (the ``stats.backend``
-    tag) and ``_span_attrs`` (extra attributes of every span), and
-    implements the hooks below: placement (:meth:`_place`,
-    :meth:`_release`, :meth:`_move_to_spare`), timing
-    (:meth:`_program_ns`, :meth:`_batch_timing`)
-    and capacity (:meth:`units_needed`, :meth:`fits_matrix`). The
-    kernel hook :meth:`_raw_values` is what the loop oracles in
-    :mod:`repro.oracle` override.
+    tag) and ``_span_attrs`` (extra attributes of every span), passes
+    its model, and implements the hooks below: placement
+    (:meth:`_place`, :meth:`_release`, :meth:`_move_to_spare`) and
+    capacity (:meth:`fits_matrix`). The kernel hook :meth:`_raw_values`
+    is what the loop oracles in :mod:`repro.oracle` override.
 
     A :class:`~repro.faults.injectors.FaultyPIMArray` attaches itself
     as ``_faults``. The dispatch body then asks it twice: before the
@@ -269,13 +265,13 @@ class Substrate:
     _wave_counters: tuple[str, ...] = ("waves", "results_produced")
 
     def __init__(
-        self, hardware: HardwareConfig, config, endurance: float,
-        spare_units: int,
+        self, hardware: HardwareConfig, model, spare_units: int
     ) -> None:
         self.hardware = hardware
-        self.config = config
+        self.model = model
+        self.config = model.config
         self.buffer = BufferArray(hardware.memory)
-        self.endurance = EnduranceTracker(endurance)
+        self.endurance = EnduranceTracker(model.endurance)
         self.stats = PIMStats(backend=self.backend)
         self._matrices: dict[str, ProgrammedMatrix] = {}
         self.spare_units = int(spare_units)
@@ -308,7 +304,7 @@ class Substrate:
         self._matrices[name] = record
         self.stats.crossbars_used += layout.n_crossbars
         self.stats.matrices[name] = layout
-        program_ns = self._program_ns(layout)
+        program_ns = self.model.program_ns(layout)
         self.stats.programming_time_ns += program_ns
         tele = get_recorder()
         if tele.enabled:
@@ -542,10 +538,10 @@ class Substrate:
         values = self._values(record, vectors, bits)
         n = vectors.shape[0]
         waves, per_wave = (1, n) if batch else (n, 1)
-        timing = self._batch_timing(layout, per_wave, bits)
+        timing = self.model.wave_timing(layout, per_wave, bits)
         if batch:
             # the saving batching makes on this device, whatever stretches it
-            single_ns = self._batch_timing(layout, 1, bits).total_ns
+            single_ns = self.model.wave_timing(layout, 1, bits).total_ns
             saved_ns = n * single_ns - timing.total_ns
         if faults is not None:
             values, timing = faults.after_wave(name, vectors, values, timing)
@@ -671,20 +667,9 @@ class Substrate:
         """
         raise NotImplementedError
 
-    def _program_ns(self, layout) -> float:
-        raise NotImplementedError
-
-    def _batch_timing(self, layout, n_queries: int, bits: int):
-        """Timing of one wave of ``n_queries`` queries (a single wave is 1)."""
-        raise NotImplementedError
-
     def _charge_extra(self, layout, n_queries: int, waves: int) -> None:
         """Backend-specific ``stats.extra`` counters of ``waves`` waves of
         ``n_queries`` queries each."""
-
-    def units_needed(self, n_vectors: int, dims: int) -> int:
-        """Physical units a fresh ``(n_vectors, dims)`` matrix occupies."""
-        raise NotImplementedError
 
     def fits_matrix(
         self, n_vectors: int, dims: int, exclude: str | None = None
@@ -694,10 +679,6 @@ class Substrate:
         ``exclude`` names a programmed matrix whose units are treated as
         free — the grow-in-place check used by chunk re-replication.
         """
-        raise NotImplementedError
-
-    def capabilities(self):
-        """The backend's planner-facing capability descriptor."""
         raise NotImplementedError
 
 
@@ -727,12 +708,13 @@ class PIMArray(Substrate):
         hardware: HardwareConfig | None = None,
         spare_crossbars: int = 0,
     ) -> None:
+        from repro.substrate.crossbar import CrossbarCapabilities
+
         hardware = hardware if hardware is not None else pim_platform()
         if hardware.pim is None:
             raise ProgrammingError("hardware platform has no PIM array")
         super().__init__(
-            hardware, hardware.pim, hardware.pim.crossbar.endurance,
-            spare_crossbars,
+            hardware, CrossbarCapabilities(hardware), spare_crossbars
         )
         self.data_capacity = reserve_spares(self.config, self.spare_units)
         self._next_crossbar_id = self.spare_units
@@ -743,7 +725,7 @@ class PIMArray(Substrate):
     # ------------------------------------------------------------------
     def _place(self, name: str, matrix: np.ndarray) -> ProgrammedMatrix:
         n_vectors, dims = matrix.shape
-        layout = plan_layout(n_vectors, dims, self.config)
+        layout = self.model.layout(n_vectors, dims)
         used = self.stats.crossbars_used + layout.n_crossbars
         if used > self.data_capacity:
             detail = (
@@ -776,15 +758,7 @@ class PIMArray(Substrate):
 
     def _move_to_spare(self, owners: list, old_id: int, spare: int) -> float:
         """Reprogram the owning matrix's crossbar onto the spare."""
-        from repro.hardware.reprogramming import crossbar_reprogram_ns
-
-        return sum(
-            crossbar_reprogram_ns(record.layout, self.config)
-            for _, record in owners
-        )
-
-    def units_needed(self, n_vectors: int, dims: int) -> int:
-        return total_crossbars(n_vectors, dims, self.config)
+        return sum(self.model.remap_ns(record.layout) for _, record in owners)
 
     def fits_matrix(
         self, n_vectors: int, dims: int, exclude: str | None = None
@@ -792,26 +766,11 @@ class PIMArray(Substrate):
         free = self.data_capacity - self.stats.crossbars_used
         if exclude is not None and exclude in self._matrices:
             free += self._matrices[exclude].layout.n_crossbars
-        return self.units_needed(n_vectors, dims) <= free
-
-    def capabilities(self):
-        from repro.substrate.crossbar import CrossbarCapabilities
-
-        return CrossbarCapabilities(self.hardware)
+        return self.model.units_needed(n_vectors, dims) <= free
 
     # ------------------------------------------------------------------
-    # timing
+    # telemetry
     # ------------------------------------------------------------------
-    def _program_ns(self, layout: DatasetLayout) -> float:
-        return programming_time_ns(layout, self.config)
-
-    def _batch_timing(
-        self, layout: DatasetLayout, n_queries: int, bits: int
-    ) -> BatchWaveTiming:
-        return batch_wave_timing(
-            layout, self.config, self.hardware, n_queries, input_bits=bits
-        )
-
     def _record_wave_metrics(
         self, tele, waves: int, cycles: int, results: int
     ) -> None:

@@ -29,27 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import CapacityError, ConfigurationError, OperandError
-from repro.hardware.config import HardwareConfig, PIMArrayConfig, pim_platform
-from repro.hardware.mapper import DatasetLayout, plan_layout
+from repro.hardware.config import HardwareConfig, pim_platform
 from repro.hardware.memory import MemoryArray
 from repro.hardware.pim_array import PIMArray
-from repro.hardware.timing import programming_time_ns
 from repro.telemetry import get_recorder
 
 POLICIES = ("round_robin", "pinned")
-
-
-def crossbar_reprogram_ns(
-    layout: DatasetLayout, config: PIMArrayConfig
-) -> float:
-    """Latency of rewriting ONE crossbar of a programmed layout.
-
-    Programming a layout writes all of its crossbars concurrently-ish in
-    the timing model, so the per-crossbar remap cost is the layout's
-    programming time spread over its crossbar count. The repair layer
-    charges this when a stuck or dead crossbar is remapped onto a spare.
-    """
-    return programming_time_ns(layout, config) / max(layout.n_crossbars, 1)
 
 
 @dataclass
@@ -157,15 +142,12 @@ class ChunkedDotProductEngine:
         # program_matrix advances the simulated clock by the crossbar
         # write time itself (nested pim.program span); only the memory
         # array read feeding the programming is charged here.
-        self.pim.program_matrix("chunk", chunk)
-        layout = plan_layout(
-            chunk.shape[0], chunk.shape[1], self.pim.config
-        )
+        layout = self.pim.program_matrix("chunk", chunk)
         self.stats.reprogrammings += 1
         read_ns = self.memory.read_time_ns(chunk.nbytes)
-        self.stats.programming_time_ns += programming_time_ns(
-            layout, self.pim.config
-        ) + read_ns
+        self.stats.programming_time_ns += (
+            self.pim.model.program_ns(layout) + read_ns
+        )
         self._resident = chunk_id
         if span is not None:
             tele.advance(read_ns)

@@ -327,7 +327,7 @@ class _Shard:
         shard has never been programmed (its own flag is authoritative
         otherwise). A live device answers through its
         :meth:`fits_matrix` hook, an unbuilt shard through the backend's
-        capability descriptor; a spare reservation that leaves no data
+        cost model; a spare reservation that leaves no data
         units fits nothing.
         """
         v = self.verify if self.controller is not None else verify

@@ -5,8 +5,9 @@ The mining and serving layers talk to memory-side compute through the
 dot-product waves, account simulated time/energy/wear — rather than to
 one concrete device. The base (defined beside
 :class:`~repro.hardware.pim_array.PIMStats`) owns dispatch, booking and
-the spare-pool remap; each backend adds placement, timing and its
-kernel. Two backends ship registered:
+the spare-pool remap; each backend adds placement, its kernel and one
+:class:`SubstrateCapabilities` cost model, which the device charges
+through and the cost router prices with. Two backends ship registered:
 
 * ``"crossbar"`` — the paper's analog ReRAM crossbar array
   (:class:`~repro.hardware.pim_array.PIMArray`), bit-sliced DAC/ADC

@@ -1,15 +1,14 @@
-"""Crossbar substrate registration: capabilities + factory.
+"""Crossbar substrate registration: cost model + factory.
 
 The device itself is :class:`~repro.hardware.pim_array.PIMArray`; this
-module only adds the planner-facing capability descriptor (pricing via
-the analytic timing/energy models the array already charges) and the
+module holds its cost model (the analytic NVSim-style timing and the
+energy model, which the array charges through ``array.model``) and the
 registry factory.
 """
 
 from __future__ import annotations
 
 from repro.hardware.config import HardwareConfig, pim_platform
-from repro.hardware.energy import EnergyModel
 from repro.hardware.mapper import plan_layout, reserve_spares, total_crossbars
 from repro.hardware.pim_array import PIMArray
 from repro.hardware.timing import batch_wave_timing, programming_time_ns
@@ -22,7 +21,7 @@ class CrossbarCapabilities(SubstrateCapabilities):
     Latency is nearly flat in ``n_vectors`` (every programmed column
     answers in the same bit-sliced wave; only the result drain grows),
     programming pays ReRAM SET/RESET per row, and energy is dominated
-    by ADC conversions — the exact models the live array charges.
+    by ADC conversions.
     """
 
     name = "crossbar"
@@ -32,15 +31,41 @@ class CrossbarCapabilities(SubstrateCapabilities):
     def __init__(
         self, hardware: HardwareConfig | None = None, energy=None
     ) -> None:
-        super().__init__(hardware if hardware is not None else pim_platform())
-        if self.hardware.pim is None:
+        hardware = hardware if hardware is not None else pim_platform()
+        if hardware.pim is None:
             from repro.errors import ConfigurationError
 
             raise ConfigurationError(
                 "crossbar capabilities need a platform with a PIM array"
             )
-        self.config = self.hardware.pim
-        self.energy = energy if energy is not None else EnergyModel()
+        super().__init__(hardware, hardware.pim, energy)
+
+    def layout(self, n_vectors: int, dims: int):
+        return plan_layout(n_vectors, dims, self.config)
+
+    def wave_timing(self, layout, n_queries: int, bits: int | None):
+        return batch_wave_timing(
+            layout, self.config, self.hardware, n_queries, input_bits=bits
+        )
+
+    def program_ns(self, layout) -> float:
+        return programming_time_ns(layout, self.config)
+
+    def remap_ns(self, layout) -> float:
+        """The layout's programming time spread over its crossbars.
+
+        Programming writes all crossbars of a layout concurrently in
+        the timing model, so rewriting one of them costs that share.
+        """
+        return self.program_ns(layout) / max(layout.n_crossbars, 1)
+
+    def wave_energy_j(self, layout, n_queries: int, bits: int | None) -> float:
+        return self.energy.pim_energy_j(
+            layout, self.config, n_queries, input_bits=bits
+        )
+
+    def program_energy_j(self, layout) -> float:
+        return self.energy.programming_energy_j(layout)
 
     def units_needed(self, n_vectors: int, dims: int) -> int:
         return total_crossbars(n_vectors, dims, self.config)
@@ -50,40 +75,6 @@ class CrossbarCapabilities(SubstrateCapabilities):
     ) -> bool:
         needed = self.units_needed(n_vectors, dims)
         return needed <= reserve_spares(self.config, spare_units)
-
-    def _layout(self, n_vectors: int, dims: int):
-        return plan_layout(n_vectors, dims, self.config)
-
-    def predict_query_ns(
-        self,
-        n_vectors: int,
-        dims: int,
-        n_queries: int = 1,
-        input_bits: int | None = None,
-    ) -> float:
-        layout = self._layout(n_vectors, dims)
-        return batch_wave_timing(
-            layout, self.config, self.hardware, n_queries,
-            input_bits=input_bits,
-        ).total_ns
-
-    def predict_program_ns(self, n_vectors: int, dims: int) -> float:
-        return programming_time_ns(self._layout(n_vectors, dims), self.config)
-
-    def predict_query_energy_j(
-        self,
-        n_vectors: int,
-        dims: int,
-        n_queries: int = 1,
-        input_bits: int | None = None,
-    ) -> float:
-        layout = self._layout(n_vectors, dims)
-        return self.energy.pim_energy_j(
-            layout, self.config, n_queries, input_bits=input_bits
-        )
-
-    def predict_program_energy_j(self, n_vectors: int, dims: int) -> float:
-        return self.energy.programming_energy_j(self._layout(n_vectors, dims))
 
     @property
     def endurance(self) -> float:

@@ -12,10 +12,11 @@ oracle (:class:`repro.oracle.LoopHBMPIMArray`) by construction.
 The shared base owns dispatch, booking, telemetry and the spare-pool
 remap, so the fault injectors, the repair controller and the stats
 aggregation run unmodified on banks. This module holds only what is the
-stack's own: least-loaded bank placement, the DRAM timing hooks, the
-cost of moving a bank's residents onto a spare, and the
-backend-specific activity (MAC commands, row activations, ...) charged
-to ``stats.extra``.
+stack's own: its cost model (:class:`HBMPIMCapabilities`: bank layout,
+DRAM wave, programming and remap timing, energy), which the device
+charges through and the cost router prices with; least-loaded bank
+placement over the live data banks; and the backend-specific activity
+(MAC commands, row activations, ...) charged to ``stats.extra``.
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ from repro.hardware.config import (
     HBMPIMConfig,
     hbm_pim_platform,
 )
-from repro.hardware.energy import EnergyModel
 from repro.hardware.pim_array import ProgrammedMatrix, Substrate
-from repro.hardware.timing import BatchWaveTiming
 from repro.substrate.protocol import SubstrateCapabilities
 
 
@@ -67,6 +66,69 @@ def hbm_config_for(hardware: HardwareConfig) -> HBMPIMConfig:
     return base
 
 
+class HBMPIMCapabilities(SubstrateCapabilities):
+    """Cost model of the bank-level-MAC stack.
+
+    Latency scales with resident vectors per bank times bursts per
+    vector (plus a GRF-pressure penalty past ``grf_entries`` bursts),
+    while programming is cheap DRAM writes — the opposite shape of the
+    crossbar model, which is what makes routing interesting.
+    """
+
+    name = "hbm_pim"
+    unit_name = "bank"
+    memory_device = "dram"
+
+    def __init__(
+        self, hardware: HardwareConfig | None = None, energy=None
+    ) -> None:
+        hardware = hardware if hardware is not None else hbm_pim_platform()
+        super().__init__(hardware, hbm_config_for(hardware), energy)
+
+    def layout(
+        self, n_vectors: int, dims: int, data_banks: int | None = None
+    ) -> BankLayout:
+        """Block distribution over ``data_banks`` banks (default: all)."""
+        return plan_bank_layout(
+            n_vectors, dims, self.config, data_banks=data_banks
+        )
+
+    def wave_timing(self, layout, n_queries: int, bits: int | None):
+        return bank_batch_timing(layout, self.config, self.hardware, n_queries)
+
+    def program_ns(self, layout) -> float:
+        return bank_program_ns(layout, self.config)
+
+    def remap_ns(self, layout) -> float:
+        """Rewriting one bank is programming it: every bank of a layout
+        holds the same share, written in parallel."""
+        return self.program_ns(layout)
+
+    def wave_energy_j(self, layout, n_queries: int, bits: int | None) -> float:
+        return self.energy.hbm_wave_energy_j(layout, n_queries)
+
+    def program_energy_j(self, layout) -> float:
+        return self.energy.hbm_programming_energy_j(layout)
+
+    def units_needed(self, n_vectors: int, dims: int) -> int:
+        return self.layout(n_vectors, dims).n_data_banks
+
+    def fits_fresh(
+        self, n_vectors: int, dims: int, spare_units: int = 0
+    ) -> bool:
+        try:
+            self.layout(
+                n_vectors, dims, self.config.total_banks - spare_units
+            )
+        except CapacityError:
+            return False
+        return True
+
+    @property
+    def endurance(self) -> float:
+        return self.config.endurance
+
+
 class HBMPIMArray(Substrate):
     """Bank-level-MAC HBM-PIM stack serving exact dot-product waves.
 
@@ -90,9 +152,9 @@ class HBMPIMArray(Substrate):
         hardware: HardwareConfig | None = None,
         spare_banks: int = 0,
     ) -> None:
-        hardware = hardware if hardware is not None else hbm_pim_platform()
-        config = hbm_config_for(hardware)
-        super().__init__(hardware, config, config.endurance, spare_banks)
+        model = HBMPIMCapabilities(hardware)
+        super().__init__(model.hardware, model, spare_banks)
+        config = self.config
         if self.spare_units < 0:
             raise ConfigurationError("spare_banks must be non-negative")
         if self.spare_units >= config.total_banks:
@@ -112,8 +174,8 @@ class HBMPIMArray(Substrate):
     # placement
     # ------------------------------------------------------------------
     def _plan(self, n_vectors: int, dims: int) -> BankLayout:
-        return plan_bank_layout(
-            n_vectors, dims, self.config, data_banks=len(self._data_bank_ids)
+        return self.model.layout(
+            n_vectors, dims, data_banks=len(self._data_bank_ids)
         )
 
     def _bank_bytes(self, layout: BankLayout) -> int:
@@ -165,22 +227,14 @@ class HBMPIMArray(Substrate):
     def _move_to_spare(self, owners: list, old_id: int, spare: int) -> float:
         """Rewrite every resident of ``old_id`` onto the spare.
 
-        DRAM burst writes with the rows reopened; the spare joins the
-        data pool carrying the moved bytes and the retired bank leaves
-        it (all residents were just moved off).
+        The spare joins the data pool carrying the moved bytes and the
+        retired bank leaves it (all residents were just moved off).
         """
-        cfg = self.config
         total_ns = 0.0
         moved_bytes = 0
         for _, rec in owners:
             moved_bytes += self._bank_bytes(rec.layout)
-            bursts = rec.layout.vectors_per_bank * rec.layout.bursts_per_vector
-            cycles = (
-                rec.layout.rows_touched_per_bank
-                * (cfg.trp_cycles + cfg.trcd_cycles)
-                + bursts * cfg.write_burst_cycles
-            )
-            total_ns += cycles * cfg.tck_ns
+            total_ns += self.model.remap_ns(rec.layout)
         self._bank_bytes_used[spare] = (
             self._bank_bytes_used.get(spare, 0) + moved_bytes
         )
@@ -191,9 +245,6 @@ class HBMPIMArray(Substrate):
             self._data_bank_ids.append(spare)
             self._data_bank_ids.sort()
         return total_ns
-
-    def units_needed(self, n_vectors: int, dims: int) -> int:
-        return self._plan(n_vectors, dims).n_data_banks
 
     def fits_matrix(
         self, n_vectors: int, dims: int, exclude: str | None = None
@@ -214,20 +265,9 @@ class HBMPIMArray(Substrate):
             for load in loads[: layout.n_data_banks]
         )
 
-    def capabilities(self) -> "HBMPIMCapabilities":
-        return HBMPIMCapabilities(self.hardware)
-
     # ------------------------------------------------------------------
-    # timing + activity
+    # activity
     # ------------------------------------------------------------------
-    def _program_ns(self, layout: BankLayout) -> float:
-        return bank_program_ns(layout, self.config)
-
-    def _batch_timing(
-        self, layout: BankLayout, n_queries: int, bits: int
-    ) -> BatchWaveTiming:
-        return bank_batch_timing(layout, self.config, self.hardware, n_queries)
-
     def _charge_extra(
         self, layout: BankLayout, n_queries: int, waves: int
     ) -> None:
@@ -235,81 +275,6 @@ class HBMPIMArray(Substrate):
         scale = layout.n_data_banks * waves
         for key, count in bank_instruction_counts(layout, n_queries).items():
             self.stats.add_extra(key, count * scale)
-
-
-class HBMPIMCapabilities(SubstrateCapabilities):
-    """Cost model of the bank-level-MAC stack.
-
-    Latency scales with resident vectors per bank times bursts per
-    vector (plus a GRF-pressure penalty past ``grf_entries`` bursts),
-    while programming is cheap DRAM writes — the opposite shape of the
-    crossbar model, which is what makes routing interesting.
-    """
-
-    name = "hbm_pim"
-    unit_name = "bank"
-    memory_device = "dram"
-
-    def __init__(
-        self, hardware: HardwareConfig | None = None, energy=None
-    ) -> None:
-        super().__init__(
-            hardware if hardware is not None else hbm_pim_platform()
-        )
-        self.config = hbm_config_for(self.hardware)
-        self.energy = energy if energy is not None else EnergyModel()
-
-    def _layout(self, n_vectors: int, dims: int, spare_units: int = 0):
-        return plan_bank_layout(
-            n_vectors, dims, self.config,
-            data_banks=self.config.total_banks - spare_units,
-        )
-
-    def units_needed(self, n_vectors: int, dims: int) -> int:
-        return self._layout(n_vectors, dims).n_data_banks
-
-    def fits_fresh(
-        self, n_vectors: int, dims: int, spare_units: int = 0
-    ) -> bool:
-        try:
-            self._layout(n_vectors, dims, spare_units)
-        except CapacityError:
-            return False
-        return True
-
-    def predict_query_ns(
-        self,
-        n_vectors: int,
-        dims: int,
-        n_queries: int = 1,
-        input_bits: int | None = None,
-    ) -> float:
-        layout = self._layout(n_vectors, dims)
-        return bank_batch_timing(
-            layout, self.config, self.hardware, n_queries
-        ).total_ns
-
-    def predict_program_ns(self, n_vectors: int, dims: int) -> float:
-        return bank_program_ns(self._layout(n_vectors, dims), self.config)
-
-    def predict_query_energy_j(
-        self,
-        n_vectors: int,
-        dims: int,
-        n_queries: int = 1,
-        input_bits: int | None = None,
-    ) -> float:
-        layout = self._layout(n_vectors, dims)
-        return self.energy.hbm_wave_energy_j(layout, n_queries)
-
-    def predict_program_energy_j(self, n_vectors: int, dims: int) -> float:
-        return self.energy.hbm_programming_energy_j(
-            self._layout(n_vectors, dims)
-        )
-
-    @property
-    def endurance(self) -> float:
-        return self.config.endurance
 
 
 def build_hbm_pim(

@@ -1,4 +1,4 @@
-"""Substrate registry: name → (device factory, capability descriptor).
+"""Substrate registry: name → (device factory, cost model).
 
 The registry is the single seam between substrate-agnostic layers and
 concrete backends: serving, the CLI and the benchmarks create devices
@@ -23,8 +23,9 @@ class SubstrateSpec:
     """One registered backend.
 
     ``factory(hardware, spare_units)`` builds a live device;
-    ``capabilities(hardware)`` builds the planner-facing descriptor
-    without touching a device.
+    ``capabilities(hardware)`` builds the backend's cost model without
+    touching a device (the same class a live device charges through,
+    as ``device.model``).
     """
 
     name: str
@@ -71,7 +72,7 @@ def create_substrate(
 
 
 def substrate_capabilities(name: str, hardware=None) -> SubstrateCapabilities:
-    """The capability descriptor of the named backend."""
+    """The cost model of the named backend."""
     return _spec(name).capabilities(hardware)
 
 

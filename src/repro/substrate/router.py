@@ -2,11 +2,12 @@
 
 Replicas of a chunk may live on unlike substrates. For each dispatch
 the router prices the batch on every candidate replica's backend using
-the capability descriptors (analytic predictions — no device is
-touched) and ranks the replicas cheapest first; the serving layer
-prefers that order, falling back down the ranking on faults exactly as
-it always fell back through its round-robin order. Exactness is
-untouched — routing only permutes *which replica answers first*.
+its cost model (the one the device charges through; analytic, so no
+device is touched) and ranks the replicas cheapest first; the serving
+layer prefers that order, falling back down the ranking on faults
+exactly as it always fell back through its round-robin order.
+Exactness is untouched — routing only permutes *which replica answers
+first*.
 
 Predictions are memoized per ``(substrate, n_vectors, dims, n_queries,
 input_bits)``: serving dispatches the same shapes over and over, and
@@ -58,7 +59,7 @@ class CostRouter:
     Parameters
     ----------
     hardware:
-        Platform the capability descriptors price against.
+        Platform the cost models price against.
     objective:
         ``"latency"`` ranks by predicted batch ns, ``"energy"`` by
         predicted batch Joules. Ties (identical predictions — e.g. two

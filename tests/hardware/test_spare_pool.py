@@ -21,7 +21,6 @@ from repro.errors import (
 from repro.hardware.endurance import EnduranceTracker
 from repro.hardware.mapper import reserve_spares
 from repro.hardware.pim_array import PIMArray
-from repro.hardware.reprogramming import crossbar_reprogram_ns
 from repro.substrate import create_substrate
 
 
@@ -140,7 +139,10 @@ class TestSparePool(_SparePoolContract):
     def test_remap_latency_matches_the_reprogramming_model(self, array):
         layout = array.layouts()["data"]
         _, ns = array.remap_crossbar(array.unit_ids_of("data")[0])
-        assert ns == pytest.approx(crossbar_reprogram_ns(layout, array.config))
+        assert ns == array.model.remap_ns(layout)
+        assert ns == pytest.approx(
+            array.model.program_ns(layout) / layout.n_crossbars
+        )
 
 
 class TestHBMSparePool(_SparePoolContract):
